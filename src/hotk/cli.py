@@ -124,7 +124,7 @@ def cmd_eval(args) -> int:
         v = check_formation(f, parse_regime(args.theory))
         if not v:
             raise FormationError(f"{v.reason} in {v.offender}")
-    value = eval_formula(m, f, _parse_lets(args.let or []))
+    value = eval_formula(m, f, _parse_lets(args.let or []), budget=args.budget)
     _emit(args, {"value": value}, ["true" if value else "false"])
     return EXIT_OK if value else EXIT_NEGATIVE
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shape check that turns
+a malformed JSON input file into one of them."""
 
 
 class HotkError(Exception):
@@ -39,3 +40,37 @@ class RankUndefined(HotkError):
 
 class ProofError(HotkError):
     """Malformed proof file (distinct from a Rejected verdict)."""
+
+
+def _fits(x, shape) -> bool:
+    """JSON value x matches shape: a type, [item] for a list of items,
+    (a, b) for a list of exactly those, {str: v} for an object of v values
+    and {int: v} for one whose keys are decimal numerals."""
+    if shape == [str]:          # the bulk of every file: lists of names
+        return isinstance(x, list) and all(isinstance(y, str) for y in x)
+    if isinstance(shape, list):
+        return isinstance(x, list) and all(_fits(y, shape[0]) for y in x)
+    if isinstance(shape, tuple):
+        return (isinstance(x, list) and len(x) == len(shape)
+                and all(map(_fits, x, shape)))
+    if isinstance(shape, dict):
+        ((keys, value),) = shape.items()
+        return isinstance(x, dict) and all(
+            (keys is str or k.isdecimal()) and _fits(v, value)
+            for k, v in x.items())
+    if shape is int:
+        return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, shape)
+
+
+def check_json(doc, shapes: dict, required, what: str, error=HotkError) -> None:
+    """Raise `error` unless doc is an object holding every required key and
+    every key of `shapes` that it holds matches its shape."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} file must hold a JSON object")
+    for key in required:
+        if key not in doc:
+            raise error(f"{what} file lacks {key!r}")
+    for key, shape in shapes.items():
+        if key in doc and not _fits(doc[key], shape):
+            raise error(f"{what} file has a malformed {key!r}")

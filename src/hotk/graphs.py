@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from hotk.errors import GraphError
+from hotk.errors import GraphError, check_json
+
+_GRAPH_SHAPE = {"nodes": [str], "edges": [(str, str)], "ranks": {str: int}}
 
 
 def brace_name(member_names) -> str:
@@ -166,6 +168,7 @@ class MembershipGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MembershipGraph":
+        check_json(doc, _GRAPH_SHAPE, ("nodes", "edges"), "graph", GraphError)
         return cls(nodes=tuple(doc["nodes"]),
                    edges=frozenset((x, a) for x, a in doc["edges"]),
                    ranks=dict(doc["ranks"]) if "ranks" in doc else None)

@@ -8,10 +8,8 @@ from itertools import chain, combinations
 from typing import Dict, FrozenSet, Optional
 
 from hotk.errors import BudgetExceeded, GraphError
-from hotk.graphs import MembershipGraph
-from hotk.models.core import Model, set_name
-
-DEFAULT_BUDGET = 10**6
+from hotk.graphs import MembershipGraph, brace_name
+from hotk.models.core import DEFAULT_BUDGET, Model
 
 
 def _powerset(items):
@@ -25,7 +23,7 @@ def _hierarchy_levels(urelements: int, height: int, budget: int):
     urs = [f"u{i}" for i in range(urelements)]
     for u in urs:
         members[u] = frozenset()
-    empty = set_name([])
+    empty = brace_name([])
     members[empty] = frozenset()
     level = sorted(urs + [empty], key=lambda s: (len(s), s))
     levels = [level]
@@ -35,7 +33,7 @@ def _hierarchy_levels(urelements: int, height: int, budget: int):
                 f"powerset of {len(level)} entities exceeds budget {budget}")
         nxt = set(urs)
         for subset in _powerset(level):
-            nm = set_name(subset)
+            nm = brace_name(subset)
             members.setdefault(nm, frozenset(subset))
             nxt.add(nm)
         level = sorted(nxt, key=lambda s: (len(s), s))
@@ -94,7 +92,7 @@ def build_fjt_canonical(height: int, budget: int = DEFAULT_BUDGET) -> Model:
             tuples = [t + (frozenset(s),) for t in tuples for s in _powerset(lower)]
         names = []
         for t in tuples:
-            nm = "(" + "|".join(set_name(x for x in slot) for slot in t) + ")"
+            nm = "(" + "|".join(brace_name(slot) for slot in t) + ")"
             name_of[t] = nm
             members[nm] = frozenset().union(*t) if t else frozenset()
             names.append(nm)

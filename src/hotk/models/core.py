@@ -5,15 +5,21 @@ b's member set, which covers the cumulative hierarchies, the tuple-extension
 models (a member's own shape determines which slot it sits in), and graph
 structures alike.  Entities are canonical name strings, so a model survives
 a JSON round trip byte-for-byte.
+
+Formulas are evaluated by compiling them once into closures (Feeley and
+Lapalme, "Using closures for code generation", Computer Languages 12(1),
+1987); the same compiler serves typed models and membership graphs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
-from hotk.errors import EvalError
+from hotk.errors import BudgetExceeded, EvalError, HotkError, check_json
+from hotk.graphs import MembershipGraph
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
@@ -23,10 +29,11 @@ from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
 Entity = str
 Assignment = Dict[Tuple[str, Optional[TypeIndex]], Entity]
 
+DEFAULT_BUDGET = 10**6
 
-def set_name(member_names) -> str:
-    """Canonical brace name of a set given its members' names."""
-    return "{" + ",".join(sorted(member_names, key=lambda s: (len(s), s))) + "}"
+_MODEL_SHAPE = {"kind": str, "height": int, "domains": [[str]],
+                "apply": {str: [str]}, "meta": dict,
+                "up_map": {int: {str: str}}, "down_rel": {int: [(str, str)]}}
 
 
 @dataclass
@@ -90,6 +97,10 @@ class Model:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Model":
+        check_json(doc, _MODEL_SHAPE, ("kind", "height", "domains"), "model")
+        if len(doc["domains"]) != doc["height"] + 1:
+            raise HotkError("model file needs exactly one domain per type "
+                            "from 0 to its height")
         meta = dict(doc.get("meta", {}))
         cumulative = meta.pop("cumulative", False)
         open_above = meta.pop("open_above", False)
@@ -122,93 +133,201 @@ def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:
     return (t.name, t.index)
 
 
-def _eval_term(m: Model, t: Term, env: Assignment) -> Entity:
-    if isinstance(t, Raised):
-        inner = _eval_term(m, t.inner, env)
-        n = term_index(t.inner)
-        if n is None or not n.is_finite:
-            raise EvalError(f"cannot raise a term of type {n}")
-        if m.up_map is None:
-            raise EvalError("model has no raising map")
-        key = (n.finite_value, inner)
-        if key not in m.up_map:
-            raise EvalError(f"raising map undefined at type {n} for {inner}")
-        return m.up_map[key]
-    key = akey(t)
-    if key not in env:
-        raise EvalError(f"unassigned free term {t.name}^{t.index}")
-    return env[key]
+Structure = Union[Model, MembershipGraph]
+Compiled = Callable[[Optional[Assignment]], bool]
+
+_UNSET = object()       # value of a free slot the assignment leaves out
+_EMPTY: FrozenSet[Entity] = frozenset()
 
 
-def eval_formula(m: Model, f: Formula, assignment: Optional[Assignment] = None) -> bool:
-    """Classical truth value of f in m under the assignment.
+def _fail(error, message: str):
+    """A closure that raises when it is reached, never when it is built."""
+    def fail(env):
+        raise error(message)
+    return fail
 
-    Sugar is expanded up front; quantifiers range over the full domain of
-    the variable's type (cumulative or not, as the model dictates).
+
+def compile_formula(m: Structure, f: Formula,
+                    budget: int = DEFAULT_BUDGET) -> Compiled:
+    """Compile f once for m into a function from assignments to truth values.
+
+    Sugar is expanded here, once.  Every free atom and every binder gets a
+    slot in a list environment and every node becomes a closure over it.
+    In a typed Model a quantifier ranges over the full domain of its
+    variable's type (cumulative or not, as the model dictates); in a
+    MembershipGraph, the structure of the untyped set language, every
+    quantifier ranges over the nodes, variables are keyed by name alone and
+    InSet(x, a) holds when x is a member of a.
+
+    A quantifier whose free slots are a strict subset of the slots in scope
+    caches its value keyed by those slots' values.  The cache lives as
+    long as the compiled function, so it also serves later assignments.
+    Errors (unassigned terms, missing domains, a domain of more than
+    `budget` entities) are raised only when the offending node is reached.
     """
+    graph = isinstance(m, MembershipGraph)
+    keyof = (lambda t: t.name) if graph else akey
     f = expand_abbreviations(f, None)
-    env: Assignment = dict(assignment) if assignment else {}
-    fv_cache: Dict[int, Tuple] = {}
-    memo: Dict[Tuple, bool] = {}
+    free: Dict = {}
+    for a in free_atoms(f):
+        free.setdefault(keyof(a), len(free))
+    nfree = nslots = len(free)
 
-    def fv_keys(g: Formula) -> Tuple:
-        got = fv_cache.get(id(g))
-        if got is None:
-            got = tuple(sorted((a.name, str(a.index)) for a in free_atoms(g)))
-            fv_cache[id(g)] = got
-        return got
+    def term(t: Term, scope: dict):
+        """(getter, slots read) for a term."""
+        if isinstance(t, Raised):
+            if graph:
+                return (_fail(EvalError, "raised term in a set-language formula"),
+                        frozenset())
+            inner, slots = term(t.inner, scope)
+            n = term_index(t.inner)
+            up = m.up_map
+            if n is None or not n.is_finite:
+                err = f"cannot raise a term of type {n}"
+            elif up is None:
+                err = "model has no raising map"
+            else:
+                err = None
 
-    def go(g: Formula, env: Assignment) -> bool:
-        if isinstance(g, Apply):
-            return m.applies(_eval_term(m, g.head, env), _eval_term(m, g.arg, env))
-        if isinstance(g, StrictEq):
-            return _eval_term(m, g.left, env) == _eval_term(m, g.right, env)
-        if isinstance(g, DownRel):
-            if m.down_rel is None:
-                raise EvalError("model has no projection relation")
-            hi = term_index(g.left)
-            if hi is None or not hi.is_finite:
-                raise EvalError(f"bad projection type {hi}")
-            return (hi.finite_value, _eval_term(m, g.left, env),
-                    _eval_term(m, g.right, env)) in m.down_rel
-        if isinstance(g, InSet):
-            raise EvalError("untyped membership atom in a typed model")
-        if isinstance(g, Not):
-            return not go(g.body, env)
-        if isinstance(g, And):
-            return go(g.left, env) and go(g.right, env)
-        if isinstance(g, Or):
-            return go(g.left, env) or go(g.right, env)
-        if isinstance(g, Implies):
-            return (not go(g.left, env)) or go(g.right, env)
-        if isinstance(g, Iff):
-            return go(g.left, env) == go(g.right, env)
-        if isinstance(g, (Forall, Exists)):
-            free = set(fv_keys(g))
-            key = (id(g), tuple(sorted((k[0], str(k[1]), v)
-                                       for k, v in env.items()
-                                       if (k[0], str(k[1])) in free)))
-            got = memo.get(key)
-            if got is not None:
+            def raised(env):
+                e = inner(env)
+                if err is not None:
+                    raise EvalError(err)
+                got = up.get((n.finite_value, e), _UNSET)
+                if got is _UNSET:
+                    raise EvalError(f"raising map undefined at type {n} for {e}")
                 return got
-            if g.var.index is None:
-                raise EvalError("untyped quantifier in a typed model")
-            dom = m.domain(g.var.index)
-            vkey = akey(g.var)
-            is_all = isinstance(g, Forall)
-            result = is_all
-            for e in dom:
-                env2 = dict(env)
-                env2[vkey] = e
-                val = go(g.body, env2)
-                if is_all and not val:
-                    result = False
-                    break
-                if not is_all and val:
-                    result = True
-                    break
-            memo[key] = result
-            return result
-        raise EvalError(f"cannot evaluate node {g!r}")
+            return raised, slots
+        slot = scope[keyof(t)]
+        if slot >= nfree:
+            return itemgetter(slot), frozenset([slot])
+        missing = (f"unassigned set variable {t.name}" if graph
+                   else f"unassigned free term {t.name}^{t.index}")
 
-    return go(f, env)
+        def free_term(env):
+            e = env[slot]
+            if e is _UNSET:
+                raise EvalError(missing)
+            return e
+        return free_term, frozenset([slot])
+
+    def node(g: Formula, scope: dict):
+        """(closure, slots read) for a formula node."""
+        if isinstance(g, Not):
+            body, slots = node(g.body, scope)
+            return (lambda env: not body(env)), slots
+        if isinstance(g, (And, Or, Implies, Iff)):
+            l, ls = node(g.left, scope)
+            r, rs = node(g.right, scope)
+            if isinstance(g, And):
+                fn = lambda env: l(env) and r(env)
+            elif isinstance(g, Or):
+                fn = lambda env: l(env) or r(env)
+            elif isinstance(g, Implies):
+                fn = lambda env: not l(env) or r(env)
+            else:
+                fn = lambda env: l(env) == r(env)
+            return fn, ls | rs
+        if isinstance(g, (Forall, Exists)):
+            return quantifier(g, scope)
+        if isinstance(g, Apply):
+            h, hs = term(g.head, scope)
+            a, as_ = term(g.arg, scope)
+            if graph:
+                return (_fail(EvalError, f"cannot evaluate set formula node {g!r}"),
+                        hs | as_)
+            members = m.members
+
+            def apply(env):
+                b = h(env)
+                return a(env) in members.get(b, _EMPTY)
+            return apply, hs | as_
+        if not isinstance(g, (StrictEq, DownRel, InSet)):
+            raise TypeError(f"unknown formula node {g!r}")
+        l, ls = term(g.left, scope)
+        r, rs = term(g.right, scope)
+        slots = ls | rs
+        if isinstance(g, StrictEq):
+            return (lambda env: l(env) == r(env)), slots
+        if isinstance(g, InSet):
+            if not graph:
+                return (_fail(EvalError, "untyped membership atom in a typed model"),
+                        slots)
+            members = m.members
+            return (lambda env: l(env) in members(r(env))), slots
+        if graph:
+            return _fail(EvalError, f"cannot evaluate set formula node {g!r}"), slots
+        hi = term_index(g.left)
+        if m.down_rel is None:
+            return _fail(EvalError, "model has no projection relation"), slots
+        if hi is None or not hi.is_finite:
+            return _fail(EvalError, f"bad projection type {hi}"), slots
+        n, down = hi.finite_value, m.down_rel
+        return (lambda env: (n, l(env), r(env)) in down), slots
+
+    def quantifier(g, scope: dict):
+        nonlocal nslots
+        slot = nslots
+        nslots += 1
+        body, slots = node(g.body, {**scope, keyof(g.var): slot})
+        slots = slots - {slot}
+        if graph:
+            dom = m.nodes
+        elif g.var.index is None:
+            return _fail(EvalError, "untyped quantifier in a typed model"), slots
+        else:
+            try:
+                dom = m.domain(g.var.index)
+            except EvalError as e:
+                return _fail(EvalError, str(e)), slots
+        if len(dom) > budget:
+            return _fail(BudgetExceeded,
+                         f"quantifier over {g.var.name} ranges over {len(dom)} "
+                         f"entities, above budget {budget}"), slots
+        if isinstance(g, Forall):
+            def loop(env):
+                for e in dom:
+                    env[slot] = e
+                    if not body(env):
+                        return False
+                return True
+        else:
+            def loop(env):
+                for e in dom:
+                    env[slot] = e
+                    if body(env):
+                        return True
+                return False
+        if not slots < set(scope.values()):
+            return loop, slots
+        key = itemgetter(*sorted(slots)) if slots else (lambda env: ())
+        cache: Dict = {}
+
+        def cached(env):
+            k = key(env)
+            got = cache.get(k)
+            if got is None:
+                got = cache[k] = loop(env)
+            return got
+        return cached, slots
+
+    root, _ = node(f, dict(free))
+    free_slots = tuple(free.items())
+
+    def run(assignment: Optional[Assignment] = None) -> bool:
+        env = [_UNSET] * nslots
+        if assignment:
+            if graph:
+                assignment = {k if isinstance(k, str) else k[0]: v
+                              for k, v in assignment.items()}
+            for k, i in free_slots:
+                env[i] = assignment.get(k, _UNSET)
+        return root(env)
+    return run
+
+
+def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = None,
+                 budget: int = DEFAULT_BUDGET) -> bool:
+    """Classical truth value of f in m (a Model or a MembershipGraph) under
+    the assignment; see compile_formula."""
+    return compile_formula(m, f, budget)(assignment)

@@ -11,8 +11,8 @@ from hotk.errors import EvalError, FormationError
 from hotk.kernel.formation import check_formation
 from hotk.kernel.regimes import fjt
 from hotk.kernel.syntax import Formula, free_atoms
-from hotk.models.builders import DEFAULT_BUDGET, build_fjt_canonical
-from hotk.models.core import Model, eval_formula
+from hotk.models.builders import build_fjt_canonical
+from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
 
 
 def max_finite_type(f: Formula) -> int:
@@ -83,4 +83,4 @@ def decide_fjt(f: Formula, height: int, budget: int = DEFAULT_BUDGET,
         raise EvalError(f"sentence uses type {need}, above height {height}")
     if model is None:
         model = build_fjt_canonical(height, budget)
-    return eval_formula(model, f)
+    return eval_formula(model, f, budget=budget)

@@ -14,13 +14,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
 from hotk.graphs import MembershipGraph, brace_name, graph_from_sets
-from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin, t_shunt
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
-                                InSet, Not, Or, StrictEq, Sugar, Var,
-                                free_atoms, free_names)
-from hotk.models.builders import DEFAULT_BUDGET
-from hotk.models.core import Model, akey, eval_formula
+                                InSet, StrictEq, Sugar, Var, free_names)
+from hotk.models.core import (DEFAULT_BUDGET, Model, akey, compile_formula,
+                              eval_formula)
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 from hotk.translate import kappa_translate
 
@@ -106,7 +104,8 @@ def rank(g: MembershipGraph, a: str, levels: Optional[List[str]] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The set-theoretic language: axiom formulas and evaluation over a graph.
+# The set-theoretic language: axiom formulas (evaluated over a graph by
+# hotk.models.eval_formula).
 
 def _v(name: str) -> Var:
     return Var(name, None)
@@ -152,65 +151,6 @@ def separation_instance(phi: Formula, x: Var = None, a: Var = None) -> Formula:
     for p in reversed(params):
         body = Forall(_v(p), body)
     return body
-
-
-def eval_set_formula(g: MembershipGraph, f: Formula, env: Optional[dict] = None) -> bool:
-    """Brute-force truth over g's nodes; quantifiers range over all nodes."""
-    f = expand_abbreviations(f, None)
-    env = dict(env) if env else {}
-    memo: Dict[Tuple, bool] = {}
-    fv_cache: Dict[int, frozenset] = {}
-
-    def fv(node) -> frozenset:
-        got = fv_cache.get(id(node))
-        if got is None:
-            got = frozenset(a.name for a in free_atoms(node))
-            fv_cache[id(node)] = got
-        return got
-
-    def term(t, env):
-        if t.name not in env:
-            raise EvalError(f"unassigned set variable {t.name}")
-        return env[t.name]
-
-    def go(h: Formula, env: dict) -> bool:
-        if isinstance(h, InSet):
-            return term(h.left, env) in g.members(term(h.right, env))
-        if isinstance(h, StrictEq):
-            return term(h.left, env) == term(h.right, env)
-        if isinstance(h, Not):
-            return not go(h.body, env)
-        if isinstance(h, And):
-            return go(h.left, env) and go(h.right, env)
-        if isinstance(h, Or):
-            return go(h.left, env) or go(h.right, env)
-        if isinstance(h, Implies):
-            return (not go(h.left, env)) or go(h.right, env)
-        if isinstance(h, Iff):
-            return go(h.left, env) == go(h.right, env)
-        if isinstance(h, (Forall, Exists)):
-            free = fv(h)
-            key = (id(h), tuple(sorted((k, v) for k, v in env.items() if k in free)))
-            got = memo.get(key)
-            if got is not None:
-                return got
-            is_all = isinstance(h, Forall)
-            result = is_all
-            for e in g.nodes:
-                env2 = dict(env)
-                env2[h.var.name] = e
-                val = go(h.body, env2)
-                if is_all and not val:
-                    result = False
-                    break
-                if not is_all and val:
-                    result = True
-                    break
-            memo[key] = result
-            return result
-        raise EvalError(f"cannot evaluate set formula node {h!r}")
-
-    return go(f, {k if isinstance(k, str) else k[0]: v for k, v in env.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +200,7 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
     elif corpus:
         bad = None
         for i, phi in enumerate(corpus):
-            if not eval_set_formula(g, separation_instance(phi)):
+            if not eval_formula(g, separation_instance(phi)):
                 bad = f"corpus formula #{i}"
                 break
         report.add("separation-corpus", PASS if bad is None else FAIL,
@@ -270,7 +210,7 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
         if not brute_ok:
             report.add(name, SKIPPED, note="budget")
         else:
-            report.add(name, PASS if eval_set_formula(g, formula) else FAIL)
+            report.add(name, PASS if eval_formula(g, formula) else FAIL)
 
     brute("stratification", stratification_formula())
     if which == "zr":
@@ -351,11 +291,11 @@ def S_construction(m: Model, kappa: int) -> MembershipGraph:
     nodes = m.domains[kappa]
     k = fin(kappa)
     a, b = Var("a", k), Var("b", k)
-    member = expand_abbreviations(Sugar("in", (a, b)), None)
+    member = compile_formula(m, Sugar("in", (a, b)))
     edges = set()
     for x in nodes:
         for y in nodes:
-            if eval_formula(m, member, {akey(a): x, akey(b): y}):
+            if member({akey(a): x, akey(b): y}):
                 edges.add((x, y))
     return MembershipGraph(tuple(nodes), frozenset(edges))
 

@@ -19,7 +19,7 @@ from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
                                 StrictEq, Sugar, Term, Var, alpha_normalize,
                                 all_names, fresh_name, free_atoms, raise_term,
                                 term_index)
-from hotk.models.core import Assignment, Model, akey, eval_formula
+from hotk.models.core import Assignment, Model, akey, compile_formula
 
 _BINARY = (And, Or, Implies, Iff)
 _QUANT = (Forall, Exists)
@@ -302,11 +302,11 @@ def roundtrip_check(f: Formula, source: rg.Regime,
     if model is None:
         return RoundTripReport(source.kind, syntactic, None, 0)
     checked = 0
+    eval_original = compile_formula(model, original)
+    eval_image = compile_formula(model, image)
     for env in all_assignments(model, free_atoms(original)):
         checked += 1
-        a = eval_formula(model, original, env)
-        b = eval_formula(model, image, env)
-        if a != b:
+        if eval_original(env) != eval_image(env):
             return RoundTripReport(
                 source.kind, syntactic, False, checked,
                 counterexample={f"{k[0]}^{k[1]}": v for k, v in env.items()})

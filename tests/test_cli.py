@@ -27,10 +27,50 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
-def test_budget_exit_code(capsys):
+def test_budget_exit_code(tmp_path, capsys):
     code, _ = run(capsys, "--budget", "10", "model", "build", "--kind", "pure",
                   "--height", "4")
     assert code == 3
+    path = tmp_path / "fjt3.json"
+    _, out = run(capsys, "model", "build", "--kind", "fjt", "--height", "3")
+    path.write_text(out)
+    sweep = "all a^3. a^3 = a^3"    # one quantifier over 2048 entities
+    code, _ = run(capsys, "--budget", "10", "eval", "--model", str(path), sweep)
+    assert code == 3
+    code, out = run(capsys, "--budget", "2048", "eval", "--model", str(path), sweep)
+    assert code == 0 and out.strip() == "true"
+
+
+def test_malformed_input_files_exit_2(tmp_path, capsys):
+    models = [{"kind": "pure", "domains": [["{}"]], "apply": {}, "meta": {}},
+              {"kind": "pure", "height": 0, "domains": "{}"},
+              {"kind": "pure", "height": 1, "domains": [["{}"]]},
+              {"kind": "pure", "height": True, "domains": [["{}"], ["{}"]]},
+              {"kind": "pure", "height": 0, "domains": [["{}"]],
+               "apply": {"{}": "{}"}},
+              {"kind": "pure", "height": 0, "domains": [["{}"]],
+               "up_map": {"zero": {}}},
+              {"kind": "fjt", "height": 0, "domains": [["o"]],
+               "down_rel": {"2": [["o"]]}},
+              ["not", "an", "object"]]
+    graphs = [{"nodes": ["{}"]}, {"edges": []},
+              {"nodes": [["a"]], "edges": []},
+              {"nodes": ["a"], "edges": [["a"]]},
+              {"nodes": ["a"], "edges": [], "ranks": {"a": "0"}}, "a"]
+    path = tmp_path / "bad.json"
+    for doc in models:
+        path.write_text(json.dumps(doc))
+        code, _ = run(capsys, "eval", "--model", str(path), "all x^0. x^0 = x^0")
+        assert code == 2, doc
+        code, _ = run(capsys, "sets", "slice", "--kappa", "0", str(path))
+        assert code == 2, doc
+    for doc in graphs:
+        path.write_text(json.dumps(doc))
+        code, _ = run(capsys, "sets", "levels", str(path))
+        assert code == 2, doc
+        code, _ = run(capsys, "model", "build", "--kind", "graph", "--graph",
+                      str(path))
+        assert code == 2, doc
 
 
 def test_expand_golden(capsys):

@@ -6,13 +6,14 @@ from hotk.graphs import MembershipGraph, parse_brace_name
 from hotk.kernel import fin
 from hotk.settheory import (S_construction, T_construction, build_V,
                             check_kappa_axioms_in_T, check_set_axioms,
-                            check_wellordering_of_levels, eval_set_formula,
+                            check_wellordering_of_levels,
                             extensionality_formula, hereditary_part,
                             infinity_formula, is_history, is_level,
                             is_standard, is_standard_typed, levels_of,
                             mostowski_collapse, rank, separation_instance,
                             stratification_formula, valid_slice_types)
 from hotk.kernel.parser import parse_formula
+from hotk.models import eval_formula
 
 
 class TestBuildV:
@@ -89,7 +90,7 @@ class TestSetAxioms:
         inst = separation_instance(phi)
         from hotk.kernel.syntax import Forall
         assert isinstance(inst, Forall)       # the parameter p is closed
-        assert eval_set_formula(build_V(3), inst)
+        assert eval_formula(build_V(3), inst)
 
 
 class TestConstructions:
