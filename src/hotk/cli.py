@@ -22,6 +22,7 @@ from hotk.graphs import MembershipGraph
 from hotk.kernel import (alpha_normalize, check_formation,
                          expand_abbreviations, parse_formula,
                          parse_regime, parse_term, print_formula)
+from hotk.kernel.parser import hol_lines
 from hotk.models import (Model, akey, build_class_model, build_fjt_canonical,
                          build_graph_model, build_pure_model,
                          build_sttd_companion, build_sttu_companion,
@@ -49,12 +50,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 def _read_formula_lines(path: str) -> List[str]:
     text = sys.stdin.read() if path == "-" else open(path).read()
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+    return [line for _, line in hol_lines(text)]
 
 
 def _load_model(path: str) -> Model:

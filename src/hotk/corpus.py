@@ -7,8 +7,8 @@ from importlib import resources
 from typing import Dict, List, Tuple
 
 from hotk.kernel import (alpha_normalize, check_formation,
-                         expand_abbreviations, parse_formula, parse_regime,
-                         print_formula)
+                         expand_abbreviations, parse_formula, parse_hol_lines,
+                         parse_regime, print_formula)
 from hotk.kernel.syntax import Formula
 
 
@@ -21,12 +21,7 @@ def formation_matrix() -> dict:
 
 
 def separation_corpus() -> List[Formula]:
-    out = []
-    for raw in (_data() / "set_corpus.hol").read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(parse_formula(line, mode="set"))
-    return out
+    return parse_hol_lines((_data() / "set_corpus.hol").read_text(), mode="set")
 
 
 def golden_cases() -> List[Dict[str, str]]:

@@ -11,15 +11,27 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Optional, Tuple
+from itertools import chain, combinations
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from hotk.errors import GraphError, check_json
 
 _GRAPH_SHAPE = {"nodes": [str], "edges": [(str, str)], "ranks": {str: int}}
 
 
+def canonical_key(name: str) -> Tuple[int, str]:
+    """Sort key of node and entity names: shorter first, then by text."""
+    return (len(name), name)
+
+
 def brace_name(member_names) -> str:
-    return "{" + ",".join(sorted(member_names, key=lambda s: (len(s), s))) + "}"
+    return "{" + ",".join(sorted(member_names, key=canonical_key)) + "}"
+
+
+def powerset(items):
+    """Every subset of items as a tuple, smallest first, in combinations order."""
+    items = list(items)
+    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
 def parse_brace_name(name: str) -> Optional[FrozenSet[str]]:
@@ -93,38 +105,45 @@ class MembershipGraph:
     def well_founded(self) -> bool:
         return self.find_cycle() is None
 
+    def _depth_first(self) -> Tuple[List[str], Optional[List[str]]]:
+        """Depth-first search from each node in turn, members in canonical
+        order: the nodes in post-order, up to the first cycle met, if any."""
+        finished: Dict[str, bool] = {}      # False while on the path
+        order: List[str] = []
+        path: List[str] = []
+        pending = [iter(self.nodes)]
+        while pending:
+            for x in pending[-1]:
+                if x not in finished:
+                    finished[x] = False
+                    path.append(x)
+                    pending.append(iter(sorted(self.members(x), key=canonical_key)))
+                    break
+                if not finished[x]:
+                    return order, path[path.index(x):] + [x]
+            else:
+                pending.pop()
+                if path:
+                    order.append(path.pop())
+                    finished[order[-1]] = True
+        return order, None
+
     def find_cycle(self):
         """A membership cycle [a0, a1, ..., a0] if one exists, else None."""
-        color: Dict[str, int] = {}
-        stack: list = []
+        return self._depth_first()[1]
 
-        def visit(a):
-            color[a] = 1
-            stack.append(a)
-            for x in sorted(self.members(a), key=lambda s: (len(s), s)):
-                c = color.get(x, 0)
-                if c == 1:
-                    return stack[stack.index(x):] + [x]
-                if c == 0:
-                    got = visit(x)
-                    if got:
-                        return got
-            stack.pop()
-            color[a] = 2
-            return None
-
-        for a in self.nodes:
-            if color.get(a, 0) == 0:
-                got = visit(a)
-                if got:
-                    return got
-        return None
+    def postorder(self) -> List[str]:
+        """Every node after all of its members; needs well-foundedness."""
+        order, cycle = self._depth_first()
+        if cycle:
+            raise GraphError(f"ill-founded graph (cycle {' -> '.join(cycle)})")
+        return order
 
     @cached_property
     def extensional_witness(self):
         """A pair of distinct nodes with identical member sets, else None."""
         seen: Dict[FrozenSet[str], str] = {}
-        for a in sorted(self.nodes, key=lambda s: (len(s), s)):
+        for a in sorted(self.nodes, key=canonical_key):
             ms = self.members(a)
             if ms in seen:
                 return (seen[ms], a)
@@ -133,21 +152,10 @@ class MembershipGraph:
 
     def structural_ranks(self) -> Dict[str, int]:
         """rank(x) = sup of member ranks + 1; needs well-foundedness."""
-        cyc = self.find_cycle()
-        if cyc:
-            raise GraphError(f"ill-founded graph (cycle {' -> '.join(cyc)})")
-        memo: Dict[str, int] = {}
-
-        def rank_of(a):
-            if a in memo:
-                return memo[a]
-            ms = self.members(a)
-            memo[a] = 0 if not ms else max(rank_of(x) for x in ms) + 1
-            return memo[a]
-
-        for a in self.nodes:
-            rank_of(a)
-        return memo
+        ranks: Dict[str, int] = {}
+        for a in self.postorder():
+            ranks[a] = max((ranks[x] + 1 for x in self.members(a)), default=0)
+        return ranks
 
     def ord(self) -> int:
         """Least missing rank: max structural rank + 1 (0 for the empty graph)."""
@@ -187,7 +195,7 @@ def graph_from_sets(sets) -> MembershipGraph:
             names[s] = brace_name(name_of(m) for m in s)
         return names[s]
 
-    node_names = sorted((name_of(s) for s in sets), key=lambda s: (len(s), s))
+    node_names = sorted((name_of(s) for s in sets), key=canonical_key)
     present = set(node_names)
     edges = set()
     rev = {v: k for k, v in names.items()}

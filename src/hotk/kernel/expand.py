@@ -15,17 +15,25 @@ from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.formation import sugar_violation
 from hotk.kernel.indices import TypeIndex, max_index
-from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
-                                Iff, Implies, InSet, Not, Or, StrictEq, Sugar,
-                                Term, Var, all_names, term_index)
+from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
+                                Formula, Iff, Implies, InSet, Not, StrictEq,
+                                Sugar, Term, Var, all_names, conj, parts,
+                                rebuild, term_index)
 
 
 class _Fresh:
-    def __init__(self, used):
-        self.used = set(used)
+    """Fresh variables v1, v2, ... avoiding every name in a formula.  The
+    names are collected on the first request, so a formula without sugar
+    is never scanned."""
+
+    def __init__(self, f: Formula):
+        self.f = f
+        self.used = None
         self.n = 0
 
     def var(self, index: Optional[TypeIndex]) -> Var:
+        if self.used is None:
+            self.used = set(all_names(self.f))
         while True:
             self.n += 1
             name = f"v{self.n}"
@@ -39,16 +47,6 @@ def _member(left: Term, right: Term) -> Formula:
     if term_index(left) is None:
         return InSet(left, right)
     return Sugar("in", (left, right))
-
-
-def _conj(parts):
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty conjunction")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
 
 
 def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
@@ -73,7 +71,7 @@ def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
         for i in range(n - 1, -1, -1):
             x = fresh.var(TypeIndex(0, i))
             conjuncts.append(Forall(x, Iff(Apply(l, x), Apply(r, x))))
-        return _conj(conjuncts)
+        return conj(conjuncts)
     if k == "downeq":
         l, r = f.args
         n = term_index(l)
@@ -123,34 +121,29 @@ def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
     raise TypeError(f"unknown sugar kind {k!r}")
 
 
-def expand_abbreviations(f: Formula, regime: Optional[rg.Regime] = None,
-                         _fresh: Optional[_Fresh] = None) -> Formula:
+def expand_abbreviations(f: Formula, regime: Optional[rg.Regime] = None) -> Formula:
     """Eliminate sugar nodes, innermost first.
 
     With a regime, each sugar's side-condition is enforced before it is
     rewritten; regime=None expands permissively (model evaluation uses
     this, since bundled models answer liberal queries anyway).
     """
-    fresh = _fresh if _fresh is not None else _Fresh(all_names(f))
+    fresh = _Fresh(f)
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, (Apply, StrictEq, DownRel, InSet)):
+        if type(g) in ATOMS:
             return g
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (And, Or, Implies, Iff)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, (Forall, Exists)):
-            return type(g)(g.var, go(g.body))
-        if isinstance(g, Sugar):
-            if regime is not None:
-                err = sugar_violation(g, regime)
-                if err:
-                    raise FormationError(err)
-            if g.kind == "bounded":
-                quant, var, rel, bound, body = g.args
-                g = Sugar("bounded", (quant, var, rel, bound, go(body)))
-            return go(_one_step(g, fresh))
-        raise TypeError(f"unknown formula node {g!r}")
+        sugar = type(g) is Sugar
+        if sugar and regime is not None:
+            err = sugar_violation(g, regime)
+            if err:
+                raise FormationError(err)
+        terms, binder, bodies = parts(g)
+        if bodies:
+            new = []
+            for b in bodies:
+                new.append(go(b))
+            g = rebuild(g, terms, binder, new)
+        return go(_one_step(g, fresh)) if sugar else g
 
     return go(f)

@@ -14,9 +14,8 @@ from typing import Optional
 from hotk.kernel import regimes as rg
 from hotk.kernel.indices import TypeIndex, max_index
 from hotk.kernel.printer import print_formula, print_term
-from hotk.kernel.syntax import (And, Apply, Const, DownRel, Exists, Forall,
-                                Formula, Iff, Implies, InSet, Not, Or, Raised,
-                                StrictEq, Sugar, Term, Var, term_index)
+from hotk.kernel.syntax import (Apply, DownRel, Formula, InSet, Raised,
+                                StrictEq, Sugar, Term, parts, term_index)
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,15 @@ def _apply_gap_ok(head: TypeIndex, arg: TypeIndex, regime: rg.Regime) -> Optiona
     return None   # liberal: any pair
 
 
+def _projection_violation(a: TypeIndex, b: TypeIndex) -> Optional[str]:
+    """Why a projection from type a down to type b is ill-formed, or None."""
+    if b == TypeIndex(0, 0):
+        return "no projection constant reaches type 0"
+    if a != b.succ():
+        return f"projection relates type n+1 to type n, got {a} over {b}"
+    return None
+
+
 def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
     """Side-condition of a sugar node in the regime; None when satisfied."""
     k = f.kind
@@ -113,12 +121,7 @@ def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
         if rel == "dn":
             if regime.kind != rg.STT_DOWN:
                 return "dn-bounded quantifier needs the projection theory"
-            a, b = term_index(var), term_index(bound)
-            if b == TypeIndex(0, 0):
-                return "no projection constant reaches type 0"
-            if a != b.succ():
-                return f"projection relates type n+1 to type n, got {a} over {b}"
-            return None
+            return _projection_violation(term_index(var), term_index(bound))
         return sugar_violation(Sugar(rel, (var, bound)), regime)
     if k in ("subset", "level", "history", "rank"):
         idxs = [term_index(a) for a in f.args]
@@ -135,69 +138,42 @@ def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
     raise TypeError(f"unknown sugar kind {k!r}")
 
 
-def check_formation(f: Formula, regime: rg.Regime) -> FormationVerdict:
-    """Verdict on f under the regime, locating the offending subformula."""
-    if isinstance(f, Apply):
-        for t in (f.head, f.arg):
-            v = _check_term(t, regime)
-            if v is not None:
-                return v
-        err = _apply_gap_ok(term_index(f.head), term_index(f.arg), regime)
-        return _bad(err, f) if err else WELL_FORMED
-    if isinstance(f, StrictEq):
-        for t in (f.left, f.right):
-            v = _check_term(t, regime)
-            if v is not None:
-                return v
-        a, b = term_index(f.left), term_index(f.right)
-        if a != b:
-            return _bad(f"strict identity needs equal types ({a} vs {b})", f)
-        return WELL_FORMED
-    if isinstance(f, DownRel):
-        if regime.kind != rg.STT_DOWN:
-            return _bad("dn atoms exist only in the projection theory", f)
-        for t in (f.left, f.right):
-            v = _check_term(t, regime)
-            if v is not None:
-                return v
-        a, b = term_index(f.left), term_index(f.right)
-        if b == TypeIndex(0, 0):
-            return _bad("no projection constant reaches type 0", f)
-        if a != b.succ():
-            return _bad(f"projection relates type n+1 to type n, got {a} over {b}", f)
-        return WELL_FORMED
-    if isinstance(f, InSet):
-        return _bad("untyped membership atom in a typed regime", f)
-    if isinstance(f, Not):
-        return check_formation(f.body, regime)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        v = check_formation(f.left, regime)
-        if not v:
-            return v
-        return check_formation(f.right, regime)
-    if isinstance(f, (Forall, Exists)):
-        v = _check_term(f.var, regime)
+def _check_node(g: Formula, terms, binder, regime: rg.Regime) -> Optional[FormationVerdict]:
+    """The verdict on one node's own terms and side-condition, None when
+    they pass (its subformulas are checked separately)."""
+    kind = type(g)
+    if kind is InSet:
+        return _bad("untyped membership atom in a typed regime", g)
+    if kind is DownRel and regime.kind != rg.STT_DOWN:
+        return _bad("dn atoms exist only in the projection theory", g)
+    for t in terms if binder is None else (binder, *terms):
+        v = _check_term(t, regime)
         if v is not None:
             return v
-        return check_formation(f.body, regime)
-    if isinstance(f, Sugar):
-        if f.kind == "bounded":
-            quant, var, rel, bound, body = f.args
-            for t in (var, bound):
-                v = _check_term(t, regime)
-                if v is not None:
-                    return v
-            err = sugar_violation(f, regime)
-            if err:
-                return _bad(err, f)
-            return check_formation(body, regime)
-        for a in f.args:
-            if isinstance(a, (Var, Const, Raised)):
-                v = _check_term(a, regime)
-                if v is not None:
-                    return v
-        err = sugar_violation(f, regime)
-        if err:
-            return _bad(err, f)
-        return WELL_FORMED
-    raise TypeError(f"unknown formula node {f!r}")
+    if kind is Apply:
+        err = _apply_gap_ok(term_index(g.head), term_index(g.arg), regime)
+    elif kind is StrictEq:
+        a, b = term_index(g.left), term_index(g.right)
+        err = f"strict identity needs equal types ({a} vs {b})" if a != b else None
+    elif kind is DownRel:
+        err = _projection_violation(term_index(g.left), term_index(g.right))
+    elif kind is Sugar:
+        err = sugar_violation(g, regime)
+    else:
+        return None
+    return _bad(err, g) if err else None
+
+
+def check_formation(f: Formula, regime: rg.Regime) -> FormationVerdict:
+    """Verdict on f under the regime, locating the offending subformula
+    (the first in pre-order)."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        terms, binder, bodies = parts(g)
+        if terms or binder is not None:     # connectives have nothing of their own
+            v = _check_node(g, terms, binder, regime)
+            if v is not None:
+                return v
+        stack += bodies[::-1]
+    return WELL_FORMED

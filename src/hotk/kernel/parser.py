@@ -32,6 +32,15 @@ _KEYWORDS = {"all", "some", "eq", "in", "dn", "coext", "downeq", "sub",
 
 _COEXT_K_RE = re.compile(r"^coext_(\d+)$")
 
+_CONNECTIVES = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+
+# How deeply a formula may nest: each "~", parenthesis, quantifier body,
+# right operand of a binary connective, up(...) and parenthesized index
+# counts one level.  A level costs the parser at most eight stack frames
+# (a quantifier body), and the kernel's recursive walks fewer, so every
+# formula the parser accepts stays within Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -76,11 +85,31 @@ class _Tokens:
         return self.i >= len(self.toks)
 
 
+class _Depth:
+    """`with depth:` around each nested parse; past MAX_DEPTH levels it
+    raises ParseError instead of letting the recursion run on."""
+
+    def __init__(self, toks: _Tokens):
+        self.toks = toks
+        self.level = 0
+
+    def __enter__(self):
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            t = self.toks.peek()
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             t[2] if t else len(self.toks.text))
+
+    def __exit__(self, *exc):
+        self.level -= 1
+
+
 class _Parser:
     def __init__(self, text: str, mode: str):
         if mode not in ("typed", "set"):
             raise ValueError(f"bad parse mode {mode!r}")
         self.toks = _Tokens(text)
+        self.depth = _Depth(self.toks)
         self.mode = mode
         self.bound: List[Tuple[str, Optional[TypeIndex]]] = []
 
@@ -92,7 +121,8 @@ class _Parser:
             raise ParseError("expected type index", len(self.toks.text))
         if t[1] == "(":
             self.toks.next()
-            idx = self.parse_index()
+            with self.depth:
+                idx = self.parse_index()
             self.toks.expect(")")
             return idx
         if t[0] == "nat":
@@ -123,7 +153,8 @@ class _Parser:
         if t[1] == "up":
             self.toks.next()
             self.toks.expect("(")
-            inner = self.parse_term()
+            with self.depth:
+                inner = self.parse_term()
             self.toks.expect(")")
             return Raised(inner)
         if t[0] != "ident" or t[1] in _KEYWORDS:
@@ -144,42 +175,24 @@ class _Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def parse_formula(self):
-        f = self._iff()
-        return f
-
-    def _iff(self):
-        left = self._imp()
-        if self.toks.at("<->"):
+    def parse_formula(self, level: int = 0):
+        """Binary connectives from the loosest (level 0) to the tightest;
+        each associates to the right."""
+        if level == len(_CONNECTIVES):
+            return self._neg()
+        token, node = _CONNECTIVES[level]
+        left = self.parse_formula(level + 1)
+        if self.toks.at(token):
             self.toks.next()
-            return Iff(left, self._iff())
-        return left
-
-    def _imp(self):
-        left = self._or()
-        if self.toks.at("->"):
-            self.toks.next()
-            return Implies(left, self._imp())
-        return left
-
-    def _or(self):
-        left = self._and()
-        if self.toks.at("|"):
-            self.toks.next()
-            return Or(left, self._or())
-        return left
-
-    def _and(self):
-        left = self._neg()
-        if self.toks.at("&"):
-            self.toks.next()
-            return And(left, self._and())
+            with self.depth:
+                return node(left, self.parse_formula(level))
         return left
 
     def _neg(self):
         if self.toks.at("~"):
             self.toks.next()
-            return Not(self._neg())
+            with self.depth:
+                return Not(self._neg())
         return self._unit()
 
     def _unit(self):
@@ -190,7 +203,8 @@ class _Parser:
             return self._quantifier()
         if t[1] == "(":
             self.toks.next()
-            f = self.parse_formula()
+            with self.depth:
+                f = self.parse_formula()
             self.toks.expect(")")
             return f
         return self._atom()
@@ -225,7 +239,8 @@ class _Parser:
 
         self.bound.append((name, index))
         try:
-            body = self.parse_formula()
+            with self.depth:
+                body = self.parse_formula()
         finally:
             self.bound.pop()
 
@@ -316,13 +331,21 @@ def parse_term(text: str, mode: str = "typed") -> Term:
     return t
 
 
-def parse_hol_lines(text: str, mode: str = "typed"):
-    """Parse a .hol document: one formula per line, '#' comments, blank lines skipped."""
+def hol_lines(text: str) -> List[Tuple[int, str]]:
+    """The formula lines of a .hol document with their numbers (from 1):
+    one formula per line, '#' starts a comment, blank lines are skipped."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            out.append((lineno, line))
+    return out
+
+
+def parse_hol_lines(text: str, mode: str = "typed"):
+    """Parse every formula line of a .hol document (see hol_lines)."""
+    out = []
+    for lineno, line in hol_lines(text):
         try:
             out.append(parse_formula(line, mode))
         except ParseError as e:

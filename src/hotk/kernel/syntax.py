@@ -144,71 +144,101 @@ class Sugar:
 Formula = Union[Apply, StrictEq, DownRel, InSet, Not, And, Or, Implies, Iff,
                 Forall, Exists, Sugar]
 
-BINARY = (And, Or, Implies, Iff)
-QUANTIFIERS = (Forall, Exists)
+ATOMS = (Apply, StrictEq, DownRel, InSet)
+
+
+# ---------------------------------------------------------------------------
+# Node layout.  parts/rebuild are the one place that knows where each node
+# kind keeps its pieces; the walks over formulas go through them.  The walks
+# that also meet the deeper formulas the translations build (expansion,
+# normalization, the translation maps) collect new bodies in a plain loop:
+# a comprehension would cost more per node on these one- and two-element
+# tuples and add a stack frame per level of nesting.
+
+def _sugar_parts(f):
+    if f.kind == "bounded":
+        _, var, _, bound, body = f.args
+        return (bound,), var, (body,)
+    return tuple([a for a in f.args if not isinstance(a, (int, str))]), None, ()
+
+
+_PARTS = {
+    Apply: lambda f: ((f.head, f.arg), None, ()),
+    **dict.fromkeys((StrictEq, DownRel, InSet), lambda f: ((f.left, f.right), None, ())),
+    Not: lambda f: ((), None, (f.body,)),
+    **dict.fromkeys((And, Or, Implies, Iff), lambda f: ((), None, (f.left, f.right))),
+    **dict.fromkeys((Forall, Exists), lambda f: ((), f.var, (f.body,))),
+    Sugar: _sugar_parts,
+}
+
+
+def parts(f: Formula) -> Tuple[Tuple[Term, ...], Optional[Var], Tuple[Formula, ...]]:
+    """(terms, binder, bodies) of a formula node.
+
+    terms lie outside the binder's scope, binder is the variable the node
+    binds (or None) and bodies are the subformulas inside its scope.  A
+    bounded quantifier binds its body but not its bound:
+    ((bound,), var, (body,)).  Other sugar kinds give their term arguments;
+    their int and str arguments stay with the node (see rebuild).
+    """
+    split = _PARTS.get(type(f))
+    if split is None:
+        raise TypeError(f"unknown formula node {f!r}")
+    return split(f)
+
+
+def rebuild(f: Formula, terms, binder: Optional[Var], bodies) -> Formula:
+    """The node of f's kind (and sugar kind) with the given parts; the
+    inverse of parts."""
+    kind = type(f)
+    if kind is Sugar:
+        if f.kind == "bounded":
+            quant, _, rel, _, _ = f.args
+            return Sugar("bounded", (quant, binder, rel, *terms, *bodies))
+        terms = iter(terms)
+        return Sugar(f.kind, tuple([a if isinstance(a, (int, str)) else next(terms)
+                                    for a in f.args]))
+    if binder is None:
+        return kind(*terms, *bodies)
+    return kind(binder, *bodies)
+
+
+def conj(formulas) -> Formula:
+    """Right-nested conjunction of one or more formulas."""
+    formulas = list(formulas)
+    if not formulas:
+        raise ValueError("empty conjunction")
+    out = formulas[-1]
+    for g in reversed(formulas[:-1]):
+        out = And(g, out)
+    return out
 
 
 def subformulas(f: Formula):
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, BINARY):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, QUANTIFIERS):
-        yield from subformulas(f.body)
-    elif isinstance(f, Sugar):
-        for a in f.args:
-            if isinstance(a, (Apply, StrictEq, DownRel, InSet, Not, And, Or,
-                              Implies, Iff, Forall, Exists, Sugar)):
-                yield from subformulas(a)
-
-
-def _terms_of(f: Formula):
-    if isinstance(f, (Apply,)):
-        yield f.head
-        yield f.arg
-    elif isinstance(f, (StrictEq, DownRel, InSet)):
-        yield f.left
-        yield f.right
-    elif isinstance(f, Sugar):
-        for a in f.args:
-            if isinstance(a, (Var, Const, Raised)):
-                yield a
+    """f and every formula inside it, in pre-order."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += parts(g)[2][::-1]
 
 
 def free_atoms(f: Formula) -> frozenset:
     """Free variables and constants of f (Raised wrappers stripped)."""
-    def go(g: Formula, bound: frozenset) -> frozenset:
-        if isinstance(g, Not):
-            return go(g.body, bound)
-        if isinstance(g, BINARY):
-            return go(g.left, bound) | go(g.right, bound)
-        if isinstance(g, Forall) or isinstance(g, Exists):
-            return go(g.body, bound | {(g.var.name, g.var.index)})
-        if isinstance(g, Sugar) and g.kind == "bounded":
-            quant, var, rel, bnd, body = g.args
-            out = _atom_free(bnd, bound)
-            return out | go(body, bound | {(var.name, var.index)})
-        out = frozenset()
-        if isinstance(g, Sugar):
-            for a in g.args:
-                if isinstance(a, (Var, Const, Raised)):
-                    out |= _atom_free(a, bound)
-                elif not isinstance(a, (int, str)):
-                    out |= go(a, bound)
-            return out
-        for t in _terms_of(g):
-            out |= _atom_free(t, bound)
-        return out
-
-    def _atom_free(t: Term, bound: frozenset) -> frozenset:
-        a = base_atom(t)
-        if isinstance(a, Var) and (a.name, a.index) in bound:
-            return frozenset()
-        return frozenset([a])
-
-    return go(f, frozenset())
+    out = set()
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        terms, binder, bodies = parts(g)
+        for t in terms:
+            a = base_atom(t)
+            if not (isinstance(a, Var) and (a.name, a.index) in bound):
+                out.add(a)
+        if binder is not None:
+            bound = bound | {(binder.name, binder.index)}
+        for b in bodies:
+            stack.append((b, bound))
+    return frozenset(out)
 
 
 def free_names(f: Formula) -> frozenset:
@@ -218,33 +248,14 @@ def free_names(f: Formula) -> frozenset:
 def all_names(f: Formula) -> frozenset:
     """Every variable/constant name occurring in f, bound or free."""
     names = set()
-
-    def go(g):
-        if isinstance(g, Not):
-            go(g.body)
-        elif isinstance(g, BINARY):
-            go(g.left)
-            go(g.right)
-        elif isinstance(g, QUANTIFIERS):
-            names.add(g.var.name)
-            go(g.body)
-        elif isinstance(g, Sugar):
-            if g.kind == "bounded":
-                quant, var, rel, bnd, body = g.args
-                names.add(var.name)
-                names.add(base_atom(bnd).name)
-                go(body)
-            else:
-                for a in g.args:
-                    if isinstance(a, (Var, Const, Raised)):
-                        names.add(base_atom(a).name)
-                    elif not isinstance(a, (int, str)):
-                        go(a)
-        else:
-            for t in _terms_of(g):
-                names.add(base_atom(t).name)
-
-    go(f)
+    stack = [f]
+    while stack:
+        terms, binder, bodies = parts(stack.pop())
+        for t in terms:
+            names.add(base_atom(t).name)
+        if binder is not None:
+            names.add(binder.name)
+        stack += bodies
     return frozenset(names)
 
 
@@ -255,11 +266,13 @@ def fresh_name(stem: str, used) -> str:
     return f"{stem}{i}"
 
 
-def _subst_term(t: Term, var: Var, repl: Term) -> Term:
+def _rename(t: Term, images: dict) -> Term:
+    """t with every variable whose (name, index) images maps replaced by
+    its image."""
     if isinstance(t, Raised):
-        return Raised(_subst_term(t.inner, var, repl))
-    if isinstance(t, Var) and t.name == var.name and t.index == var.index:
-        return repl
+        return Raised(_rename(t.inner, images))
+    if isinstance(t, Var):
+        return images.get((t.name, t.index), t)
     return t
 
 
@@ -273,50 +286,22 @@ def substitute(f: Formula, var: Var, repl: Term, strict_type: bool = True) -> Fo
     if strict_type and term_index(repl) != var.index:
         raise SubstitutionError(
             f"cannot substitute term of type {term_index(repl)} for {var.name}^{var.index}")
+    key = (var.name, var.index)
+    images = {key: repl}
     repl_names = {base_atom(repl).name}
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, Apply):
-            return Apply(_subst_term(g.head, var, repl), _subst_term(g.arg, var, repl))
-        if isinstance(g, StrictEq):
-            return StrictEq(_subst_term(g.left, var, repl), _subst_term(g.right, var, repl))
-        if isinstance(g, DownRel):
-            return DownRel(_subst_term(g.left, var, repl), _subst_term(g.right, var, repl))
-        if isinstance(g, InSet):
-            return InSet(_subst_term(g.left, var, repl), _subst_term(g.right, var, repl))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, BINARY):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, QUANTIFIERS):
-            if g.var.name == var.name and g.var.index == var.index:
-                return g
-            if g.var.name in repl_names and var.name in free_names(g.body):
-                renamed = Var(fresh_name("r", all_names(g.body) | repl_names), g.var.index)
-                body = substitute(g.body, g.var, renamed, strict_type=False)
-                return type(g)(renamed, go(body))
-            return type(g)(g.var, go(g.body))
-        if isinstance(g, Sugar):
-            if g.kind == "bounded":
-                quant, bvar, rel, bnd, body = g.args
-                bnd2 = _subst_term(bnd, var, repl)
-                if bvar.name == var.name and bvar.index == var.index:
-                    return Sugar("bounded", (quant, bvar, rel, bnd2, body))
-                if bvar.name in repl_names and var.name in free_names(body):
-                    renamed = Var(fresh_name("r", all_names(body) | repl_names), bvar.index)
-                    body = substitute(body, bvar, renamed, strict_type=False)
-                    bvar = renamed
-                return Sugar("bounded", (quant, bvar, rel, bnd2, go(body)))
-            new_args = []
-            for a in g.args:
-                if isinstance(a, (Var, Const, Raised)):
-                    new_args.append(_subst_term(a, var, repl))
-                elif isinstance(a, (int, str)):
-                    new_args.append(a)
-                else:
-                    new_args.append(go(a))
-            return Sugar(g.kind, tuple(new_args))
-        raise TypeError(f"unknown formula node {g!r}")
+        terms, binder, bodies = parts(g)
+        terms = [_rename(t, images) for t in terms]
+        if binder is not None:
+            if (binder.name, binder.index) == key:
+                return rebuild(g, terms, binder, bodies)
+            (body,) = bodies
+            if binder.name in repl_names and var.name in free_names(body):
+                renamed = Var(fresh_name("r", all_names(body) | repl_names), binder.index)
+                bodies = (substitute(body, binder, renamed, strict_type=False),)
+                binder = renamed
+        return rebuild(g, terms, binder, [go(b) for b in bodies])
 
     return go(f)
 
@@ -328,57 +313,28 @@ def alpha_normalize(f: Formula) -> Formula:
     skip anything occurring free so no capture is possible.
     """
     taken = free_names(f)
-    counter = [0]
+    counter = 0
 
     def next_var(index) -> Var:
+        nonlocal counter
         while True:
-            counter[0] += 1
-            name = f"v{counter[0]}"
+            counter += 1
+            name = f"v{counter}"
             if name not in taken:
                 return Var(name, index)
 
-    def go(g: Formula, env: dict) -> Formula:
-        if isinstance(g, (Apply, StrictEq, DownRel, InSet)):
-            return _map_terms(g, env)
-        if isinstance(g, Not):
-            return Not(go(g.body, env))
-        if isinstance(g, BINARY):
-            return type(g)(go(g.left, env), go(g.right, env))
-        if isinstance(g, QUANTIFIERS):
-            fresh = next_var(g.var.index)
-            env2 = dict(env)
-            env2[(g.var.name, g.var.index)] = fresh
-            return type(g)(fresh, go(g.body, env2))
-        if isinstance(g, Sugar):
-            if g.kind == "bounded":
-                quant, bvar, rel, bnd, body = g.args
-                bnd2 = _ren_term(bnd, env)
-                fresh = next_var(bvar.index)
-                env2 = dict(env)
-                env2[(bvar.name, bvar.index)] = fresh
-                return Sugar("bounded", (quant, fresh, rel, bnd2, go(body, env2)))
-            new_args = []
-            for a in g.args:
-                if isinstance(a, (Var, Const, Raised)):
-                    new_args.append(_ren_term(a, env))
-                elif isinstance(a, (int, str)):
-                    new_args.append(a)
-                else:
-                    new_args.append(go(a, env))
-            return Sugar(g.kind, tuple(new_args))
-        raise TypeError(f"unknown formula node {g!r}")
-
-    def _ren_term(t: Term, env: dict) -> Term:
-        if isinstance(t, Raised):
-            return Raised(_ren_term(t.inner, env))
-        if isinstance(t, Var) and (t.name, t.index) in env:
-            return env[(t.name, t.index)]
-        return t
-
-    def _map_terms(g, env):
-        if isinstance(g, Apply):
-            return Apply(_ren_term(g.head, env), _ren_term(g.arg, env))
-        return type(g)(_ren_term(g.left, env), _ren_term(g.right, env))
+    def go(g: Formula, images: dict) -> Formula:
+        terms, binder, bodies = parts(g)
+        if images:
+            terms = [_rename(t, images) for t in terms]
+        if binder is not None:
+            fresh = next_var(binder.index)
+            images = {**images, (binder.name, binder.index): fresh}
+            binder = fresh
+        new = []
+        for b in bodies:
+            new.append(go(b, images))
+        return rebuild(g, terms, binder, new)
 
     return go(f, {})
 

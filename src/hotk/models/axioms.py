@@ -9,19 +9,15 @@ SKIPPED rather than wrong.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import product
 from typing import Dict, Tuple
 
 from hotk.errors import EvalError
+from hotk.graphs import powerset
 from hotk.kernel import regimes as rg
 from hotk.models.builders import DEFAULT_BUDGET
 from hotk.models.core import Entity, Model
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
-
-
-def _powerset(items):
-    items = list(items)
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
 class PairTables:
@@ -67,7 +63,7 @@ def _full_comprehension(m: Model, level: int, budget: int):
     if 2 ** len(dom) > budget:
         return SKIPPED, f"2^{len(dom)} subsets at type {level}"
     exts = {m.extension(z, level) for z in m.domains[level + 1]}
-    for sub in _powerset(dom):
+    for sub in powerset(dom):
         if frozenset(sub) not in exts:
             return FAIL, f"type {level}: extension {{{','.join(sub)}}} unrealized"
     return PASS, None
@@ -289,7 +285,7 @@ def _check_sttd_comprehension(m, max_type, budget, report):
         for y in dom:
             exts = {m.extension(z, n)
                     for z in m.domains[n + 1] if (n + 1, z, y) in (m.down_rel or set())}
-            for sub in _powerset(dom):
+            for sub in powerset(dom):
                 if frozenset(sub) not in exts:
                     report.add("comprehension-augmented", FAIL,
                                witness=f"type {n}, anchor {y}")
@@ -308,7 +304,7 @@ def _check_fjt_comprehension(m, max_type, budget, report):
             return
         realized = {tuple(m.extension(z, i) for i in range(n))
                     for z in m.domains[n]}
-        wanted = product(*[[frozenset(s) for s in _powerset(m.domains[i])]
+        wanted = product(*[[frozenset(s) for s in powerset(m.domains[i])]
                            for i in range(n)])
         for tup in wanted:
             if tup not in realized:

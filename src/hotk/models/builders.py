@@ -4,17 +4,11 @@ companion, and graph-backed structures."""
 
 from __future__ import annotations
 
-from itertools import chain, combinations
 from typing import Dict, FrozenSet, Optional
 
 from hotk.errors import BudgetExceeded, GraphError
-from hotk.graphs import MembershipGraph, brace_name
+from hotk.graphs import MembershipGraph, brace_name, canonical_key, powerset
 from hotk.models.core import DEFAULT_BUDGET, Model
-
-
-def _powerset(items):
-    items = list(items)
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
 def _hierarchy_levels(urelements: int, height: int, budget: int):
@@ -25,18 +19,18 @@ def _hierarchy_levels(urelements: int, height: int, budget: int):
         members[u] = frozenset()
     empty = brace_name([])
     members[empty] = frozenset()
-    level = sorted(urs + [empty], key=lambda s: (len(s), s))
+    level = sorted(urs + [empty], key=canonical_key)
     levels = [level]
     for _ in range(height - 1):
         if 2 ** len(level) + urelements > budget:
             raise BudgetExceeded(
                 f"powerset of {len(level)} entities exceeds budget {budget}")
         nxt = set(urs)
-        for subset in _powerset(level):
+        for subset in powerset(level):
             nm = brace_name(subset)
             members.setdefault(nm, frozenset(subset))
             nxt.add(nm)
-        level = sorted(nxt, key=lambda s: (len(s), s))
+        level = sorted(nxt, key=canonical_key)
         levels.append(level)
     return levels, members
 
@@ -89,14 +83,14 @@ def build_fjt_canonical(height: int, budget: int = DEFAULT_BUDGET) -> Model:
             raise BudgetExceeded(f"type {n + 1} needs {expected} entities")
         tuples = [()]
         for lower in objects:
-            tuples = [t + (frozenset(s),) for t in tuples for s in _powerset(lower)]
+            tuples = [t + (frozenset(s),) for t in tuples for s in powerset(lower)]
         names = []
         for t in tuples:
             nm = "(" + "|".join(brace_name(slot) for slot in t) + ")"
             name_of[t] = nm
             members[nm] = frozenset().union(*t) if t else frozenset()
             names.append(nm)
-        names.sort(key=lambda s: (len(s), s))
+        names.sort(key=canonical_key)
         domains.append(tuple(names))
         objects.append(names)
     return Model(kind="fjt", max_type=height,
@@ -152,7 +146,7 @@ def build_graph_model(g: MembershipGraph, rho: Optional[Dict[str, int]] = None,
     if top > height:
         raise GraphError(f"rank labels reach {top}, above height {height}")
     domains = tuple(tuple(sorted((n for n in g.nodes if rho[n] <= k),
-                                 key=lambda s: (len(s), s)))
+                                 key=canonical_key))
                     for k in range(height + 1))
     if not domains[-1]:
         raise GraphError("empty graph model")

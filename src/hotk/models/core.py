@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
 from hotk.errors import BudgetExceeded, EvalError, HotkError, check_json
-from hotk.graphs import MembershipGraph
+from hotk.graphs import MembershipGraph, canonical_key
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
@@ -75,7 +75,7 @@ class Model:
             "kind": self.kind,
             "height": self.max_type,
             "domains": [list(d) for d in self.domains],
-            "apply": {e: sorted(ms, key=lambda s: (len(s), s))
+            "apply": {e: sorted(ms, key=canonical_key)
                       for e, ms in sorted(self.members.items()) if ms},
             "meta": dict(self.meta, cumulative=self.cumulative,
                          open_above=self.open_above),

@@ -10,62 +10,31 @@ from __future__ import annotations
 from hotk.errors import EvalError, FormationError
 from hotk.kernel.formation import check_formation
 from hotk.kernel.regimes import fjt
-from hotk.kernel.syntax import Formula, free_atoms
+from hotk.kernel.syntax import Formula, Sugar, free_atoms, parts, term_index
 from hotk.models.builders import build_fjt_canonical
 from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
 
 
 def max_finite_type(f: Formula) -> int:
-    """Largest type index occurring in f (terms and binders)."""
-    from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Iff,
-                                    Implies, InSet, Not, Or, Raised, StrictEq,
-                                    Sugar, term_index)
+    """Largest type index occurring in f (terms and binders), counting the
+    type that a defined identity or membership (bounded or not) quantifies
+    at once expanded."""
     top = 0
-
-    def tm(t):
-        nonlocal top
-        idx = term_index(t)
-        if idx is None or not idx.is_finite:
-            raise FormationError("finitary sentences need finite typed terms")
-        top = max(top, idx.finite_value)
-
-    def go(g):
-        nonlocal top
-        if isinstance(g, Apply):
-            tm(g.head), tm(g.arg)
-        elif isinstance(g, (StrictEq, DownRel, InSet)):
-            tm(g.left), tm(g.right)
-        elif isinstance(g, Not):
-            go(g.body)
-        elif isinstance(g, (And, Or, Implies, Iff)):
-            go(g.left), go(g.right)
-        elif isinstance(g, (Forall, Exists)):
-            tm(g.var), go(g.body)
-        elif isinstance(g, Sugar):
-            if g.kind == "bounded":
-                quant, var, rel, bound, body = g.args
-                tm(var), tm(bound), go(body)
-                if rel in ("eq", "in"):
-                    bump = 1 if rel == "eq" else 2
-                    guard_top = max(term_index(var).finite_value,
-                                    term_index(bound).finite_value) + bump
-                    top = max(top, guard_top)
-            else:
-                for a in g.args:
-                    if isinstance(a, int):
-                        continue
-                    if hasattr(a, "name") or isinstance(a, Raised):
-                        tm(a)
-                    else:
-                        go(a)
-            if g.kind in ("eq", "in"):
-                bump = 1 if g.kind == "eq" else 2
-                top = max(top, max(term_index(g.args[0]).finite_value,
-                                   term_index(g.args[1]).finite_value) + bump)
-        else:
-            raise FormationError(f"unknown node {g!r}")
-
-    go(f)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        terms, binder, bodies = parts(g)
+        node_top = 0
+        for t in terms if binder is None else (binder, *terms):
+            idx = term_index(t)
+            if idx is None or not idx.is_finite:
+                raise FormationError("finitary sentences need finite typed terms")
+            node_top = max(node_top, idx.finite_value)
+        if type(g) is Sugar:
+            rel = g.args[2] if g.kind == "bounded" else g.kind
+            node_top += {"eq": 1, "in": 2}.get(rel, 0)
+        top = max(top, node_top)
+        stack.extend(bodies)
     return top
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from hotk.errors import FormationError
 from hotk.kernel.indices import fin
-from hotk.kernel.syntax import (And, Apply, Const, Forall, Formula, Implies,
-                                Not, Or, Exists, Sugar, Var)
+from hotk.kernel.syntax import (And, Apply, Const, Exists, Forall, Formula,
+                                Implies, Not, Or, Sugar, Var, conj)
 
 UNRESTRICTED_STT = "unrestricted-stt"
 M_RUSSELLIAN = "m-russellian"
@@ -22,16 +22,6 @@ KINDS = (UNRESTRICTED_STT, M_RUSSELLIAN, M_RUSSELLIAN_STAR, M_UNRESTRICTED)
 
 def domain_const(n: int) -> Const:
     return Const("d", fin(n))
-
-
-def _conj(parts):
-    parts = list(parts)
-    if not parts:
-        raise ValueError("empty conjunction")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
 
 
 def _disj(parts):
@@ -57,11 +47,11 @@ def gen_domain_formula(kind: str, n: int, m: int = 1) -> Formula:
 
     if kind == M_UNRESTRICTED:
         y = Var("y", fin(m))
-        hyp = _conj([Forall(Var("x", fin(i)),
+        hyp = conj([Forall(Var("x", fin(i)),
                             Implies(Apply(d, Var("x", fin(i))),
                                     Apply(y, Var("x", fin(i)))))
                      for i in range(min(m, n) - 1, -1, -1)])
-        conc = _conj([Forall(Var("x", fin(i)), Apply(y, Var("x", fin(i))))
+        conc = conj([Forall(Var("x", fin(i)), Apply(y, Var("x", fin(i))))
                       for i in range(m - 1, -1, -1)])
         return Forall(y, Implies(hyp, conc))
 
@@ -81,17 +71,17 @@ def gen_domain_formula(kind: str, n: int, m: int = 1) -> Formula:
                                  Sugar("eq", (x, Var("y", fin(k)))))
                           for k in range(m - 1, -1, -1)])
             only.append(Forall(x, Implies(Apply(d, x), disj)))
-        return And(_conj(covers), _conj(only))
+        return And(conj(covers), conj(only))
 
     if kind == M_RUSSELLIAN_STAR:
         if n < m:
             raise FormationError(
                 "the starred form is ill-formed (rather than false) when n < m")
-        have = _conj([Forall(Var("y", fin(k)), Apply(d, Var("y", fin(k))))
+        have = conj([Forall(Var("y", fin(k)), Apply(d, Var("y", fin(k))))
                       for k in range(m - 1, -1, -1)])
         if m == n:
             return have
-        lack = _conj([Forall(Var("y", fin(k)), Not(Apply(d, Var("y", fin(k)))))
+        lack = conj([Forall(Var("y", fin(k)), Not(Apply(d, Var("y", fin(k)))))
                       for k in range(n - 1, m - 1, -1)])
         return And(have, lack)
 

@@ -8,15 +8,8 @@ from hotk.errors import ProofError
 from hotk.kernel.indices import TypeIndex, fin, parse_index
 from hotk.kernel.parser import parse_formula, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
-                                Formula, Iff, Implies, Not, StrictEq, Sugar,
-                                Term, Var, free_atoms, term_index)
-
-
-def _conj(parts: Sequence[Formula]) -> Formula:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
+                                Formula, Iff, Implies, Not, Raised, StrictEq,
+                                Sugar, Term, Var, conj, free_atoms, term_index)
 
 
 def _check_witness_absent(phi: Formula, witness: Var) -> None:
@@ -49,7 +42,7 @@ def fjt_comprehension(phis: Sequence[Formula], n: int, var: str = "x",
         _check_witness_absent(phi, z)
         x = Var(var, fin(i))
         conjuncts.append(Forall(x, Iff(Apply(z, x), phi)))
-    return Exists(z, _conj(conjuncts))
+    return Exists(z, conj(conjuncts))
 
 
 def sttd_comprehension(phi: Formula, n: int, var: str = "x", witness: str = "z",
@@ -113,26 +106,22 @@ def type_purity() -> Formula:
 
 def up_inject(n: int) -> Formula:
     x, y = Var("x", fin(n)), Var("y", fin(n))
-    from hotk.kernel.syntax import Raised
     return Forall(x, Forall(y, Implies(StrictEq(Raised(x), Raised(y)),
                                        StrictEq(x, y))))
 
 
 def up_possess(n: int) -> Formula:
-    from hotk.kernel.syntax import Raised
     x, y = Var("x", fin(n)), Var("y", fin(n + 1))
     return Forall(x, Forall(y, Iff(Apply(Raised(y), Raised(x)), Apply(y, x))))
 
 
 def up_founded(n: int) -> Formula:
-    from hotk.kernel.syntax import Raised
     x, y, z = Var("x", fin(n + 1)), Var("y", fin(n + 1)), Var("z", fin(n))
     return Forall(x, Forall(y, Implies(Apply(Raised(y), x),
                                        Exists(z, StrictEq(x, Raised(z))))))
 
 
 def up_base() -> Formula:
-    from hotk.kernel.syntax import Raised
     x, y = Var("x", fin(0)), Var("y", fin(0))
     return Forall(x, Forall(y, Not(Apply(Raised(y), x))))
 

@@ -9,11 +9,12 @@ the slice construction and Mostowski collapse.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
-from hotk.graphs import MembershipGraph, brace_name, graph_from_sets
+from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
+                         graph_from_sets, powerset)
 from hotk.kernel.indices import fin, t_shunt
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
                                 InSet, StrictEq, Sugar, Var, free_names)
@@ -34,7 +35,7 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
     for _ in range(n):
         if 2 ** len(level) > budget:
             raise BudgetExceeded(f"powerset of {len(level)} sets exceeds budget")
-        level = {frozenset(s) for s in _powerset(level)}
+        level = {frozenset(s) for s in powerset(level)}
     collected = set()
     stack = list(level)
     while stack:
@@ -44,11 +45,6 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
         collected.add(s)
         stack.extend(s)
     return graph_from_sets(collected)
-
-
-def _powerset(items):
-    items = list(items)
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +164,21 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
     n = len(g.nodes)
     brute_ok = n ** 3 <= budget   # the definitional checks nest three quantifiers
 
-    witness = _ext_witness(g)
-    report.add("extensionality", PASS if witness is None else FAIL, witness=witness)
+    wit = g.extensional_witness
+    report.add("extensionality", PASS if wit is None else FAIL,
+               witness=None if wit is None else f"{wit[0]} and {wit[1]} share members")
 
     member_sets = {g.members(a) for a in g.nodes}
     sep_fail = None
     skipped = False
     enumerated = 0
     for a in g.nodes:
-        ms = sorted(g.members(a), key=lambda s: (len(s), s))
+        ms = sorted(g.members(a), key=canonical_key)
         enumerated += 2 ** len(ms)
         if enumerated > budget:
             skipped = True
             break
-        for sub in _powerset(ms):
+        for sub in powerset(ms):
             if frozenset(sub) not in member_sets:
                 sep_fail = f"{a}: subset {brace_name(sub)} unrealized"
                 break
@@ -217,16 +214,6 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
         brute("endless", endless_formula())
         brute("infinity", infinity_formula())
     return report
-
-
-def _ext_witness(g: MembershipGraph) -> Optional[str]:
-    seen: Dict[FrozenSet[str], str] = {}
-    for a in sorted(g.nodes, key=lambda s: (len(s), s)):
-        ms = g.members(a)
-        if ms in seen:
-            return f"{seen[ms]} and {a} share members"
-        seen[ms] = a
-    return None
 
 
 def check_wellordering_of_levels(g: MembershipGraph, subset_budget: int = 2 ** 16) -> bool:
@@ -275,7 +262,7 @@ def T_construction(g: MembershipGraph) -> Model:
         raise GraphError("cannot expand the empty graph")
     max_type = t_shunt(fin(top)).finite_value - 1
     domains = tuple(tuple(sorted((n for n in g.nodes if ranks[n] <= b),
-                                 key=lambda s: (len(s), s)))
+                                 key=canonical_key))
                     for b in range(max_type + 1))
     members = {a: g.members(a) for a in g.nodes}
     return Model(kind="pure", max_type=max_type, domains=domains,
@@ -304,26 +291,18 @@ def mostowski_collapse(g: MembershipGraph) -> Tuple[MembershipGraph, Dict[str, s
     """The unique transitive isomorph of an extensional well-founded graph,
     with the witnessing node map.  Output names are canonical, so collapsing
     twice is the identity."""
-    cyc = g.find_cycle()
-    if cyc:
-        raise GraphError(f"ill-founded graph (cycle {' -> '.join(cyc)})")
+    order = g.postorder()
     wit = g.extensional_witness
     if wit:
         raise GraphError(f"not extensional ({wit[0]} and {wit[1]} share members)")
     image: Dict[str, str] = {}
-
-    def collapse(a: str) -> str:
-        if a not in image:
-            image[a] = brace_name(collapse(x) for x in g.members(a))
-        return image[a]
-
-    for a in g.nodes:
-        collapse(a)
+    for a in order:
+        image[a] = brace_name(image[x] for x in g.members(a))
     names = [image[a] for a in g.nodes]
     if len(set(names)) != len(names):
         raise GraphError("collapse failed to separate nodes")   # unreachable
     edges = frozenset((image[x], image[a]) for x, a in g.edges)
-    out = MembershipGraph(tuple(sorted(names, key=lambda s: (len(s), s))), edges)
+    out = MembershipGraph(tuple(sorted(names, key=canonical_key)), edges)
     out = MembershipGraph(out.nodes, out.edges, ranks=out.structural_ranks())
     return out, image
 
@@ -334,7 +313,7 @@ def hereditary_part(g: MembershipGraph, kappa: int) -> MembershipGraph:
     keep = [n for n in g.nodes if ranks[n] <= kappa]
     kept = set(keep)
     edges = frozenset((x, a) for x, a in g.edges if x in kept and a in kept)
-    return MembershipGraph(tuple(sorted(keep, key=lambda s: (len(s), s))), edges,
+    return MembershipGraph(tuple(sorted(keep, key=canonical_key)), edges,
                            ranks={n: ranks[n] for n in keep})
 
 
@@ -351,10 +330,10 @@ def is_standard(g: MembershipGraph, budget: int = DEFAULT_BUDGET) -> bool:
     member_sets = {g.members(a) for a in g.nodes}
     for alpha in range(top - 1):
         stratum = sorted((n for n in g.nodes if ranks[n] <= alpha),
-                         key=lambda s: (len(s), s))
+                         key=canonical_key)
         if 2 ** len(stratum) > budget:
             raise BudgetExceeded(f"stratum of {len(stratum)} nodes at rank {alpha}")
-        for sub in _powerset(stratum):
+        for sub in powerset(stratum):
             if frozenset(sub) not in member_sets:
                 return False
     return True
@@ -368,7 +347,7 @@ def is_standard_typed(m: Model, budget: int = DEFAULT_BUDGET) -> bool:
         if 2 ** len(dom) > budget:
             raise BudgetExceeded(f"domain of {len(dom)} entities at type {alpha}")
         exts = {m.extension(z, alpha) for z in m.domains[alpha + 1]}
-        for sub in _powerset(dom):
+        for sub in powerset(dom):
             if frozenset(sub) not in exts:
                 return False
     return True
@@ -390,7 +369,7 @@ def check_kappa_axioms_in_T(g: MembershipGraph, kappa: int,
     report = SuiteReport(subject=f"kappa={kappa} axioms in typed expansion")
 
     def ev(name: str, f: Formula, expect_note: Optional[str] = None) -> None:
-        ok = eval_formula(m, kappa_translate(f, k))
+        ok = eval_formula(m, kappa_translate(f, k), budget=budget)
         report.add(name, PASS if ok else FAIL, note=expect_note)
 
     ev("extensionality^k", extensionality_formula())
@@ -398,7 +377,7 @@ def check_kappa_axioms_in_T(g: MembershipGraph, kappa: int,
     corpus = list(separation_corpus)
     for i, phi in enumerate(corpus):
         inst = kappa_translate(separation_instance(phi), k)
-        if not eval_formula(m, inst):
+        if not eval_formula(m, inst, budget=budget):
             bad = f"corpus formula #{i}"
             break
     if corpus:

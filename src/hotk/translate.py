@@ -14,32 +14,32 @@ from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex, fin
-from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
-                                Iff, Implies, InSet, Not, Or, Raised,
-                                StrictEq, Sugar, Term, Var, alpha_normalize,
-                                all_names, fresh_name, free_atoms, raise_term,
-                                term_index)
+from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
+                                Formula, Implies, InSet, Raised, StrictEq,
+                                Sugar, Term, Var, alpha_normalize, all_names,
+                                conj, fresh_name, free_atoms, parts,
+                                raise_term, rebuild, term_index)
 from hotk.models.core import Assignment, Model, akey, compile_formula
-
-_BINARY = (And, Or, Implies, Iff)
-_QUANT = (Forall, Exists)
 
 
 def _map_formula(f: Formula, atom_fn) -> Formula:
-    """Rebuild f, sending every atom through atom_fn."""
-    if isinstance(f, Not):
-        return Not(_map_formula(f.body, atom_fn))
-    if isinstance(f, _BINARY):
-        return type(f)(_map_formula(f.left, atom_fn), _map_formula(f.right, atom_fn))
-    if isinstance(f, _QUANT):
-        return type(f)(f.var, _map_formula(f.body, atom_fn))
-    return atom_fn(f)
+    """Rebuild f (expanded: no sugar), sending every atom through atom_fn."""
+    if type(f) in ATOMS:
+        return atom_fn(f)
+    terms, binder, bodies = parts(f)
+    new = []
+    for b in bodies:
+        new.append(_map_formula(b, atom_fn))
+    return rebuild(f, terms, binder, new)
 
 
 # ---------------------------------------------------------------------------
 # The superscripting translation from the set language into the cumulative
 # theory: every variable gets the chosen type, membership becomes defined
 # membership, identity becomes defined identity.
+
+_SET_SUGAR = ("subset", "level", "history", "rank")
+
 
 def kappa_translate(f: Formula, kappa: TypeIndex) -> Formula:
     def term(t: Term) -> Term:
@@ -50,30 +50,23 @@ def kappa_translate(f: Formula, kappa: TypeIndex) -> Formula:
         return type(t)(t.name, kappa)
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, InSet):
-            return Sugar("in", (term(g.left), term(g.right)))
-        if isinstance(g, StrictEq):
-            return Sugar("eq", (term(g.left), term(g.right)))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, _BINARY):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, _QUANT):
-            return type(g)(Var(g.var.name, kappa), go(g.body))
-        if isinstance(g, Sugar):
-            k = g.kind
-            if k == "bounded":
-                quant, var, rel, bound, body = g.args
-                if rel not in ("in",):
-                    raise FormationError(f"{rel!r}-bounded quantifier in set language")
-                return Sugar("bounded",
-                             (quant, Var(var.name, kappa), "in", term(bound), go(body)))
-            if k in ("subset", "level", "history", "rank"):
-                return Sugar(k, tuple(term(a) for a in g.args))
-            raise FormationError(f"sugar {k!r} has no place in the set language")
-        if isinstance(g, (Apply, DownRel)):
+        kind = type(g)
+        if kind in (Apply, DownRel):
             raise FormationError("typed atom in a set-language formula")
-        raise TypeError(f"unknown formula node {g!r}")
+        if kind is Sugar:
+            if g.kind == "bounded" and g.args[2] != "in":
+                raise FormationError(f"{g.args[2]!r}-bounded quantifier in set language")
+            if g.kind != "bounded" and g.kind not in _SET_SUGAR:
+                raise FormationError(f"sugar {g.kind!r} has no place in the set language")
+        terms, binder, bodies = parts(g)
+        terms = tuple([term(t) for t in terms])
+        if kind is InSet:
+            return Sugar("in", terms)
+        if kind is StrictEq:
+            return Sugar("eq", terms)
+        if binder is not None:
+            binder = Var(binder.name, kappa)
+        return rebuild(g, terms, binder, [go(b) for b in bodies])
 
     return go(f)
 
@@ -171,14 +164,7 @@ def fjt_to_sttd(f: Formula) -> Formula:
             name = fresh_name(f"y{k}_", used)
             used.add(name)
             chain_vars.append(Var(name, fin(k)))
-        links = []
-        prev: Term = g.head
-        for v in chain_vars:
-            links.append(DownRel(prev, v))
-            prev = v
-        guard = links[-1]
-        for l in reversed(links[:-1]):
-            guard = And(l, guard)
+        guard = conj(DownRel(a, b) for a, b in zip([g.head, *chain_vars], chain_vars))
         body: Formula = Implies(guard, Apply(chain_vars[-1], g.arg))
         for v in reversed(chain_vars):
             body = Forall(v, body)

@@ -199,3 +199,39 @@ def test_check_file_mode(tmp_path, capsys):
 
     code, _ = run(capsys, "check", "--theory", "stt")
     assert code == 2
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    for text in ["~" * 3000 + "a^0 = a^0",
+                 "(" * 3000 + "a^0 = a^0" + ")" * 3000,
+                 " & ".join(["a^1(b^0)"] * 3000)]:
+        code = main(["check", "--theory", "stt", text])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "nested deeper" in err and "Traceback" not in err
+
+
+def test_collapse_of_a_deep_chain(tmp_path, capsys):
+    # c0 in c1 in ... in c2999, listed from the top down, so the depth-first
+    # walk from the first node descends the whole chain.
+    names = [f"c{i}" for i in range(3000)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"nodes": names[::-1],
+                                "edges": [[names[i], names[i + 1]]
+                                          for i in range(2999)]}))
+    code, out = run(capsys, "--format", "json", "sets", "collapse", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["map"]["c0"] == "{}" and doc["map"]["c1"] == "{{}}"
+    assert doc["graph"]["ranks"][doc["map"]["c2999"]] == 2999
+
+
+def test_kappa_check_honours_the_budget(tmp_path, capsys):
+    _, out = run(capsys, "sets", "build-v", "4")
+    path = tmp_path / "v4.json"
+    path.write_text(out)
+    code, _ = run(capsys, "--budget", "2", "sets", "kappa-check", "--kappa", "2",
+                  str(path))
+    assert code == 3
+    code, _ = run(capsys, "sets", "kappa-check", "--kappa", "2", str(path))
+    assert code == 0

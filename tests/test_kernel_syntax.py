@@ -142,3 +142,58 @@ def test_round_trip_set_language():
     for text in cases:
         f = parse_formula(text, mode="set")
         assert parse_formula(print_formula(f), mode="set") == f, text
+
+
+def _nested_shapes(n):
+    """Formulas nested n levels deep, one shape per kind of nesting."""
+    chain = "up(" * n + "b^0" + ")" * n
+    return {
+        "not": "~" * n + "a^0 = a^0",
+        "parentheses": "(" * n + "a^0 = a^0" + ")" * n,
+        "and": " & ".join(["a^1(b^0)"] * (n + 1)),
+        "iff": " <-> ".join(["a^1(b^0)"] * (n + 1)),
+        "quantifiers": "".join(f"all x{i}^0. " for i in range(n)) + "x0^0 = x0^0",
+        "bounded": "".join(f"all x{i}^0 in y^1. " for i in range(n)) + "x0^0 = x0^0",
+        "quantified parentheses": "".join(f"(some x{i}^1. " for i in range(n // 2))
+                                  + "x0^1(b^0)" + ")" * (n // 2),
+        "raised": f"{chain} = {chain}",
+        "index": "a^" + "(" * n + "w" + ")" * n + " = a^(w)",
+    }
+
+
+def test_formula_at_the_nesting_cap_goes_through_every_walk():
+    from hotk.errors import HotkError
+    from hotk.kernel import (check_formation, expand_abbreviations,
+                             parse_regime)
+    from hotk.kernel.parser import MAX_DEPTH
+    from hotk.models import build_pure_model, build_sttu_companion, compile_formula
+    from hotk import translate
+
+    model = build_sttu_companion(build_pure_model(2))
+    for name, text in _nested_shapes(MAX_DEPTH).items():
+        f = parse_formula(text)
+        assert parse_formula(print_formula(f)) == f, name
+        for r in ("stt", "stt-up", "stt-down", "fjt", "ctt:w", "ctt-liberal:w"):
+            check_formation(f, parse_regime(r))
+        alpha_normalize(expand_abbreviations(f))
+        substitute(f, Var("x0", fin(0)), Const("c", fin(0)))
+        for tmap in (translate.ctt_to_sttu, translate.sttu_to_ctt,
+                     translate.fjt_to_sttd, translate.sttd_to_fjt):
+            try:
+                alpha_normalize(tmap(f))
+            except HotkError:       # not a formula of the map's source theory
+                pass
+        try:
+            compile_formula(model, f)({})
+        except HotkError:           # unassigned constants, missing types
+            pass
+
+
+def test_formula_past_the_nesting_cap_is_a_parse_error():
+    from hotk.errors import ParseError
+    from hotk.kernel.parser import MAX_DEPTH
+    for name, text in _nested_shapes(MAX_DEPTH + 1).items():
+        if name == "quantified parentheses":
+            continue            # two levels per step: MAX_DEPTH + 1 is odd
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula(text)

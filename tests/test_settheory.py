@@ -226,6 +226,11 @@ class TestKappaAxioms:
         with pytest.raises(EvalError):
             check_kappa_axioms_in_T(build_V(3), 2, ())
 
+    def test_budget_reaches_every_evaluation(self):
+        from hotk.errors import BudgetExceeded
+        with pytest.raises(BudgetExceeded):
+            check_kappa_axioms_in_T(build_V(4), 2, separation_corpus(), budget=2)
+
 
 class TestBraceCodec:
     def test_parse_brace_names(self):
@@ -233,3 +238,52 @@ class TestBraceCodec:
         assert parse_brace_name("{{},{{}}}") == frozenset({"{}", "{{}}"})
         assert parse_brace_name("plain") is None
         assert parse_brace_name("{unbalanced") is None
+
+
+def _recursive_find_cycle(g):
+    """Reference depth-first search: members in canonical order."""
+    color, stack = {}, []
+
+    def visit(a):
+        color[a] = 1
+        stack.append(a)
+        for x in sorted(g.members(a), key=lambda s: (len(s), s)):
+            if color.get(x) == 1:
+                return stack[stack.index(x):] + [x]
+            if x not in color:
+                got = visit(x)
+                if got:
+                    return got
+        stack.pop()
+        color[a] = 2
+        return None
+
+    for a in g.nodes:
+        if a not in color:
+            got = visit(a)
+            if got:
+                return got
+    return None
+
+
+def test_cycles_and_ranks_match_the_recursive_walk():
+    import random
+    rng = random.Random(5)
+    graphs = [graph_fixture(n) for n in ("astruct.json", "quine.json",
+                                         "chain4.json", "v4_minus_rank3.json")]
+    for _ in range(300):
+        nodes = [f"n{j}" for j in range(rng.randint(1, 9))]
+        edges = {(rng.choice(nodes), rng.choice(nodes))
+                 for _ in range(rng.randint(0, 2 * len(nodes)))}
+        graphs.append(MembershipGraph(tuple(nodes), frozenset(edges)))
+    cyclic = 0
+    for g in graphs:
+        cycle = g.find_cycle()
+        assert cycle == _recursive_find_cycle(g)
+        if cycle:
+            cyclic += 1
+            continue
+        ranks = g.structural_ranks()
+        for a in g.nodes:
+            assert ranks[a] == max((ranks[x] + 1 for x in g.members(a)), default=0)
+    assert 50 < cyclic < len(graphs) - 50
