@@ -65,12 +65,13 @@ def _fits(x, shape) -> bool:
 
 def check_json(doc, shapes: dict, required, what: str, error=HotkError) -> None:
     """Raise `error` unless doc is an object holding every required key and
-    every key of `shapes` that it holds matches its shape."""
+    every key of `shapes` that it holds matches its shape.  `what` names
+    doc in the message, as in "model file"."""
     if not isinstance(doc, dict):
-        raise error(f"{what} file must hold a JSON object")
+        raise error(f"{what} must hold a JSON object")
     for key in required:
         if key not in doc:
-            raise error(f"{what} file lacks {key!r}")
+            raise error(f"{what} lacks {key!r}")
     for key, shape in shapes.items():
         if key in doc and not _fits(doc[key], shape):
-            raise error(f"{what} file has a malformed {key!r}")
+            raise error(f"{what} has a malformed {key!r}")

@@ -34,6 +34,11 @@ def powerset(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
+def ord_of_ranks(ranks: Dict[str, int]) -> int:
+    """Least missing rank: max rank + 1 (0 for the empty graph)."""
+    return max(ranks.values(), default=-1) + 1
+
+
 def parse_brace_name(name: str) -> Optional[FrozenSet[str]]:
     """Member names encoded in a canonical brace code, or None if not a code."""
     if not (name.startswith("{") and name.endswith("}")):
@@ -101,10 +106,6 @@ class MembershipGraph:
                 return False
         return True
 
-    @cached_property
-    def well_founded(self) -> bool:
-        return self.find_cycle() is None
-
     def _depth_first(self) -> Tuple[List[str], Optional[List[str]]]:
         """Depth-first search from each node in turn, members in canonical
         order: the nodes in post-order, up to the first cycle met, if any."""
@@ -158,9 +159,8 @@ class MembershipGraph:
         return ranks
 
     def ord(self) -> int:
-        """Least missing rank: max structural rank + 1 (0 for the empty graph)."""
-        ranks = self.structural_ranks()
-        return max(ranks.values()) + 1 if ranks else 0
+        """Least missing structural rank."""
+        return ord_of_ranks(self.structural_ranks())
 
     # -- serialization ------------------------------------------------------
 
@@ -176,7 +176,7 @@ class MembershipGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MembershipGraph":
-        check_json(doc, _GRAPH_SHAPE, ("nodes", "edges"), "graph", GraphError)
+        check_json(doc, _GRAPH_SHAPE, ("nodes", "edges"), "graph file", GraphError)
         return cls(nodes=tuple(doc["nodes"]),
                    edges=frozenset((x, a) for x, a in doc["edges"]),
                    ranks=dict(doc["ranks"]) if "ranks" in doc else None)

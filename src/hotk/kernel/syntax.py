@@ -245,6 +245,13 @@ def free_names(f: Formula) -> frozenset:
     return frozenset(a.name for a in free_atoms(f))
 
 
+def occurs_free(t: Union[Var, Const], f: Formula) -> bool:
+    """Whether the variable or constant t occurs free in f.  Atoms match by
+    name and type alone: the parser reads a free identifier as a Const and
+    a bound one as a Var."""
+    return any(a.name == t.name and a.index == t.index for a in free_atoms(f))
+
+
 def all_names(f: Formula) -> frozenset:
     """Every variable/constant name occurring in f, bound or free."""
     names = set()

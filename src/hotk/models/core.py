@@ -97,7 +97,7 @@ class Model:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Model":
-        check_json(doc, _MODEL_SHAPE, ("kind", "height", "domains"), "model")
+        check_json(doc, _MODEL_SHAPE, ("kind", "height", "domains"), "model file")
         if len(doc["domains"]) != doc["height"] + 1:
             raise HotkError("model file needs exactly one domain per type "
                             "from 0 to its height")

@@ -4,6 +4,10 @@ Proofs are JSON step lists (Fitch-style, explicit discharge indices).  The
 checker enforces formation of every step, the typed quantifier rules with
 their regime's type side-condition, eigenvariable conditions, scheme shape
 for comprehension/identity steps, and axiom availability per theory.
+
+Every rule returns one of two things: the frozenset of assumption steps its
+step rests on, or a (tag, message) rejection.  check_proof records the
+first and turns the second into the verdict.
 """
 
 from __future__ import annotations
@@ -11,34 +15,40 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
-from hotk.errors import ProofError
+from hotk.errors import HotkError, ProofError, check_json
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import check_formation
 from hotk.kernel.indices import TypeIndex, parse_index
 from hotk.kernel.parser import parse_formula, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
-                                Formula, Iff, Implies, Not, Or, StrictEq,
-                                Term, Var, alpha_normalize, free_atoms,
-                                substitute, term_index)
+                                Formula, Iff, Implies, Not, Or, Raised,
+                                StrictEq, Term, alpha_equal, alpha_normalize,
+                                occurs_free, substitute, term_index)
 from hotk.proofkit.schemes import AXIOM_AVAILABILITY, axiom_instance
 
 _RULE_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 
-STRUCTURAL = {"assume", "hyp", "reiterate", "and_i", "and_e", "or_i", "or_e",
-              "implies_i", "implies_e", "not_i", "not_e", "dneg_e", "iff_i",
-              "iff_e"}
-QUANT_RULES = {"forall_i", "forall_e", "exists_i", "exists_e"}
-SCHEME_RULES = {"comprehension", "identity", "axiom"}
+# Shapes of a proof document, of one of its steps and of a step's scheme
+# record (see errors.check_json).
+_PROOF_SHAPE = {"theory": str, "hypotheses": [str], "goal": str, "steps": [dict]}
+_STEP_SHAPE = {"n": int, "formula": str, "rule": str, "premises": [int],
+               "discharge": [int], "eigen": str, "witness": str, "scheme": dict}
+_SCHEME_SHAPE = {"name": str, "n": int}
+
+MISMATCH = "rule-mismatch"
+SCHEME = "scheme-shape"
+
+Rejection = Tuple[str, str]               # (tag, message)
+Result = Union[FrozenSet[int], Rejection]
 
 
 @dataclass
 class ProofStep:
     n: int
     formula: Formula
-    raw: str
     rule: str
     rule_types: Tuple[TypeIndex, ...]
     premises: List[int]
@@ -75,36 +85,45 @@ class ProofVerdict:
 
 
 def load_proof(doc: dict) -> ProofObject:
+    check_json(doc, _PROOF_SHAPE, ("theory", "steps"), "proof file", ProofError)
     try:
         theory = rg.parse_regime(doc["theory"])
         hyps = [parse_formula(h) for h in doc.get("hypotheses", [])]
         goal = parse_formula(doc["goal"]) if "goal" in doc else None
-        steps = []
-        for i, raw in enumerate(doc["steps"], start=1):
-            n = raw.get("n", i)
-            m = _RULE_RE.match(raw["rule"].strip())
-            if not m:
-                raise ProofError(f"step {n}: bad rule string {raw['rule']!r}")
-            rule, argstr = m.group(1), m.group(2)
-            rule_types = tuple(parse_index(a.strip())
-                               for a in argstr.split(",")) if argstr else ()
-            steps.append(ProofStep(
-                n=n,
-                formula=parse_formula(raw["formula"]),
-                raw=raw["formula"],
-                rule=rule,
-                rule_types=rule_types,
-                premises=list(raw.get("premises", [])),
-                discharge=list(raw.get("discharge", [])),
-                eigen=parse_term(raw["eigen"]) if "eigen" in raw else None,
-                witness=parse_term(raw["witness"]) if "witness" in raw else None,
-                scheme=raw.get("scheme")))
-        return ProofObject(theory=theory, hypotheses=hyps, steps=steps,
-                           goal=goal, name=doc.get("name"))
+        steps = [_load_step(raw, i) for i, raw in enumerate(doc["steps"], start=1)]
     except ProofError:
         raise
-    except Exception as e:   # malformed file: missing keys, bad formulas
+    except HotkError as e:      # bad formulas, terms, indices or theory
         raise ProofError(f"malformed proof file: {e}") from e
+    return ProofObject(theory=theory, hypotheses=hyps, steps=steps,
+                       goal=goal, name=doc.get("name"))
+
+
+def _load_step(raw: dict, i: int) -> ProofStep:
+    where = f"entry {i} of the proof file's steps"
+    check_json(raw, _STEP_SHAPE, ("formula", "rule"), where, ProofError)
+    check_json(raw.get("scheme", {}), _SCHEME_SHAPE, (), f"the scheme of {where}",
+               ProofError)
+    n = raw.get("n", i)
+    m = _RULE_RE.match(raw["rule"].strip())
+    if not m:
+        raise ProofError(f"step {n}: bad rule string {raw['rule']!r}")
+    rule, argstr = m.group(1), m.group(2)
+    rule_types = tuple(parse_index(a.strip())
+                       for a in argstr.split(",")) if argstr else ()
+    eigen = parse_term(raw["eigen"]) if "eigen" in raw else None
+    if isinstance(eigen, Raised):
+        raise ProofError(f"step {n}: eigenvariable {raw['eigen']!r} is not a variable")
+    return ProofStep(
+        n=n,
+        formula=parse_formula(raw["formula"]),
+        rule=rule,
+        rule_types=rule_types,
+        premises=list(raw.get("premises", [])),
+        discharge=list(raw.get("discharge", [])),
+        eigen=eigen,
+        witness=parse_term(raw["witness"]) if "witness" in raw else None,
+        scheme=raw.get("scheme"))
 
 
 def loads_proof(text: str) -> ProofObject:
@@ -119,368 +138,283 @@ def _types_ok(theory: rg.Regime, beta: TypeIndex, alpha: TypeIndex) -> bool:
     return alpha == beta
 
 
+class _Cited(NamedTuple):
+    """A step's formula and what it cites, as its rule reads them."""
+    conc: Formula                   # the step's formula, expanded
+    prems: List[Formula]            # its premises' formulas, expanded
+    rests: List[FrozenSet[int]]     # the assumptions each premise rests on
+    dis: List[Formula]              # its discharged assumptions, expanded
+
+
 def check_proof(p: ProofObject) -> ProofVerdict:
     theory = p.theory
-    exp_cache: Dict[int, Formula] = {}
-
-    def exp(f: Formula) -> Formula:
-        got = exp_cache.get(id(f))
-        if got is None:
-            got = expand_abbreviations(f, None)
-            exp_cache[id(f)] = got
-        return got
-
-    def same(f: Formula, g: Formula) -> bool:
-        return alpha_normalize(f) == alpha_normalize(g)
-
-    hyp_norms = [alpha_normalize(exp(h)) for h in p.hypotheses]
-    by_n: Dict[int, ProofStep] = {}
+    hyp_norms = [alpha_normalize(expand_abbreviations(h)) for h in p.hypotheses]
+    # Of each step checked so far: its rule, its expanded formula and the
+    # assumption steps it rests on.
+    rules: Dict[int, str] = {}
+    forms: Dict[int, Formula] = {}
     asm: Dict[int, FrozenSet[int]] = {}
-    hyp_steps: set = set()
-
-    def reject(s, tag, msg):
-        return ProofVerdict(False, s.n, tag, msg)
 
     for s in p.steps:
-        if s.n in by_n:
+        if s.n in rules:
             raise ProofError(f"duplicate step number {s.n}")
         verdict = check_formation(s.formula, theory)
         if not verdict:
-            return reject(s, "formation", f"{verdict.reason} in {verdict.offender}")
-        for k in s.premises:
-            if k not in by_n or k >= s.n:
-                return reject(s, "premise-range",
-                              f"premise {k} is not an earlier step")
-        for k in s.discharge:
-            if k not in by_n or k >= s.n:
-                return reject(s, "premise-range",
-                              f"discharged step {k} is not an earlier step")
-            if by_n[k].rule != "assume":
-                return reject(s, "discharge-range",
-                              f"step {k} is not an assumption")
-
-        got = _check_step(p, s, by_n, asm, exp, same, hyp_norms, reject)
-        if got is not None:
-            return got
-        by_n[s.n] = s
-        if s.rule == "hyp":
-            hyp_steps.add(s.n)
+            return ProofVerdict(False, s.n, "formation",
+                                f"{verdict.reason} in {verdict.offender}")
+        err = _citation_error(s, rules)
+        if err:
+            return ProofVerdict(False, s.n, *err)
+        cited = _Cited(expand_abbreviations(s.formula),
+                       [forms[k] for k in s.premises],
+                       [asm[k] for k in s.premises],
+                       [forms[k] for k in s.discharge])
+        got = _check_rule(theory, hyp_norms, s, cited, forms)
+        if isinstance(got, tuple):
+            return ProofVerdict(False, s.n, *got)
+        rules[s.n], forms[s.n], asm[s.n] = s.rule, cited.conc, got
 
     if not p.steps:
         return ProofVerdict(False, None, "malformed", "empty proof")
-    last = p.steps[-1]
-    open_asms = asm[last.n] - frozenset(hyp_steps)
+    last = p.steps[-1].n
+    open_asms = {k for k in asm[last] if rules[k] != "hyp"}
     if open_asms:
-        return ProofVerdict(False, last.n, "undischarged",
+        return ProofVerdict(False, last, "undischarged",
                             f"assumptions {sorted(open_asms)} never discharged")
-    if p.goal is not None and not same(exp(last.formula), exp(p.goal)):
-        return ProofVerdict(False, last.n, "goal-mismatch",
+    if p.goal is not None and not alpha_equal(forms[last],
+                                              expand_abbreviations(p.goal)):
+        return ProofVerdict(False, last, "goal-mismatch",
                             "final formula is not the declared goal")
     return ProofVerdict(True)
 
 
-def _check_step(p, s, by_n, asm, exp, same, hyp_norms, reject):
-    theory = p.theory
-    prems = [by_n[k] for k in s.premises]
+def _citation_error(s: ProofStep, rules: Dict[int, str]) -> Optional[Rejection]:
+    for k in s.premises:
+        if k not in rules or k >= s.n:
+            return "premise-range", f"premise {k} is not an earlier step"
+    for k in s.discharge:
+        if k not in rules or k >= s.n:
+            return "premise-range", f"discharged step {k} is not an earlier step"
+        if rules[k] != "assume":
+            return "discharge-range", f"step {k} is not an assumption"
+    return None
 
-    def fail_shape(msg):
-        return reject(s, "rule-mismatch", msg)
 
-    def base_asm():
-        out = frozenset()
-        for k in s.premises:
-            out |= asm[k]
-        return out
-
+def _check_rule(theory: rg.Regime, hyp_norms: List[Formula], s: ProofStep,
+                cited: _Cited, forms: Dict[int, Formula]) -> Result:
     rule = s.rule
-    conc = exp(s.formula)
+    conc, prems, rests, dis = cited
+    below = frozenset().union(*rests)
 
     if rule == "assume":
-        asm[s.n] = frozenset([s.n])
-        return None
+        return frozenset([s.n])
     if rule == "hyp":
         if alpha_normalize(conc) not in hyp_norms:
-            return reject(s, "hypothesis-unknown",
-                          "formula is not a declared hypothesis")
-        asm[s.n] = frozenset([s.n])
-        return None
+            return "hypothesis-unknown", "formula is not a declared hypothesis"
+        return frozenset([s.n])
 
     if rule == "reiterate":
-        if len(prems) != 1 or not same(conc, exp(prems[0].formula)):
-            return fail_shape("reiteration must repeat its premise")
-        asm[s.n] = base_asm()
-        return None
+        if len(prems) != 1 or not alpha_equal(conc, prems[0]):
+            return MISMATCH, "reiteration must repeat its premise"
+        return below
 
     if rule == "and_i":
         if len(prems) != 2:
-            return fail_shape("conjunction introduction takes two premises")
-        want = And(exp(prems[0].formula), exp(prems[1].formula))
-        if not same(conc, want):
-            return fail_shape("conclusion is not the premises' conjunction")
-        asm[s.n] = base_asm()
-        return None
+            return MISMATCH, "conjunction introduction takes two premises"
+        if not alpha_equal(conc, And(*prems)):
+            return MISMATCH, "conclusion is not the premises' conjunction"
+        return below
 
     if rule == "and_e":
         if len(prems) != 1:
-            return fail_shape("conjunction elimination takes one premise")
-        src = exp(prems[0].formula)
+            return MISMATCH, "conjunction elimination takes one premise"
+        src = prems[0]
         if not isinstance(src, And):
-            return fail_shape("premise is not a conjunction")
-        if not (same(conc, src.left) or same(conc, src.right)):
-            return fail_shape("conclusion is neither conjunct")
-        asm[s.n] = base_asm()
-        return None
+            return MISMATCH, "premise is not a conjunction"
+        if not (alpha_equal(conc, src.left) or alpha_equal(conc, src.right)):
+            return MISMATCH, "conclusion is neither conjunct"
+        return below
 
     if rule == "or_i":
         if len(prems) != 1 or not isinstance(conc, Or):
-            return fail_shape("disjunction introduction: one premise, Or conclusion")
-        src = exp(prems[0].formula)
-        if not (same(src, conc.left) or same(src, conc.right)):
-            return fail_shape("premise is neither disjunct")
-        asm[s.n] = base_asm()
-        return None
+            return MISMATCH, "disjunction introduction: one premise, Or conclusion"
+        if not (alpha_equal(prems[0], conc.left) or alpha_equal(prems[0], conc.right)):
+            return MISMATCH, "premise is neither disjunct"
+        return below
 
     if rule == "or_e":
-        if len(prems) != 3 or len(s.discharge) != 2:
-            return fail_shape("disjunction elimination: three premises, two discharges")
-        d, c1, c2 = prems
-        ia, ib = s.discharge
-        src = exp(d.formula)
+        if len(prems) != 3 or len(dis) != 2:
+            return MISMATCH, "disjunction elimination: three premises, two discharges"
+        src = prems[0]
         if not isinstance(src, Or):
-            return fail_shape("first premise is not a disjunction")
-        if not (same(exp(by_n[ia].formula), src.left)
-                and same(exp(by_n[ib].formula), src.right)):
-            return fail_shape("discharged assumptions are not the disjuncts")
-        if not (same(exp(c1.formula), conc) and same(exp(c2.formula), conc)):
-            return fail_shape("case conclusions differ from the conclusion")
-        asm[s.n] = asm[d.n] | (asm[c1.n] - {ia}) | (asm[c2.n] - {ib})
-        return None
+            return MISMATCH, "first premise is not a disjunction"
+        if not (alpha_equal(dis[0], src.left) and alpha_equal(dis[1], src.right)):
+            return MISMATCH, "discharged assumptions are not the disjuncts"
+        if not (alpha_equal(prems[1], conc) and alpha_equal(prems[2], conc)):
+            return MISMATCH, "case conclusions differ from the conclusion"
+        ia, ib = s.discharge
+        return rests[0] | (rests[1] - {ia}) | (rests[2] - {ib})
 
     if rule == "implies_i":
-        if len(prems) != 1 or len(s.discharge) != 1:
-            return fail_shape("conditional introduction: one premise, one discharge")
-        i = s.discharge[0]
-        want = Implies(exp(by_n[i].formula), exp(prems[0].formula))
-        if not same(conc, want):
-            return fail_shape("conclusion is not assumption -> premise")
-        asm[s.n] = asm[prems[0].n] - {i}
-        return None
+        if len(prems) != 1 or len(dis) != 1:
+            return MISMATCH, "conditional introduction: one premise, one discharge"
+        if not alpha_equal(conc, Implies(dis[0], prems[0])):
+            return MISMATCH, "conclusion is not assumption -> premise"
+        return below - set(s.discharge)
 
     if rule == "implies_e":
         if len(prems) != 2:
-            return fail_shape("modus ponens takes two premises")
-        imp, ant = exp(prems[0].formula), exp(prems[1].formula)
-        if not isinstance(imp, Implies) or not same(imp.left, ant) \
-                or not same(imp.right, conc):
-            return fail_shape("premises do not fit modus ponens")
-        asm[s.n] = base_asm()
-        return None
+            return MISMATCH, "modus ponens takes two premises"
+        imp, ant = prems
+        if not isinstance(imp, Implies) or not alpha_equal(imp.left, ant) \
+                or not alpha_equal(imp.right, conc):
+            return MISMATCH, "premises do not fit modus ponens"
+        return below
 
-    if rule == "not_i":
-        if len(prems) != 2 or len(s.discharge) != 1:
-            return fail_shape("negation introduction: two premises, one discharge")
-        a, b = exp(prems[0].formula), exp(prems[1].formula)
-        if not (isinstance(b, Not) and same(b.body, a)):
-            return fail_shape("premises are not a contradiction pair")
-        i = s.discharge[0]
-        if not same(conc, Not(exp(by_n[i].formula))):
-            return fail_shape("conclusion is not the negated assumption")
-        asm[s.n] = (asm[prems[0].n] | asm[prems[1].n]) - {i}
-        return None
-
-    if rule == "not_e":
+    if rule in ("not_i", "not_e"):     # both rest on a contradiction pair
+        if rule == "not_i" and (len(prems) != 2 or len(dis) != 1):
+            return MISMATCH, "negation introduction: two premises, one discharge"
         if len(prems) != 2:
-            return fail_shape("explosion takes a formula and its negation")
-        a, b = exp(prems[0].formula), exp(prems[1].formula)
-        if not (isinstance(b, Not) and same(b.body, a)):
-            return fail_shape("premises are not a contradiction pair")
-        asm[s.n] = base_asm()
-        return None
+            return MISMATCH, "explosion takes a formula and its negation"
+        a, b = prems
+        if not (isinstance(b, Not) and alpha_equal(b.body, a)):
+            return MISMATCH, "premises are not a contradiction pair"
+        if rule == "not_e":
+            return below
+        if not alpha_equal(conc, Not(dis[0])):
+            return MISMATCH, "conclusion is not the negated assumption"
+        return below - set(s.discharge)
 
     if rule == "dneg_e":
         if len(prems) != 1:
-            return fail_shape("double-negation elimination takes one premise")
-        src = exp(prems[0].formula)
+            return MISMATCH, "double-negation elimination takes one premise"
+        src = prems[0]
         if not (isinstance(src, Not) and isinstance(src.body, Not)
-                and same(src.body.body, conc)):
-            return fail_shape("premise is not the conclusion doubly negated")
-        asm[s.n] = base_asm()
-        return None
+                and alpha_equal(src.body.body, conc)):
+            return MISMATCH, "premise is not the conclusion doubly negated"
+        return below
 
     if rule == "iff_i":
         if len(prems) != 2 or not isinstance(conc, Iff):
-            return fail_shape("biconditional introduction: two conditionals")
-        fwd, bwd = exp(prems[0].formula), exp(prems[1].formula)
-        want_f = Implies(conc.left, conc.right)
-        want_b = Implies(conc.right, conc.left)
-        if not (same(fwd, want_f) and same(bwd, want_b)):
-            return fail_shape("premises are not the two directions")
-        asm[s.n] = base_asm()
-        return None
+            return MISMATCH, "biconditional introduction: two conditionals"
+        if not (alpha_equal(prems[0], Implies(conc.left, conc.right))
+                and alpha_equal(prems[1], Implies(conc.right, conc.left))):
+            return MISMATCH, "premises are not the two directions"
+        return below
 
     if rule == "iff_e":
         if len(prems) != 1:
-            return fail_shape("biconditional elimination takes one premise")
-        src = exp(prems[0].formula)
+            return MISMATCH, "biconditional elimination takes one premise"
+        src = prems[0]
         if not isinstance(src, Iff):
-            return fail_shape("premise is not a biconditional")
-        if not (same(conc, Implies(src.left, src.right))
-                or same(conc, Implies(src.right, src.left))):
-            return fail_shape("conclusion is neither direction")
-        asm[s.n] = base_asm()
-        return None
+            return MISMATCH, "premise is not a biconditional"
+        if not (alpha_equal(conc, Implies(src.left, src.right))
+                or alpha_equal(conc, Implies(src.right, src.left))):
+            return MISMATCH, "conclusion is neither direction"
+        return below
 
-    if rule in QUANT_RULES:
-        return _check_quantifier(p, s, by_n, asm, exp, same, reject)
+    if rule in _QUANTIFIER_RULES:
+        return _check_quantifier(theory, s, cited, forms)
 
     if rule == "comprehension":
-        err = _match_comprehension(s.formula, theory)
-        if err:
-            tag, msg = err
-            return reject(s, tag, msg)
-        asm[s.n] = frozenset()
-        return None
+        return _match_comprehension(s.formula, theory) or frozenset()
 
     if rule == "identity":
         err = _match_identity(s.formula)
-        if err:
-            return reject(s, "scheme-shape", err)
-        asm[s.n] = frozenset()
-        return None
+        return (SCHEME, err) if err else frozenset()
 
     if rule == "axiom":
-        if not s.scheme or "name" not in s.scheme:
-            return reject(s, "scheme-shape", "axiom step needs a scheme record")
-        name = s.scheme["name"]
-        avail = AXIOM_AVAILABILITY.get(name)
-        if avail is None:
-            return reject(s, "scheme-shape", f"unknown axiom {name!r}")
-        key = "pctt" if theory.overlay == "pctt" else theory.kind
-        if key not in avail and theory.kind not in avail:
-            return reject(s, "axiom-unavailable",
-                          f"{name} is not an axiom of {theory}")
-        try:
-            want = axiom_instance(name, {k: v for k, v in s.scheme.items()
-                                         if k != "name"})
-        except ProofError as e:
-            return reject(s, "scheme-shape", str(e))
-        if not same(conc, exp(want)):
-            return reject(s, "scheme-shape",
-                          f"formula is not the declared {name} instance")
-        asm[s.n] = frozenset()
-        return None
+        return _check_axiom(theory, s.scheme, conc)
 
-    return reject(s, "rule-mismatch", f"unknown rule {rule!r}")
+    return MISMATCH, f"unknown rule {rule!r}"
 
 
-def _check_quantifier(p, s, by_n, asm, exp, same, reject):
-    theory = p.theory
-    prems = [by_n[k] for k in s.premises]
-    conc = exp(s.formula)
+# The quantifier rules come in mirrored pairs.  forall_e and exists_i check
+# an instance, at a witness of the lower type alpha, of a quantifier over
+# beta.  forall_i and exists_e check one at an eigenvariable of the higher
+# type beta, of a quantifier over alpha, and then that the eigenvariable is
+# not free where it must not be.  Per rule: the quantifier, and the messages
+# when the step lacks its premises or its term, when the quantified formula
+# is not one at the right type, and when the instance differs.
+_QUANTIFIER_RULES = {
+    "forall_e": (Forall, "universal elimination needs one premise and a witness",
+                 "premise is not a universal",
+                 "conclusion is not the premise instantiated"),
+    "exists_i": (Exists, "existential introduction needs one premise and a witness",
+                 "conclusion is not an existential",
+                 "premise is not the conclusion's matrix at the witness"),
+    "forall_i": (Forall, "universal introduction needs one premise and an "
+                         "eigenvariable",
+                 "conclusion is not a universal",
+                 "premise is not the conclusion's matrix at the eigenvariable"),
+    "exists_e": (Exists, "existential elimination: two premises, one discharge, "
+                         "an eigenvariable",
+                 "first premise is not an existential",
+                 "discharged assumption is not the witnessing instance"),
+}
+
+
+def _check_quantifier(theory: rg.Regime, s: ProofStep, cited: _Cited,
+                      forms: Dict[int, Formula]) -> Result:
     if len(s.rule_types) != 2:
-        return reject(s, "rule-mismatch", f"{s.rule} needs two type arguments")
+        return MISMATCH, f"{s.rule} needs two type arguments"
     beta, alpha = s.rule_types
     if not _types_ok(theory, beta, alpha):
-        return reject(s, "type-side-condition",
-                      f"{s.rule}({beta},{alpha}) violates the regime's "
-                      f"instantiation discipline")
-
-    def eigen_checks(eigen, avoid_formulas, open_idx):
-        name_idx = (eigen.name, term_index(eigen))
-        for f in avoid_formulas:
-            if any((a.name, a.index) == name_idx for a in free_atoms(f)):
-                return "eigenvariable-conclusion"
-        for k in open_idx:
-            g = exp(by_n[k].formula)
-            if any((a.name, a.index) == name_idx for a in free_atoms(g)):
-                return "eigenvariable-assumption"
-        return None
-
-    if s.rule == "forall_e":
-        if len(prems) != 1 or s.witness is None:
-            return reject(s, "rule-mismatch",
-                          "universal elimination needs one premise and a witness")
-        src = exp(prems[0].formula)
-        if not isinstance(src, Forall) or src.var.index != beta:
-            return reject(s, "rule-mismatch",
-                          f"premise is not a universal at type {beta}")
-        if term_index(s.witness) != alpha:
-            return reject(s, "rule-mismatch",
-                          f"witness is not of type {alpha}")
-        want = substitute(src.body, src.var, s.witness, strict_type=False)
-        if not same(conc, want):
-            return reject(s, "rule-mismatch",
-                          "conclusion is not the premise instantiated")
-        asm[s.n] = asm[prems[0].n]
-        return None
-
-    if s.rule == "forall_i":
-        if len(prems) != 1 or s.eigen is None:
-            return reject(s, "rule-mismatch",
-                          "universal introduction needs one premise and an eigenvariable")
-        if not isinstance(conc, Forall) or conc.var.index != alpha:
-            return reject(s, "rule-mismatch",
-                          f"conclusion is not a universal at type {alpha}")
-        if term_index(s.eigen) != beta:
-            return reject(s, "rule-mismatch", f"eigenvariable is not of type {beta}")
-        want = substitute(conc.body, conc.var, s.eigen, strict_type=False)
-        if not same(exp(prems[0].formula), want):
-            return reject(s, "rule-mismatch",
-                          "premise is not the conclusion's matrix at the eigenvariable")
-        tag = eigen_checks(s.eigen, [conc], asm[prems[0].n])
-        if tag:
-            return reject(s, tag,
-                          f"eigenvariable {s.eigen.name} occurs where forbidden")
-        asm[s.n] = asm[prems[0].n]
-        return None
-
-    if s.rule == "exists_i":
-        if len(prems) != 1 or s.witness is None:
-            return reject(s, "rule-mismatch",
-                          "existential introduction needs one premise and a witness")
-        if not isinstance(conc, Exists) or conc.var.index != beta:
-            return reject(s, "rule-mismatch",
-                          f"conclusion is not an existential at type {beta}")
-        if term_index(s.witness) != alpha:
-            return reject(s, "rule-mismatch", f"witness is not of type {alpha}")
-        want = substitute(conc.body, conc.var, s.witness, strict_type=False)
-        if not same(exp(prems[0].formula), want):
-            return reject(s, "rule-mismatch",
-                          "premise is not the conclusion's matrix at the witness")
-        asm[s.n] = asm[prems[0].n]
-        return None
-
-    if s.rule == "exists_e":
-        if len(prems) != 2 or len(s.discharge) != 1 or s.eigen is None:
-            return reject(s, "rule-mismatch",
-                          "existential elimination: two premises, one discharge, "
-                          "an eigenvariable")
-        e, c = prems
-        j = s.discharge[0]
-        src = exp(e.formula)
-        if not isinstance(src, Exists) or src.var.index != alpha:
-            return reject(s, "rule-mismatch",
-                          f"first premise is not an existential at type {alpha}")
-        if term_index(s.eigen) != beta:
-            return reject(s, "rule-mismatch", f"eigenvariable is not of type {beta}")
-        want = substitute(src.body, src.var, s.eigen, strict_type=False)
-        if not same(exp(by_n[j].formula), want):
-            return reject(s, "rule-mismatch",
-                          "discharged assumption is not the witnessing instance")
-        if not same(exp(c.formula), conc):
-            return reject(s, "rule-mismatch",
-                          "conclusion differs from the case derivation")
-        tag = eigen_checks(s.eigen, [conc, src], asm[c.n] - {j})
-        if tag:
-            return reject(s, tag,
-                          f"eigenvariable {s.eigen.name} occurs where forbidden")
-        asm[s.n] = asm[e.n] | (asm[c.n] - {j})
-        return None
-
-    return reject(s, "rule-mismatch", f"unknown quantifier rule {s.rule!r}")
+        return ("type-side-condition",
+                f"{s.rule}({beta},{alpha}) violates the regime's "
+                f"instantiation discipline")
+    conc, prems, rests, dis = cited
+    kind, lacking, not_quantified, not_instance = _QUANTIFIER_RULES[s.rule]
+    eigen = s.rule in ("forall_i", "exists_e")
+    cases = s.rule == "exists_e"        # a second premise: the case derivation
+    term = s.eigen if eigen else s.witness
+    if len(prems) != 1 + cases or cases and len(dis) != 1 or term is None:
+        return MISMATCH, lacking
+    # the quantified formula and its instance at the term
+    if s.rule in ("exists_i", "forall_i"):
+        q, inst = conc, prems[0]
+    else:
+        q, inst = prems[0], dis[0] if cases else conc
+    q_type, t_type = (alpha, beta) if eigen else (beta, alpha)
+    if not isinstance(q, kind) or q.var.index != q_type:
+        return MISMATCH, f"{not_quantified} at type {q_type}"
+    if term_index(term) != t_type:
+        role = "eigenvariable" if eigen else "witness"
+        return MISMATCH, f"{role} is not of type {t_type}"
+    if not alpha_equal(inst, substitute(q.body, q.var, term, strict_type=False)):
+        return MISMATCH, not_instance
+    if not eigen:
+        return rests[0]
+    if cases and not alpha_equal(prems[1], conc):
+        return MISMATCH, "conclusion differs from the case derivation"
+    opened = rests[1] - set(s.discharge) if cases else rests[0]
+    forbidden = f"eigenvariable {term.name} occurs where forbidden"
+    if occurs_free(term, conc) or occurs_free(term, q):
+        return "eigenvariable-conclusion", forbidden
+    if any(occurs_free(term, forms[k]) for k in opened):
+        return "eigenvariable-assumption", forbidden
+    return rests[0] | opened
 
 
-def _match_comprehension(f: Formula, theory: rg.Regime):
+def _check_axiom(theory: rg.Regime, scheme: Optional[dict], conc: Formula) -> Result:
+    if not scheme or "name" not in scheme:
+        return SCHEME, "axiom step needs a scheme record"
+    name = scheme["name"]
+    avail = AXIOM_AVAILABILITY.get(name)
+    if avail is None:
+        return SCHEME, f"unknown axiom {name!r}"
+    if theory.kind not in avail and theory.overlay not in avail:
+        return "axiom-unavailable", f"{name} is not an axiom of {theory}"
+    try:
+        want = axiom_instance(name, {k: v for k, v in scheme.items() if k != "name"})
+    except ProofError as e:
+        return SCHEME, str(e)
+    if not alpha_equal(conc, expand_abbreviations(want)):
+        return SCHEME, f"formula is not the declared {name} instance"
+    return frozenset()
+
+
+def _match_comprehension(f: Formula, theory: rg.Regime) -> Optional[Rejection]:
     kind = theory.kind
 
     def plain(g):
@@ -497,53 +431,47 @@ def _match_comprehension(f: Formula, theory: rg.Regime):
             return None
         return z, x, matrix.right
 
-    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.CTT_LIBERAL):
+    # stt-down takes plain instances at type 0 and augmented ones above
+    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.CTT_LIBERAL) \
+            or kind == rg.STT_DOWN and plain(f):
         got = plain(f)
         if not got:
-            return ("scheme-shape", "not a comprehension instance")
+            return (SCHEME, "not a comprehension instance")
         z, x, phi = got
-        if _occurs(phi, z):
+        if kind == rg.STT_DOWN and x.index != TypeIndex(0, 0):
+            return (SCHEME, "plain comprehension only forms type-1 properties here")
+        if occurs_free(z, phi):
             return ("comprehension-witness", f"witness {z.name} occurs in the matrix")
         return None
 
     if kind == rg.STT_DOWN:
-        got = plain(f)
-        if got:
-            z, x, phi = got
-            if x.index != TypeIndex(0, 0):
-                return ("scheme-shape",
-                        "plain comprehension only forms type-1 properties here")
-            if _occurs(phi, z):
-                return ("comprehension-witness",
-                        f"witness {z.name} occurs in the matrix")
-            return None
         if not (isinstance(f, Forall) and isinstance(f.body, Exists)
                 and isinstance(f.body.body, And)
                 and isinstance(f.body.body.left, DownRel)
                 and isinstance(f.body.body.right, Forall)):
-            return ("scheme-shape", "not an augmented comprehension instance")
+            return (SCHEME, "not an augmented comprehension instance")
         y, ex = f.var, f.body
         z = ex.var
         dn, inner = ex.body.left, ex.body.right
         if dn.left != z or dn.right != y:
-            return ("scheme-shape", "projection guard does not bind the witness")
+            return (SCHEME, "projection guard does not bind the witness")
         x, matrix = inner.var, inner.body
         if not (isinstance(matrix, Iff) and isinstance(matrix.left, Apply)
                 and matrix.left.head == z and matrix.left.arg == x):
-            return ("scheme-shape", "not an augmented comprehension instance")
+            return (SCHEME, "not an augmented comprehension instance")
         if z.index != x.index.succ() or y.index != x.index:
-            return ("scheme-shape", "type arithmetic is off")
-        if _occurs(matrix.right, z):
+            return (SCHEME, "type arithmetic is off")
+        if occurs_free(z, matrix.right):
             return ("comprehension-witness", f"witness {z.name} occurs in the matrix")
         return None
 
     if kind == rg.FJT:
         if not isinstance(f, Exists):
-            return ("scheme-shape", "not a finitary comprehension instance")
+            return (SCHEME, "not a finitary comprehension instance")
         z = f.var
         n = z.index.finite_value if z.index.is_finite else None
         if not n:
-            return ("scheme-shape", "witness must have a positive finite type")
+            return (SCHEME, "witness must have a positive finite type")
         conjuncts = []
         body = f.body
         while isinstance(body, And):
@@ -551,26 +479,22 @@ def _match_comprehension(f: Formula, theory: rg.Regime):
             body = body.right
         conjuncts.append(body)
         if len(conjuncts) != n:
-            return ("scheme-shape", f"need {n} conjuncts, found {len(conjuncts)}")
+            return (SCHEME, f"need {n} conjuncts, found {len(conjuncts)}")
         for expected_i, c in zip(range(n - 1, -1, -1), conjuncts):
             if not (isinstance(c, Forall) and isinstance(c.body, Iff)
                     and isinstance(c.body.left, Apply)
                     and c.body.left.head == z and c.body.left.arg == c.var
                     and c.var.index == TypeIndex(0, expected_i)):
-                return ("scheme-shape", f"conjunct for type {expected_i} is off")
-            if _occurs(c.body.right, z):
+                return (SCHEME, f"conjunct for type {expected_i} is off")
+            if occurs_free(z, c.body.right):
                 return ("comprehension-witness",
                         f"witness {z.name} occurs in a matrix")
         return None
 
-    return ("scheme-shape", f"no comprehension scheme for {theory}")
+    return (SCHEME, f"no comprehension scheme for {theory}")
 
 
-def _occurs(phi: Formula, v: Var) -> bool:
-    return any(a.name == v.name and a.index == v.index for a in free_atoms(phi))
-
-
-def _match_identity(f: Formula):
+def _match_identity(f: Formula) -> Optional[str]:
     if not (isinstance(f, Iff) and isinstance(f.left, StrictEq)
             and isinstance(f.right, Forall)):
         return "not an identity-scheme instance"

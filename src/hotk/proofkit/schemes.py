@@ -9,12 +9,12 @@ from hotk.kernel.indices import TypeIndex, fin, parse_index
 from hotk.kernel.parser import parse_formula, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, Not, Raised, StrictEq,
-                                Sugar, Term, Var, conj, free_atoms, term_index)
+                                Sugar, Term, Var, conj, occurs_free,
+                                term_index)
 
 
 def _check_witness_absent(phi: Formula, witness: Var) -> None:
-    if any(a.name == witness.name and a.index == witness.index
-           for a in free_atoms(phi)):
+    if occurs_free(witness, phi):
         raise ProofError(
             f"comprehension witness {witness.name}^{witness.index} occurs in the matrix")
 

@@ -44,10 +44,6 @@ class SuiteReport:
     def all_pass(self) -> bool:
         return all(v.status == PASS for v in self.verdicts)
 
-    @property
-    def failures(self) -> List[AxiomVerdict]:
-        return [v for v in self.verdicts if v.status == FAIL]
-
     def to_json(self) -> dict:
         return {"subject": self.subject,
                 "verdicts": [v.to_json() for v in self.verdicts],

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
-                         graph_from_sets, powerset)
+                         graph_from_sets, ord_of_ranks, powerset)
 from hotk.kernel.indices import fin, t_shunt
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
                                 InSet, StrictEq, Sugar, Var, free_names)
@@ -237,8 +237,7 @@ def check_wellordering_of_levels(g: MembershipGraph, subset_budget: int = 2 ** 1
             return False
     for s in levels:
         expected = {x for x in g.nodes
-                    if any(is_level(g, r) and g.subset(x, r) and r in g.members(s)
-                           for r in g.nodes)}
+                    if any(g.subset(x, r) and r in g.members(s) for r in levels)}
         if expected != g.members(s):
             return False
     return True
@@ -257,7 +256,7 @@ def T_construction(g: MembershipGraph) -> Model:
     if not g.transitive:
         raise GraphError("the typed expansion needs a transitive graph")
     ranks = g.structural_ranks()
-    top = g.ord()
+    top = ord_of_ranks(ranks)
     if top == 0:
         raise GraphError("cannot expand the empty graph")
     max_type = t_shunt(fin(top)).finite_value - 1
@@ -326,7 +325,7 @@ def is_standard(g: MembershipGraph, budget: int = DEFAULT_BUDGET) -> bool:
     if not g.transitive:
         raise GraphError("standardness is defined for transitive graphs")
     ranks = g.structural_ranks()
-    top = g.ord()
+    top = ord_of_ranks(ranks)
     member_sets = {g.members(a) for a in g.nodes}
     for alpha in range(top - 1):
         stratum = sorted((n for n in g.nodes if ranks[n] <= alpha),

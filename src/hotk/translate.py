@@ -203,22 +203,6 @@ class TranslationMap:
     name: str
     kappa: Optional[TypeIndex] = None
 
-    @property
-    def source_regime(self) -> Optional[rg.Regime]:
-        return {KAPPA: None,
-                I_CTT_TO_STTU: rg.ctt(),
-                J_STTU_TO_CTT: rg.stt_up(),
-                I_FJT_TO_STTD: rg.fjt(),
-                J_STTD_TO_FJT: rg.stt_down()}[self.name]
-
-    @property
-    def target_regime(self) -> rg.Regime:
-        return {KAPPA: rg.ctt(),
-                I_CTT_TO_STTU: rg.stt_up(),
-                J_STTU_TO_CTT: rg.ctt(),
-                I_FJT_TO_STTD: rg.stt_down(),
-                J_STTD_TO_FJT: rg.fjt()}[self.name]
-
     def apply(self, f: Formula) -> Formula:
         if self.name == KAPPA:
             return kappa_translate(f, self.kappa)

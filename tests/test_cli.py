@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from proof_docs import HAND_PROOFS, HOSTILE_PROOFS, REGIMES, RULES, fixture_documents
 
 from hotk.cli import main
 from hotk.kernel import fin, parse_formula
@@ -235,3 +241,77 @@ def test_kappa_check_honours_the_budget(tmp_path, capsys):
     assert code == 3
     code, _ = run(capsys, "sets", "kappa-check", "--kappa", "2", str(path))
     assert code == 0
+
+
+def test_hostile_proof_files_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.proof"
+    for name, doc in HOSTILE_PROOFS.items():
+        path.write_text(json.dumps(doc))
+        code = main(["--format", "json", "prove", "check", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert "malformed" in err or "not a variable" in err, name
+        assert "Traceback" not in err
+
+
+# Random JSON for the fields of a proof document, plus values of the right
+# type that the checker has to look at more closely.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_INDICES = st.sampled_from(["0", "1", "2", "w", "w+1", "x"])
+_TERMS = st.sampled_from(["a^0", "z^1", "x^0", "c^0", "b^2", "up(a^0)", "a^w",
+                          "a", "p^1(a^0)"])
+_FORMULAS = st.sampled_from(["p^1(a^0)", "z^1(a^0)", "some x^0. p^1(x^0)",
+                             "all x^1. x^1(a^0)", "c^2(a^0)", "~"])
+PLAUSIBLE = {
+    "n": st.integers(-1, 30),
+    "premises": st.lists(st.integers(-1, 25), max_size=4),
+    "discharge": st.lists(st.integers(-1, 25), max_size=3),
+    "rule": st.builds(lambda r, args: r + args, st.sampled_from(RULES),
+                      st.just("") | st.builds("({},{})".format, _INDICES, _INDICES)),
+    "scheme": st.fixed_dictionaries(
+        {"name": st.sampled_from(["type-base", "type-founded", "type-ext",
+                                  "up-possess", "down-exists", "identity", "x"])},
+        optional={"alpha": JSON_VALUES | _INDICES, "beta": JSON_VALUES | _INDICES,
+                  "n": JSON_VALUES}),
+    "eigen": _TERMS,
+    "witness": _TERMS,
+    "theory": st.sampled_from(REGIMES + ["ctt:3", "stt:w", "pctt:x"]),
+    "hypotheses": st.lists(_FORMULAS, max_size=3),
+}
+_BASES = {**fixture_documents(), **HAND_PROOFS}
+
+
+@st.composite
+def hostile_proofs(draw):
+    doc = copy.deepcopy(_BASES[draw(st.sampled_from(sorted(_BASES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(sorted(PLAUSIBLE)))
+        value = draw(JSON_VALUES | PLAUSIBLE[field])
+        if field in ("theory", "hypotheses"):
+            doc[field] = value
+        else:
+            draw(st.sampled_from(doc["steps"]))[field] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def proof_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.proof"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=hostile_proofs())
+def test_fuzzed_proof_documents_keep_the_exit_codes(proof_path, doc):
+    proof_path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", "prove", "check", str(proof_path)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert set(json.loads(out.getvalue())) >= {"accepted"}

@@ -5,7 +5,7 @@ from hotk.errors import SubstitutionError
 from hotk.kernel import (Apply, Const, Exists, Forall, Iff, Var, alpha_equal,
                          alpha_normalize, fin, free_atoms, parse_formula,
                          print_formula, substitute)
-from hotk.kernel.syntax import free_names
+from hotk.kernel.syntax import free_names, occurs_free
 
 
 def test_substitute_leaves_bound_variables_alone():
@@ -69,6 +69,15 @@ def test_free_atoms_respects_binding_by_name_and_index():
     free = {(a.name, str(a.index)) for a in free_atoms(f)}
     assert ("x", "0") in free
     assert ("x", "1") not in free
+
+
+def test_occurs_free_matches_by_name_and_index():
+    f = parse_formula("all x^1. x^1(a^0) & z^2(up(b^0))")
+    # a free identifier parses as a Const; a Var of its name and type matches
+    assert occurs_free(Var("a", fin(0)), f) and occurs_free(Const("a", fin(0)), f)
+    assert occurs_free(Const("b", fin(0)), f)      # under up(...)
+    assert not occurs_free(Var("x", fin(1)), f)    # bound
+    assert not occurs_free(Const("a", fin(1)), f)  # another type
 
 
 @st.composite
