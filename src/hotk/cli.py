@@ -241,12 +241,32 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_NEGATIVE
 
 
+FORMATS = ("text", "json")
+
+
+class UsageError(Exception):
+    """A command line argparse rejects, with the usage text it would print."""
+
+    def __init__(self, message: str, prog: str, usage: str):
+        super().__init__(message)
+        self.prog = prog
+        self.usage = usage
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print the usage and exit, so
+    that main can report it in the requested format."""
+
+    def error(self, message):
+        raise UsageError(message, self.prog, self.format_usage())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="hotk",
         description="Workbench for standard, cumulative, raised and "
                     "projection-typed theories at desk scale.")
-    ap.add_argument("--format", choices=("text", "json"), default="text")
+    ap.add_argument("--format", choices=FORMATS, default="text")
     ap.add_argument("--budget", type=int,
                     default=int(os.environ.get("HOTK_BUDGET", "1000000")))
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -337,20 +357,44 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _report_error(output_format: str, error: Exception, text: str) -> None:
+    """Print an error on stderr: as text, or under --format json as an
+    object naming the error class."""
+    if output_format == "json":
+        text = json.dumps({"error": type(error).__name__, "message": str(error)},
+                          sort_keys=True)
+    print(text, file=sys.stderr)
+
+
+def _requested_format(argv: Optional[List[str]]) -> str:
+    """The --format of a command line that argparse rejected, read alone so
+    that usage errors can be reported in it too; text if it is unreadable."""
+    ap = _ArgumentParser(add_help=False)
+    ap.add_argument("--format", choices=FORMATS, default="text")
+    try:
+        return ap.parse_known_args(argv)[0].format
+    except UsageError:
+        return "text"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as e:
+    except SystemExit as e:         # --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    except UsageError as e:
+        _report_error(_requested_format(argv), e,
+                      f"{e.usage}{e.prog}: error: {e}")
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except BudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
+        _report_error(args.format, e, f"budget exceeded: {e}")
         return EXIT_BUDGET
     except (ParseError, FormationError, EvalError, GraphError, ProofError,
-            RankUndefined, HotkError, FileNotFoundError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+            RankUndefined, HotkError, OSError, ValueError) as e:
+        _report_error(args.format, e, f"error: {e}")
         return EXIT_USAGE
 
 

@@ -152,7 +152,14 @@ class MembershipGraph:
         return None
 
     def structural_ranks(self) -> Dict[str, int]:
-        """rank(x) = sup of member ranks + 1; needs well-foundedness."""
+        """rank(x) = sup of member ranks + 1; needs well-foundedness.
+
+        Computed once per graph (an ill-founded graph raises every time);
+        every call returns the same dict, which callers must not change."""
+        return self._structural_ranks
+
+    @cached_property
+    def _structural_ranks(self) -> Dict[str, int]:
         ranks: Dict[str, int] = {}
         for a in self.postorder():
             ranks[a] = max((ranks[x] + 1 for x in self.members(a)), default=0)
@@ -183,7 +190,11 @@ class MembershipGraph:
 
     @classmethod
     def loads(cls, text: str) -> "MembershipGraph":
-        return cls.from_json(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:      # the decoder recurses once per level
+            raise GraphError("graph file is nested too deeply") from None
+        return cls.from_json(doc)
 
 
 def graph_from_sets(sets) -> MembershipGraph:

@@ -346,5 +346,62 @@ def alpha_normalize(f: Formula) -> Formula:
     return go(f, {})
 
 
+def _same_term(s: Term, t: Term, bound_s: dict, bound_t: dict) -> bool:
+    """Whether two terms agree under the binder numbering of each side: the
+    same Raised depth over atoms of one class and type, and either the same
+    binder number (variables bound on both sides) or the same name (free)."""
+    while type(s) is Raised:
+        if type(t) is not Raised:
+            return False
+        s, t = s.inner, t.inner
+    if type(s) is not type(t) or s.index != t.index:
+        return False
+    if type(s) is Var:
+        n = bound_s.get((s.name, s.index))
+        if n != bound_t.get((t.name, t.index)):
+            return False
+        if n is not None:
+            return True
+    return s.name == t.name
+
+
+def _same_sugar_layout(f: Sugar, g: Sugar) -> bool:
+    """Same sugar kind with the same int and str arguments in the same
+    places, so that parts gives both nodes the same layout."""
+    return f.kind == g.kind and len(f.args) == len(g.args) and all(
+        a == b for a, b in zip(f.args, g.args)
+        if isinstance(a, (int, str)) or isinstance(b, (int, str)))
+
+
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    return alpha_normalize(f) == alpha_normalize(g)
+    """Whether f and g differ at most in the names of bound variables, i.e.
+    alpha_normalize(f) == alpha_normalize(g).
+
+    One walk over both trees in step: binders are numbered in the order
+    met, and a variable occurrence is looked up by (name, index) in the
+    numbering of its own side, so paired binders may have different names.
+    """
+    count = 0
+    stack = [(f, g, {}, {})]
+    while stack:
+        f, g, bound_f, bound_g = stack.pop()
+        if type(f) is not type(g):
+            return False
+        if type(f) is Sugar and not _same_sugar_layout(f, g):
+            return False
+        terms_f, binder_f, bodies_f = parts(f)
+        terms_g, binder_g, bodies_g = parts(g)
+        for s, t in zip(terms_f, terms_g):
+            if not _same_term(s, t, bound_f, bound_g):
+                return False
+        if binder_f is not None:
+            if binder_g is None or binder_f.index != binder_g.index:
+                return False
+            count += 1
+            bound_f = {**bound_f, (binder_f.name, binder_f.index): count}
+            bound_g = {**bound_g, (binder_g.name, binder_g.index): count}
+        elif binder_g is not None:
+            return False
+        for pair in zip(reversed(bodies_f), reversed(bodies_g)):
+            stack.append((*pair, bound_f, bound_g))
+    return True

@@ -124,7 +124,11 @@ class Model:
 
     @classmethod
     def loads(cls, text: str) -> "Model":
-        return cls.from_json(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:      # the decoder recurses once per level
+            raise HotkError("model file is nested too deeply") from None
+        return cls.from_json(doc)
 
 
 def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:
@@ -165,9 +169,15 @@ def compile_formula(m: Structure, f: Formula,
     Errors (unassigned terms, missing domains, a domain of more than
     `budget` entities) are raised only when the offending node is reached.
     """
+    return _compile_expanded(m, expand_abbreviations(f, None), budget)
+
+
+def _compile_expanded(m: Structure, f: Formula,
+                      budget: int = DEFAULT_BUDGET) -> Compiled:
+    """compile_formula for an f that holds no sugar, which it does not
+    expand again (round trips compile formulas they have already expanded)."""
     graph = isinstance(m, MembershipGraph)
     keyof = (lambda t: t.name) if graph else akey
-    f = expand_abbreviations(f, None)
     free: Dict = {}
     for a in free_atoms(f):
         free.setdefault(keyof(a), len(free))

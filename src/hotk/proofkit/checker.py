@@ -127,7 +127,11 @@ def _load_step(raw: dict, i: int) -> ProofStep:
 
 
 def loads_proof(text: str) -> ProofObject:
-    return load_proof(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:          # the decoder recurses once per level
+        raise ProofError("proof file is nested too deeply") from None
+    return load_proof(doc)
 
 
 def _types_ok(theory: rg.Regime, beta: TypeIndex, alpha: TypeIndex) -> bool:

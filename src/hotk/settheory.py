@@ -361,8 +361,9 @@ def check_kappa_axioms_in_T(g: MembershipGraph, kappa: int,
     the finite-successor surrogate of the interpretation lemmas; endless
     and infinity are reported too (expected to fail at finite scale).
     """
-    if kappa + 2 > g.ord():
-        raise EvalError(f"need kappa + 2 <= ord = {g.ord()}, got kappa = {kappa}")
+    top = g.ord()
+    if kappa + 2 > top:
+        raise EvalError(f"need kappa + 2 <= ord = {top}, got kappa = {kappa}")
     m = T_construction(g)
     k = fin(kappa)
     report = SuiteReport(subject=f"kappa={kappa} axioms in typed expansion")

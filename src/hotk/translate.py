@@ -2,7 +2,9 @@
 
 All translators expand defined symbols first and return primitive formulas;
 the maps themselves only ever touch atoms, so the logical skeleton is
-preserved.
+preserved.  Each public map is its private body (which takes a formula
+already expanded) applied to the expansion of its input; a round trip
+expands its formula once and runs both bodies on that expansion.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 Formula, Implies, InSet, Raised, StrictEq,
-                                Sugar, Term, Var, alpha_normalize, all_names,
+                                Sugar, Term, Var, all_names, alpha_equal,
                                 conj, fresh_name, free_atoms, parts,
                                 raise_term, rebuild, term_index)
-from hotk.models.core import Assignment, Model, akey, compile_formula
+from hotk.models.core import Assignment, Model, akey, _compile_expanded
 
 
 def _map_formula(f: Formula, atom_fn) -> Formula:
@@ -77,8 +79,10 @@ def kappa_translate(f: Formula, kappa: TypeIndex) -> Formula:
 def ctt_to_sttu(f: Formula) -> Formula:
     """Wrap every application gap in raising: y^n(x^m) becomes y^n applied
     to x^m raised n-1-m times.  Finite types only."""
-    f = expand_abbreviations(f, None)
+    return _ctt_to_sttu(expand_abbreviations(f, None))
 
+
+def _ctt_to_sttu(f: Formula) -> Formula:
     def atom(g: Formula) -> Formula:
         if isinstance(g, Apply):
             n, m = term_index(g.head), term_index(g.arg)
@@ -98,7 +102,10 @@ def ctt_to_sttu(f: Formula) -> Formula:
 def sttu_to_ctt(f: Formula) -> Formula:
     """Raised terms denote the unique defined-identity copy one type up;
     the description is eliminated Russell-style inside its atom."""
-    f = expand_abbreviations(f, None)
+    return _sttu_to_ctt(expand_abbreviations(f, None))
+
+
+def _sttu_to_ctt(f: Formula) -> Formula:
     used = set(all_names(f))
 
     def fresh(index) -> Var:
@@ -143,7 +150,10 @@ def sttu_to_ctt(f: Formula) -> Formula:
 
 def fjt_to_sttd(f: Formula) -> Formula:
     """Applications with a gap become universally guarded projection chains."""
-    f = expand_abbreviations(f, None)
+    return _fjt_to_sttd(expand_abbreviations(f, None))
+
+
+def _fjt_to_sttd(f: Formula) -> Formula:
     used = set(all_names(f))
 
     def atom(g: Formula) -> Formula:
@@ -175,8 +185,10 @@ def fjt_to_sttd(f: Formula) -> Formula:
 
 def sttd_to_fjt(f: Formula) -> Formula:
     """Projection atoms become bounded coextensiveness one level down."""
-    f = expand_abbreviations(f, None)
+    return _sttd_to_fjt(expand_abbreviations(f, None))
 
+
+def _sttd_to_fjt(f: Formula) -> Formula:
     def atom(g: Formula) -> Formula:
         if isinstance(g, DownRel):
             n = term_index(g.right).finite_value
@@ -222,11 +234,13 @@ def parse_map(text: str) -> TranslationMap:
     raise FormationError(f"unknown translation map {text!r}")
 
 
+# The private bodies: each takes an expanded formula and returns one, so a
+# round trip needs no expansion between its two legs.
 _ROUNDTRIPS = {
-    rg.CTT_STRINGENT: (ctt_to_sttu, sttu_to_ctt),
-    rg.STT_UP: (sttu_to_ctt, ctt_to_sttu),
-    rg.FJT: (fjt_to_sttd, sttd_to_fjt),
-    rg.STT_DOWN: (sttd_to_fjt, fjt_to_sttd),
+    rg.CTT_STRINGENT: (_ctt_to_sttu, _sttu_to_ctt),
+    rg.STT_UP: (_sttu_to_ctt, _ctt_to_sttu),
+    rg.FJT: (_fjt_to_sttd, _sttd_to_fjt),
+    rg.STT_DOWN: (_sttd_to_fjt, _fjt_to_sttd),
 }
 
 
@@ -266,14 +280,14 @@ def roundtrip_check(f: Formula, source: rg.Regime,
     if source.kind not in _ROUNDTRIPS:
         raise FormationError(f"no round trip from regime {source}")
     there, back = _ROUNDTRIPS[source.kind]
-    image = back(there(f))
     original = expand_abbreviations(f, None)
-    syntactic = alpha_normalize(image) == alpha_normalize(original)
+    image = back(there(original))
+    syntactic = alpha_equal(image, original)
     if model is None:
         return RoundTripReport(source.kind, syntactic, None, 0)
     checked = 0
-    eval_original = compile_formula(model, original)
-    eval_image = compile_formula(model, image)
+    eval_original = _compile_expanded(model, original)
+    eval_image = _compile_expanded(model, image)
     for env in all_assignments(model, free_atoms(original)):
         checked += 1
         if eval_original(env) != eval_image(env):

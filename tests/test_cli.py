@@ -315,3 +315,163 @@ def test_fuzzed_proof_documents_keep_the_exit_codes(proof_path, doc):
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
         assert set(json.loads(out.getvalue())) >= {"accepted"}
+
+
+def run_json(*argv):
+    """Run main under --format json in-process; check the exit-code contract
+    and that stdout (verdicts) or stderr (errors) is one JSON document.
+    Returns the exit code and that document."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--format", "json", *argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        doc = json.loads(err.getvalue())
+        assert set(doc) == {"error", "message"} and doc["message"]
+    else:
+        doc = json.loads(out.getvalue())
+    return code, doc
+
+
+@pytest.fixture(scope="module")
+def error_files(tmp_path_factory):
+    from hotk.models import build_fjt_canonical
+    d = tmp_path_factory.mktemp("errors")
+    files = {"fjt2.json": build_fjt_canonical(2).dumps(),
+             "cyclic.json": json.dumps({"nodes": ["a"], "edges": [["a", "a"]]}),
+             "no_height.json": json.dumps({"kind": "pure", "domains": [["{}"]]}),
+             "broken.json": "{",
+             "bad.proof": json.dumps({"theory": "stt", "steps": [{"n": 1}]}),
+             "deep.json": "[" * 5000 + "]" * 5000}
+    for name, text in files.items():
+        (d / name).write_text(text)
+    (d / "directory.json").mkdir()
+    return d
+
+
+# One command for each way main reports an error: (arguments, exit code,
+# error class).  Relative paths name files of the error_files fixture.
+ERROR_PATHS = [
+    (["check", "--theory"], 2, "UsageError"),
+    (["expand", "--theory", "stt", "-x"], 2, "UsageError"),
+    (["check", "--theory", "stt", "c^(w*w)(a^0)"], 2, "ParseError"),
+    (["check", "--theory", "stt"], 2, "ParseError"),
+    (["translate", "--map", "i-ctt-up", "fjt2.json"], 2, "FormationError"),
+    (["expand", "--theory", "stt", "a^0 eq b^1"], 2, "FormationError"),
+    (["eval", "--model", "fjt2.json", "a^0 = a^0"], 2, "EvalError"),
+    (["sets", "collapse", "cyclic.json"], 2, "GraphError"),
+    (["sets", "levels", "deep.json"], 2, "GraphError"),
+    (["prove", "check", "bad.proof"], 2, "ProofError"),
+    (["eval", "--model", "no_height.json", "a^0 = a^0"], 2, "HotkError"),
+    (["eval", "--model", "deep.json", "a^0 = a^0"], 2, "HotkError"),
+    (["eval", "--model", "missing.json", "a^0 = a^0"], 2, "FileNotFoundError"),
+    (["eval", "--model", "directory.json", "a^0 = a^0"], 2, "IsADirectoryError"),
+    (["eval", "--model", "broken.json", "a^0 = a^0"], 2, "JSONDecodeError"),
+    (["sets", "build-v", "-1"], 2, "ValueError"),
+    (["--budget", "10", "model", "build", "--kind", "pure", "--height", "4"], 3,
+     "BudgetExceeded"),
+    (["--budget", "1", "eval", "--model", "fjt2.json", "all a^1. a^1 = a^1"], 3,
+     "BudgetExceeded"),
+]
+
+
+@pytest.mark.parametrize("argv,code,error", ERROR_PATHS)
+def test_errors_are_json_under_format_json(argv, code, error, error_files, capsys):
+    argv = [str(error_files / a) if a.endswith((".json", ".proof")) else a
+            for a in argv]
+    got, doc = run_json(*argv)
+    assert got == code and doc["error"] == error
+    assert main(argv) == code       # text mode: the same message, not JSON
+    err = capsys.readouterr().err
+    assert not err.startswith("{") and doc["message"] in err
+
+
+# Formula text: random tokens of the grammar and its neighbours, random
+# characters, and nesting past the parser's cap, balanced or not.
+_TOKENS = ["all", "some", "x^0", "y^1", "a^2", "b^w", "x", "a", "^", "0", "1",
+           "w", "w+1", "(", ")", "~", "&", "|", "->", "<->", ".", "=", "eq",
+           "in", "dn", "up(", ",", "coext", "coext_2", "coext_0", "downeq",
+           "sub", "Lev(", "Hist(", "Rank(", "#", "-", "--x", "*", "+"]
+FORMULA_TEXT = (
+    st.lists(st.sampled_from(_TOKENS), max_size=20).map(" ".join)
+    | st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join)
+    | st.text(max_size=30)
+    | st.builds(lambda n, opener, atom, closers: opener * n + atom + ")" * closers,
+                st.integers(90, 3000), st.sampled_from(["~", "(", "all x^0. ",
+                                                        "up(", "a^0 = a^0 & "]),
+                st.sampled_from(["a^0 = a^0", "x^0 = x^0", "b^1(up(a^0))", ""]),
+                st.integers(0, 3000)))
+_THEORIES = st.sampled_from(["stt", "ctt:w", "fjt", "stt-up", "stt-down", "pctt:w"])
+_MAPS = st.sampled_from(["i-ctt-sttu", "j-sttu-ctt", "i-fjt-sttd", "j-sttd-fjt",
+                         "kappa:1", "kappa:w"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=FORMULA_TEXT, theory=_THEORIES, tmap=_MAPS)
+def test_fuzzed_formula_text_keeps_the_exit_codes(tmp_path_factory, text, theory, tmap):
+    path = tmp_path_factory.mktemp("text") / "fuzz.hol"
+    path.write_text(text + "\n")
+    run_json("check", "--theory", theory, text)
+    run_json("check", "--theory", theory, "--file", str(path))
+    run_json("expand", "--theory", theory, text)
+    run_json("translate", "--map", tmap, str(path))
+
+
+def _model_bases():
+    from hotk.models import (build_fjt_canonical, build_pure_model,
+                             build_sttd_companion, build_sttu_companion)
+    pure = build_pure_model(2)
+    return [m.to_json() for m in (pure, build_sttu_companion(pure),
+                                  build_sttd_companion(build_fjt_canonical(2)))]
+
+
+def _graph_bases():
+    from hotk.settheory import build_V
+    from hotk.corpus import graph_fixture
+    return [build_V(3).to_json(), graph_fixture("astruct.json").to_json(),
+            {"nodes": ["a", "b"], "edges": [["a", "b"]]}]
+
+
+_FILE_BASES = {"model": _model_bases(), "graph": _graph_bases()}
+_FIELDS = {"model": ["kind", "height", "domains", "apply", "meta", "up_map",
+                     "down_rel"],
+           "graph": ["nodes", "edges", "ranks"]}
+# Values of roughly the right shape that the loaders have to look at closely.
+_PLAUSIBLE_FIELDS = (st.integers(-2, 4) | st.lists(st.lists(st.sampled_from(
+    ["{}", "{{}}", "a", "b", "o"]), max_size=3), max_size=4)
+    | st.dictionaries(st.sampled_from(["0", "1", "2", "x", "{}", "a"]),
+                      JSON_VALUES, max_size=3))
+
+
+@st.composite
+def hostile_files(draw, kind):
+    """The text of a model or graph file: a valid document with fields
+    deleted or replaced, random JSON, text that is not JSON, or JSON nested
+    deeper than the decoder recurses."""
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return json.dumps(draw(JSON_VALUES))
+    if choice == 1:
+        return draw(st.sampled_from(["", "{", "[" * 5000 + "]" * 5000,
+                                     '{"nodes": ' + "[" * 3000]))
+    doc = copy.deepcopy(draw(st.sampled_from(_FILE_BASES[kind])))
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(_FIELDS[kind]))
+        if draw(st.booleans()):
+            doc.pop(field, None)
+        else:
+            doc[field] = draw(JSON_VALUES | _PLAUSIBLE_FIELDS)
+    return json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=hostile_files("model"), graph=hostile_files("graph"))
+def test_fuzzed_model_and_graph_files_keep_the_exit_codes(tmp_path_factory, model,
+                                                          graph):
+    d = tmp_path_factory.mktemp("files")
+    (d / "model.json").write_text(model)
+    (d / "graph.json").write_text(graph)
+    run_json("eval", "--model", str(d / "model.json"),
+             "all x^0. some y^1. x^0 eq y^1")
+    run_json("sets", "collapse", str(d / "graph.json"))

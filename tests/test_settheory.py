@@ -1,7 +1,7 @@
 import pytest
 
 from hotk.corpus import graph_fixture, separation_corpus, transitive_fixture_names
-from hotk.errors import GraphError, RankUndefined
+from hotk.errors import EvalError, GraphError, RankUndefined
 from hotk.graphs import MembershipGraph, parse_brace_name
 from hotk.kernel import fin
 from hotk.settheory import (S_construction, T_construction, build_V,
@@ -287,3 +287,21 @@ def test_cycles_and_ranks_match_the_recursive_walk():
         for a in g.nodes:
             assert ranks[a] == max((ranks[x] + 1 for x in g.members(a)), default=0)
     assert 50 < cyclic < len(graphs) - 50
+
+
+def test_rank_walk_runs_once_per_graph(monkeypatch):
+    g, small = build_V(4), build_V(2)
+    walks = []
+    postorder = MembershipGraph.postorder
+
+    def counting(graph):
+        walks.append(graph)
+        return postorder(graph)
+
+    monkeypatch.setattr(MembershipGraph, "postorder", counting)
+    check_kappa_axioms_in_T(g, 2)
+    assert valid_slice_types(g) == [0, 1, 2]
+    assert g.structural_ranks() is g.structural_ranks()
+    with pytest.raises(EvalError):      # the guard's message reads ord again
+        check_kappa_axioms_in_T(small, 1)
+    assert walks == [g, small]
