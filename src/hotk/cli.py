@@ -4,6 +4,10 @@ Exit codes: 0 success / positive verdict, 1 negative verdict (ill-formed,
 axiom FAIL, proof Rejected, false sentence), 2 usage or parse error,
 3 budget exceeded.  Text output is human-oriented; --format json is the
 stable surface.
+
+Each command imports the layers it runs inside its cmd_* function, so a
+process loads only those; hotk.errors is imported up front because main
+catches its classes.
 """
 
 from __future__ import annotations
@@ -12,27 +16,15 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from hotk import corpus
 from hotk.errors import (BudgetExceeded, EvalError, FormationError,
                          GraphError, HotkError, ParseError, ProofError,
                          RankUndefined)
-from hotk.graphs import MembershipGraph
-from hotk.kernel import (alpha_normalize, check_formation,
-                         expand_abbreviations, parse_formula,
-                         parse_regime, parse_term, print_formula)
-from hotk.kernel.parser import hol_lines
-from hotk.models import (Model, akey, build_class_model, build_fjt_canonical,
-                         build_graph_model, build_pure_model,
-                         build_sttd_companion, build_sttu_companion,
-                         check_axiom_suite, decide_fjt, eval_formula)
-from hotk.proofkit import check_proof, loads_proof, verify_fixture_suite
-from hotk.settheory import (S_construction, T_construction, build_V,
-                            check_kappa_axioms_in_T, check_set_axioms,
-                            is_standard, levels_of, mostowski_collapse,
-                            rank as level_rank)
-from hotk.translate import parse_map
+
+if TYPE_CHECKING:
+    from hotk.graphs import MembershipGraph
+    from hotk.models.core import Model
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -49,29 +41,43 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 
 def _read_formula_lines(path: str) -> List[str]:
+    from hotk.kernel.parser import hol_lines
     text = sys.stdin.read() if path == "-" else open(path).read()
     return [line for _, line in hol_lines(text)]
 
 
 def _load_model(path: str) -> Model:
+    from hotk.models.core import Model
     return Model.loads(open(path).read())
 
 
 def _load_graph(path: str) -> MembershipGraph:
+    from hotk.graphs import MembershipGraph
     return MembershipGraph.loads(open(path).read())
 
 
-def _parse_lets(pairs: List[str]) -> dict:
+def _parse_lets(pairs: List[str], m: Model) -> dict:
+    """The assignment of `--let term=entity` pairs; each entity must be in
+    the model's domain of its term's type."""
+    from hotk.kernel.parser import parse_term
+    from hotk.models.core import akey
     env = {}
     for p in pairs:
         lhs, _, rhs = p.partition("=")
         if not rhs:
             raise ParseError(f"--let wants term=entity, got {p!r}")
-        env[akey(parse_term(lhs.strip()))] = rhs.strip()
+        term, entity = parse_term(lhs.strip()), rhs.strip()
+        env[akey(term)] = entity
+        if entity not in m.domain(term.index):
+            raise EvalError(f"--let: {entity!r} is not a type {term.index} "
+                            f"entity of the model")
     return env
 
 
 def cmd_check(args) -> int:
+    from hotk.kernel.formation import check_formation
+    from hotk.kernel.parser import parse_formula
+    from hotk.kernel.regimes import parse_regime
     regime = parse_regime(args.theory)
     if not args.file and args.formula is None:
         raise ParseError("give a formula or --file")
@@ -92,6 +98,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from hotk.kernel.expand import expand_abbreviations
+    from hotk.kernel.parser import parse_formula
+    from hotk.kernel.printer import print_formula
+    from hotk.kernel.regimes import parse_regime
+    from hotk.kernel.syntax import alpha_normalize
     regime = parse_regime(args.theory)
     f = parse_formula(args.formula)
     out = expand_abbreviations(f, regime)
@@ -103,6 +114,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from hotk.kernel.parser import parse_formula
+    from hotk.kernel.printer import print_formula
+    from hotk.translate import parse_map
     tmap = parse_map(args.map)
     mode = "set" if tmap.name == "kappa" else "typed"
     outputs = []
@@ -114,18 +128,25 @@ def cmd_translate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from hotk.kernel.formation import check_formation
+    from hotk.kernel.parser import parse_formula
+    from hotk.kernel.regimes import parse_regime
+    from hotk.models.core import eval_formula
     m = _load_model(args.model)
     f = parse_formula(args.formula)
     if args.theory:
         v = check_formation(f, parse_regime(args.theory))
         if not v:
             raise FormationError(f"{v.reason} in {v.offender}")
-    value = eval_formula(m, f, _parse_lets(args.let or []), budget=args.budget)
+    value = eval_formula(m, f, _parse_lets(args.let or [], m),
+                         budget=args.budget)
     _emit(args, {"value": value}, ["true" if value else "false"])
     return EXIT_OK if value else EXIT_NEGATIVE
 
 
 def cmd_decide(args) -> int:
+    from hotk.kernel.parser import parse_formula
+    from hotk.models.decide import decide_fjt
     f = parse_formula(args.formula)
     value = decide_fjt(f, args.height, budget=args.budget)
     _emit(args, {"value": value}, ["true" if value else "false"])
@@ -133,6 +154,10 @@ def cmd_decide(args) -> int:
 
 
 def cmd_model_build(args) -> int:
+    from hotk.models.builders import (build_class_model, build_fjt_canonical,
+                                      build_graph_model, build_pure_model,
+                                      build_sttd_companion,
+                                      build_sttu_companion)
     if args.kind == "class":
         m = build_class_model(args.urelements, args.height, budget=args.budget)
     elif args.kind == "pure":
@@ -160,6 +185,8 @@ def cmd_model_build(args) -> int:
 
 
 def cmd_model_check(args) -> int:
+    from hotk.kernel.regimes import parse_regime
+    from hotk.models.axioms import check_axiom_suite
     m = _load_model(args.model)
     theory = parse_regime(args.theory)
     max_type = args.max_type if args.max_type is not None else m.max_type
@@ -168,28 +195,38 @@ def cmd_model_check(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_NEGATIVE
 
 
+def _separation_corpus(path: Optional[str]) -> list:
+    """The formulas of `sets check` and `sets kappa-check`: the bundled
+    separation corpus, or those of the --corpus file."""
+    if path is None:
+        from hotk.corpus import separation_corpus
+        return separation_corpus()
+    from hotk.kernel.parser import parse_formula
+    return [parse_formula(l, mode="set") for l in _read_formula_lines(path)]
+
+
 def cmd_sets(args) -> int:
+    from hotk import settheory
     if args.sets_cmd == "build-v":
-        g = build_V(args.n, budget=args.budget)
+        g = settheory.build_V(args.n, budget=args.budget)
         print(g.dumps())
         return EXIT_OK
     if args.sets_cmd == "slice":
         m = _load_model(args.model)
-        print(S_construction(m, args.kappa).dumps())
+        print(settheory.S_construction(m, args.kappa).dumps())
         return EXIT_OK
     g = _load_graph(args.graph)
     if args.sets_cmd == "check":
-        corpus_formulas = corpus.separation_corpus() if args.corpus is None else [
-            parse_formula(l, mode="set") for l in _read_formula_lines(args.corpus)]
-        report = check_set_axioms(g, args.which, corpus_formulas, budget=args.budget)
+        report = settheory.check_set_axioms(
+            g, args.which, _separation_corpus(args.corpus), budget=args.budget)
         _emit(args, report.to_json(), report.lines())
         return EXIT_OK if report.all_pass else EXIT_NEGATIVE
     if args.sets_cmd == "levels":
-        lv = levels_of(g)
+        lv = settheory.levels_of(g)
         ranks = {}
         for node in g.nodes:
             try:
-                ranks[node] = level_rank(g, node, lv)
+                ranks[node] = settheory.rank(g, node, lv)
             except RankUndefined:
                 ranks[node] = None
         _emit(args, {"levels": lv, "ranks": ranks},
@@ -198,25 +235,23 @@ def cmd_sets(args) -> int:
                  for node, r in ranks.items()])
         return EXIT_OK
     if args.sets_cmd == "collapse":
-        out, mapping = mostowski_collapse(g)
+        out, mapping = settheory.mostowski_collapse(g)
         _emit(args, {"graph": out.to_json(), "map": mapping},
               [out.dumps()] + [f"{k} -> {v}" for k, v in sorted(mapping.items())])
         return EXIT_OK
     if args.sets_cmd == "t-model":
-        print(T_construction(g).dumps())
+        print(settheory.T_construction(g).dumps())
         return EXIT_OK
     if args.sets_cmd == "kappa-check":
-        corpus_formulas = corpus.separation_corpus() if args.corpus is None else [
-            parse_formula(l, mode="set") for l in _read_formula_lines(args.corpus)]
-        report = check_kappa_axioms_in_T(g, args.kappa, corpus_formulas,
-                                         budget=args.budget)
+        report = settheory.check_kappa_axioms_in_T(
+            g, args.kappa, _separation_corpus(args.corpus), budget=args.budget)
         _emit(args, report.to_json(), report.lines())
         core = [v for v in report.verdicts
                 if v.name.split("^")[0] in ("extensionality", "separation",
                                             "stratification")]
         return EXIT_OK if all(v.status == "PASS" for v in core) else EXIT_NEGATIVE
     if args.sets_cmd == "standard":
-        value = is_standard(g, budget=args.budget)
+        value = settheory.is_standard(g, budget=args.budget)
         _emit(args, {"standard": value}, ["standard" if value else "non-standard"])
         return EXIT_OK if value else EXIT_NEGATIVE
     raise ParseError(f"unknown sets subcommand {args.sets_cmd!r}")
@@ -224,9 +259,11 @@ def cmd_sets(args) -> int:
 
 def cmd_prove(args) -> int:
     if args.prove_cmd == "fixtures":
+        from hotk.proofkit.fixtures import verify_fixture_suite
         report = verify_fixture_suite()
         _emit(args, report.to_json(), report.lines())
         return EXIT_OK if report.all_as_expected else EXIT_NEGATIVE
+    from hotk.proofkit.checker import check_proof, loads_proof
     proof = loads_proof(open(args.file).read())
     verdict = check_proof(proof)
     lines = ["Accepted"] if verdict.accepted else [
@@ -236,7 +273,8 @@ def cmd_prove(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    report = corpus.run_all(budget=args.budget)
+    from hotk.corpus import run_all
+    report = run_all(budget=args.budget)
     _emit(args, report["json"], report["lines"])
     return EXIT_OK if report["ok"] else EXIT_NEGATIVE
 
@@ -245,7 +283,8 @@ FORMATS = ("text", "json")
 
 
 class UsageError(Exception):
-    """A command line argparse rejects, with the usage text it would print."""
+    """A command line argparse rejects, with the usage text it would print
+    (empty for an unusable environment variable)."""
 
     def __init__(self, message: str, prog: str, usage: str):
         super().__init__(message)
@@ -268,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "projection-typed theories at desk scale.")
     ap.add_argument("--format", choices=FORMATS, default="text")
     ap.add_argument("--budget", type=int,
-                    default=int(os.environ.get("HOTK_BUDGET", "1000000")))
+                    help="enumeration cap (default: $HOTK_BUDGET or 1000000)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("check", help="formation checking")
@@ -357,6 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _env_budget() -> int:
+    """The budget when --budget is absent: HOTK_BUDGET, or a million."""
+    text = os.environ.get("HOTK_BUDGET", "1000000")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"HOTK_BUDGET must be an integer, got {text!r}",
+                         "hotk", "") from None
+
+
 def _report_error(output_format: str, error: Exception, text: str) -> None:
     """Print an error on stderr: as text, or under --format json as an
     object naming the error class."""
@@ -381,6 +430,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.budget is None:
+            args.budget = _env_budget()
     except SystemExit as e:         # --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except UsageError as e:

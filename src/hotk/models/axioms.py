@@ -15,6 +15,7 @@ from typing import Dict, Tuple
 from hotk.errors import EvalError
 from hotk.graphs import powerset
 from hotk.kernel import regimes as rg
+from hotk.kernel.indices import fin
 from hotk.models.builders import DEFAULT_BUDGET
 from hotk.models.core import Entity, Model
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
@@ -29,7 +30,6 @@ class PairTables:
         self._in: Dict[Tuple[int, int, Entity, Entity], bool] = {}
 
     def dom(self, n: int):
-        from hotk.kernel.indices import fin
         return self.m.domain(fin(n))
 
     def can_reach(self, n: int) -> bool:
@@ -76,6 +76,8 @@ def check_axiom_suite(m: Model, theory: rg.Regime, max_type: int,
     reachable types are skipped."""
     if max_type > m.max_type:
         raise EvalError(f"max_type {max_type} above model height {m.max_type}")
+    if max_type < 0:
+        raise EvalError(f"max_type {max_type} below 0")
     t = PairTables(m)
     report = SuiteReport(subject=f"{theory} on {m.kind} model")
     kind = theory.kind

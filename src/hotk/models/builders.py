@@ -41,6 +41,8 @@ def build_class_model(urelement_count: int, height: int,
     U_{a+1}, where U_1 = U + {empty} and U_{a+1} = powerset(U_a) + U."""
     if height < 1:
         raise ValueError("height must be at least 1")
+    if urelement_count < 0:
+        raise ValueError("urelement count must not be negative")
     levels, members = _hierarchy_levels(urelement_count, height, budget)
     return Model(kind="class", max_type=height - 1,
                  domains=tuple(tuple(l) for l in levels), members=members,

@@ -10,18 +10,20 @@ expands its formula once and runs both bodies on that expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import expand_abbreviations
-from hotk.kernel.indices import TypeIndex, fin
+from hotk.kernel.indices import TypeIndex, fin, parse_index
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 Formula, Implies, InSet, Raised, StrictEq,
                                 Sugar, Term, Var, all_names, alpha_equal,
                                 conj, fresh_name, free_atoms, parts,
                                 raise_term, rebuild, term_index)
-from hotk.models.core import Assignment, Model, akey, _compile_expanded
+
+if TYPE_CHECKING:
+    from hotk.models.core import Assignment, Model
 
 
 def _map_formula(f: Formula, atom_fn) -> Formula:
@@ -225,7 +227,6 @@ class TranslationMap:
 
 
 def parse_map(text: str) -> TranslationMap:
-    from hotk.kernel.indices import parse_index
     s = text.strip().lower()
     if s.startswith("kappa:"):
         return TranslationMap(KAPPA, parse_index(s.split(":", 1)[1]))
@@ -254,6 +255,7 @@ class RoundTripReport:
 
 
 def all_assignments(m: Model, atoms) -> Iterable[Assignment]:
+    from hotk.models.core import akey
     atoms = sorted(atoms, key=lambda a: (str(a.index), a.name))
     if not atoms:
         yield {}
@@ -285,6 +287,8 @@ def roundtrip_check(f: Formula, source: rg.Regime,
     syntactic = alpha_equal(image, original)
     if model is None:
         return RoundTripReport(source.kind, syntactic, None, 0)
+    # Imported here, not at the top, so the maps load without the models.
+    from hotk.models.core import _compile_expanded
     checked = 0
     eval_original = _compile_expanded(model, original)
     eval_image = _compile_expanded(model, image)

@@ -1,13 +1,18 @@
+import ast
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proof_docs import HAND_PROOFS, HOSTILE_PROOFS, REGIMES, RULES, fixture_documents
 
+import hotk
 from hotk.cli import main
 from hotk.kernel import fin, parse_formula
 from hotk.models import Model, check_axiom_suite, eval_formula
@@ -373,6 +378,12 @@ ERROR_PATHS = [
      "BudgetExceeded"),
     (["--budget", "1", "eval", "--model", "fjt2.json", "all a^1. a^1 = a^1"], 3,
      "BudgetExceeded"),
+    (["eval", "--model", "fjt2.json", "--let", "d^1=nosuch",
+      "some x^2. x^2(d^1)"], 2, "EvalError"),
+    (["model", "check", "--model", "fjt2.json", "--theory", "fjt",
+      "--max-type", "-1"], 2, "EvalError"),
+    (["model", "build", "--kind", "class", "--urelements", "-3"], 2,
+     "ValueError"),
 ]
 
 
@@ -475,3 +486,96 @@ def test_fuzzed_model_and_graph_files_keep_the_exit_codes(tmp_path_factory, mode
     run_json("eval", "--model", str(d / "model.json"),
              "all x^0. some y^1. x^0 eq y^1")
     run_json("sets", "collapse", str(d / "graph.json"))
+
+
+def test_let_entities_must_be_in_the_model(tmp_path, capsys, fjt2):
+    path = tmp_path / "fjt2.json"
+    path.write_text(fjt2.dumps())
+    inside = fjt2.domains[1][0]
+    code, out = run(capsys, "eval", "--model", str(path), "--let",
+                    f"d^1={inside}", "some x^2. x^2(d^1)")
+    assert code == 0 and out.strip() == "true"
+    code = main(["eval", "--model", str(path), "--let", f"d^2={inside}",
+                 "some x^2. x^2 = d^2"])
+    err = capsys.readouterr().err
+    assert code == 2 and repr(inside) in err and "type 2" in err
+
+
+def test_non_integer_budget_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HOTK_BUDGET", "abc")
+    assert main(["check", "--theory", "stt", "x^0 = x^0"]) == 2
+    assert capsys.readouterr().err == (
+        "hotk: error: HOTK_BUDGET must be an integer, got 'abc'\n")
+    code, doc = run_json("check", "--theory", "stt", "x^0 = x^0")
+    assert code == 2 and doc["error"] == "UsageError"
+    code, _ = run(capsys, "--budget", "5", "check", "--theory", "stt",
+                  "x^0 = x^0")
+    assert code == 0        # an explicit --budget does not read the variable
+    monkeypatch.setenv("HOTK_BUDGET", "10")
+    code, _ = run(capsys, "model", "build", "--kind", "pure", "--height", "4")
+    assert code == 3
+
+
+# Each subcommand run as `python -m hotk.cli`: its exit code and the hotk
+# packages the process loaded.  The files are those of the cli_files fixture.
+KERNEL = {"hotk", "hotk.errors", "hotk.kernel"}
+MODELS = KERNEL | {"hotk.graphs", "hotk.models", "hotk.report"}
+SETS = MODELS | {"hotk.settheory", "hotk.translate"}
+PROOFS = KERNEL | {"hotk.proofkit"}
+LAYERS = [
+    (["check", "--theory", "stt", "b^1(a^0)"], 0, KERNEL),
+    (["check", "--theory", "stt", "--file", "f.hol"], 0, KERNEL),
+    (["expand", "--theory", "ctt:w", "a^0 eq b^1"], 0, KERNEL),
+    (["translate", "--map", "i-ctt-sttu", "f.hol"], 0, KERNEL | {"hotk.translate"}),
+    (["eval", "--model", "fjt2.json", "all x^0. x^0 = x^0"], 0, MODELS),
+    (["decide", "--height", "2", "some x^0. ~x^0 = x^0"], 1, MODELS),
+    (["model", "build", "--kind", "fjt", "--height", "2"], 0, MODELS),
+    (["model", "check", "--model", "fjt2.json", "--theory", "fjt"], 0, MODELS),
+    (["sets", "build-v", "2"], 0, SETS),
+    (["sets", "check", "lt", "v3.json"], 0, SETS | {"hotk.corpus"}),
+    (["sets", "check", "lt", "v3.json", "--corpus", "set.hol"], 0, SETS),
+    (["sets", "levels", "v3.json"], 0, SETS),
+    (["sets", "collapse", "v3.json"], 0, SETS),
+    (["sets", "t-model", "v3.json"], 0, SETS),
+    (["sets", "standard", "v3.json"], 0, SETS),
+    (["sets", "kappa-check", "--kappa", "1", "v3.json"], 0, SETS | {"hotk.corpus"}),
+    (["sets", "slice", "--kappa", "1", "t3.json"], 0, SETS),
+    (["prove", "check", "bad.proof"], 1, PROOFS),
+    (["prove", "fixtures"], 0, PROOFS),
+    (["corpus", "run"], 0, PROOFS | {"hotk.corpus"}),
+]
+# Runs the module as `python -m` does, then prints the loaded hotk modules.
+_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(m for m in sys.modules
+                                     if m.startswith("hotk"))))
+runpy.run_module("hotk.cli", run_name="__main__")
+"""
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    from hotk.models import build_fjt_canonical
+    from hotk.settheory import T_construction, build_V
+    d = tmp_path_factory.mktemp("layers")
+    v3 = build_V(3)
+    files = {"fjt2.json": build_fjt_canonical(2).dumps(),
+             "v3.json": v3.dumps(), "t3.json": T_construction(v3).dumps(),
+             "f.hol": "b^1(a^0)\n", "set.hol": "x in y\n",
+             "bad.proof": json.dumps({"theory": "stt", "steps": [
+                 {"n": 1, "formula": "z^1(a^0)", "rule": "assume"}]})}
+    for name, text in files.items():
+        (d / name).write_text(text)
+    return d
+
+
+@pytest.mark.parametrize("argv,code,packages", LAYERS)
+def test_each_command_loads_only_its_layers(argv, code, packages, cli_files):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hotk.__file__)))
+    env.pop("HOTK_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cli_files,
+                          env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert {".".join(m.split(".")[:2]) for m in loaded} == packages
