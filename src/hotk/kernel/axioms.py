@@ -1,0 +1,103 @@
+"""The theory axioms as formula builders, one per scheme.
+
+These are the only statement of each axiom: the proof checker cites them
+(hotk.proofkit.schemes) and the model suites evaluate them
+(hotk.models.axioms).  They live in the kernel so that the model layer can
+build them without loading the proof checker.
+"""
+
+from __future__ import annotations
+
+from hotk.errors import ProofError
+from hotk.kernel.indices import TypeIndex, fin
+from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
+                                Iff, Implies, Not, Raised, StrictEq, Sugar,
+                                Var)
+
+
+def type_raising(alpha: TypeIndex, beta: TypeIndex) -> Formula:
+    """Every type-alpha entity has a type-beta copy (a lemma, not an axiom
+    that proofs may cite)."""
+    x, y = Var("x", alpha), Var("y", beta)
+    return Forall(x, Exists(y, Sugar("eq", (x, y))))
+
+
+def type_founded(alpha: TypeIndex, beta: TypeIndex) -> Formula:
+    a = Var("a", alpha)
+    b = Var("b", beta.succ())
+    x = Var("x", beta)
+    return Forall(a, Forall(b, Implies(
+        Sugar("in", (a, b)), Exists(x, Sugar("eq", (a, x))))))
+
+
+def type_base(alpha: TypeIndex) -> Formula:
+    x = Var("x", fin(0))
+    y = Var("y", alpha)
+    return Forall(x, Forall(y, Not(Sugar("in", (y, x)))))
+
+
+def type_ext(alpha: TypeIndex, beta: TypeIndex) -> Formula:
+    if beta < alpha:
+        raise ProofError("cross-type extensionality wants alpha <= beta")
+    a = Var("a", alpha.succ())
+    b = Var("b", beta.succ())
+    xa = Var("x", alpha)
+    xb = Var("x", beta)
+    low = Forall(xa, Implies(Apply(a, xa), Apply(b, xa)))
+    high = Forall(xb, Implies(
+        Apply(b, xb),
+        Sugar("bounded", ("some", Var("y", alpha), "eq", xb,
+                          Apply(a, Var("y", alpha))))))
+    return Forall(a, Forall(b, Implies(And(low, high), Sugar("eq", (a, b)))))
+
+
+def type_purity() -> Formula:
+    x, y = Var("x", fin(0)), Var("y", fin(0))
+    return Forall(x, Forall(y, StrictEq(x, y)))
+
+
+def up_inject(n: int) -> Formula:
+    x, y = Var("x", fin(n)), Var("y", fin(n))
+    return Forall(x, Forall(y, Implies(StrictEq(Raised(x), Raised(y)),
+                                       StrictEq(x, y))))
+
+
+def up_possess(n: int) -> Formula:
+    x, y = Var("x", fin(n)), Var("y", fin(n + 1))
+    return Forall(x, Forall(y, Iff(Apply(Raised(y), Raised(x)), Apply(y, x))))
+
+
+def up_founded(n: int) -> Formula:
+    x, y, z = Var("x", fin(n + 1)), Var("y", fin(n + 1)), Var("z", fin(n))
+    return Forall(x, Forall(y, Implies(Apply(Raised(y), x),
+                                       Exists(z, StrictEq(x, Raised(z))))))
+
+
+def up_base() -> Formula:
+    x, y = Var("x", fin(0)), Var("y", fin(0))
+    return Forall(x, Forall(y, Not(Apply(Raised(y), x))))
+
+
+def down_exists(n: int) -> Formula:
+    if n < 1:
+        raise ProofError("projection starts at type 2 over type 1")
+    z, x = Var("z", fin(n + 1)), Var("x", fin(n))
+    return Forall(z, Exists(x, DownRel(z, x)))
+
+
+def down_sim(n: int) -> Formula:
+    if n < 1:
+        raise ProofError("projection starts at type 2 over type 1")
+    z, x, y = Var("z", fin(n + 1)), Var("x", fin(n)), Var("y", fin(n))
+    return Forall(z, Forall(x, Forall(y, Implies(
+        And(DownRel(z, x), DownRel(z, y)),
+        And(Sugar("coext", (x, y)), Sugar("downeq", (y, x)))))))
+
+
+def down_max(n: int) -> Formula:
+    if n < 1:
+        raise ProofError("projection starts at type 2 over type 1")
+    z, x, y = Var("z", fin(n + 1)), Var("x", fin(n)), Var("y", fin(n))
+    return Forall(z, Forall(x, Forall(y, Implies(
+        And(DownRel(z, x), And(Sugar("coext", (x, y)), Sugar("downeq", (y, x)))),
+        DownRel(z, y)))))

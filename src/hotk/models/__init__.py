@@ -1,6 +1,6 @@
 """Finite typed structures: builders, evaluation, axiom suites, decision."""
 
-from hotk.models.axioms import PairTables, check_axiom_suite
+from hotk.models.axioms import check_axiom_suite
 from hotk.models.builders import (DEFAULT_BUDGET, build_class_model,
                                   build_fjt_canonical, build_graph_model,
                                   build_pure_model, build_sttd_companion,
@@ -14,7 +14,7 @@ from hotk.models.domains import (KINDS, M_RUSSELLIAN, M_RUSSELLIAN_STAR,
                                  domain_const, gen_domain_formula)
 
 __all__ = [
-    "PairTables", "check_axiom_suite",
+    "check_axiom_suite",
     "DEFAULT_BUDGET", "build_class_model", "build_fjt_canonical",
     "build_graph_model", "build_pure_model", "build_sttd_companion",
     "build_sttu_companion", "count_entities", "fjt_counts",

@@ -1,329 +1,202 @@
-"""Per-theory axiom suites over finite models.
+"""Per-theory axiom suites over finite models: one verdict per axiom.
 
+A theory axiom is its formula in hotk.kernel.axioms, instantiated at every
+type up to max_type; an instance that needs a type the model lacks is left
+out.  The row FAILs at the first false instance, with the first assignment
+to its leading binders, in binder order, that falsifies its matrix; an
+instance the model cannot evaluate (no raising map, an entity the raising
+map misses, no projection relation) FAILs with the evaluator's message.
 Comprehension schemes are checked by extensional completeness: a witness
 entity for every candidate extension (or tuple of extensions).  That
 dominates every instance of the scheme, so a PASS is sound for all of them;
-the report calls this FULL-COMPREHENSION.  Oversized domains make a check
-SKIPPED rather than wrong.
+the report calls this FULL-COMPREHENSION.  A check that needs more than
+`budget` entities or subsets is SKIPPED, unless a later one FAILs.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Tuple
 
-from hotk.errors import EvalError
+from hotk.errors import BudgetExceeded, EvalError
 from hotk.graphs import powerset
+from hotk.kernel import axioms as ax
 from hotk.kernel import regimes as rg
 from hotk.kernel.indices import fin
+from hotk.kernel.syntax import Forall
 from hotk.models.builders import DEFAULT_BUDGET
-from hotk.models.core import Entity, Model
+from hotk.models.core import Model, akey, compile_formula
+from hotk.models.decide import max_finite_type
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 
+_FULL = "FULL-COMPREHENSION"
+_UP = lambda top: [(n,) for n in range(top - 1)]
+_DOWN = lambda top: [(n,) for n in range(1, top)]
 
-class PairTables:
-    """Memoized defined-identity and defined-membership relations."""
-
-    def __init__(self, m: Model):
-        self.m = m
-        self._eq: Dict[Tuple[int, int, Entity, Entity], bool] = {}
-        self._in: Dict[Tuple[int, int, Entity, Entity], bool] = {}
-
-    def dom(self, n: int):
-        return self.m.domain(fin(n))
-
-    def can_reach(self, n: int) -> bool:
-        return n <= self.m.max_type or (self.m.cumulative and self.m.open_above)
-
-    def eq(self, alpha: int, a: Entity, beta: int, b: Entity) -> bool:
-        key = (alpha, beta, a, b)
-        got = self._eq.get(key)
-        if got is None:
-            gamma = max(alpha, beta) + 1
-            got = all(self.m.applies(z, a) == self.m.applies(z, b)
-                      for z in self.dom(gamma))
-            self._eq[key] = got
-        return got
-
-    def isin(self, alpha: int, a: Entity, beta: int, b: Entity) -> bool:
-        key = (alpha, beta, a, b)
-        got = self._in.get(key)
-        if got is None:
-            gamma = max(alpha, beta) + 1
-            got = any(self.eq(gamma, x, beta, b) and self.m.applies(x, a)
-                      for x in self.dom(gamma))
-            self._in[key] = got
-        return got
-
-
-def _full_comprehension(m: Model, level: int, budget: int):
-    """Every subset of the type-`level` domain is the extension of some
-    type-(level+1) entity; returns (status, witness)."""
-    dom = m.domains[level]
-    if 2 ** len(dom) > budget:
-        return SKIPPED, f"2^{len(dom)} subsets at type {level}"
-    exts = {m.extension(z, level) for z in m.domains[level + 1]}
-    for sub in powerset(dom):
-        if frozenset(sub) not in exts:
-            return FAIL, f"type {level}: extension {{{','.join(sub)}}} unrealized"
-    return PASS, None
+# name -> (builder, its arguments for max_type `top`, witness format).  The
+# format takes the arguments by position, each leading universal binder's
+# entity as {x} and its type as {x_t}, and the domain sizes as {sizes}.
+_SCHEMES = {
+    "type-raising": (ax.type_raising, lambda top: [
+        (fin(a), fin(b)) for a in range(top + 1) for b in range(a, top + 1)],
+        "{x} at type {x_t} has no type-{1} copy"),
+    "type-founded": (ax.type_founded, lambda top: [
+        (fin(a), fin(b)) for a in range(top + 1) for b in range(top)],
+        "{a}^{a_t} in {b}^{b_t} with no type-{1} copy"),
+    "type-base": (ax.type_base, lambda top: [(fin(a),) for a in range(top + 1)],
+                  "{y}^{y_t} in {x}^{x_t}"),
+    "type-ext": (ax.type_ext, lambda top: [
+        (fin(a), fin(b)) for a in range(top) for b in range(a, top)],
+        "{a}^{a_t} vs {b}^{b_t}"),
+    "type-purity": (ax.type_purity, lambda top: [()], "{sizes[0]} type-0 entities"),
+    "up-inject": (ax.up_inject, lambda top: [(n,) for n in range(top)],
+                  "{x} and {y} raise alike"),
+    "up-possess": (ax.up_possess, _UP, "{y}^{y_t} over {x}^{x_t}"),
+    "up-founded": (ax.up_founded, _UP, "{x}^{x_t} not raised"),
+    "up-base": (ax.up_base, lambda top: [()] if top >= 1 else [], None),
+    "down-exists": (ax.down_exists, _DOWN, "{z}^{z_t} projects nowhere"),
+    "down-sim": (ax.down_sim, _DOWN, "{z}^{z_t} over {x},{y}"),
+    "down-max": (ax.down_max, _DOWN, "{z}^{z_t} misses {y}^{y_t}"),
+}
 
 
 def check_axiom_suite(m: Model, theory: rg.Regime, max_type: int,
                       budget: int = DEFAULT_BUDGET) -> SuiteReport:
-    """Per-axiom verdicts for the theory's axioms, instantiated at types up
-    to max_type; instances whose defining formulas outrun the model's
-    reachable types are skipped."""
+    """The theory's axioms, instantiated at types up to max_type."""
     if max_type > m.max_type:
         raise EvalError(f"max_type {max_type} above model height {m.max_type}")
     if max_type < 0:
         raise EvalError(f"max_type {max_type} below 0")
-    t = PairTables(m)
     report = SuiteReport(subject=f"{theory} on {m.kind} model")
     kind = theory.kind
-
+    schemes = ()
     if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.CTT_LIBERAL):
-        worst = (PASS, None)
-        for level in range(max_type):
-            status, wit = _full_comprehension(m, level, budget)
-            if status == FAIL:
-                worst = (FAIL, wit)
-                break
-            if status == SKIPPED and worst[0] == PASS:
-                worst = (SKIPPED, wit)
-        report.add("comprehension", worst[0], witness=worst[1],
-                   note="FULL-COMPREHENSION")
-
+        _add_row(report, "comprehension", _plain_checks(m, range(max_type), budget),
+                 _FULL, fail_note=_FULL)
     if kind in (rg.CTT_STRINGENT, rg.CTT_LIBERAL):
-        _check_type_raising(m, t, max_type, report)
-        _check_type_founded(m, t, max_type, report)
-        _check_type_base(m, t, max_type, report)
+        schemes = ("type-raising", "type-founded", "type-base")
         if theory.overlay == "pctt":
-            _check_type_ext(m, t, max_type, report)
-            report.add("type-purity", PASS if len(m.domains[0]) == 1 else FAIL,
-                       witness=None if len(m.domains[0]) == 1
-                       else f"{len(m.domains[0])} type-0 entities")
-
-    if kind == rg.STT_UP:
-        _check_up_axioms(m, max_type, report)
-
-    if kind == rg.STT_DOWN:
-        _check_sttd_comprehension(m, max_type, budget, report)
-        _check_down_axioms(m, max_type, report)
-
-    if kind == rg.FJT:
-        _check_fjt_comprehension(m, max_type, budget, report)
-        _check_fjt_ext(m, max_type, report)
-        report.add("type-purity", PASS if len(m.domains[0]) == 1 else FAIL)
-
+            schemes += ("type-ext", "type-purity")
+    elif kind == rg.STT_UP:
+        schemes = ("up-inject", "up-possess", "up-founded", "up-base")
+    elif kind == rg.STT_DOWN:
+        _add_row(report, "comprehension-type1",
+                 _plain_checks(m, range(min(max_type, 1)), budget), _FULL)
+        _add_row(report, "comprehension-augmented",
+                 _augmented_checks(m, max_type, budget), _FULL)
+        schemes = ("down-exists", "down-sim", "down-max")
+    elif kind == rg.FJT:
+        _add_row(report, "comprehension-finitary",
+                 _finitary_checks(m, max_type, budget), _FULL)
+        _add_row(report, "extensionality-surrogate", _surrogate_checks(m, max_type))
+        schemes = ("type-purity",)
+    for name in schemes:
+        _add_row(report, name, _scheme_checks(m, name, max_type, budget))
     return report
 
 
-def _check_type_raising(m, t, max_type, report):
-    for alpha in range(max_type + 1):
-        for beta in range(alpha, max_type + 1):
-            if not t.can_reach(beta + 1):
-                continue
-            for a in m.domains[alpha]:
-                if not any(t.eq(alpha, a, beta, b) for b in m.domains[beta]):
-                    report.add("type-raising", FAIL,
-                               witness=f"{a} at type {alpha} has no type-{beta} copy")
-                    return
-    report.add("type-raising", PASS)
+def _add_row(report: SuiteReport, name: str, checks, note=None,
+             fail_note=None) -> None:
+    """One row for an axiom's (status, detail) checks: the first FAIL, with
+    its detail as witness, else the first SKIPPED, with its detail as
+    note, else PASS."""
+    skipped = None
+    for status, detail in checks:
+        if status == FAIL:
+            report.add(name, FAIL, witness=detail, note=fail_note)
+            return
+        if status == SKIPPED and skipped is None:
+            skipped = detail
+    if skipped is None:
+        report.add(name, PASS, note=note)
+    else:
+        report.add(name, SKIPPED, note=skipped)
 
 
-def _check_type_founded(m, t, max_type, report):
-    for alpha in range(max_type + 1):
-        for beta1 in range(1, max_type + 1):
-            if not t.can_reach(max(alpha, beta1) + 2):
-                continue
-            beta = beta1 - 1
-            for a in m.domains[alpha]:
-                for b in m.domains[beta1]:
-                    if not t.isin(alpha, a, beta1, b):
-                        continue
-                    if not any(t.eq(alpha, a, beta, x) for x in m.domains[beta]):
-                        report.add(
-                            "type-founded", FAIL,
-                            witness=f"{a}^{alpha} in {b}^{beta1} with no type-{beta} copy")
-                        return
-    report.add("type-founded", PASS)
-
-
-def _check_type_base(m, t, max_type, report):
-    for alpha in range(max_type + 1):
-        if not t.can_reach(alpha + 2):
+def _scheme_checks(m: Model, name: str, top: int, budget: int):
+    """The false or unevaluable instances of a theory axiom."""
+    build, instances, witness = _SCHEMES[name]
+    for args in instances(top):
+        f = build(*args)
+        if not m.reaches(max_finite_type(f)):
             continue
-        for x in m.domains[0]:
-            for y in m.domains[alpha]:
-                if t.isin(alpha, y, 0, x):
-                    report.add("type-base", FAIL,
-                               witness=f"{y}^{alpha} in {x}^0")
-                    return
-    report.add("type-base", PASS)
-
-
-def _check_type_ext(m, t, max_type, report):
-    for alpha in range(max_type):
-        for beta in range(alpha, max_type):
-            if not t.can_reach(beta + 2):
+        try:
+            if compile_formula(m, f, budget)():
                 continue
-            for a in m.domains[alpha + 1]:
-                for b in m.domains[beta + 1]:
-                    low = all(not m.applies(a, x) or m.applies(b, x)
-                              for x in m.domains[alpha])
-                    high = all(not m.applies(b, x)
-                               or any(t.eq(alpha, y, beta, x) and m.applies(a, y)
-                                      for y in m.domains[alpha])
-                               for x in m.domains[beta])
-                    if low and high and not t.eq(alpha + 1, a, beta + 1, b):
-                        report.add("type-ext", FAIL,
-                                   witness=f"{a}^{alpha + 1} vs {b}^{beta + 1}")
-                        return
-    report.add("type-ext", PASS)
+            # Only a false instance pays for compiling its matrix.
+            vs = []
+            while isinstance(f, Forall):
+                vs.append(f.var)
+                f = f.body
+            matrix = compile_formula(m, f, budget)
+            values = next(e for e in product(*(m.domain(v.index) for v in vs))
+                          if not matrix({akey(v): x for v, x in zip(vs, e)}))
+        except BudgetExceeded as e:
+            yield SKIPPED, str(e)
+        except EvalError as e:
+            yield FAIL, str(e)
+        else:
+            fields = {v.name: x for v, x in zip(vs, values)}
+            fields.update((f"{v.name}_t", v.index) for v in vs)
+            yield FAIL, witness and witness.format(
+                *args, sizes=[len(d) for d in m.domains], **fields)
 
 
-def _check_up_axioms(m, max_type, report):
-    up = m.up_map or {}
-    for n in range(max_type):
-        for x in m.domains[n]:
-            if (n, x) not in up:
-                report.add("up-inject", FAIL, witness=f"raising undefined at {x}^{n}")
-                return
-    ok = True
-    for n in range(max_type):
-        seen = {}
-        for x in m.domains[n]:
-            v = up[(n, x)]
-            if v in seen:
-                report.add("up-inject", FAIL, witness=f"{seen[v]} and {x} raise alike")
-                ok = False
-                break
-            seen[v] = x
-        if not ok:
-            break
-    if ok:
-        report.add("up-inject", PASS)
-
-    for n in range(max_type - 1):
-        for x in m.domains[n]:
-            for y in m.domains[n + 1]:
-                if m.applies(up[(n + 1, y)], up[(n, x)]) != m.applies(y, x):
-                    report.add("up-possess", FAIL, witness=f"{y}^{n + 1} over {x}^{n}")
-                    return
-    report.add("up-possess", PASS)
-
-    for n in range(max_type - 1):
-        images = {up[(n, z)] for z in m.domains[n]}
-        for x in m.domains[n + 1]:
-            for y in m.domains[n + 1]:
-                if m.applies(up[(n + 1, y)], x) and x not in images:
-                    report.add("up-founded", FAIL, witness=f"{x}^{n + 1} not raised")
-                    return
-    report.add("up-founded", PASS)
-
-    base_ok = all(not m.applies(up[(0, y)], x)
-                  for x in m.domains[0] for y in m.domains[0]) if max_type >= 1 \
-        else True
-    report.add("up-base", PASS if base_ok else FAIL)
+def _comprehension(m: Model, types, entities, budget: int):
+    """Whether every tuple of subsets of the domains of `types` is the tuple
+    of extensions at those types of one of the entities: (PASS, None),
+    (SKIPPED, the number of tuples) when that number is above budget, or
+    (FAIL, the first missing tuple in powerset and product order)."""
+    doms = [m.domains[i] for i in types]
+    target = 2 ** sum(map(len, doms))
+    if target > budget:
+        return SKIPPED, target
+    realized = {tuple(m.extension(z, i) for i in types) for z in entities}
+    # Extensions lie inside their domains, so all tuples are realized when
+    # target distinct ones are; only a shortfall walks the subsets.
+    if len(realized) < target:
+        for combo in product(*map(powerset, doms)):
+            if tuple(map(frozenset, combo)) not in realized:
+                return FAIL, combo
+    return PASS, None
 
 
-def _down_set(m, n1, z):
-    return frozenset(a for (k, b, a) in m.down_rel if k == n1 and b == z)
+def _plain_checks(m: Model, levels, budget: int):
+    """Every subset of the type-n domain is the extension of a type-(n+1)
+    entity, for each n in levels."""
+    for n in levels:
+        status, got = _comprehension(m, [n], m.domains[n + 1], budget)
+        yield status, (f"2^{len(m.domains[n])} subsets at type {n}"
+                       if status == SKIPPED else got and
+                       f"type {n}: extension {{{','.join(got[0])}}} unrealized")
 
 
-def _check_down_axioms(m, max_type, report):
+def _augmented_checks(m: Model, max_type: int, budget: int):
+    """Every subset of the type-n domain is the extension of a type-(n+1)
+    entity that projects to y, for each type-n anchor y."""
     rel = m.down_rel or set()
     for n in range(1, max_type):
-        for z in m.domains[n + 1]:
-            if not _down_set(m, n + 1, z):
-                report.add("down-exists", FAIL, witness=f"{z}^{n + 1} projects nowhere")
-                return
-    report.add("down-exists", PASS)
-
-    def coext(n, x, y):
-        return m.extension(x, n - 1) == m.extension(y, n - 1)
-
-    def downeq(n, x, y):
-        if n == 1:
-            return True
-        return _down_set(m, n, x) == _down_set(m, n, y)
-
-    for n in range(1, max_type):
-        for z in m.domains[n + 1]:
-            ds = sorted(_down_set(m, n + 1, z))
-            for x in ds:
-                for y in ds:
-                    if not (coext(n, x, y) and downeq(n, y, x)):
-                        report.add("down-sim", FAIL,
-                                   witness=f"{z}^{n + 1} over {x},{y}")
-                        return
-    report.add("down-sim", PASS)
-
-    for n in range(1, max_type):
-        for z in m.domains[n + 1]:
-            ds = _down_set(m, n + 1, z)
-            for x in ds:
-                for y in m.domains[n]:
-                    if coext(n, x, y) and downeq(n, y, x) and y not in ds:
-                        report.add("down-max", FAIL,
-                                   witness=f"{z}^{n + 1} misses {y}^{n}")
-                        return
-    report.add("down-max", PASS)
+        for y in m.domains[n]:
+            status, _ = _comprehension(m, [n], (
+                z for z in m.domains[n + 1] if (n + 1, z, y) in rel), budget)
+            yield status, (f"2^{len(m.domains[n])} subsets at type {n}"
+                           if status == SKIPPED else f"type {n}, anchor {y}")
 
 
-def _check_sttd_comprehension(m, max_type, budget, report):
-    status, wit = _full_comprehension(m, 0, budget) if max_type >= 1 else (PASS, None)
-    if status != PASS:
-        report.add("comprehension-type1", status, witness=wit)
-    else:
-        report.add("comprehension-type1", PASS, note="FULL-COMPREHENSION")
-    for n in range(1, max_type):
-        dom = m.domains[n]
-        if 2 ** len(dom) > budget:
-            report.add("comprehension-augmented", SKIPPED,
-                       note=f"2^{len(dom)} subsets at type {n}")
-            return
-        for y in dom:
-            exts = {m.extension(z, n)
-                    for z in m.domains[n + 1] if (n + 1, z, y) in (m.down_rel or set())}
-            for sub in powerset(dom):
-                if frozenset(sub) not in exts:
-                    report.add("comprehension-augmented", FAIL,
-                               witness=f"type {n}, anchor {y}")
-                    return
-    report.add("comprehension-augmented", PASS, note="FULL-COMPREHENSION")
-
-
-def _check_fjt_comprehension(m, max_type, budget, report):
+def _finitary_checks(m: Model, max_type: int, budget: int):
+    """Every tuple of subsets of the lower domains is the tuple of
+    extensions of a type-n entity, for each n up to max_type."""
     for n in range(1, max_type + 1):
-        expected = 1
-        for i in range(n):
-            expected *= 2 ** len(m.domains[i])
-        if expected > budget:
-            report.add("comprehension-finitary", SKIPPED,
-                       note=f"{expected} extension tuples at type {n}")
-            return
-        realized = {tuple(m.extension(z, i) for i in range(n))
-                    for z in m.domains[n]}
-        wanted = product(*[[frozenset(s) for s in powerset(m.domains[i])]
-                           for i in range(n)])
-        for tup in wanted:
-            if tup not in realized:
-                report.add("comprehension-finitary", FAIL,
-                           witness=f"type {n}: extension tuple unrealized")
-                return
-    report.add("comprehension-finitary", PASS, note="FULL-COMPREHENSION")
+        status, got = _comprehension(m, range(n), m.domains[n], budget)
+        yield status, (f"{got} extension tuples at type {n}" if status == SKIPPED
+                       else f"type {n}: extension tuple unrealized")
 
 
-def _check_fjt_ext(m, max_type, report):
+def _surrogate_checks(m: Model, max_type: int):
+    """No two type-n entities have the same extensions at every lower type."""
     for n in range(1, max_type + 1):
         seen = {}
         for x in m.domains[n]:
             key = tuple(m.extension(x, i) for i in range(n))
             if key in seen:
-                report.add("extensionality-surrogate", FAIL,
-                           witness=f"{seen[key]} and {x} coextensive at type {n}")
-                return
+                yield FAIL, f"{seen[key]} and {x} coextensive at type {n}"
             seen[key] = x
-    report.add("extensionality-surrogate", PASS)

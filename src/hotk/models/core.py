@@ -52,11 +52,14 @@ class Model:
         if not index.is_finite:
             raise EvalError(f"type bound exceeded: no transfinite domain {index}")
         n = index.finite_value
-        if n <= self.max_type:
-            return self.domains[n]
-        if self.cumulative and self.open_above:
-            return self.domains[self.max_type]
-        raise EvalError(f"type bound exceeded: model has no type {n}")
+        if not self.reaches(n):
+            raise EvalError(f"type bound exceeded: model has no type {n}")
+        return self.domains[min(n, self.max_type)]
+
+    def reaches(self, n: int) -> bool:
+        """Whether type n has a domain: every type up to the height, and
+        every type above it in an open cumulative model."""
+        return n <= self.max_type or (self.cumulative and self.open_above)
 
     def applies(self, b: Entity, a: Entity) -> bool:
         return a in self.members.get(b, frozenset())

@@ -5,12 +5,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from hotk.errors import ProofError
+from hotk.kernel.axioms import (down_exists, down_max, down_sim, type_base,
+                                type_ext, type_founded, type_purity, up_base,
+                                up_founded, up_inject, up_possess)
 from hotk.kernel.indices import TypeIndex, fin, parse_index
 from hotk.kernel.parser import parse_formula, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
-                                Formula, Iff, Implies, Not, Raised, StrictEq,
-                                Sugar, Term, Var, conj, occurs_free,
-                                term_index)
+                                Formula, Iff, StrictEq, Term, Var, conj,
+                                occurs_free, term_index)
 
 
 def _check_witness_absent(phi: Formula, witness: Var) -> None:
@@ -66,89 +68,6 @@ def identity_scheme(left: Term, right: Term, witness: str = "z") -> Formula:
     z = Var(witness, n.succ())
     return Iff(StrictEq(left, right),
                Forall(z, Iff(Apply(z, left), Apply(z, right))))
-
-
-# -- theory axioms ----------------------------------------------------------
-
-def type_founded(alpha: TypeIndex, beta: TypeIndex) -> Formula:
-    a = Var("a", alpha)
-    b = Var("b", beta.succ())
-    x = Var("x", beta)
-    return Forall(a, Forall(b, Implies(
-        Sugar("in", (a, b)), Exists(x, Sugar("eq", (a, x))))))
-
-
-def type_base(alpha: TypeIndex) -> Formula:
-    x = Var("x", fin(0))
-    y = Var("y", alpha)
-    return Forall(x, Forall(y, Not(Sugar("in", (y, x)))))
-
-
-def type_ext(alpha: TypeIndex, beta: TypeIndex) -> Formula:
-    if beta < alpha:
-        raise ProofError("cross-type extensionality wants alpha <= beta")
-    a = Var("a", alpha.succ())
-    b = Var("b", beta.succ())
-    xa = Var("x", alpha)
-    xb = Var("x", beta)
-    low = Forall(xa, Implies(Apply(a, xa), Apply(b, xa)))
-    high = Forall(xb, Implies(
-        Apply(b, xb),
-        Sugar("bounded", ("some", Var("y", alpha), "eq", xb,
-                          Apply(a, Var("y", alpha))))))
-    return Forall(a, Forall(b, Implies(And(low, high), Sugar("eq", (a, b)))))
-
-
-def type_purity() -> Formula:
-    x, y = Var("x", fin(0)), Var("y", fin(0))
-    return Forall(x, Forall(y, StrictEq(x, y)))
-
-
-def up_inject(n: int) -> Formula:
-    x, y = Var("x", fin(n)), Var("y", fin(n))
-    return Forall(x, Forall(y, Implies(StrictEq(Raised(x), Raised(y)),
-                                       StrictEq(x, y))))
-
-
-def up_possess(n: int) -> Formula:
-    x, y = Var("x", fin(n)), Var("y", fin(n + 1))
-    return Forall(x, Forall(y, Iff(Apply(Raised(y), Raised(x)), Apply(y, x))))
-
-
-def up_founded(n: int) -> Formula:
-    x, y, z = Var("x", fin(n + 1)), Var("y", fin(n + 1)), Var("z", fin(n))
-    return Forall(x, Forall(y, Implies(Apply(Raised(y), x),
-                                       Exists(z, StrictEq(x, Raised(z))))))
-
-
-def up_base() -> Formula:
-    x, y = Var("x", fin(0)), Var("y", fin(0))
-    return Forall(x, Forall(y, Not(Apply(Raised(y), x))))
-
-
-def down_exists(n: int) -> Formula:
-    if n < 1:
-        raise ProofError("projection starts at type 2 over type 1")
-    z, x = Var("z", fin(n + 1)), Var("x", fin(n))
-    return Forall(z, Exists(x, DownRel(z, x)))
-
-
-def down_sim(n: int) -> Formula:
-    if n < 1:
-        raise ProofError("projection starts at type 2 over type 1")
-    z, x, y = Var("z", fin(n + 1)), Var("x", fin(n)), Var("y", fin(n))
-    return Forall(z, Forall(x, Forall(y, Implies(
-        And(DownRel(z, x), DownRel(z, y)),
-        And(Sugar("coext", (x, y)), Sugar("downeq", (y, x)))))))
-
-
-def down_max(n: int) -> Formula:
-    if n < 1:
-        raise ProofError("projection starts at type 2 over type 1")
-    z, x, y = Var("z", fin(n + 1)), Var("x", fin(n)), Var("y", fin(n))
-    return Forall(z, Forall(x, Forall(y, Implies(
-        And(DownRel(z, x), And(Sugar("coext", (x, y)), Sugar("downeq", (y, x)))),
-        DownRel(z, y)))))
 
 
 _AXIOMS = {

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from axiom_oracle import PairTables
 from genutil import FormulaGen, all_env, oracle_eval, universal_closure
 from hotk.corpus import (formation_matrix, golden_cases, graph_fixture,
                          separation_corpus, transitive_fixture_names)
@@ -13,7 +14,7 @@ from hotk.kernel import (alpha_normalize, check_formation, ctt,
                          expand_abbreviations, fin, fjt, parse_formula,
                          parse_regime, print_formula, stt_down, stt_up)
 from hotk.kernel.syntax import free_atoms
-from hotk.models import (PairTables, akey, build_fjt_canonical,
+from hotk.models import (akey, build_fjt_canonical,
                          build_graph_model, build_pure_model,
                          check_axiom_suite, count_entities, decide_fjt,
                          domain_const, eval_formula, fjt_counts,

@@ -477,15 +477,30 @@ def hostile_files(draw, kind):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(model=hostile_files("model"), graph=hostile_files("graph"))
+@given(model=hostile_files("model"), graph=hostile_files("graph"),
+       theory=_THEORIES)
 def test_fuzzed_model_and_graph_files_keep_the_exit_codes(tmp_path_factory, model,
-                                                          graph):
+                                                          graph, theory):
     d = tmp_path_factory.mktemp("files")
     (d / "model.json").write_text(model)
     (d / "graph.json").write_text(graph)
     run_json("eval", "--model", str(d / "model.json"),
              "all x^0. some y^1. x^0 eq y^1")
+    run_json("model", "check", "--model", str(d / "model.json"),
+             "--theory", theory)
     run_json("sets", "collapse", str(d / "graph.json"))
+
+
+def test_model_without_projections_fails_its_down_rows(tmp_path, fjt2):
+    path = tmp_path / "fjt2.json"
+    path.write_text(fjt2.dumps())
+    code, doc = run_json("model", "check", "--model", str(path),
+                         "--theory", "stt-down")
+    assert code == 1
+    assert [(v["name"], v["status"], v.get("witness"))
+            for v in doc["verdicts"][2:]] == [
+        (name, "FAIL", "model has no projection relation")
+        for name in ("down-exists", "down-sim", "down-max")]
 
 
 def test_let_entities_must_be_in_the_model(tmp_path, capsys, fjt2):

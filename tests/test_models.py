@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from hotk.errors import BudgetExceeded, EvalError
 from hotk.kernel import (alpha_normalize, ctt, fin, parse_formula,
                          parse_regime, print_formula)
 from hotk.kernel.syntax import Const, Var, free_atoms
-from hotk.models import (Model, PairTables, akey, build_class_model,
+from hotk.models import (Model, akey, build_class_model,
                          build_fjt_canonical, build_graph_model,
                          build_pure_model, build_sttd_companion,
                          build_sttu_companion, check_axiom_suite,
@@ -16,6 +17,7 @@ from hotk.models import (Model, PairTables, akey, build_class_model,
                          gen_domain_formula, M_RUSSELLIAN, M_RUSSELLIAN_STAR,
                          M_UNRESTRICTED, UNRESTRICTED_STT, domain_const)
 from hotk.corpus import graph_fixture
+from axiom_oracle import PairTables
 
 
 def class_sizes(urelements, height):
@@ -157,6 +159,31 @@ class TestAxiomSuites:
         m = build_pure_model(5)
         rep = check_axiom_suite(m, parse_regime("stt"), 4, budget=10 ** 4)
         assert rep.status("comprehension") == "SKIPPED"
+        assert rep.verdicts[0].note == "2^16 subsets at type 3"
+        assert rep.verdicts[0].witness is None
+
+    def test_scheme_rows_skip_a_domain_above_the_budget(self, pure4):
+        rep = check_axiom_suite(pure4, parse_regime("pctt:w"), 3, budget=10)
+        for v in rep.verdicts[1:5]:
+            assert v.status == "SKIPPED" and v.witness is None
+            assert "16 entities, above budget 10" in v.note
+        assert rep.status("type-purity") == "PASS"
+
+    def test_every_axiom_gets_a_row(self, pure4_up, fjt2):
+        up = dict(pure4_up.up_map)
+        up[(2, pure4_up.domains[2][3])] = up[(2, pure4_up.domains[2][0])]
+        rep = check_axiom_suite(replace(pure4_up, up_map=up),
+                                parse_regime("stt-up"), 3)
+        assert [(v.name, v.status) for v in rep.verdicts] == [
+            ("comprehension", "PASS"), ("up-inject", "FAIL"),
+            ("up-possess", "FAIL"), ("up-founded", "PASS"), ("up-base", "PASS")]
+        down = build_sttd_companion(fjt2)
+        rel = set(sorted(down.down_rel)[1:])
+        rep = check_axiom_suite(replace(down, down_rel=rel),
+                                parse_regime("stt-down"), 2)
+        assert [(v.name, v.status) for v in rep.verdicts] == [
+            ("comprehension-type1", "PASS"), ("comprehension-augmented", "FAIL"),
+            ("down-exists", "FAIL"), ("down-sim", "PASS"), ("down-max", "PASS")]
 
     def test_pair_tables_agree_with_formula_eval(self, pure4):
         t = PairTables(pure4)
