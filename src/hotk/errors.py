@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the shape check that turns
-a malformed JSON input file into one of them."""
+"""Exception types shared across the package, and the reader and shape check
+that turn a malformed JSON input file into one of them."""
+
+import json
 
 
 class HotkError(Exception):
@@ -61,6 +63,15 @@ def _fits(x, shape) -> bool:
     if shape is int:
         return isinstance(x, int) and not isinstance(x, bool)
     return isinstance(x, shape)
+
+
+def load_json(text: str, what: str, error=HotkError):
+    """The JSON document in text; one nested too deeply for the decoder
+    raises `error`.  `what` names the document, as in check_json."""
+    try:
+        return json.loads(text)
+    except RecursionError:      # the decoder recurses once per level
+        raise error(f"{what} is nested too deeply") from None
 
 
 def check_json(doc, shapes: dict, required, what: str, error=HotkError) -> None:

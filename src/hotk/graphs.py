@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from hotk.errors import GraphError, check_json
+from hotk.errors import GraphError, check_json, load_json
 
 _GRAPH_SHAPE = {"nodes": [str], "edges": [(str, str)], "ranks": {str: int}}
 
@@ -32,6 +32,18 @@ def powerset(items):
     """Every subset of items as a tuple, smallest first, in combinations order."""
     items = list(items)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+
+
+def first_unrealized(doms, realized):
+    """The first tuple of subsets of doms, in powerset and product order,
+    whose frozensets are not a tuple in `realized`, or None.  Every tuple in
+    `realized` must lie inside doms, so all tuples are realized when as many
+    distinct ones are as exist; only a shortfall walks the subsets."""
+    if len(realized) < 2 ** sum(map(len, doms)):
+        for combo in product(*map(powerset, doms)):
+            if tuple(map(frozenset, combo)) not in realized:
+                return combo
+    return None
 
 
 def ord_of_ranks(ranks: Dict[str, int]) -> int:
@@ -190,11 +202,7 @@ class MembershipGraph:
 
     @classmethod
     def loads(cls, text: str) -> "MembershipGraph":
-        try:
-            doc = json.loads(text)
-        except RecursionError:      # the decoder recurses once per level
-            raise GraphError("graph file is nested too deeply") from None
-        return cls.from_json(doc)
+        return cls.from_json(load_json(text, "graph file", GraphError))
 
 
 def graph_from_sets(sets) -> MembershipGraph:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 
 from hotk.errors import BudgetExceeded, EvalError
-from hotk.graphs import powerset
+from hotk.graphs import first_unrealized
 from hotk.kernel import axioms as ax
 from hotk.kernel import regimes as rg
 from hotk.kernel.indices import fin
@@ -150,14 +150,9 @@ def _comprehension(m: Model, types, entities, budget: int):
     target = 2 ** sum(map(len, doms))
     if target > budget:
         return SKIPPED, target
-    realized = {tuple(m.extension(z, i) for i in types) for z in entities}
-    # Extensions lie inside their domains, so all tuples are realized when
-    # target distinct ones are; only a shortfall walks the subsets.
-    if len(realized) < target:
-        for combo in product(*map(powerset, doms)):
-            if tuple(map(frozenset, combo)) not in realized:
-                return FAIL, combo
-    return PASS, None
+    combo = first_unrealized(
+        doms, {tuple(m.extension(z, i) for i in types) for z in entities})
+    return (PASS, None) if combo is None else (FAIL, combo)
 
 
 def _plain_checks(m: Model, levels, budget: int):

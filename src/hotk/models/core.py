@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
 
-from hotk.errors import BudgetExceeded, EvalError, HotkError, check_json
+from hotk.errors import (BudgetExceeded, EvalError, HotkError, check_json,
+                         load_json)
 from hotk.graphs import MembershipGraph, canonical_key
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex
@@ -127,11 +128,7 @@ class Model:
 
     @classmethod
     def loads(cls, text: str) -> "Model":
-        try:
-            doc = json.loads(text)
-        except RecursionError:      # the decoder recurses once per level
-            raise HotkError("model file is nested too deeply") from None
-        return cls.from_json(doc)
+        return cls.from_json(load_json(text, "model file"))
 
 
 def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:

@@ -12,12 +12,11 @@ first and turns the second into the verdict.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
-from hotk.errors import HotkError, ProofError, check_json
+from hotk.errors import HotkError, ProofError, check_json, load_json
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import check_formation
@@ -127,11 +126,7 @@ def _load_step(raw: dict, i: int) -> ProofStep:
 
 
 def loads_proof(text: str) -> ProofObject:
-    try:
-        doc = json.loads(text)
-    except RecursionError:          # the decoder recurses once per level
-        raise ProofError("proof file is nested too deeply") from None
-    return load_proof(doc)
+    return load_proof(load_json(text, "proof file", ProofError))
 
 
 def _types_ok(theory: rg.Regime, beta: TypeIndex, alpha: TypeIndex) -> bool:

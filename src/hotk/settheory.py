@@ -1,23 +1,27 @@
 """Level theory over finite membership graphs.
 
-Histories, levels and rank are computed by brute force straight from their
-defining formulas; the level theory LT (extensionality, separation,
-stratification) and its extension Zr (endless, infinity) are checked on
-graphs; transitive graphs convert to cumulative typed models and back via
-the slice construction and Mostowski collapse.
+Histories and levels are the `Hist`/`Lev` sugar of hotk.kernel.expand,
+evaluated over the graph, and rank is read off the levels.  The level
+theory LT (extensionality, separation, stratification) and its extension
+Zr (endless, infinity) are checked on graphs; transitive graphs convert to
+cumulative typed models and back via the slice construction and Mostowski
+collapse.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
-                         graph_from_sets, ord_of_ranks, powerset)
-from hotk.kernel.indices import fin, t_shunt
+                         first_unrealized, graph_from_sets, ord_of_ranks,
+                         powerset)
+from hotk.kernel.indices import fin
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
                                 InSet, StrictEq, Sugar, Var, free_names)
+from hotk.models.builders import build_graph_model
 from hotk.models.core import (DEFAULT_BUDGET, Model, akey, compile_formula,
                               eval_formula)
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
@@ -48,43 +52,35 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
 
 
 # ---------------------------------------------------------------------------
-# Histories, levels, rank (Definition-style brute force).
+# Histories, levels, rank.
+
+def _sugar_test(g: MembershipGraph, kind: str) -> Callable[[str], bool]:
+    """Whether a node satisfies the one-place sugar `kind`, compiled once
+    for g, so each call reuses the quantifier caches of the earlier ones."""
+    test = compile_formula(g, Sugar(kind, (_v("s"),)))
+    return lambda s: test({"s": s})
+
 
 def is_history(g: MembershipGraph, h: str) -> bool:
-    for a in g.members(h):
-        for x in g.nodes:
-            lhs = x in g.members(a)
-            rhs = any(g.subset(x, c) and c in g.members(a) for c in g.members(h))
-            if lhs != rhs:
-                return False
-    return True
+    return _sugar_test(g, "history")(h)
 
 
 def is_level(g: MembershipGraph, s: str) -> bool:
-    for h in g.nodes:
-        if not is_history(g, h):
-            continue
-        ok = True
-        for x in g.nodes:
-            lhs = x in g.members(s)
-            rhs = any(g.subset(x, c) and c in g.members(h) for c in g.nodes)
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return _sugar_test(g, "level")(s)
 
 
 def levels_of(g: MembershipGraph) -> List[str]:
     """All levels, sorted by member count (the in-order when B.3 holds)."""
-    return sorted((s for s in g.nodes if is_level(g, s)),
+    return sorted(filter(_sugar_test(g, "level"), g.nodes),
                   key=lambda s: (len(g.members(s)), s))
 
 
 def rank(g: MembershipGraph, a: str, levels: Optional[List[str]] = None) -> int:
-    """Index of the in-least level including a as a subset: the number of
-    levels that are members of it."""
+    """The number of levels that are members of the level with the
+    subset-least member set among those including a as a subset.  When the
+    levels are well-ordered this is the in-least such level, as in
+    `Rank(a, s)`; on the one node a with a in a, rank is 1 but no s
+    satisfies `Rank(a, s)`."""
     if a not in g.nodes:
         raise GraphError(f"no node {a!r}")
     if levels is None:
@@ -169,37 +165,26 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
                witness=None if wit is None else f"{wit[0]} and {wit[1]} share members")
 
     member_sets = {g.members(a) for a in g.nodes}
-    sep_fail = None
-    skipped = False
+    separation = (PASS,)
     enumerated = 0
     for a in g.nodes:
-        ms = sorted(g.members(a), key=canonical_key)
+        ms = g.members(a)
         enumerated += 2 ** len(ms)
         if enumerated > budget:
-            skipped = True
+            separation = (SKIPPED, None, "budget")
             break
-        for sub in powerset(ms):
-            if frozenset(sub) not in member_sets:
-                sep_fail = f"{a}: subset {brace_name(sub)} unrealized"
-                break
-        if sep_fail:
+        sub = first_unrealized([sorted(ms, key=canonical_key)],
+                               {(s,) for s in member_sets if s <= ms})
+        if sub is not None:
+            separation = (FAIL, f"{a}: subset {brace_name(sub[0])} unrealized")
             break
-    if sep_fail:
-        report.add("separation-full", FAIL, witness=sep_fail)
-    elif skipped:
-        report.add("separation-full", SKIPPED, note="budget")
-    else:
-        report.add("separation-full", PASS)
+    report.add("separation-full", *separation)
 
     corpus = list(separation_corpus)
     if corpus and not brute_ok:
         report.add("separation-corpus", SKIPPED, note="budget")
     elif corpus:
-        bad = None
-        for i, phi in enumerate(corpus):
-            if not eval_formula(g, separation_instance(phi)):
-                bad = f"corpus formula #{i}"
-                break
+        bad = _first_false(corpus, lambda f: eval_formula(g, f))
         report.add("separation-corpus", PASS if bad is None else FAIL,
                    witness=bad, note=f"{len(corpus)} instances")
 
@@ -214,6 +199,15 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
         brute("endless", endless_formula())
         brute("infinity", infinity_formula())
     return report
+
+
+def _first_false(corpus: List[Formula], holds) -> Optional[str]:
+    """'corpus formula #i' for the first formula of the separation corpus
+    whose separation instance does not hold, else None."""
+    for i, phi in enumerate(corpus):
+        if not holds(separation_instance(phi)):
+            return f"corpus formula #{i}"
+    return None
 
 
 def check_wellordering_of_levels(g: MembershipGraph, subset_budget: int = 2 ** 16) -> bool:
@@ -256,17 +250,10 @@ def T_construction(g: MembershipGraph) -> Model:
     if not g.transitive:
         raise GraphError("the typed expansion needs a transitive graph")
     ranks = g.structural_ranks()
-    top = ord_of_ranks(ranks)
-    if top == 0:
+    if not ranks:
         raise GraphError("cannot expand the empty graph")
-    max_type = t_shunt(fin(top)).finite_value - 1
-    domains = tuple(tuple(sorted((n for n in g.nodes if ranks[n] <= b),
-                                 key=canonical_key))
-                    for b in range(max_type + 1))
-    members = {a: g.members(a) for a in g.nodes}
-    return Model(kind="pure", max_type=max_type, domains=domains,
-                 members=members, cumulative=True, open_above=True,
-                 meta={"source": "t-construction", "ord": top})
+    return replace(build_graph_model(g, ranks), kind="pure",
+                   meta={"source": "t-construction", "ord": ord_of_ranks(ranks)})
 
 
 def S_construction(m: Model, kappa: int) -> MembershipGraph:
@@ -317,25 +304,15 @@ def hereditary_part(g: MembershipGraph, kappa: int) -> MembershipGraph:
 
 
 def is_standard(g: MembershipGraph, budget: int = DEFAULT_BUDGET) -> bool:
-    """Every subset of every bounded-rank stratum is realized as a node.
+    """Every subset of every bounded-rank stratum is realized as a node:
+    the typed expansion is standard (the empty graph is, vacuously).
 
     Checked for strata whose subsets still have room to appear (rank below
     the top); at the top rank no finite structure could qualify.
     """
     if not g.transitive:
         raise GraphError("standardness is defined for transitive graphs")
-    ranks = g.structural_ranks()
-    top = ord_of_ranks(ranks)
-    member_sets = {g.members(a) for a in g.nodes}
-    for alpha in range(top - 1):
-        stratum = sorted((n for n in g.nodes if ranks[n] <= alpha),
-                         key=canonical_key)
-        if 2 ** len(stratum) > budget:
-            raise BudgetExceeded(f"stratum of {len(stratum)} nodes at rank {alpha}")
-        for sub in powerset(stratum):
-            if frozenset(sub) not in member_sets:
-                return False
-    return True
+    return not g.nodes or is_standard_typed(T_construction(g), budget)
 
 
 def is_standard_typed(m: Model, budget: int = DEFAULT_BUDGET) -> bool:
@@ -345,10 +322,9 @@ def is_standard_typed(m: Model, budget: int = DEFAULT_BUDGET) -> bool:
         dom = m.domains[alpha]
         if 2 ** len(dom) > budget:
             raise BudgetExceeded(f"domain of {len(dom)} entities at type {alpha}")
-        exts = {m.extension(z, alpha) for z in m.domains[alpha + 1]}
-        for sub in powerset(dom):
-            if frozenset(sub) not in exts:
-                return False
+        if first_unrealized([dom], {(m.extension(z, alpha),)
+                                    for z in m.domains[alpha + 1]}) is not None:
+            return False
     return True
 
 
@@ -373,13 +349,9 @@ def check_kappa_axioms_in_T(g: MembershipGraph, kappa: int,
         report.add(name, PASS if ok else FAIL, note=expect_note)
 
     ev("extensionality^k", extensionality_formula())
-    bad = None
     corpus = list(separation_corpus)
-    for i, phi in enumerate(corpus):
-        inst = kappa_translate(separation_instance(phi), k)
-        if not eval_formula(m, inst, budget=budget):
-            bad = f"corpus formula #{i}"
-            break
+    bad = _first_false(corpus, lambda f: eval_formula(
+        m, kappa_translate(f, k), budget=budget))
     if corpus:
         report.add("separation^k", PASS if bad is None else FAIL,
                    witness=bad, note=f"{len(corpus)} instances")

@@ -13,6 +13,7 @@ from hotk.settheory import (S_construction, T_construction, build_V,
                             mostowski_collapse, rank, separation_instance,
                             stratification_formula, valid_slice_types)
 from hotk.kernel.parser import parse_formula
+from hotk.kernel.syntax import Sugar, Var
 from hotk.models import eval_formula
 
 
@@ -52,6 +53,16 @@ class TestLevelsAndRank:
         # least level including {{}} as a subset is the two-element level
         g = build_V(4)
         assert rank(g, "{{}}") == 1
+
+    def test_rank_is_not_the_rank_sugar_off_well_ordered_levels(self):
+        # a in a: a is a level including itself, so rank counts one level
+        # in it, while Rank(a, s) needs a level including a with no level
+        # member including a, and a is its own member.
+        g = MembershipGraph(("a",), frozenset([("a", "a")]))
+        assert levels_of(g) == ["a"]
+        assert rank(g, "a") == 1
+        f = Sugar("rank", (Var("a", None), Var("s", None)))
+        assert not any(eval_formula(g, f, {"a": "a", "s": s}) for s in g.nodes)
 
     def test_rank_undefined_signaled(self):
         g = graph_fixture("quine.json")
