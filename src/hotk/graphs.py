@@ -204,24 +204,3 @@ class MembershipGraph:
     def loads(cls, text: str) -> "MembershipGraph":
         return cls.from_json(load_json(text, "graph file", GraphError))
 
-
-def graph_from_sets(sets) -> MembershipGraph:
-    """Canonical graph over a collection of hereditarily finite frozensets."""
-    names: Dict[frozenset, str] = {}
-
-    def name_of(s) -> str:
-        if s not in names:
-            names[s] = brace_name(name_of(m) for m in s)
-        return names[s]
-
-    node_names = sorted((name_of(s) for s in sets), key=canonical_key)
-    present = set(node_names)
-    edges = set()
-    rev = {v: k for k, v in names.items()}
-    for n in node_names:
-        for m in rev[n]:
-            mn = names[m]
-            if mn in present:
-                edges.add((mn, n))
-    g = MembershipGraph(tuple(node_names), frozenset(edges))
-    return MembershipGraph(g.nodes, g.edges, ranks=g.structural_ranks())

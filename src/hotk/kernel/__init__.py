@@ -2,8 +2,8 @@
 
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import FormationVerdict, check_formation
-from hotk.kernel.indices import OMEGA, TypeIndex, fin, max_index, parse_index, t_shunt
-from hotk.kernel.parser import parse_formula, parse_hol_lines, parse_term
+from hotk.kernel.indices import OMEGA, TypeIndex, fin, max_index, t_shunt
+from hotk.kernel.parser import parse_formula, parse_hol_lines, parse_index, parse_term
 from hotk.kernel.printer import print_formula, print_term
 from hotk.kernel.regimes import Regime, ctt, fjt, parse_regime, stt, stt_down, stt_up
 from hotk.kernel.syntax import (And, Apply, Const, DownRel, Exists, Forall,

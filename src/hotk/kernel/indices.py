@@ -3,16 +3,13 @@
 Every index this workbench needs looks like n, w, w+3 or w*2+1, so a
 pair of naturals (q, r) denoting w*q + r covers them all, and the ordinal
 order is plain lexicographic order on the pair.  Anything larger (w*w and
-beyond) is rejected at parse time.
+beyond) is rejected at parse time (hotk.kernel.parser reads indices).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import total_ordering
-
-from hotk.errors import ParseError
 
 
 @total_ordering
@@ -71,24 +68,6 @@ def fin(n: int) -> TypeIndex:
 
 
 OMEGA = TypeIndex(1, 0)
-
-_INDEX_RE = re.compile(r"^(?:(?P<nat>\d+)|w(?:\*(?P<q>\d+))?(?:\+(?P<r>\d+))?)$")
-
-
-def parse_index(text: str) -> TypeIndex:
-    """Parse NAT | w | w*NAT | w+NAT | w*NAT+NAT (optionally parenthesized)."""
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1].strip()
-    m = _INDEX_RE.match(s)
-    if not m:
-        raise ParseError(f"bad type index {text!r} (indices up to w*q+r only)")
-    if m.group("nat") is not None:
-        return fin(int(m.group("nat")))
-    q = int(m.group("q")) if m.group("q") else 1
-    r = int(m.group("r")) if m.group("r") else 0
-    return TypeIndex(q, r)
-
 
 def max_index(a: TypeIndex, b: TypeIndex) -> TypeIndex:
     return a if a >= b else b

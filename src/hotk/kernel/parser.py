@@ -13,9 +13,9 @@ from typing import List, Optional, Tuple
 
 from hotk.errors import ParseError
 from hotk.kernel.indices import TypeIndex, fin
-from hotk.kernel.syntax import (And, Apply, Const, DownRel, Exists, Forall,
-                                Iff, Implies, InSet, Not, Or, Raised, Sugar,
-                                StrictEq, Term, Var)
+from hotk.kernel.syntax import (CONNECTIVES, INFIX, PREFIX, Apply, Const,
+                                Exists, Forall, InSet, Not, Raised, Sugar,
+                                Term, Var)
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -27,12 +27,12 @@ _TOKEN_RE = re.compile(r"""
   | (?P<sym>[()^.,=~&|*+])
 """, re.VERBOSE)
 
-_KEYWORDS = {"all", "some", "eq", "in", "dn", "coext", "downeq", "sub",
-             "up", "Lev", "Hist", "Rank"}
+_KEYWORDS = {"all", "some", "up", *INFIX, *PREFIX}
+
+# The infix tokens of the set language; "in" there is primitive membership.
+_SET_INFIX = ("=", "in", "sub")
 
 _COEXT_K_RE = re.compile(r"^coext_(\d+)$")
-
-_CONNECTIVES = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
 
 # How deeply a formula may nest: each "~", parenthesis, quantifier body,
 # right operand of a binary connective, up(...) and parenthesized index
@@ -81,9 +81,6 @@ class _Tokens:
         t = self.peek()
         return t is not None and t[1] == value
 
-    def done(self) -> bool:
-        return self.i >= len(self.toks)
-
 
 class _Depth:
     """`with depth:` around each nested parse; past MAX_DEPTH levels it
@@ -115,14 +112,14 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
-    def parse_index(self) -> TypeIndex:
+    def _index(self) -> TypeIndex:
         t = self.toks.peek()
         if t is None:
             raise ParseError("expected type index", len(self.toks.text))
         if t[1] == "(":
             self.toks.next()
             with self.depth:
-                idx = self.parse_index()
+                idx = self._index()
             self.toks.expect(")")
             return idx
         if t[0] == "nat":
@@ -146,6 +143,19 @@ class _Parser:
             return TypeIndex(q, r)
         raise ParseError(f"bad type index start {t[1]!r} (w*w and above unsupported)", t[2])
 
+    def _typed_name(self, t, role: str) -> Tuple[str, Optional[TypeIndex]]:
+        """The name token t of a term or binder (role) with the ^index after
+        it, which typed formulas need and set-language formulas refuse."""
+        self.toks.next()
+        if not self.toks.at("^"):
+            if self.mode == "typed":
+                raise ParseError(f"{role} {t[1]!r} is missing its ^index", t[2])
+            return t[1], None
+        if self.mode == "set":
+            raise ParseError(f"typed {role} in set-language formula", t[2])
+        self.toks.next()
+        return t[1], self._index()
+
     def parse_term(self) -> Term:
         t = self.toks.peek()
         if t is None:
@@ -159,28 +169,17 @@ class _Parser:
             return Raised(inner)
         if t[0] != "ident" or t[1] in _KEYWORDS:
             raise ParseError(f"expected term, got {t[1]!r}", t[2])
-        self.toks.next()
-        name = t[1]
-        index: Optional[TypeIndex] = None
-        if self.toks.at("^"):
-            if self.mode == "set":
-                raise ParseError("typed term in set-language formula", t[2])
-            self.toks.next()
-            index = self.parse_index()
-        elif self.mode == "typed":
-            raise ParseError(f"term {name!r} is missing its ^index", t[2])
-        if (name, index) in self.bound:
-            return Var(name, index)
-        return Const(name, index)
+        key = self._typed_name(t, "term")
+        return (Var if key in self.bound else Const)(*key)
 
     # -- formulas -----------------------------------------------------------
 
     def parse_formula(self, level: int = 0):
         """Binary connectives from the loosest (level 0) to the tightest;
         each associates to the right."""
-        if level == len(_CONNECTIVES):
+        if level == len(CONNECTIVES):
             return self._neg()
-        token, node = _CONNECTIVES[level]
+        token, node = CONNECTIVES[level]
         left = self.parse_formula(level + 1)
         if self.toks.at(token):
             self.toks.next()
@@ -214,17 +213,8 @@ class _Parser:
         vt = self.toks.peek()
         if vt is None or vt[0] != "ident" or vt[1] in _KEYWORDS:
             raise ParseError("expected bound variable", vt[2] if vt else len(self.toks.text))
-        self.toks.next()
-        name = vt[1]
-        index: Optional[TypeIndex] = None
-        if self.toks.at("^"):
-            if self.mode == "set":
-                raise ParseError("typed binder in set-language formula", vt[2])
-            self.toks.next()
-            index = self.parse_index()
-        elif self.mode == "typed":
-            raise ParseError(f"binder {name!r} is missing its ^index", vt[2])
-        var = Var(name, index)
+        key = self._typed_name(vt, "binder")
+        var = Var(*key)
 
         rel = None
         bound_term = None
@@ -237,7 +227,7 @@ class _Parser:
             bound_term = self.parse_term()
         self.toks.expect(".")
 
-        self.bound.append((name, index))
+        self.bound.append(key)
         try:
             with self.depth:
                 body = self.parse_formula()
@@ -250,21 +240,16 @@ class _Parser:
 
     def _atom(self):
         t = self.toks.peek()
-        if t[1] in ("Lev", "Hist"):
-            kind = "level" if t[1] == "Lev" else "history"
+        kind = PREFIX.get(t[1])
+        if kind is not None:
             self.toks.next()
             self.toks.expect("(")
-            term = self.parse_term()
+            args = [self.parse_term()]
+            if kind == "rank":
+                self.toks.expect(",")
+                args.append(self.parse_term())
             self.toks.expect(")")
-            return Sugar(kind, (term,))
-        if t[1] == "Rank":
-            self.toks.next()
-            self.toks.expect("(")
-            a = self.parse_term()
-            self.toks.expect(",")
-            s = self.parse_term()
-            self.toks.expect(")")
-            return Sugar("rank", (a, s))
+            return Sugar(kind, tuple(args))
 
         left = self.parse_term()
         nxt = self.toks.peek()
@@ -276,59 +261,52 @@ class _Parser:
             arg = self.parse_term()
             self.toks.expect(")")
             return Apply(left, arg)
-        if tok == "=":
-            self.toks.next()
-            return StrictEq(left, self.parse_term())
-        if tok == "in":
-            self.toks.next()
-            right = self.parse_term()
-            if self.mode == "set":
-                return InSet(left, right)
-            return Sugar("in", (left, right))
-        if self.mode == "set":
-            if tok == "sub":
-                self.toks.next()
-                return Sugar("subset", (left, self.parse_term()))
+        if self.mode == "set" and tok not in _SET_INFIX:
             raise ParseError(f"unexpected {tok!r} after set term", nxt[2])
-        if tok == "eq":
-            self.toks.next()
-            return Sugar("eq", (left, self.parse_term()))
-        if tok == "dn":
-            self.toks.next()
-            return DownRel(left, self.parse_term())
-        if tok == "coext":
-            self.toks.next()
-            return Sugar("coext", (left, self.parse_term()))
-        if tok == "downeq":
-            self.toks.next()
-            return Sugar("downeq", (left, self.parse_term()))
-        if tok == "sub":
-            self.toks.next()
-            return Sugar("subset", (left, self.parse_term()))
-        m = _COEXT_K_RE.match(tok)
-        if m:
+        node = INFIX.get(tok)
+        if node is None:
+            m = _COEXT_K_RE.match(tok)
+            if not m:
+                raise ParseError(f"unexpected {tok!r} after term", nxt[2])
             self.toks.next()
             return Sugar("coext_k", (int(m.group(1)), left, self.parse_term()))
-        raise ParseError(f"unexpected {tok!r} after term", nxt[2])
+        self.toks.next()
+        right = self.parse_term()
+        if self.mode == "set" and node == "in":
+            return InSet(left, right)
+        if type(node) is str:
+            return Sugar(node, (left, right))
+        return node(left, right)
+
+
+def _whole(text: str, mode: str, rule):
+    """rule run on a parser over text, which must use up the text."""
+    p = _Parser(text, mode)
+    out = rule(p)
+    t = p.toks.peek()
+    if t is not None:
+        raise ParseError(f"trailing input {t[1]!r}", t[2])
+    return out
 
 
 def parse_formula(text: str, mode: str = "typed"):
     """Parse one formula; mode is "typed" or "set"."""
-    p = _Parser(text, mode)
-    f = p.parse_formula()
-    if not p.toks.done():
-        t = p.toks.peek()
-        raise ParseError(f"trailing input {t[1]!r}", t[2])
-    return f
+    return _whole(text, mode, _Parser.parse_formula)
 
 
 def parse_term(text: str, mode: str = "typed") -> Term:
-    p = _Parser(text, mode)
-    t = p.parse_term()
-    if not p.toks.done():
-        tok = p.toks.peek()
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return t
+    return _whole(text, mode, _Parser.parse_term)
+
+
+def parse_index(text: str) -> TypeIndex:
+    """Parse a whole type index: NAT | w | w*NAT | w+NAT | w*NAT+NAT, in
+    any number of parentheses.  '#' is refused, not read as a comment."""
+    try:
+        if "#" in text:
+            raise ParseError("comment in a type index")
+        return _whole(text, "typed", _Parser._index)
+    except ParseError:
+        raise ParseError(f"bad type index {text!r} (indices up to w*q+r only)") from None
 
 
 def hol_lines(text: str) -> List[Tuple[int, str]]:

@@ -2,17 +2,19 @@
 
 Precedence (loose to tight): quantifiers < "<->" < "->" < "|" < "&" < "~".
 The binary connectives associate to the right; quantifier scope extends as
-far right as possible.
+far right as possible.  The tokens are those of the notation tables in
+hotk.kernel.syntax, inverted.
 """
 
 from __future__ import annotations
 
-from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Iff,
-                                Implies, InSet, Not, Or, Raised, Sugar,
-                                StrictEq, Term)
+from hotk.kernel.syntax import (CONNECTIVES, INFIX, PREFIX, Apply, Forall,
+                                InSet, Not, Raised, Sugar, Term, parts)
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
-_OPS = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+_PREC = {node: level + 1 for level, (_, node) in enumerate(CONNECTIVES)}
+_OPS = {node: token for token, node in CONNECTIVES}
+_INFIX = {**{node: token for token, node in INFIX.items()}, InSet: "in"}
+_PREFIX = {kind: name for name, kind in PREFIX.items()}
 
 
 def print_term(t: Term) -> str:
@@ -26,65 +28,35 @@ def print_term(t: Term) -> str:
     return f"{t.name}^{idx}"
 
 
-def _quant(word: str, var, body, bound=None) -> str:
-    head = f"{word} {print_term(var)}"
-    if bound is not None:
-        rel, term = bound
-        head += f" {rel} {print_term(term)}"
-    return f"{head}. {_render(body, 0)}"
-
-
 def _render(f, parent_prec: int) -> str:
-    if isinstance(f, Apply):
-        return f"{print_term(f.head)}({print_term(f.arg)})"
-    if isinstance(f, StrictEq):
-        return f"{print_term(f.left)} = {print_term(f.right)}"
-    if isinstance(f, DownRel):
-        return f"{print_term(f.left)} dn {print_term(f.right)}"
-    if isinstance(f, InSet):
-        return f"{print_term(f.left)} in {print_term(f.right)}"
-    if isinstance(f, Not):
+    kind = f.kind if type(f) is Sugar else type(f)
+    if kind is Not:
         return f"~{_render(f.body, 5)}"
-    if isinstance(f, (And, Or, Implies, Iff)):
-        prec = _PREC[type(f)]
+    if kind in _PREC:
+        prec = _PREC[kind]
         left = _render(f.left, prec + 1)   # right-assoc: left child binds tighter
         right = _render(f.right, prec)
-        s = f"{left} {_OPS[type(f)]} {right}"
+        s = f"{left} {_OPS[kind]} {right}"
         return f"({s})" if prec < parent_prec else s
-    if isinstance(f, Forall):
-        s = _quant("all", f.var, f.body)
-        return f"({s})" if parent_prec > 0 else s
-    if isinstance(f, Exists):
-        s = _quant("some", f.var, f.body)
-        return f"({s})" if parent_prec > 0 else s
-    if isinstance(f, Sugar):
-        return _render_sugar(f, parent_prec)
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def _render_sugar(f: Sugar, parent_prec: int) -> str:
-    k = f.kind
-    if k in ("eq", "in", "coext", "downeq", "subset"):
-        token = {"eq": "eq", "in": "in", "coext": "coext",
-                 "downeq": "downeq", "subset": "sub"}[k]
-        l, r = f.args
-        return f"{print_term(l)} {token} {print_term(r)}"
-    if k == "coext_k":
-        n, l, r = f.args
-        return f"{print_term(l)} coext_{n} {print_term(r)}"
-    if k == "level":
-        return f"Lev({print_term(f.args[0])})"
-    if k == "history":
-        return f"Hist({print_term(f.args[0])})"
-    if k == "rank":
-        a, s = f.args
-        return f"Rank({print_term(a)}, {print_term(s)})"
-    if k == "bounded":
-        quant, var, rel, bound, body = f.args
-        word = "all" if quant == "all" else "some"
-        s = _quant(word, var, body, bound=(rel, bound))
-        return f"({s})" if parent_prec > 0 else s
-    raise TypeError(f"unknown sugar kind {k!r}")
+    terms, binder, bodies = parts(f)
+    terms = list(map(print_term, terms))
+    if kind in _INFIX:
+        return f"{terms[0]} {_INFIX[kind]} {terms[1]}"
+    if kind is Apply:
+        return f"{terms[0]}({terms[1]})"
+    if kind in _PREFIX:
+        return f"{_PREFIX[kind]}({', '.join(terms)})"
+    if kind == "coext_k":
+        return f"{terms[0]} coext_{f.args[0]} {terms[1]}"
+    if binder is None:
+        raise TypeError(f"unknown sugar kind {kind!r}")
+    if kind == "bounded":
+        word, _, rel, _, _ = f.args
+        head = f"{word} {print_term(binder)} {rel} {terms[0]}"
+    else:
+        head = f"{'all' if kind is Forall else 'some'} {print_term(binder)}"
+    s = f"{head}. {_render(bodies[0], 0)}"
+    return f"({s})" if parent_prec > 0 else s
 
 
 def print_formula(f) -> str:

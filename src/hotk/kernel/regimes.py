@@ -6,7 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from hotk.errors import ParseError
-from hotk.kernel.indices import OMEGA, TypeIndex, parse_index
+from hotk.kernel.indices import OMEGA, TypeIndex
+from hotk.kernel.parser import parse_index
 
 STT = "stt"
 STT_UP = "stt_up"

@@ -148,6 +148,23 @@ ATOMS = (Apply, StrictEq, DownRel, InSet)
 
 
 # ---------------------------------------------------------------------------
+# Notation.  hotk.kernel.parser reads these tables and hotk.kernel.printer
+# inverts them; the README grammar lists the same tokens.
+
+# Binary connectives from the loosest to the tightest.
+CONNECTIVES = (("<->", Iff), ("->", Implies), ("|", Or), ("&", And))
+
+# term TOKEN term: the node class or sugar kind of each token.  In the set
+# language "in" is primitive membership (InSet) and only "=", "in" and "sub"
+# are allowed.  The indexed "coext_NAT" is read on its own.
+INFIX = {"=": StrictEq, "dn": DownRel, "in": "in", "eq": "eq",
+         "coext": "coext", "downeq": "downeq", "sub": "subset"}
+
+# NAME(term, ...): the level-theory sugar kind of each name.
+PREFIX = {"Lev": "level", "Hist": "history", "Rank": "rank"}
+
+
+# ---------------------------------------------------------------------------
 # Node layout.  parts/rebuild are the one place that knows where each node
 # kind keeps its pieces; the walks over formulas go through them.  The walks
 # that also meet the deeper formulas the translations build (expansion,

@@ -21,11 +21,12 @@ from hotk.errors import BudgetExceeded, EvalError
 from hotk.graphs import first_unrealized
 from hotk.kernel import axioms as ax
 from hotk.kernel import regimes as rg
+from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import Forall
 from hotk.models.builders import DEFAULT_BUDGET
-from hotk.models.core import Model, akey, compile_formula
-from hotk.models.decide import max_finite_type
+from hotk.models.core import Model, _compile_expanded, akey
+from hotk.models.decide import _top_type
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 
 _FULL = "FULL-COMPREHENSION"
@@ -116,18 +117,18 @@ def _scheme_checks(m: Model, name: str, top: int, budget: int):
     """The false or unevaluable instances of a theory axiom."""
     build, instances, witness = _SCHEMES[name]
     for args in instances(top):
-        f = build(*args)
-        if not m.reaches(max_finite_type(f)):
+        f = expand_abbreviations(build(*args))
+        if not m.reaches(_top_type(f)):
             continue
         try:
-            if compile_formula(m, f, budget)():
+            if _compile_expanded(m, f, budget)():
                 continue
             # Only a false instance pays for compiling its matrix.
             vs = []
             while isinstance(f, Forall):
                 vs.append(f.var)
                 f = f.body
-            matrix = compile_formula(m, f, budget)
+            matrix = _compile_expanded(m, f, budget)
             values = next(e for e in product(*(m.domain(v.index) for v in vs))
                           if not matrix({akey(v): x for v, x in zip(vs, e)}))
         except BudgetExceeded as e:

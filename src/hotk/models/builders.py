@@ -11,7 +11,7 @@ from hotk.graphs import MembershipGraph, brace_name, canonical_key, powerset
 from hotk.models.core import DEFAULT_BUDGET, Model
 
 
-def _hierarchy_levels(urelements: int, height: int, budget: int):
+def hierarchy_levels(urelements: int, height: int, budget: int):
     """Levels U_1..U_height of the class semantics as name/member tables."""
     members: Dict[str, FrozenSet[str]] = {}
     urs = [f"u{i}" for i in range(urelements)]
@@ -43,7 +43,7 @@ def build_class_model(urelement_count: int, height: int,
         raise ValueError("height must be at least 1")
     if urelement_count < 0:
         raise ValueError("urelement count must not be negative")
-    levels, members = _hierarchy_levels(urelement_count, height, budget)
+    levels, members = hierarchy_levels(urelement_count, height, budget)
     return Model(kind="class", max_type=height - 1,
                  domains=tuple(tuple(l) for l in levels), members=members,
                  cumulative=True,
@@ -55,7 +55,7 @@ def build_pure_model(height: int, budget: int = DEFAULT_BUDGET) -> Model:
     hereditarily pure sets of rank <= n.  Capped at five levels."""
     if not 1 <= height <= 5:
         raise ValueError("pure hierarchy heights run from 1 to 5")
-    levels, members = _hierarchy_levels(0, height, budget)
+    levels, members = hierarchy_levels(0, height, budget)
     return Model(kind="pure", max_type=height - 1,
                  domains=tuple(tuple(l) for l in levels), members=members,
                  cumulative=True, meta={"height": height})

@@ -291,8 +291,9 @@ def _compile_expanded(m: Structure, f: Formula,
             except EvalError as e:
                 return _fail(EvalError, str(e)), slots
         if len(dom) > budget:
+            over = "the nodes" if graph else f"type {g.var.index}"
             return _fail(BudgetExceeded,
-                         f"quantifier over {g.var.name} ranges over {len(dom)} "
+                         f"quantifier over {over} ranges over {len(dom)} "
                          f"entities, above budget {budget}"), slots
         if isinstance(g, Forall):
             def loop(env):

@@ -8,33 +8,31 @@ truth in the canonical model decides the sentence.
 from __future__ import annotations
 
 from hotk.errors import EvalError, FormationError
+from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import check_formation
 from hotk.kernel.regimes import fjt
-from hotk.kernel.syntax import Formula, Sugar, free_atoms, parts, term_index
+from hotk.kernel.syntax import (Formula, free_atoms, parts, subformulas,
+                                term_index)
 from hotk.models.builders import build_fjt_canonical
-from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
+from hotk.models.core import DEFAULT_BUDGET, Model, _compile_expanded
 
 
 def max_finite_type(f: Formula) -> int:
-    """Largest type index occurring in f (terms and binders), counting the
-    type that a defined identity or membership (bounded or not) quantifies
-    at once expanded."""
+    """Largest type index among the terms and binders of f's expansion: the
+    height a model needs to evaluate f."""
+    return _top_type(expand_abbreviations(f))
+
+
+def _top_type(g: Formula) -> int:
+    """max_finite_type of a formula that holds no sugar."""
     top = 0
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        terms, binder, bodies = parts(g)
-        node_top = 0
+    for h in subformulas(g):
+        terms, binder, _ = parts(h)
         for t in terms if binder is None else (binder, *terms):
             idx = term_index(t)
             if idx is None or not idx.is_finite:
                 raise FormationError("finitary sentences need finite typed terms")
-            node_top = max(node_top, idx.finite_value)
-        if type(g) is Sugar:
-            rel = g.args[2] if g.kind == "bounded" else g.kind
-            node_top += {"eq": 1, "in": 2}.get(rel, 0)
-        top = max(top, node_top)
-        stack.extend(bodies)
+            top = max(top, idx.finite_value)
     return top
 
 
@@ -47,9 +45,10 @@ def decide_fjt(f: Formula, height: int, budget: int = DEFAULT_BUDGET,
     verdict = check_formation(f, fjt())
     if not verdict:
         raise FormationError(verdict.reason)
-    need = max_finite_type(f)
+    g = expand_abbreviations(f)
+    need = _top_type(g)
     if need > height:
         raise EvalError(f"sentence uses type {need}, above height {height}")
     if model is None:
         model = build_fjt_canonical(height, budget)
-    return eval_formula(model, f, budget=budget)
+    return _compile_expanded(model, g, budget)()

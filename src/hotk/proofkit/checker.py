@@ -20,8 +20,8 @@ from hotk.errors import HotkError, ProofError, check_json, load_json
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import check_formation
-from hotk.kernel.indices import TypeIndex, parse_index
-from hotk.kernel.parser import parse_formula, parse_term
+from hotk.kernel.indices import TypeIndex
+from hotk.kernel.parser import parse_formula, parse_index, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, Not, Or, Raised,
                                 StrictEq, Term, alpha_equal, alpha_normalize,

@@ -8,8 +8,8 @@ from hotk.errors import ProofError
 from hotk.kernel.axioms import (down_exists, down_max, down_sim, type_base,
                                 type_ext, type_founded, type_purity, up_base,
                                 up_founded, up_inject, up_possess)
-from hotk.kernel.indices import TypeIndex, fin, parse_index
-from hotk.kernel.parser import parse_formula, parse_term
+from hotk.kernel.indices import TypeIndex, fin
+from hotk.kernel.parser import parse_formula, parse_index, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, StrictEq, Term, Var, conj,
                                 occurs_free, term_index)

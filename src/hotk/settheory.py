@@ -11,17 +11,15 @@ collapse.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
-                         first_unrealized, graph_from_sets, ord_of_ranks,
-                         powerset)
+                         first_unrealized, ord_of_ranks)
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
                                 InSet, StrictEq, Sugar, Var, free_names)
-from hotk.models.builders import build_graph_model
+from hotk.models.builders import build_graph_model, hierarchy_levels
 from hotk.models.core import (DEFAULT_BUDGET, Model, akey, compile_formula,
                               eval_formula)
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
@@ -32,23 +30,15 @@ from hotk.translate import kappa_translate
 # The pure hierarchy as graphs.
 
 def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
-    """Transitive graph of the pure hierarchy up to rank n (V_0 is empty)."""
+    """Transitive graph of the pure hierarchy up to rank n (V_0 is empty):
+    the last of the pure hierarchy's first n levels."""
     if n < 0:
         raise ValueError("n must be a natural")
-    level: set = set()
-    for _ in range(n):
-        if 2 ** len(level) > budget:
-            raise BudgetExceeded(f"powerset of {len(level)} sets exceeds budget")
-        level = {frozenset(s) for s in powerset(level)}
-    collected = set()
-    stack = list(level)
-    while stack:
-        s = stack.pop()
-        if s in collected:
-            continue
-        collected.add(s)
-        stack.extend(s)
-    return graph_from_sets(collected)
+    levels, members = hierarchy_levels(0, n, budget)
+    nodes = levels[-1] if n else []
+    g = MembershipGraph(tuple(nodes),
+                        frozenset((x, a) for a in nodes for x in members[a]))
+    return MembershipGraph(g.nodes, g.edges, ranks=g.structural_ranks())
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +200,7 @@ def _first_false(corpus: List[Formula], holds) -> Optional[str]:
     return None
 
 
-def check_wellordering_of_levels(g: MembershipGraph, subset_budget: int = 2 ** 16) -> bool:
+def check_wellordering_of_levels(g: MembershipGraph) -> bool:
     """Trichotomy and least-witness clauses for the levels, plus the
     accumulation identity: every level is exactly the collection of things
     included in some level that is a member of it."""
@@ -219,16 +209,12 @@ def check_wellordering_of_levels(g: MembershipGraph, subset_budget: int = 2 ** 1
         for t in levels:
             if s != t and not (s in g.members(t) or t in g.members(s)):
                 return False
-    if 2 ** len(levels) <= subset_budget:
-        subsets = (c for r in range(1, len(levels) + 1)
-                   for c in combinations(levels, r))
-    else:
-        subsets = ([s] for s in levels)   # linearity makes singletons enough
-    for chosen in subsets:
-        least = [s for s in chosen
-                 if not any(r in g.members(s) for r in chosen if r != s)]
-        if not least:
-            return False
+    # Every nonempty set of levels has a member no other one of them is in
+    # iff membership between distinct levels has no cycle.
+    on = set(levels)
+    between = frozenset((x, a) for x, a in g.edges if x != a and x in on and a in on)
+    if MembershipGraph(tuple(levels), between).find_cycle():
+        return False
     for s in levels:
         expected = {x for x in g.nodes
                     if any(g.subset(x, r) and r in g.members(s) for r in levels)}

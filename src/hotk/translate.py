@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import expand_abbreviations
-from hotk.kernel.indices import TypeIndex, fin, parse_index
+from hotk.kernel.indices import TypeIndex, fin
+from hotk.kernel.parser import parse_index
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 Formula, Implies, InSet, Raised, StrictEq,
                                 Sugar, Term, Var, all_names, alpha_equal,

@@ -7,12 +7,19 @@ realized" question: each definition is written out a second time as a
 Python loop over the graph, and standardness, full separation and typed
 standardness each walk their own powersets.  T_construction builds its
 rank-bounded domains itself, where the module reuses build_graph_model.
+build_V iterates powersets of frozensets and names them with
+graph_from_sets, where the module takes the last level of the pure
+hierarchy's builder, and check_wellordering_of_levels looks for a least
+level in every subset of the levels (in singletons only above 16 levels),
+where the module looks for a membership cycle among them.
 tests/test_levels_oracle.py compares their results with the module's.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List
+
+from itertools import combinations
 
 from hotk.errors import BudgetExceeded, GraphError
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
@@ -23,6 +30,48 @@ from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 from hotk.settheory import (endless_formula, infinity_formula,
                             separation_instance, stratification_formula)
+
+
+def graph_from_sets(sets) -> MembershipGraph:
+    """Canonical graph over a collection of hereditarily finite frozensets."""
+    names = {}
+
+    def name_of(s) -> str:
+        if s not in names:
+            names[s] = brace_name(name_of(m) for m in s)
+        return names[s]
+
+    node_names = sorted((name_of(s) for s in sets), key=canonical_key)
+    present = set(node_names)
+    edges = set()
+    rev = {v: k for k, v in names.items()}
+    for n in node_names:
+        for m in rev[n]:
+            mn = names[m]
+            if mn in present:
+                edges.add((mn, n))
+    g = MembershipGraph(tuple(node_names), frozenset(edges))
+    return MembershipGraph(g.nodes, g.edges, ranks=g.structural_ranks())
+
+
+def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
+    """Transitive graph of the pure hierarchy up to rank n (V_0 is empty)."""
+    if n < 0:
+        raise ValueError("n must be a natural")
+    level: set = set()
+    for _ in range(n):
+        if 2 ** len(level) > budget:
+            raise BudgetExceeded(f"powerset of {len(level)} sets exceeds budget")
+        level = {frozenset(s) for s in powerset(level)}
+    collected = set()
+    stack = list(level)
+    while stack:
+        s = stack.pop()
+        if s in collected:
+            continue
+        collected.add(s)
+        stack.extend(s)
+    return graph_from_sets(collected)
 
 
 def is_history(g: MembershipGraph, h: str) -> bool:
@@ -178,3 +227,30 @@ def T_construction(g: MembershipGraph) -> Model:
     return Model(kind="pure", max_type=max_type, domains=domains,
                  members=members, cumulative=True, open_above=True,
                  meta={"source": "t-construction", "ord": top})
+
+
+def check_wellordering_of_levels(g: MembershipGraph, subset_budget: int = 2 ** 16) -> bool:
+    """Trichotomy and least-witness clauses for the levels, plus the
+    accumulation identity: every level is exactly the collection of things
+    included in some level that is a member of it."""
+    levels = levels_of(g)
+    for s in levels:
+        for t in levels:
+            if s != t and not (s in g.members(t) or t in g.members(s)):
+                return False
+    if 2 ** len(levels) <= subset_budget:
+        subsets = (c for r in range(1, len(levels) + 1)
+                   for c in combinations(levels, r))
+    else:
+        subsets = ([s] for s in levels)   # linearity makes singletons enough
+    for chosen in subsets:
+        least = [s for s in chosen
+                 if not any(r in g.members(s) for r in chosen if r != s)]
+        if not least:
+            return False
+    for s in levels:
+        expected = {x for x in g.nodes
+                    if any(g.subset(x, r) and r in g.members(s) for r in levels)}
+        if expected != g.members(s):
+            return False
+    return True

@@ -100,6 +100,14 @@ def test_decide(capsys):
     assert code == 1 and out.strip() == "false"
 
 
+def test_decide_counts_the_types_set_sugar_expands_to(capsys):
+    code = main(["decide", "--height", "1",
+                 "all a^1. all b^1. (a^1 sub b^1 | ~a^1 sub b^1)"])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: sentence uses type 3, above height 1"
+
+
 def test_model_json_round_trip_matches_in_process(tmp_path, capsys):
     path = tmp_path / "m.json"
     code, out = run(capsys, "model", "build", "--kind", "pure", "--height", "3")

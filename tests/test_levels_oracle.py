@@ -4,10 +4,14 @@ hand-written loops of levels_oracle.
 
 Results must agree exactly, on the pure hierarchies V0-V4, the bundled
 graph fixtures, seeded ill-founded graphs and seeded transitive graphs,
-under several budgets.  The one allowed difference: when is_standard runs
-out of budget, its BudgetExceeded names the typed expansion's domain
-("domain of 2 entities at type 1") where the oracle named the graph's
-stratum ("stratum of 2 nodes at rank 1").
+under several budgets.  The allowed differences are in two budget
+messages: when is_standard runs out of budget, its BudgetExceeded names
+the typed expansion's domain ("domain of 2 entities at type 1") where the
+oracle named the graph's stratum ("stratum of 2 nodes at rank 1"); and
+build_V, which takes the pure hierarchy's levels from the model builder,
+words the builder's message ("powerset of 4 entities exceeds budget 10",
+where the oracle said "powerset of 4 sets exceeds budget").  A budget
+below 1 is no longer checked before the first level, {}, is built.
 """
 
 import random
@@ -19,12 +23,11 @@ import levels_oracle as oracle
 from hotk import graphs, settheory
 from hotk.corpus import graph_fixture, separation_corpus
 from hotk.errors import HotkError
-from hotk.graphs import (MembershipGraph, first_unrealized, graph_from_sets,
-                         powerset)
+from hotk.graphs import MembershipGraph, first_unrealized, powerset
 from hotk.models import eval_formula
 from hotk.settheory import (T_construction, build_V, check_set_axioms,
-                            is_history, is_level, is_standard,
-                            is_standard_typed, levels_of)
+                            check_wellordering_of_levels, is_history, is_level,
+                            is_standard, is_standard_typed, levels_of)
 
 BUDGETS = (10 ** 6, 40, 8, 2)
 FIXTURES = ["astruct.json", "chain3.json", "chain4.json", "pair_mix.json",
@@ -50,7 +53,7 @@ def _transitive(rng):
         new = frozenset(s for s in sets if rng.random() < 0.5)
         if new not in sets:
             sets.append(new)
-    return graph_from_sets(sets)
+    return oracle.graph_from_sets(sets)
 
 
 def _corpus():
@@ -119,6 +122,33 @@ def test_standardness_agrees_with_the_oracle(names):
                 assert (_outcome(is_standard_typed, m, budget)
                         == _outcome(oracle.is_standard_typed, m, budget)), \
                     (name, budget)
+
+
+def test_build_V_agrees_with_the_oracle():
+    for n in range(5):
+        for budget in BUDGETS + (16, 15, 1):
+            got = _outcome(build_V, n, budget)
+            want = _outcome(oracle.build_V, n, budget)
+            if isinstance(want, tuple):
+                size = re.fullmatch(r"powerset of (\d+) sets exceeds budget",
+                                    want[1]).group(1)
+                assert got == (want[0], f"powerset of {size} entities exceeds "
+                                        f"budget {budget}"), (n, budget)
+            else:
+                assert got.dumps() == want.dumps(), (n, budget)
+
+
+def test_a_budget_below_one_still_builds_the_first_level():
+    assert isinstance(_outcome(oracle.build_V, 1, 0), tuple)
+    assert build_V(1, 0).dumps() == oracle.build_V(1).dumps()
+    assert _outcome(build_V, 2, 0) == (
+        "BudgetExceeded", "powerset of 1 entities exceeds budget 0")
+
+
+def test_wellordering_of_levels_agrees_with_the_oracle():
+    for name, g in CORPUS.items():
+        assert (check_wellordering_of_levels(g)
+                == oracle.check_wellordering_of_levels(g)), name
 
 
 _TRUTHS = {}

@@ -169,6 +169,16 @@ class TestAxiomSuites:
             assert "16 entities, above budget 10" in v.note
         assert rep.status("type-purity") == "PASS"
 
+    def test_a_budget_skip_names_the_type_or_the_nodes(self, pure4):
+        rep = check_axiom_suite(pure4, parse_regime("pctt:w"), 3, budget=10)
+        assert rep.verdicts[1].note == \
+            "quantifier over type 3 ranges over 16 entities, above budget 10"
+        with pytest.raises(BudgetExceeded) as e:
+            eval_formula(graph_fixture("chain4.json"),
+                         parse_formula("all x. x = x", "set"), budget=2)
+        assert str(e.value) == \
+            "quantifier over the nodes ranges over 4 entities, above budget 2"
+
     def test_every_axiom_gets_a_row(self, pure4_up, fjt2):
         up = dict(pure4_up.up_map)
         up[(2, pure4_up.domains[2][3])] = up[(2, pure4_up.domains[2][0])]

@@ -174,9 +174,30 @@ def test_expand_abbreviations(regime):
             outcome(ladder.expand_abbreviations, f, r), (f, regime)
 
 
+def _allowed_max_type_change(f, got):
+    """max_finite_type reads f's expansion, so it differs from the ladder,
+    which added a fixed rise to defined identity and membership only, on
+    typed set sugar (whose expansion goes through defined membership), and
+    on the type-0 coext and downeq atoms, whose expansion fails (formation
+    rejects both before decide_fjt reaches them)."""
+    sugar = [g for g in subformulas(f) if isinstance(g, Sugar)]
+    if isinstance(got, tuple):
+        return got[0] == "ValueError" and any(
+            g.kind in ("coext", "downeq") and g.args[0].index == fin(0)
+            for g in sugar)
+    return (any(g.kind in ("subset", "level", "history", "rank")
+                and parts(g)[0][0].index is not None for g in sugar)
+            and got == ladder.max_finite_type(expand_abbreviations(f)))
+
+
 def test_max_finite_type():
+    changed = 0
     for f in ALL + EXPANDED:
-        assert outcome(max_finite_type, f) == outcome(ladder.max_finite_type, f), f
+        got = outcome(max_finite_type, f)
+        if got != outcome(ladder.max_finite_type, f):
+            assert _allowed_max_type_change(f, got), f
+            changed += 1
+    assert changed == 6
 
 
 def test_map_formula_visits_atoms_in_the_same_order():
