@@ -66,10 +66,14 @@ def _fits(x, shape) -> bool:
 
 
 def load_json(text: str, what: str, error=HotkError):
-    """The JSON document in text; one nested too deeply for the decoder
-    raises `error`.  `what` names the document, as in check_json."""
+    """The JSON document in text; text that is not JSON, or a document
+    nested too deeply for the decoder, raises `error`.  `what` names the
+    document, as in check_json."""
     try:
         return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"{what} is not valid JSON: {e.msg} "
+                    f"(line {e.lineno}, column {e.colno})") from None
     except RecursionError:      # the decoder recurses once per level
         raise error(f"{what} is nested too deeply") from None
 

@@ -9,12 +9,14 @@ membership nests a second quantifier one higher, so expansion is where the
 
 from __future__ import annotations
 
+from operator import is_not
 from typing import Optional
 
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.formation import sugar_violation
 from hotk.kernel.indices import TypeIndex, max_index
+from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, InSet, Not, StrictEq,
                                 Sugar, Term, Var, all_names, conj, parts,
@@ -49,6 +51,14 @@ def _member(left: Term, right: Term) -> Formula:
     return Sugar("in", (left, right))
 
 
+def _below(f: Sugar, n: TypeIndex) -> TypeIndex:
+    """The type below n that coext or downeq f binds; none below type 0."""
+    if n == TypeIndex(0, 0):
+        reason = sugar_violation(f, rg.stt_down())
+        raise FormationError(f"{reason} in {print_formula(f)}")
+    return n.pred()
+
+
 def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
     k = f.kind
     if k == "eq":
@@ -63,7 +73,7 @@ def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
         return Exists(x, And(Sugar("eq", (x, r)), Apply(x, l)))
     if k == "coext":
         l, r = f.args
-        x = fresh.var(term_index(l).pred())
+        x = fresh.var(_below(f, term_index(l)))
         return Forall(x, Iff(Apply(l, x), Apply(r, x)))
     if k == "coext_k":
         n, l, r = f.args
@@ -77,7 +87,7 @@ def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
         n = term_index(l)
         if n == TypeIndex(0, 1):
             return StrictEq(l, l)   # stipulated vacuous truth at type 1
-        x = fresh.var(n.pred())
+        x = fresh.var(_below(f, n))
         return Forall(x, Iff(DownRel(l, x), DownRel(r, x)))
     if k == "bounded":
         quant, var, rel, bound, body = f.args
@@ -122,7 +132,8 @@ def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
 
 
 def expand_abbreviations(f: Formula, regime: Optional[rg.Regime] = None) -> Formula:
-    """Eliminate sugar nodes, innermost first.
+    """Eliminate sugar nodes, innermost first; a node that holds no sugar
+    is returned as it is, not rebuilt.
 
     With a regime, each sugar's side-condition is enforced before it is
     rewritten; regime=None expands permissively (model evaluation uses
@@ -139,10 +150,10 @@ def expand_abbreviations(f: Formula, regime: Optional[rg.Regime] = None) -> Form
             if err:
                 raise FormationError(err)
         terms, binder, bodies = parts(g)
-        if bodies:
-            new = []
-            for b in bodies:
-                new.append(go(b))
+        new = []
+        for b in bodies:
+            new.append(go(b))
+        if any(map(is_not, new, bodies)):
             g = rebuild(g, terms, binder, new)
         return go(_one_step(g, fresh)) if sugar else g
 

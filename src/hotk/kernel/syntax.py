@@ -397,11 +397,14 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
     One walk over both trees in step: binders are numbered in the order
     met, and a variable occurrence is looked up by (name, index) in the
     numbering of its own side, so paired binders may have different names.
+    A subtree shared by both sides under the same numbering is skipped.
     """
     count = 0
     stack = [(f, g, {}, {})]
     while stack:
         f, g, bound_f, bound_g = stack.pop()
+        if f is g and bound_f == bound_g:
+            continue
         if type(f) is not type(g):
             return False
         if type(f) is Sugar and not _same_sugar_layout(f, g):

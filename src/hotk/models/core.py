@@ -175,12 +175,34 @@ def compile_formula(m: Structure, f: Formula,
 def _compile_expanded(m: Structure, f: Formula,
                       budget: int = DEFAULT_BUDGET) -> Compiled:
     """compile_formula for an f that holds no sugar, which it does not
-    expand again (round trips compile formulas they have already expanded)."""
+    expand again (decisions and axiom checks have expanded it already)."""
     graph = isinstance(m, MembershipGraph)
-    keyof = (lambda t: t.name) if graph else akey
     free: Dict = {}
     for a in free_atoms(f):
-        free.setdefault(keyof(a), len(free))
+        free.setdefault(a.name if graph else akey(a), len(free))
+    root, blank = _compile_slots(m, f, free, budget)
+    free_slots = tuple(free.items())
+
+    def run(assignment: Optional[Assignment] = None) -> bool:
+        env = blank.copy()
+        if assignment:
+            if graph:
+                assignment = {k if isinstance(k, str) else k[0]: v
+                              for k, v in assignment.items()}
+            for k, i in free_slots:
+                env[i] = assignment.get(k, _UNSET)
+        return root(env)
+    return run
+
+
+def _compile_slots(m: Structure, f: Formula, free: Dict,
+                   budget: int = DEFAULT_BUDGET):
+    """(root, env) for an f with no sugar: root maps a list environment to
+    f's truth value, and env is one with every slot _UNSET.  free maps
+    each free atom's key (its name in a graph) to a slot from 0 up; the
+    binders' slots follow."""
+    graph = isinstance(m, MembershipGraph)
+    keyof = (lambda t: t.name) if graph else akey
     nfree = nslots = len(free)
 
     def term(t: Term, scope: dict):
@@ -211,13 +233,12 @@ def _compile_expanded(m: Structure, f: Formula,
         slot = scope[keyof(t)]
         if slot >= nfree:
             return itemgetter(slot), frozenset([slot])
-        missing = (f"unassigned set variable {t.name}" if graph
-                   else f"unassigned free term {t.name}^{t.index}")
 
         def free_term(env):
             e = env[slot]
             if e is _UNSET:
-                raise EvalError(missing)
+                raise EvalError(f"unassigned set variable {t.name}" if graph
+                                else f"unassigned free term {t.name}^{t.index}")
             return e
         return free_term, frozenset([slot])
 
@@ -323,18 +344,7 @@ def _compile_expanded(m: Structure, f: Formula,
         return cached, slots
 
     root, _ = node(f, dict(free))
-    free_slots = tuple(free.items())
-
-    def run(assignment: Optional[Assignment] = None) -> bool:
-        env = [_UNSET] * nslots
-        if assignment:
-            if graph:
-                assignment = {k if isinstance(k, str) else k[0]: v
-                              for k, v in assignment.items()}
-            for k, i in free_slots:
-                env[i] = assignment.get(k, _UNSET)
-        return root(env)
-    return run
+    return root, [_UNSET] * nslots
 
 
 def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = None,

@@ -10,7 +10,9 @@ expands its formula once and runs both bodies on that expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from itertools import product
+from operator import is_not
+from typing import TYPE_CHECKING, Optional
 
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
@@ -24,18 +26,21 @@ from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 raise_term, rebuild, term_index)
 
 if TYPE_CHECKING:
-    from hotk.models.core import Assignment, Model
+    from hotk.models.core import Model
 
 
 def _map_formula(f: Formula, atom_fn) -> Formula:
-    """Rebuild f (expanded: no sugar), sending every atom through atom_fn."""
+    """Rebuild f (expanded: no sugar), sending every atom through atom_fn;
+    a node none of whose bodies changed is kept as it is."""
     if type(f) in ATOMS:
         return atom_fn(f)
     terms, binder, bodies = parts(f)
     new = []
     for b in bodies:
         new.append(_map_formula(b, atom_fn))
-    return rebuild(f, terms, binder, new)
+    if any(map(is_not, new, bodies)):
+        return rebuild(f, terms, binder, new)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +99,7 @@ def _ctt_to_sttu(f: Formula) -> Formula:
             gap = n.finite_value - 1 - m.finite_value
             if gap < 0:
                 raise FormationError("liberal atom has no raised-type image")
-            return Apply(g.head, raise_term(g.arg, gap))
+            return Apply(g.head, raise_term(g.arg, gap)) if gap else g
         if isinstance(g, StrictEq):
             return g
         raise FormationError(f"unexpected atom {g!r} in the cumulative theory")
@@ -255,26 +260,6 @@ class RoundTripReport:
     counterexample: Optional[dict] = None
 
 
-def all_assignments(m: Model, atoms) -> Iterable[Assignment]:
-    from hotk.models.core import akey
-    atoms = sorted(atoms, key=lambda a: (str(a.index), a.name))
-    if not atoms:
-        yield {}
-        return
-
-    def go(i: int, env: Assignment):
-        if i == len(atoms):
-            yield dict(env)
-            return
-        a = atoms[i]
-        for e in m.domain(a.index):
-            env[akey(a)] = e
-            yield from go(i + 1, env)
-        env.pop(akey(a), None)
-
-    yield from go(0, {})
-
-
 def roundtrip_check(f: Formula, source: rg.Regime,
                     model: Optional[Model] = None) -> RoundTripReport:
     """Check the there-and-back image of f both syntactically (after
@@ -289,14 +274,28 @@ def roundtrip_check(f: Formula, source: rg.Regime,
     if model is None:
         return RoundTripReport(source.kind, syntactic, None, 0)
     # Imported here, not at the top, so the maps load without the models.
-    from hotk.models.core import _compile_expanded
+    from hotk.models.core import _compile_slots, akey
+    # Both sides share one free layout, the original's atoms first.  Atoms
+    # that share a key (a Var and a Const) share its slot: the later wins.
+    atoms = sorted(free_atoms(original), key=lambda a: (str(a.index), a.name))
+    free: dict = {}
+    slots = [free.setdefault(akey(a), len(free)) for a in atoms]
+    eval_original, env_original = _compile_slots(model, original, free)
+    for a in free_atoms(image):
+        free.setdefault(akey(a), len(free))
+    eval_image, env_image = _compile_slots(model, image, free)
+    domains = []
+    for a in atoms:
+        domains.append(model.domain(a.index))
+        if not domains[-1]:
+            break
     checked = 0
-    eval_original = _compile_expanded(model, original)
-    eval_image = _compile_expanded(model, image)
-    for env in all_assignments(model, free_atoms(original)):
-        checked += 1
-        if eval_original(env) != eval_image(env):
+    for checked, values in enumerate(product(*domains), 1):
+        for slot, e in zip(slots, values):
+            env_original[slot] = env_image[slot] = e
+        if eval_original(env_original) != eval_image(env_image):
             return RoundTripReport(
                 source.kind, syntactic, False, checked,
-                counterexample={f"{k[0]}^{k[1]}": v for k, v in env.items()})
+                counterexample={f"{a.name}^{a.index}": e
+                                for a, e in zip(atoms, values)})
     return RoundTripReport(source.kind, syntactic, True, checked)

@@ -5,14 +5,15 @@ These are the maps as they stood before each one got a private body that
 takes an expanded formula: every map expands its input, a round trip runs
 the public maps (so it expands the formula in the forward map and again as
 `original`, and the backward map expands its input again), compiles both
-sides through `compile_formula` (which expands them once more) and compares
+sides through `compile_formula` (which expands them once more), sweeps
+`all_assignments`, which builds every assignment as a dict, and compares
 them by `alpha_normalize`.  `alpha_equal` is the comparison by
 normalization.  `hotk.translate` and `hotk.kernel.syntax.alpha_equal` must
 agree with them on every input: the same result, or the same error class
 and message.
 """
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
@@ -23,8 +24,8 @@ from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 alpha_normalize, all_names, conj, fresh_name,
                                 free_atoms, parts, raise_term, rebuild,
                                 term_index)
-from hotk.models.core import Model, compile_formula
-from hotk.translate import RoundTripReport, all_assignments
+from hotk.models.core import Assignment, Model, compile_formula
+from hotk.translate import RoundTripReport
 
 
 def alpha_equal(f, g) -> bool:
@@ -151,6 +152,26 @@ _ROUNDTRIPS = {
     rg.FJT: (fjt_to_sttd, sttd_to_fjt),
     rg.STT_DOWN: (sttd_to_fjt, fjt_to_sttd),
 }
+
+
+def all_assignments(m: Model, atoms) -> Iterable[Assignment]:
+    from hotk.models.core import akey
+    atoms = sorted(atoms, key=lambda a: (str(a.index), a.name))
+    if not atoms:
+        yield {}
+        return
+
+    def go(i: int, env: Assignment):
+        if i == len(atoms):
+            yield dict(env)
+            return
+        a = atoms[i]
+        for e in m.domain(a.index):
+            env[akey(a)] = e
+            yield from go(i + 1, env)
+        env.pop(akey(a), None)
+
+    yield from go(0, {})
 
 
 def roundtrip_check(f, source: rg.Regime,

@@ -108,6 +108,36 @@ def test_decide_counts_the_types_set_sugar_expands_to(capsys):
         "error: sentence uses type 3, above height 1"
 
 
+def test_type_0_coext_and_downeq_name_the_rule_they_break(tmp_path):
+    from hotk.models import build_pure_model
+    path = tmp_path / "pure2.json"
+    path.write_text(build_pure_model(2).dumps())
+    for formula, reason in [
+            ("a^0 coext b^0", "coextensiveness undefined at type 0"),
+            ("a^0 downeq b^0", "projection equivalence needs equal types >= 1 (0 vs 0)")]:
+        code, doc = run_json("eval", "--model", str(path), formula)
+        assert code == 2
+        assert doc == {"error": "FormationError",
+                       "message": f"{reason} in {formula}"}
+
+
+def test_truncated_json_files_name_the_document(tmp_path):
+    cases = [(["eval", "--model"], ["a^0 = a^0"], '{"kind": "pure", ', "HotkError",
+              "model file is not valid JSON: Expecting property name enclosed "
+              "in double quotes (line 1, column 18)"),
+             (["sets", "levels"], [], '{"nodes": ["a"],\n "edges": [', "GraphError",
+              "graph file is not valid JSON: Expecting value (line 2, column 12)"),
+             (["prove", "check"], [], '{"theory": "stt", "steps": [{', "ProofError",
+              "proof file is not valid JSON: Expecting property name enclosed "
+              "in double quotes (line 1, column 30)")]
+    for before, after, text, error, message in cases:
+        path = tmp_path / "truncated.json"
+        path.write_text(text)
+        code, doc = run_json(*before, str(path), *after)
+        assert code == 2
+        assert doc == {"error": error, "message": message}
+
+
 def test_model_json_round_trip_matches_in_process(tmp_path, capsys):
     path = tmp_path / "m.json"
     code, out = run(capsys, "model", "build", "--kind", "pure", "--height", "3")
@@ -380,7 +410,7 @@ ERROR_PATHS = [
     (["eval", "--model", "deep.json", "a^0 = a^0"], 2, "HotkError"),
     (["eval", "--model", "missing.json", "a^0 = a^0"], 2, "FileNotFoundError"),
     (["eval", "--model", "directory.json", "a^0 = a^0"], 2, "IsADirectoryError"),
-    (["eval", "--model", "broken.json", "a^0 = a^0"], 2, "JSONDecodeError"),
+    (["eval", "--model", "broken.json", "a^0 = a^0"], 2, "HotkError"),
     (["sets", "build-v", "-1"], 2, "ValueError"),
     (["--budget", "10", "model", "build", "--kind", "pure", "--height", "4"], 3,
      "BudgetExceeded"),

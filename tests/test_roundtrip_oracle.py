@@ -8,6 +8,8 @@ the same input: both must give the same result, or raise the same error
 class with the same message.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import roundtrip_oracle as oracle
@@ -18,8 +20,10 @@ from hotk import translate
 from hotk.corpus import golden_cases, separation_corpus
 from hotk.kernel import parse_formula, parse_regime, print_formula
 from hotk.kernel.expand import expand_abbreviations
-from hotk.kernel.syntax import (Const, Sugar, Var, alpha_equal, alpha_normalize,
-                                parts, rebuild)
+from hotk.kernel.indices import fin
+from hotk.kernel.syntax import (ATOMS, And, Apply, Const, Forall, Not, Or,
+                                StrictEq, Sugar, Var, alpha_equal,
+                                alpha_normalize, free_atoms, parts, rebuild)
 from hotk.models import core
 
 PLANS = ["ctt", "stt-up", "fjt", "stt-down"]
@@ -79,13 +83,28 @@ SEMANTIC = [("ctt", 3, "pure4_up"), ("stt-up", 3, "pure4_up"),
             ("stt-down", 2, "fjt2")]
 
 
+def _items(got):
+    """A counterexample's items in order: report equality alone ignores
+    the order of a dict's keys."""
+    cx = getattr(got, "counterexample", None)
+    return cx and list(cx.items())
+
+
+def same_report(f, regime, m):
+    """The report, or the error class and message, of the round trip of f,
+    which must match the oracle's."""
+    got = outcome(translate.roundtrip_check, f, regime, m)
+    expect = outcome(oracle.roundtrip_check, f, regime, m)
+    assert got == expect and _items(got) == _items(expect), f
+    return got
+
+
 @pytest.mark.parametrize("plan,max_type,model", SEMANTIC)
 def test_semantic_reports(plan, max_type, model, request):
     m = request.getfixturevalue(model)
     regime = parse_regime(plan)
     for f in _generated(plan, max_type, 3):
-        got = outcome(translate.roundtrip_check, f, regime, m)
-        assert got == outcome(oracle.roundtrip_check, f, regime, m), f
+        same_report(f, regime, m)
 
 
 def test_semantic_reports_cover_counterexamples_and_errors(fjt2):
@@ -93,6 +112,96 @@ def test_semantic_reports_cover_counterexamples_and_errors(fjt2):
            for plan in ("ctt", "stt-up") for f in _generated(plan, 2, 2)]
     assert any(not isinstance(r, tuple) and r.counterexample for r in got)
     assert any(isinstance(r, tuple) for r in got)
+
+
+def _patch_back_maps(monkeypatch, kind, change):
+    """Make the back map of the round trip from kind, in hotk and in the
+    oracle, return change(image) instead of its image."""
+    for module in (translate, oracle):
+        there, back = module._ROUNDTRIPS[kind]
+        monkeypatch.setitem(module._ROUNDTRIPS, kind,
+                            (there, lambda g, back=back: change(back(g))))
+
+
+def _negate_first_atom(f):
+    return _edit_first(f, lambda g: Not(g) if type(g) in ATOMS else None)
+
+
+REFERENCE = {"ctt": "pure4_up", "stt-up": "pure4_up", "fjt": "fjt3_down",
+             "stt-down": "fjt3_down"}
+
+
+@pytest.mark.parametrize("plan", PLANS)
+def test_broken_back_maps_give_the_same_counterexamples(plan, request,
+                                                        monkeypatch):
+    m = request.getfixturevalue(REFERENCE[plan])
+    regime = parse_regime(plan)
+    _patch_back_maps(monkeypatch, regime.kind, _negate_first_atom)
+    found = []
+    for f in _generated(plan, 2, 3):
+        got = same_report(f, regime, m)
+        if not isinstance(got, tuple) and got.counterexample is not None:
+            found.append(got.assignments_checked)
+    assert len(found) > 10 and max(found) > 1
+
+
+def test_models_with_an_empty_or_a_missing_domain(fjt2):
+    empty_0 = replace(fjt2, domains=((),) + fjt2.domains[1:])
+    empty_1 = replace(fjt2, max_type=1, domains=(fjt2.domains[0], ()),
+                      open_above=False)
+    short = replace(fjt2, max_type=1, domains=fjt2.domains[:2],
+                    open_above=False)
+    regime = parse_regime("ctt")
+    formulas = [parse_formula(t) for t in
+                ("a^1(b^0)", "c^2(a^1) & a^1(b^0)", "c^2(a^1)",
+                 "all x^0. c^2(x^0)", "a^0 = a^0")] + _generated("ctt", 2, 2)
+    seen = set()
+    for m in (empty_0, empty_1, short):
+        for f in formulas:
+            got = same_report(f, regime, m)
+            seen.add(got if isinstance(got, tuple)
+                     else got.assignments_checked == 0)
+    # Sweeps that stop at an empty domain before a missing one, sweeps
+    # that meet the missing type, and sweeps that check nothing.
+    assert same_report(formulas[1], regime, empty_1).assignments_checked == 0
+    assert ("EvalError", "type bound exceeded: model has no type 2") in seen
+    assert True in seen and False in seen
+
+
+def test_an_image_with_a_free_atom_the_original_lacks(monkeypatch, pure4_up):
+    z = Const("z", fin(0))
+    regime = parse_regime("ctt")
+    outcomes = set()
+    for join in (And, Or):
+        with monkeypatch.context() as patch:
+            _patch_back_maps(patch, regime.kind,
+                             lambda g, join=join: join(g, StrictEq(z, z)))
+            for f in _generated("ctt", 3, 3):
+                got = same_report(f, regime, pure4_up)
+                outcomes.add(got if isinstance(got, tuple) else "report")
+    assert ("EvalError", "unassigned free term z^0") in outcomes
+    assert "report" in outcomes
+
+
+def test_a_free_var_and_const_that_share_a_key(monkeypatch, request):
+    """Both atoms count in the sweep; the later one in sorted order gives
+    the slot they share, and the counterexample, its value."""
+    p, P = Var("p", fin(1)), Const("p", fin(1))
+    a, A = Var("a", fin(0)), Const("a", fin(0))
+    formulas = [And(Apply(p, a), Apply(P, A)), Or(Apply(p, A), Not(Apply(P, a))),
+                Apply(p, A), Forall(Var("x", fin(0)), Apply(P, a))]
+    for plan in PLANS:
+        m = request.getfixturevalue(REFERENCE[plan])
+        sweep = (len(m.domain(fin(0))) * len(m.domain(fin(1)))) ** 2
+        regime = parse_regime(plan)
+        assert same_report(formulas[0], regime, m).assignments_checked == sweep
+        for f in formulas:
+            same_report(f, regime, m)
+        with monkeypatch.context() as patch:
+            _patch_back_maps(patch, regime.kind, _negate_first_atom)
+            got = [same_report(f, regime, m) for f in formulas]
+        assert all(list(r.counterexample) == ["a^0", "p^1"] for r in got)
+        assert any(r.assignments_checked > 1 for r in got)
 
 
 # -- alpha_equal ------------------------------------------------------------
@@ -241,6 +350,17 @@ def test_alpha_equal_cases():
         f, g = parse_formula(left), parse_formula(right)
         assert alpha_equal(f, g) == oracle.alpha_equal(f, g) == \
             ((left, right) in same), (left, right)
+    # One subtree shared by both sides, under binders named alike or not.
+    x, y, z = Var("x", fin(0)), Var("y", fin(0)), Var("z", fin(0))
+    bound, free = StrictEq(x, x), StrictEq(z, z)
+    for f, g, expect in [
+            (Forall(x, bound), Forall(x, bound), True),
+            (Forall(x, bound), Forall(y, bound), False),
+            (Forall(x, Forall(y, bound)), Forall(y, Forall(x, bound)), False),
+            (Forall(x, Forall(x, bound)), Forall(y, Forall(x, bound)), True),
+            (Forall(x, free), Forall(y, free), True),
+            (And(Forall(x, bound), bound), And(Forall(y, bound), bound), False)]:
+        assert alpha_equal(f, g) is oracle.alpha_equal(f, g) is expect, (f, g)
     # A constant named like the binder above it is not bound by it.
     body = parse_formula("all b. b in a", mode="set")
     f, g = type(body)(Var("a", None), body), type(body)(Var("c", None), body)
@@ -266,3 +386,38 @@ def test_round_trips_expand_at_most_twice(monkeypatch, pure4_up, fjt3_down):
                 calls.clear()
                 translate.roundtrip_check(f, regime, m)
                 assert len(calls) <= 2, (plan, m is not None, f)
+
+
+def test_round_trips_walk_free_atoms_at_most_twice(monkeypatch, request):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return free_atoms(f)
+
+    monkeypatch.setattr(translate, "free_atoms", counting)
+    monkeypatch.setattr(core, "free_atoms", counting)
+    for plan in PLANS:
+        regime = parse_regime(plan)
+        m = request.getfixturevalue(REFERENCE[plan])
+        for f in _generated(plan, 2, 1):
+            calls.clear()
+            translate.roundtrip_check(f, regime, m)
+            assert len(calls) <= 2, (plan, f)
+
+
+def test_rewrites_keep_unchanged_subtrees():
+    """Expansion and the maps return a node itself when nothing in it
+    changes, so a sugar-free formula expands to itself and an image shares
+    the original's untouched subtrees."""
+    corpus = HANDWRITTEN + [f for plan in PLANS for f in GENERATED[plan]]
+    for f in corpus:
+        g = outcome(expand_abbreviations, f, None)
+        if isinstance(g, tuple):
+            continue
+        assert expand_abbreviations(g) is g
+        assert translate._map_formula(g, lambda atom: atom) is g
+    for f in _generated("stt-down", 1, 2):     # every application gap is 0
+        g = expand_abbreviations(f)
+        assert translate._ctt_to_sttu(g) is g
+        assert translate._sttu_to_ctt(g) is g       # the whole trip shares g

@@ -178,11 +178,12 @@ def _allowed_max_type_change(f, got):
     """max_finite_type reads f's expansion, so it differs from the ladder,
     which added a fixed rise to defined identity and membership only, on
     typed set sugar (whose expansion goes through defined membership), and
-    on the type-0 coext and downeq atoms, whose expansion fails (formation
-    rejects both before decide_fjt reaches them)."""
+    on the type-0 coext and downeq atoms, whose expansion raises the
+    formation error they break (formation rejects both before decide_fjt
+    reaches them)."""
     sugar = [g for g in subformulas(f) if isinstance(g, Sugar)]
     if isinstance(got, tuple):
-        return got[0] == "ValueError" and any(
+        return got[0] == "FormationError" and any(
             g.kind in ("coext", "downeq") and g.args[0].index == fin(0)
             for g in sugar)
     return (any(g.kind in ("subset", "level", "history", "rank")
