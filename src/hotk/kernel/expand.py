@@ -15,33 +15,12 @@ from typing import Optional
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.formation import sugar_violation
-from hotk.kernel.indices import TypeIndex, max_index
+from hotk.kernel.indices import TypeIndex, fin, max_index
 from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
-                                Formula, Iff, Implies, InSet, Not, StrictEq,
-                                Sugar, Term, Var, all_names, conj, parts,
-                                rebuild, term_index)
-
-
-class _Fresh:
-    """Fresh variables v1, v2, ... avoiding every name in a formula.  The
-    names are collected on the first request, so a formula without sugar
-    is never scanned."""
-
-    def __init__(self, f: Formula):
-        self.f = f
-        self.used = None
-        self.n = 0
-
-    def var(self, index: Optional[TypeIndex]) -> Var:
-        if self.used is None:
-            self.used = set(all_names(self.f))
-        while True:
-            self.n += 1
-            name = f"v{self.n}"
-            if name not in self.used:
-                self.used.add(name)
-                return Var(name, index)
+                                FreshNames, Formula, Iff, Implies, InSet, Not,
+                                StrictEq, Sugar, Term, conj, parts, rebuild,
+                                term_index)
 
 
 def _member(left: Term, right: Term) -> Formula:
@@ -52,14 +31,15 @@ def _member(left: Term, right: Term) -> Formula:
 
 
 def _below(f: Sugar, n: TypeIndex) -> TypeIndex:
-    """The type below n that coext or downeq f binds; none below type 0."""
-    if n == TypeIndex(0, 0):
+    """The type below n that coext or downeq f binds; none below type 0 or
+    a limit type."""
+    if n.finite_part == 0:
         reason = sugar_violation(f, rg.stt_down())
         raise FormationError(f"{reason} in {print_formula(f)}")
     return n.pred()
 
 
-def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
+def _one_step(f: Sugar, fresh: FreshNames) -> Formula:
     k = f.kind
     if k == "eq":
         l, r = f.args
@@ -79,13 +59,13 @@ def _one_step(f: Sugar, fresh: _Fresh) -> Formula:
         n, l, r = f.args
         conjuncts = []
         for i in range(n - 1, -1, -1):
-            x = fresh.var(TypeIndex(0, i))
+            x = fresh.var(fin(i))
             conjuncts.append(Forall(x, Iff(Apply(l, x), Apply(r, x))))
         return conj(conjuncts)
     if k == "downeq":
         l, r = f.args
         n = term_index(l)
-        if n == TypeIndex(0, 1):
+        if n == fin(1):
             return StrictEq(l, l)   # stipulated vacuous truth at type 1
         x = fresh.var(_below(f, n))
         return Forall(x, Iff(DownRel(l, x), DownRel(r, x)))
@@ -139,7 +119,7 @@ def expand_abbreviations(f: Formula, regime: Optional[rg.Regime] = None) -> Form
     rewritten; regime=None expands permissively (model evaluation uses
     this, since bundled models answer liberal queries anyway).
     """
-    fresh = _Fresh(f)
+    fresh = FreshNames(f)
 
     def go(g: Formula) -> Formula:
         if type(g) in ATOMS:
@@ -152,7 +132,7 @@ def expand_abbreviations(f: Formula, regime: Optional[rg.Regime] = None) -> Form
         terms, binder, bodies = parts(g)
         new = []
         for b in bodies:
-            new.append(go(b))
+            new.append(b if type(b) in ATOMS else go(b))
         if any(map(is_not, new, bodies)):
             g = rebuild(g, terms, binder, new)
         return go(_one_step(g, fresh)) if sugar else g

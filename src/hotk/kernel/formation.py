@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from hotk.kernel import regimes as rg
-from hotk.kernel.indices import TypeIndex, max_index
+from hotk.kernel.indices import TypeIndex, fin, max_index
 from hotk.kernel.printer import print_formula, print_term
 from hotk.kernel.syntax import (Apply, DownRel, Formula, InSet, Raised,
                                 StrictEq, Sugar, Term, parts, term_index)
@@ -40,28 +40,41 @@ def _bad(reason: str, offender) -> FormationVerdict:
     return FormationVerdict(False, reason, offender)
 
 
+_ZERO = fin(0)
+
+# The kinds whose application heads must lie above their arguments.
+_HEAD_ABOVE = frozenset({rg.CTT_STRINGENT, rg.FJT})
+
+
+def _is_succ(a: TypeIndex, b: TypeIndex) -> bool:
+    """a == b.succ(), without building b.succ()."""
+    return a.omega_coeff == b.omega_coeff and a.finite_part == b.finite_part + 1
+
+
 def _check_term(t: Term, regime: rg.Regime) -> Optional[FormationVerdict]:
-    if isinstance(t, Raised):
+    if type(t) is Raised:
         if regime.kind != rg.STT_UP:
             return _bad("up(...) terms exist only in the raised-type theory", t)
         return _check_term(t.inner, regime)
-    if t.index is None:
+    idx = t.index
+    if idx is None:
         return _bad("untyped term in a typed regime", t)
-    if not regime.admits_index(t.index):
+    if not regime.admits_index(idx):
         if regime.finite_only:
-            return _bad(f"transfinite index {t.index} in a finite-type theory", t)
-        return _bad(f"index {t.index} is not below the bound {regime.bound}", t)
+            return _bad(f"transfinite index {idx} in a finite-type theory", t)
+        return _bad(f"index {idx} is not below the bound {regime.bound}", t)
     return None
 
 
 def _apply_gap_ok(head: TypeIndex, arg: TypeIndex, regime: rg.Regime) -> Optional[str]:
-    if regime.kind in (rg.STT, rg.STT_UP, rg.STT_DOWN):
-        if head != arg.succ():
+    kind = regime.kind
+    if kind in rg.STANDARD_KINDS:
+        if not _is_succ(head, arg):
             gap = "transfinite" if not (head.is_finite and arg.is_finite) \
                 else str(head.finite_value - arg.finite_value)
             return f"application gap {gap} != 1 (head {head} over argument {arg})"
         return None
-    if regime.kind in (rg.CTT_STRINGENT, rg.FJT):
+    if kind in _HEAD_ABOVE:
         if not head > arg:
             return f"head type {head} not above argument type {arg}"
         return None
@@ -70,9 +83,9 @@ def _apply_gap_ok(head: TypeIndex, arg: TypeIndex, regime: rg.Regime) -> Optiona
 
 def _projection_violation(a: TypeIndex, b: TypeIndex) -> Optional[str]:
     """Why a projection from type a down to type b is ill-formed, or None."""
-    if b == TypeIndex(0, 0):
+    if b == _ZERO:
         return "no projection constant reaches type 0"
-    if a != b.succ():
+    if not _is_succ(a, b):
         return f"projection relates type n+1 to type n, got {a} over {b}"
     return None
 
@@ -83,7 +96,7 @@ def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
     if k in ("eq", "in"):
         a, b = (term_index(f.args[0]), term_index(f.args[1]))
         gamma = max_index(a, b).succ()
-        if regime.kind in (rg.STT, rg.STT_UP, rg.STT_DOWN):
+        if regime.kind in rg.STANDARD_KINDS:
             if k == "in":
                 return "defined membership is not available in standard-type regimes"
             if a != b:
@@ -97,24 +110,28 @@ def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
         a, b = (term_index(f.args[0]), term_index(f.args[1]))
         if a != b:
             return f"coextensiveness needs equal types ({a} vs {b})"
-        if a == TypeIndex(0, 0):
+        if a == _ZERO:
             return "coextensiveness undefined at type 0"
+        if a.is_limit:
+            return f"coextensiveness undefined at limit type {a}"
         return None
     if k == "coext_k":
         n, l, r = f.args
-        if regime.kind not in (rg.FJT, rg.CTT_STRINGENT, rg.CTT_LIBERAL):
+        if regime.kind not in rg.CUMULATIVE_KINDS:
             return "bounded coextensiveness lives in the cumulative-formation regimes"
         a, b = term_index(l), term_index(r)
         low = min((a, b))
-        if n < 1 or TypeIndex(0, n) > low:
+        if n < 1 or fin(n) > low:
             return f"bound {n} must satisfy 1 <= {n} <= min({a}, {b})"
         return None
     if k == "downeq":
         if regime.kind != rg.STT_DOWN:
             return "downward-projection equivalence needs the projection theory"
         a, b = (term_index(f.args[0]), term_index(f.args[1]))
-        if a != b or a == TypeIndex(0, 0):
+        if a != b or a == _ZERO:
             return f"projection equivalence needs equal types >= 1 ({a} vs {b})"
+        if a.is_limit:
+            return f"projection equivalence undefined at limit type {a}"
         return None
     if k == "bounded":
         quant, var, rel, bound, body = f.args
@@ -129,7 +146,7 @@ def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
             return None   # untyped set language: always fine
         if len(set(idxs)) != 1:
             return f"set-theoretic sugar needs one common type, got {idxs}"
-        if regime.kind in (rg.STT, rg.STT_UP, rg.STT_DOWN):
+        if regime.kind in rg.STANDARD_KINDS:
             return "set-theoretic sugar expands through defined membership, unavailable here"
         kappa = idxs[0]
         if regime.is_ctt and not regime.admits_index(kappa.plus(2)):
@@ -146,7 +163,11 @@ def _check_node(g: Formula, terms, binder, regime: rg.Regime) -> Optional[Format
         return _bad("untyped membership atom in a typed regime", g)
     if kind is DownRel and regime.kind != rg.STT_DOWN:
         return _bad("dn atoms exist only in the projection theory", g)
-    for t in terms if binder is None else (binder, *terms):
+    if binder is not None:
+        v = _check_term(binder, regime)
+        if v is not None:
+            return v
+    for t in terms:
         v = _check_term(t, regime)
         if v is not None:
             return v
@@ -175,5 +196,6 @@ def check_formation(f: Formula, regime: rg.Regime) -> FormationVerdict:
             v = _check_node(g, terms, binder, regime)
             if v is not None:
                 return v
-        stack += bodies[::-1]
+        if bodies:
+            stack += bodies[::-1]
     return WELL_FORMED

@@ -4,15 +4,18 @@ Every index this workbench needs looks like n, w, w+3 or w*2+1, so a
 pair of naturals (q, r) denoting w*q + r covers them all, and the ordinal
 order is plain lexicographic order on the pair.  Anything larger (w*w and
 beyond) is rejected at parse time (hotk.kernel.parser reads indices).
+
+The kernel builds its indices through ordinal (fin, succ, pred, plus and
+the parser all do), which hands out one shared object per value: the few
+indices a formula uses are built once, and comparing equal indices finds
+them identical.  A TypeIndex built directly is an equal, separate object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 
-@total_ordering
 @dataclass(frozen=True)
 class TypeIndex:
     omega_coeff: int
@@ -37,20 +40,29 @@ class TypeIndex:
         return self.finite_part
 
     def succ(self) -> "TypeIndex":
-        return TypeIndex(self.omega_coeff, self.finite_part + 1)
+        return ordinal(self.omega_coeff, self.finite_part + 1)
 
     def pred(self) -> "TypeIndex":
         if self.finite_part == 0:
             raise ValueError(f"{self} has no predecessor")
-        return TypeIndex(self.omega_coeff, self.finite_part - 1)
+        return ordinal(self.omega_coeff, self.finite_part - 1)
 
     def plus(self, n: int) -> "TypeIndex":
         if n < 0:
             raise ValueError("plus takes a natural")
-        return TypeIndex(self.omega_coeff, self.finite_part + n)
+        return ordinal(self.omega_coeff, self.finite_part + n)
 
     def __lt__(self, other: "TypeIndex") -> bool:
         return (self.omega_coeff, self.finite_part) < (other.omega_coeff, other.finite_part)
+
+    def __le__(self, other: "TypeIndex") -> bool:
+        return (self.omega_coeff, self.finite_part) <= (other.omega_coeff, other.finite_part)
+
+    def __gt__(self, other: "TypeIndex") -> bool:
+        return (self.omega_coeff, self.finite_part) > (other.omega_coeff, other.finite_part)
+
+    def __ge__(self, other: "TypeIndex") -> bool:
+        return (self.omega_coeff, self.finite_part) >= (other.omega_coeff, other.finite_part)
 
     def __str__(self) -> str:
         q, r = self.omega_coeff, self.finite_part
@@ -63,11 +75,23 @@ class TypeIndex:
         return f"TypeIndex({self})"
 
 
+# One entry per distinct index the process has built: a handful in practice.
+_INTERNED: dict = {}
+
+
+def ordinal(q: int, r: int) -> TypeIndex:
+    """The shared TypeIndex for w*q + r."""
+    idx = _INTERNED.get((q, r))
+    if idx is None:
+        idx = _INTERNED[q, r] = TypeIndex(q, r)
+    return idx
+
+
 def fin(n: int) -> TypeIndex:
-    return TypeIndex(0, n)
+    return ordinal(0, n)
 
 
-OMEGA = TypeIndex(1, 0)
+OMEGA = ordinal(1, 0)
 
 def max_index(a: TypeIndex, b: TypeIndex) -> TypeIndex:
     return a if a >= b else b

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the formula grammar.
+"""Recursive-descent parser for the formula grammar, with the binary
+connectives read by precedence climbing over CONNECTIVES.
 
 Two modes: "typed" (every term carries ^index, the regular regimes) and
 "set" (bare untyped terms, the set-theoretic language of the level-theory
@@ -12,19 +13,23 @@ import re
 from typing import List, Optional, Tuple
 
 from hotk.errors import ParseError
-from hotk.kernel.indices import TypeIndex, fin
+from hotk.kernel.indices import TypeIndex, fin, ordinal
 from hotk.kernel.syntax import (CONNECTIVES, INFIX, PREFIX, Apply, Const,
                                 Exists, Forall, InSet, Not, Raised, Sugar,
                                 Term, Var)
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
+# One token after any whitespace.  Every character but whitespace starts
+# some alternative (the last one catches any other character), so the
+# matches of finditer follow each other without gaps, and only trailing
+# whitespace is left unmatched.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<comment>\#.*)
   | (?P<iff><->)
   | (?P<imp>->)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<nat>\d+)
   | (?P<sym>[()^.,=~&|*+])
+  | (?P<bad>\S))
 """, re.VERBOSE)
 
 _KEYWORDS = {"all", "some", "up", *INFIX, *PREFIX}
@@ -34,138 +39,128 @@ _SET_INFIX = ("=", "in", "sub")
 
 _COEXT_K_RE = re.compile(r"^coext_(\d+)$")
 
+# Each binary connective's token with its precedence (the place in
+# CONNECTIVES, loosest first) and node.
+_BINARY = {token: (prec, node) for prec, (token, node) in enumerate(CONNECTIVES)}
+
 # How deeply a formula may nest: each "~", parenthesis, quantifier body,
 # right operand of a binary connective, up(...) and parenthesized index
-# counts one level.  A level costs the parser at most eight stack frames
+# counts one level.  A level costs the parser at most four stack frames
 # (a quantifier body), and the kernel's recursive walks fewer, so every
 # formula the parser accepts stays within Python's default recursion limit.
 MAX_DEPTH = 100
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: List[Tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(f"bad character {text[pos]!r}", pos)
-            pos = m.end()
-            kind = m.lastgroup
-            if kind in ("ws", "comment"):
-                continue
-            self.toks.append((kind, m.group(), m.start()))
-        self.i = 0
+class _Parser:
+    """One pass over the text splits it into tokens, each (kind, text,
+    start), and a last ("end", None, len(text)) stands for the end of
+    input; i is the next token's place."""
 
-    def peek(self, offset: int = 0) -> Optional[Tuple[str, str, int]]:
-        j = self.i + offset
-        return self.toks[j] if j < len(self.toks) else None
+    def __init__(self, text: str, mode: str):
+        if mode not in ("typed", "set"):
+            raise ValueError(f"bad parse mode {mode!r}")
+        self.toks: List[Tuple[str, Optional[str], int]] = []
+        append = self.toks.append
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "comment":
+                continue
+            if kind == "bad":
+                raise ParseError(f"bad character {m[kind]!r}", m.start(kind))
+            append((kind, m[kind], m.start(kind)))
+        append(("end", None, len(text)))
+        self.i = 0
+        self.level = 0
+        self.mode = mode
+        self.bound: List[Tuple[str, Optional[TypeIndex]]] = []
+
+    # -- tokens -------------------------------------------------------------
+
+    def at(self, value: str) -> bool:
+        return self.toks[self.i][1] == value
 
     def next(self) -> Tuple[str, str, int]:
-        if self.i >= len(self.toks):
-            raise ParseError("unexpected end of input", len(self.text))
         t = self.toks[self.i]
+        if t[1] is None:
+            raise ParseError("unexpected end of input", t[2])
         self.i += 1
         return t
 
     def expect(self, value: str) -> None:
-        t = self.peek()
-        if t is None:
-            raise ParseError(f"expected {value!r}, got end of input", len(self.text))
+        t = self.toks[self.i]
         if t[1] != value:
-            raise ParseError(f"expected {value!r}, got {t[1]!r}", t[2])
+            got = "end of input" if t[1] is None else repr(t[1])
+            raise ParseError(f"expected {value!r}, got {got}", t[2])
         self.i += 1
 
-    def at(self, value: str) -> bool:
-        t = self.peek()
-        return t is not None and t[1] == value
-
-
-class _Depth:
-    """`with depth:` around each nested parse; past MAX_DEPTH levels it
-    raises ParseError instead of letting the recursion run on."""
-
-    def __init__(self, toks: _Tokens):
-        self.toks = toks
-        self.level = 0
-
-    def __enter__(self):
+    def descend(self) -> None:
+        """Enter one more level of nesting; past MAX_DEPTH levels raise
+        ParseError instead of letting the recursion run on.  The caller
+        leaves the level with `self.level -= 1` (a ParseError ends the
+        whole parse, so it needs no unwinding)."""
         self.level += 1
         if self.level > MAX_DEPTH:
-            t = self.toks.peek()
             raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
-                             t[2] if t else len(self.toks.text))
-
-    def __exit__(self, *exc):
-        self.level -= 1
-
-
-class _Parser:
-    def __init__(self, text: str, mode: str):
-        if mode not in ("typed", "set"):
-            raise ValueError(f"bad parse mode {mode!r}")
-        self.toks = _Tokens(text)
-        self.depth = _Depth(self.toks)
-        self.mode = mode
-        self.bound: List[Tuple[str, Optional[TypeIndex]]] = []
+                             self.toks[self.i][2])
 
     # -- terms --------------------------------------------------------------
 
     def _index(self) -> TypeIndex:
-        t = self.toks.peek()
-        if t is None:
-            raise ParseError("expected type index", len(self.toks.text))
+        t = self.toks[self.i]
+        if t[1] is None:
+            raise ParseError("expected type index", t[2])
         if t[1] == "(":
-            self.toks.next()
-            with self.depth:
-                idx = self._index()
-            self.toks.expect(")")
+            self.i += 1
+            self.descend()
+            idx = self._index()
+            self.level -= 1
+            self.expect(")")
             return idx
         if t[0] == "nat":
-            self.toks.next()
+            self.i += 1
             return fin(int(t[1]))
         if t[1] == "w":
-            self.toks.next()
+            self.i += 1
             q, r = 1, 0
-            if self.toks.at("*"):
-                self.toks.next()
-                qt = self.toks.next()
+            if self.at("*"):
+                self.i += 1
+                qt = self.next()
                 if qt[0] != "nat":
                     raise ParseError("expected natural after 'w*'", qt[2])
                 q = int(qt[1])
-            if self.toks.at("+"):
-                self.toks.next()
-                rt = self.toks.next()
+            if self.at("+"):
+                self.i += 1
+                rt = self.next()
                 if rt[0] != "nat":
                     raise ParseError("expected natural after '+'", rt[2])
                 r = int(rt[1])
-            return TypeIndex(q, r)
+            return ordinal(q, r)
         raise ParseError(f"bad type index start {t[1]!r} (w*w and above unsupported)", t[2])
 
     def _typed_name(self, t, role: str) -> Tuple[str, Optional[TypeIndex]]:
         """The name token t of a term or binder (role) with the ^index after
         it, which typed formulas need and set-language formulas refuse."""
-        self.toks.next()
-        if not self.toks.at("^"):
+        self.i += 1
+        if not self.at("^"):
             if self.mode == "typed":
                 raise ParseError(f"{role} {t[1]!r} is missing its ^index", t[2])
             return t[1], None
         if self.mode == "set":
             raise ParseError(f"typed {role} in set-language formula", t[2])
-        self.toks.next()
+        self.i += 1
         return t[1], self._index()
 
     def parse_term(self) -> Term:
-        t = self.toks.peek()
-        if t is None:
-            raise ParseError("expected term", len(self.toks.text))
+        t = self.toks[self.i]
+        if t[1] is None:
+            raise ParseError("expected term", t[2])
         if t[1] == "up":
-            self.toks.next()
-            self.toks.expect("(")
-            with self.depth:
-                inner = self.parse_term()
-            self.toks.expect(")")
+            self.i += 1
+            self.expect("(")
+            self.descend()
+            inner = self.parse_term()
+            self.level -= 1
+            self.expect(")")
             return Raised(inner)
         if t[0] != "ident" or t[1] in _KEYWORDS:
             raise ParseError(f"expected term, got {t[1]!r}", t[2])
@@ -174,92 +169,95 @@ class _Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def parse_formula(self, level: int = 0):
-        """Binary connectives from the loosest (level 0) to the tightest;
-        each associates to the right."""
-        if level == len(CONNECTIVES):
-            return self._neg()
-        token, node = CONNECTIVES[level]
-        left = self.parse_formula(level + 1)
-        if self.toks.at(token):
-            self.toks.next()
-            with self.depth:
-                return node(left, self.parse_formula(level))
-        return left
+    def parse_formula(self, min_prec: int = 0):
+        """Binary connectives by precedence climbing: operands are negations,
+        and a connective at least as tight as min_prec takes everything up
+        to the next looser one as its right operand, so each associates to
+        the right."""
+        left = self._neg()
+        while True:
+            op = _BINARY.get(self.toks[self.i][1])
+            if op is None or op[0] < min_prec:
+                return left
+            self.i += 1
+            self.descend()
+            left = op[1](left, self.parse_formula(op[0]))
+            self.level -= 1
 
     def _neg(self):
-        if self.toks.at("~"):
-            self.toks.next()
-            with self.depth:
-                return Not(self._neg())
+        if self.at("~"):
+            self.i += 1
+            self.descend()
+            f = Not(self._neg())
+            self.level -= 1
+            return f
         return self._unit()
 
     def _unit(self):
-        t = self.toks.peek()
-        if t is None:
-            raise ParseError("expected formula", len(self.toks.text))
-        if t[1] in ("all", "some"):
+        t = self.toks[self.i]
+        if t[1] is None:
+            raise ParseError("expected formula", t[2])
+        if t[1] == "all" or t[1] == "some":
             return self._quantifier()
         if t[1] == "(":
-            self.toks.next()
-            with self.depth:
-                f = self.parse_formula()
-            self.toks.expect(")")
+            self.i += 1
+            self.descend()
+            f = self.parse_formula()
+            self.level -= 1
+            self.expect(")")
             return f
         return self._atom()
 
     def _quantifier(self):
-        word = self.toks.next()[1]
-        vt = self.toks.peek()
-        if vt is None or vt[0] != "ident" or vt[1] in _KEYWORDS:
-            raise ParseError("expected bound variable", vt[2] if vt else len(self.toks.text))
+        word = self.next()[1]
+        vt = self.toks[self.i]
+        if vt[0] != "ident" or vt[1] in _KEYWORDS:
+            raise ParseError("expected bound variable", vt[2])
         key = self._typed_name(vt, "binder")
         var = Var(*key)
 
         rel = None
         bound_term = None
-        nxt = self.toks.peek()
-        if nxt is not None and nxt[1] in ("eq", "in", "dn"):
+        nxt = self.toks[self.i]
+        if nxt[1] == "eq" or nxt[1] == "in" or nxt[1] == "dn":
             rel = nxt[1]
             if self.mode == "set" and rel != "in":
                 raise ParseError(f"bounded quantifier {rel!r} not in set language", nxt[2])
-            self.toks.next()
+            self.i += 1
             bound_term = self.parse_term()
-        self.toks.expect(".")
+        self.expect(".")
 
         self.bound.append(key)
-        try:
-            with self.depth:
-                body = self.parse_formula()
-        finally:
-            self.bound.pop()
+        self.descend()
+        body = self.parse_formula()
+        self.level -= 1
+        self.bound.pop()
 
         if rel is None:
             return (Forall if word == "all" else Exists)(var, body)
         return Sugar("bounded", (word, var, rel, bound_term, body))
 
     def _atom(self):
-        t = self.toks.peek()
-        kind = PREFIX.get(t[1])
+        kind = PREFIX.get(self.toks[self.i][1])
         if kind is not None:
-            self.toks.next()
-            self.toks.expect("(")
+            self.i += 1
+            self.expect("(")
             args = [self.parse_term()]
             if kind == "rank":
-                self.toks.expect(",")
+                self.expect(",")
                 args.append(self.parse_term())
-            self.toks.expect(")")
+            self.expect(")")
             return Sugar(kind, tuple(args))
 
         left = self.parse_term()
-        nxt = self.toks.peek()
-        if nxt is None:
-            raise ParseError("dangling term", len(self.toks.text))
+        nxt = self.toks[self.i]
         tok = nxt[1]
+        if tok is None:
+            raise ParseError("dangling term", nxt[2])
         if tok == "(":
-            self.toks.next()
+            self.i += 1
             arg = self.parse_term()
-            self.toks.expect(")")
+            self.expect(")")
             return Apply(left, arg)
         if self.mode == "set" and tok not in _SET_INFIX:
             raise ParseError(f"unexpected {tok!r} after set term", nxt[2])
@@ -268,9 +266,9 @@ class _Parser:
             m = _COEXT_K_RE.match(tok)
             if not m:
                 raise ParseError(f"unexpected {tok!r} after term", nxt[2])
-            self.toks.next()
+            self.i += 1
             return Sugar("coext_k", (int(m.group(1)), left, self.parse_term()))
-        self.toks.next()
+        self.i += 1
         right = self.parse_term()
         if self.mode == "set" and node == "in":
             return InSet(left, right)
@@ -283,8 +281,8 @@ def _whole(text: str, mode: str, rule):
     """rule run on a parser over text, which must use up the text."""
     p = _Parser(text, mode)
     out = rule(p)
-    t = p.toks.peek()
-    if t is not None:
+    t = p.toks[p.i]
+    if t[1] is not None:
         raise ParseError(f"trailing input {t[1]!r}", t[2])
     return out
 

@@ -18,14 +18,14 @@ _PREFIX = {kind: name for name, kind in PREFIX.items()}
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Raised):
+    if type(t) is Raised:
         return f"up({print_term(t.inner)})"
-    if t.index is None:
+    idx = t.index
+    if idx is None:
         return t.name
-    idx = str(t.index)
-    if not t.index.is_finite:
-        idx = f"({idx})"
-    return f"{t.name}^{idx}"
+    if idx.omega_coeff == 0:
+        return f"{t.name}^{idx.finite_part}"
+    return f"{t.name}^({idx})"
 
 
 def _render(f, parent_prec: int) -> str:

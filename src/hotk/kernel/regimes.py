@@ -18,6 +18,15 @@ FJT = "fjt"
 
 _KINDS = (STT, STT_UP, STT_DOWN, CTT_STRINGENT, CTT_LIBERAL, FJT)
 
+# The kinds by formation rule: the standard theories need head type =
+# argument type + 1, the cumulative ones let a head take any lower type
+# (the liberal CTT any type at all); all but the CTT kinds have finite
+# types only.
+STANDARD_KINDS = frozenset({STT, STT_UP, STT_DOWN})
+CUMULATIVE_KINDS = frozenset({FJT, CTT_STRINGENT, CTT_LIBERAL})
+CTT_KINDS = frozenset({CTT_STRINGENT, CTT_LIBERAL})
+FINITE_KINDS = frozenset({STT, STT_UP, STT_DOWN, FJT})
+
 
 @dataclass(frozen=True)
 class Regime:
@@ -35,15 +44,15 @@ class Regime:
 
     @property
     def is_ctt(self) -> bool:
-        return self.kind in (CTT_STRINGENT, CTT_LIBERAL)
+        return self.kind in CTT_KINDS
 
     @property
     def finite_only(self) -> bool:
-        return self.kind in (STT, STT_UP, STT_DOWN, FJT)
+        return self.kind in FINITE_KINDS
 
     def admits_index(self, idx: TypeIndex) -> bool:
-        if self.finite_only:
-            return idx.is_finite
+        if self.kind in FINITE_KINDS:
+            return idx.omega_coeff == 0
         return idx < self.bound
 
     def __str__(self) -> str:

@@ -39,7 +39,7 @@ Term = Union[Var, Const, Raised]
 
 
 def term_index(t: Term) -> Optional[TypeIndex]:
-    if isinstance(t, Raised):
+    if type(t) is Raised:
         inner = term_index(t.inner)
         return None if inner is None else inner.succ()
     return t.index
@@ -144,7 +144,7 @@ class Sugar:
 Formula = Union[Apply, StrictEq, DownRel, InSet, Not, And, Or, Implies, Iff,
                 Forall, Exists, Sugar]
 
-ATOMS = (Apply, StrictEq, DownRel, InSet)
+ATOMS = frozenset({Apply, StrictEq, DownRel, InSet})
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +198,10 @@ def parts(f: Formula) -> Tuple[Tuple[Term, ...], Optional[Var], Tuple[Formula, .
     ((bound,), var, (body,)).  Other sugar kinds give their term arguments;
     their int and str arguments stay with the node (see rebuild).
     """
-    split = _PARTS.get(type(f))
-    if split is None:
-        raise TypeError(f"unknown formula node {f!r}")
+    try:
+        split = _PARTS[type(f)]
+    except KeyError:
+        raise TypeError(f"unknown formula node {f!r}") from None
     return split(f)
 
 
@@ -288,6 +289,31 @@ def fresh_name(stem: str, used) -> str:
     while f"{stem}{i}" in used:
         i += 1
     return f"{stem}{i}"
+
+
+class FreshNames:
+    """Variables with new names stem1, stem2, ... (v1, v2, ... by default)
+    that occur nowhere in a formula; each name is handed out once.  The
+    formula's names are collected on the first request, so a formula that
+    needs no new variable is never scanned."""
+
+    def __init__(self, f: Formula):
+        self.f = f
+        self.used = None
+        self.last: dict = {}       # stem -> the number it last gave
+
+    def var(self, index: Optional[TypeIndex], stem: str = "v") -> Var:
+        if self.used is None:
+            self.used = set(all_names(self.f))
+        i = self.last.get(stem, 0)
+        while True:
+            i += 1
+            name = f"{stem}{i}"
+            if name not in self.used:
+                break
+        self.last[stem] = i
+        self.used.add(name)
+        return Var(name, index)
 
 
 def _rename(t: Term, images: dict) -> Term:

@@ -20,10 +20,10 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.parser import parse_index
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
-                                Formula, Implies, InSet, Raised, StrictEq,
-                                Sugar, Term, Var, all_names, alpha_equal,
-                                conj, fresh_name, free_atoms, parts,
-                                raise_term, rebuild, term_index)
+                                Formula, FreshNames, Implies, InSet, Raised,
+                                StrictEq, Sugar, Term, Var, alpha_equal, conj,
+                                free_atoms, parts, raise_term, rebuild,
+                                term_index)
 
 if TYPE_CHECKING:
     from hotk.models.core import Model
@@ -37,7 +37,7 @@ def _map_formula(f: Formula, atom_fn) -> Formula:
     terms, binder, bodies = parts(f)
     new = []
     for b in bodies:
-        new.append(_map_formula(b, atom_fn))
+        new.append(atom_fn(b) if type(b) in ATOMS else _map_formula(b, atom_fn))
     if any(map(is_not, new, bodies)):
         return rebuild(f, terms, binder, new)
     return f
@@ -114,12 +114,7 @@ def sttu_to_ctt(f: Formula) -> Formula:
 
 
 def _sttu_to_ctt(f: Formula) -> Formula:
-    used = set(all_names(f))
-
-    def fresh(index) -> Var:
-        name = fresh_name("w", used)
-        used.add(name)
-        return Var(name, index)
+    fresh = FreshNames(f)
 
     def strip_one(t: Term):
         """Replace the innermost-leftmost Raised subterm by a variable."""
@@ -128,7 +123,7 @@ def _sttu_to_ctt(f: Formula) -> Formula:
                 inner, var, core = strip_one(t.inner)
                 return Raised(inner), var, core
             idx = term_index(t.inner).succ()
-            var = fresh(idx)
+            var = fresh.var(idx, "w")
             return var, var, t.inner
         return t, None, None
 
@@ -144,7 +139,7 @@ def _sttu_to_ctt(f: Formula) -> Formula:
             new_terms = list(terms)
             new_terms[pos] = stripped
             inner = type(g)(*new_terms)
-            u = fresh(var.index)
+            u = fresh.var(var.index, "w")
             uniq = Forall(u, Implies(Sugar("eq", (core, u)), StrictEq(u, var)))
             return Exists(var, And(Sugar("eq", (core, var)),
                                    And(uniq, atom(inner))))
@@ -162,7 +157,7 @@ def fjt_to_sttd(f: Formula) -> Formula:
 
 
 def _fjt_to_sttd(f: Formula) -> Formula:
-    used = set(all_names(f))
+    fresh = FreshNames(f)
 
     def atom(g: Formula) -> Formula:
         if isinstance(g, StrictEq):
@@ -177,11 +172,7 @@ def _fjt_to_sttd(f: Formula) -> Formula:
             return g
         if n <= m:
             raise FormationError("liberal atom has no projection image")
-        chain_vars = []
-        for k in range(n - 1, m, -1):
-            name = fresh_name(f"y{k}_", used)
-            used.add(name)
-            chain_vars.append(Var(name, fin(k)))
+        chain_vars = [fresh.var(fin(k), f"y{k}_") for k in range(n - 1, m, -1)]
         guard = conj(DownRel(a, b) for a, b in zip([g.head, *chain_vars], chain_vars))
         body: Formula = Implies(guard, Apply(chain_vars[-1], g.arg))
         for v in reversed(chain_vars):

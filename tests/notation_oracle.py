@@ -5,24 +5,24 @@ hotk.kernel.syntax, the parser's atom rule and keyword set and the
 printer's rendering each listed every infix token and level-theory name
 themselves, a regular expression read the type indices of command-line
 options and proof rules, and terms and binders each read their own
-`name^index`.  This module keeps those readers and that printer.
-`OracleParser` overrides every parser rule that changed, so the rules it
-shares with hotk.kernel.parser (connectives, negation, parentheses and the
-tokenizer) are the ones that did not.  tests/test_notation_oracle.py
-compares them with the current code.
+`name^index`.  Before the parser tokenized in one `finditer` pass and read
+the binary connectives by precedence climbing, a tokenizer matched one
+token at a time and the connectives were read by one recursive rule per
+level of CONNECTIVES.  This module keeps those readers and that printer.
+tests/test_notation_oracle.py compares them with the current code.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from hotk.errors import ParseError
 from hotk.kernel.indices import TypeIndex, fin
-from hotk.kernel.parser import _Parser
-from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Iff,
-                                Implies, InSet, Not, Or, Raised, StrictEq,
-                                Sugar, Term, Var, Const)
+from hotk.kernel.parser import MAX_DEPTH
+from hotk.kernel.syntax import (CONNECTIVES, And, Apply, DownRel, Exists,
+                                Forall, Iff, Implies, InSet, Not, Or, Raised,
+                                StrictEq, Sugar, Term, Var, Const)
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -33,7 +33,119 @@ _KEYWORDS = {"all", "some", "eq", "in", "dn", "coext", "downeq", "sub",
 _COEXT_K_RE = re.compile(r"^coext_(\d+)$")
 
 
-class OracleParser(_Parser):
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#.*)
+  | (?P<iff><->)
+  | (?P<imp>->)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<nat>\d+)
+  | (?P<sym>[()^.,=~&|*+])
+""", re.VERBOSE)
+
+
+class _Tokens:
+    def __init__(self, text: str):
+        self.text = text
+        self.toks: List[Tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if not m:
+                raise ParseError(f"bad character {text[pos]!r}", pos)
+            pos = m.end()
+            kind = m.lastgroup
+            if kind in ("ws", "comment"):
+                continue
+            self.toks.append((kind, m.group(), m.start()))
+        self.i = 0
+
+    def peek(self, offset: int = 0) -> Optional[Tuple[str, str, int]]:
+        j = self.i + offset
+        return self.toks[j] if j < len(self.toks) else None
+
+    def next(self) -> Tuple[str, str, int]:
+        if self.i >= len(self.toks):
+            raise ParseError("unexpected end of input", len(self.text))
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, value: str) -> None:
+        t = self.peek()
+        if t is None:
+            raise ParseError(f"expected {value!r}, got end of input", len(self.text))
+        if t[1] != value:
+            raise ParseError(f"expected {value!r}, got {t[1]!r}", t[2])
+        self.i += 1
+
+    def at(self, value: str) -> bool:
+        t = self.peek()
+        return t is not None and t[1] == value
+
+
+class _Depth:
+    """`with depth:` around each nested parse; past MAX_DEPTH levels it
+    raises ParseError instead of letting the recursion run on."""
+
+    def __init__(self, toks: _Tokens):
+        self.toks = toks
+        self.level = 0
+
+    def __enter__(self):
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            t = self.toks.peek()
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             t[2] if t else len(self.toks.text))
+
+    def __exit__(self, *exc):
+        self.level -= 1
+
+
+class OracleParser:
+
+    def __init__(self, text: str, mode: str):
+        if mode not in ("typed", "set"):
+            raise ValueError(f"bad parse mode {mode!r}")
+        self.toks = _Tokens(text)
+        self.depth = _Depth(self.toks)
+        self.mode = mode
+        self.bound: List[Tuple[str, Optional[TypeIndex]]] = []
+
+    def parse_formula(self, level: int = 0):
+        """Binary connectives from the loosest (level 0) to the tightest;
+        each associates to the right."""
+        if level == len(CONNECTIVES):
+            return self._neg()
+        token, node = CONNECTIVES[level]
+        left = self.parse_formula(level + 1)
+        if self.toks.at(token):
+            self.toks.next()
+            with self.depth:
+                return node(left, self.parse_formula(level))
+        return left
+
+    def _neg(self):
+        if self.toks.at("~"):
+            self.toks.next()
+            with self.depth:
+                return Not(self._neg())
+        return self._unit()
+
+    def _unit(self):
+        t = self.toks.peek()
+        if t is None:
+            raise ParseError("expected formula", len(self.toks.text))
+        if t[1] in ("all", "some"):
+            return self._quantifier()
+        if t[1] == "(":
+            self.toks.next()
+            with self.depth:
+                f = self.parse_formula()
+            self.toks.expect(")")
+            return f
+        return self._atom()
 
     def parse_index(self) -> TypeIndex:
         t = self.toks.peek()

@@ -114,11 +114,35 @@ def test_type_0_coext_and_downeq_name_the_rule_they_break(tmp_path):
     path.write_text(build_pure_model(2).dumps())
     for formula, reason in [
             ("a^0 coext b^0", "coextensiveness undefined at type 0"),
-            ("a^0 downeq b^0", "projection equivalence needs equal types >= 1 (0 vs 0)")]:
+            ("a^0 downeq b^0", "projection equivalence needs equal types >= 1 (0 vs 0)"),
+            ("a^(w) coext b^(w)", "coextensiveness undefined at limit type w"),
+            ("a^(w*2) downeq b^(w*2)",
+             "projection equivalence undefined at limit type w*2")]:
         code, doc = run_json("eval", "--model", str(path), formula)
         assert code == 2
         assert doc == {"error": "FormationError",
                        "message": f"{reason} in {formula}"}
+
+
+def test_coext_at_a_limit_type_is_ill_formed(capsys):
+    # A limit type has no type just below it for coext to quantify over.
+    for theory, formula, limit in [("ctt:w+3", "a^w coext b^w", "w"),
+                                   ("ctt:w*3", "a^(w*2) coext b^(w*2)", "w*2")]:
+        reason = f"coextensiveness undefined at limit type {limit}"
+        code, out = run(capsys, "check", "--theory", theory, formula)
+        assert code == 1 and reason in out
+        code, doc = run_json("expand", "--theory", theory, formula)
+        assert code == 2
+        assert doc == {"error": "FormationError", "message": reason}
+
+
+def test_two_place_sugar_expands_or_names_a_package_error():
+    # tests/test_expand.py runs the same atoms under every CTT regime in
+    # process; here the command line reports each one.
+    from test_expand import _TWO_PLACE
+    for text in _TWO_PLACE:
+        code, doc = run_json("expand", "--theory", "ctt:w*3", text)
+        assert code == 0 or (code == 2 and doc["error"] == "FormationError"), text
 
 
 def test_truncated_json_files_name_the_document(tmp_path):

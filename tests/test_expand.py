@@ -3,12 +3,12 @@ import random
 import pytest
 
 from hotk.corpus import golden_cases
-from hotk.errors import FormationError
+from hotk.errors import FormationError, HotkError
 from hotk.kernel import (Exists, Forall, Iff, Sugar, Var, alpha_normalize,
                          check_formation, ctt, expand_abbreviations, fin,
                          parse_formula, parse_regime, print_formula, stt,
                          stt_down, TypeIndex)
-from hotk.kernel.syntax import And, Apply, StrictEq, subformulas
+from hotk.kernel.syntax import INFIX, And, Apply, StrictEq, subformulas
 
 
 def norm(text, regime):
@@ -104,3 +104,33 @@ def test_level_macro_expands_to_primitives():
     out = expand_abbreviations(f, ctt())
     assert not any(isinstance(g, Sugar) for g in subformulas(out))
     assert check_formation(out, ctt()).ok
+
+
+# The two-place sugar atoms over finite, successor and limit indices.
+_INDICES = ["0", "1", "2", "w", "w+1", "w*2", "w*2+1"]
+_TWO_PLACE = ([f"a^({x}) {token} b^({y})"
+               for token in [t for t, kind in INFIX.items() if type(kind) is str]
+               + ["coext_1", "coext_2"]
+               for x in _INDICES for y in _INDICES]
+              + [f"Rank(a^({x}), b^({y}))" for x in _INDICES for y in _INDICES])
+
+
+def test_two_place_sugar_that_formation_accepts_expands():
+    """An atom formation accepts expands under its regime and under none;
+    one it refuses fails with a package error, never a builtin one."""
+    accepted = 0
+    for theory in ("ctt:w*3", "ctt-liberal:w*3", "pctt:w*3"):
+        regime = parse_regime(theory)
+        for text in _TWO_PLACE:
+            f = parse_formula(text)
+            ok = check_formation(f, regime).ok
+            accepted += ok
+            for r in (regime, None):
+                try:
+                    expand_abbreviations(f, r)
+                except HotkError:
+                    assert not ok, (theory, text, r)
+            if not ok:
+                with pytest.raises(HotkError):
+                    expand_abbreviations(f, regime)
+    assert accepted == 531      # 537 before coext at w and w*2 became ill-formed

@@ -56,3 +56,31 @@ def test_t_shunt_cases():
     assert t_shunt(fin(0)) == fin(0)
     assert t_shunt(OMEGA) == TypeIndex(1, 1)
     assert t_shunt(TypeIndex(1, 2)) == TypeIndex(1, 3)
+
+
+def test_interned_indices_behave_like_directly_built_ones():
+    import operator
+    from hotk.kernel.indices import ordinal
+    pairs = [(q, r) for q in range(4) for r in range(5)]
+    for p in pairs:
+        for s in pairs:
+            a, b = ordinal(*p), ordinal(*s)
+            a_, b_ = TypeIndex(*p), TypeIndex(*s)
+            assert a == a_ and hash(a) == hash(a_) and str(a) == str(a_)
+            for op in (operator.eq, operator.ne, operator.lt, operator.le,
+                       operator.gt, operator.ge):
+                assert op(a, b) == op(a_, b_) == op(a, b_) == op(p, s)
+
+
+def test_the_kernel_hands_out_one_object_per_index():
+    from hotk.kernel.indices import ordinal
+    for n in range(6):
+        assert fin(n) is fin(n)
+        assert fin(n).succ() is fin(n + 1)
+        assert fin(n).plus(3) is fin(n + 3)
+    for q in range(4):
+        for r in range(5):
+            x = ordinal(q, r)
+            assert x.succ().pred() is x
+            assert parse_index(str(x)) is x
+    assert OMEGA is ordinal(1, 0) and t_shunt(OMEGA) is ordinal(1, 1)

@@ -1,5 +1,6 @@
 """Differential test: the parser and printer built on the notation tables
-of hotk.kernel.syntax against the readers and printer of notation_oracle.
+of hotk.kernel.syntax, with their one-pass tokenizer and precedence
+climbing, against the readers and printer of notation_oracle.
 
 Every text is parsed in both modes by both parsers: the results must be
 equal, or the errors of one class with one message, and a parsed formula
@@ -19,10 +20,12 @@ import pytest
 
 import notation_oracle as oracle
 from genutil import FormulaGen
+from test_kernel_syntax import _nested_shapes
 
 from hotk.corpus import formation_matrix, golden_cases
 from hotk.kernel import (expand_abbreviations, parse_formula, parse_index,
                          parse_regime, parse_term, print_formula, print_term)
+from hotk.kernel.parser import MAX_DEPTH
 from hotk.kernel.syntax import INFIX, PREFIX, Sugar, subformulas
 
 MODES = ("typed", "set")
@@ -83,7 +86,7 @@ def _generated():
     """Printed FormulaGen formulas: ctt, stt-up, fjt and stt-down."""
     out = []
     for name in ("ctt", "stt-up", "fjt", "stt-down"):
-        for depth in range(2, 6):
+        for depth in range(1, 6):
             gen = FormulaGen(parse_regime(name), seed=depth, max_type=3,
                              max_depth=depth)
             out += [oracle.print_formula(gen.formula()) for _ in range(25)]
@@ -202,10 +205,15 @@ def test_cut_and_spliced_formulas_parse_alike():
 @pytest.mark.parametrize("mode", MODES)
 def test_random_token_strings_parse_alike(mode):
     used = set()
-    for text in _random_strings(MODES.index(mode), 6000):
+    for text in _random_strings(0, 10000):
         _assert_same(text, mode, used)
     assert {"Apply", "StrictEq", "Not", "Forall", "Exists", "bounded",
             "subset", *PREFIX.values()} <= used
+
+
+def test_nesting_at_and_past_the_cap_parses_alike():
+    for depth in (MAX_DEPTH, MAX_DEPTH + 1):
+        _check_all(list(_nested_shapes(depth).values()))
 
 
 def test_expansions_print_alike():

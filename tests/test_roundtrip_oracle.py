@@ -20,6 +20,7 @@ from hotk import translate
 from hotk.corpus import golden_cases, separation_corpus
 from hotk.kernel import parse_formula, parse_regime, print_formula
 from hotk.kernel.expand import expand_abbreviations
+from hotk.kernel import expand, syntax
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import (ATOMS, And, Apply, Const, Forall, Not, Or,
                                 StrictEq, Sugar, Var, alpha_equal,
@@ -60,6 +61,40 @@ def test_public_maps_print_the_same():
             expect = printed(outcome(theirs, f))
             assert printed(outcome(ours, f)) == expect, (name, f)
             assert printed(outcome(tmap.apply, f)) == expect, (name, f)
+
+
+# Formulas whose own names are the ones the maps would pick first.
+TAKEN_NAMES = ["all w1^0. w2^2(up(w1^0))",
+               "some w2^1. (up(w2^1) = w1^2 & w3^3(up(up(w2^1))))",
+               "all y2_1^2. (a^3(b^0) & y2_1^2(c^1))",
+               "all y2_1^2. all y1_1^1. (y2_1^2(w1^0) | a^4(y1_1^1))",
+               "all w1^2. w1^2 eq w2^2 & some v1^3. v1^3(up(w1^2))"]
+
+
+def test_fresh_names_are_collected_only_when_needed(monkeypatch):
+    """The maps collect a formula's names when an atom first needs a fresh
+    variable, and give what the eager oracle gives."""
+    corpus = ([parse_formula(t) for t in TAKEN_NAMES] + GENERATED["stt-up"]
+              + GENERATED["fjt"])
+    for name in ("j-sttu-ctt", "i-fjt-sttd"):
+        ours, theirs = MAPS[name]
+        for f in corpus:
+            assert printed(outcome(ours, f)) == printed(outcome(theirs, f)), (name, f)
+    scans = []
+    all_names = syntax.all_names
+    for module in (syntax, expand, translate):
+        monkeypatch.setattr(module, "all_names",
+                            lambda f: scans.append(f) or all_names(f),
+                            raising=False)
+    # No raised term and no gap above 1: no fresh variable, no scan.
+    translate.sttu_to_ctt(parse_formula("all x^0. (a^1(x^0) & x^0 = b^0)"))
+    translate.fjt_to_sttd(parse_formula("all x^1. (a^2(x^1) | c^1(b^0))"))
+    assert scans == []
+    translate.fjt_to_sttd(parse_formula("a^3(b^0)"))
+    assert len(scans) == 1
+    # One scan for the map, one for expanding the eq it introduces.
+    translate.sttu_to_ctt(parse_formula("a^2(up(b^0))"))
+    assert len(scans) == 3
 
 
 @pytest.mark.parametrize("plan", PLANS)
