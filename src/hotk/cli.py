@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / positive verdict, 1 negative verdict (ill-formed,
 axiom FAIL, proof Rejected, false sentence), 2 usage or parse error,
-3 budget exceeded.  Text output is human-oriented; --format json is the
-stable surface.
+3 budget exceeded (also a suite whose only non-PASS rows are budget SKIPs).
+Text output is human-oriented; --format json is the stable surface.
 
 Each command imports the layers it runs inside its cmd_* function, so a
 process loads only those; hotk.errors is imported up front because main
@@ -19,8 +19,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from hotk.errors import (BudgetExceeded, EvalError, FormationError,
-                         GraphError, HotkError, ParseError, ProofError,
-                         RankUndefined)
+                         HotkError, ParseError, RankUndefined)
 
 if TYPE_CHECKING:
     from hotk.graphs import MembershipGraph
@@ -38,6 +37,12 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _suite_exit(report) -> int:
+    statuses = {v.status for v in report.verdicts}
+    return (EXIT_NEGATIVE if "FAIL" in statuses
+            else EXIT_BUDGET if "SKIPPED" in statuses else EXIT_OK)
 
 
 def _read_formula_lines(path: str) -> List[str]:
@@ -83,18 +88,15 @@ def cmd_check(args) -> int:
         raise ParseError("give a formula or --file")
     lines = _read_formula_lines(args.file) if args.file else [args.formula]
     results = []
-    ok = True
     for line in lines:
-        f = parse_formula(line)
-        v = check_formation(f, regime)
-        ok = ok and v.ok
+        v = check_formation(parse_formula(line), regime)
         results.append({"formula": line, "well_formed": v.ok,
                         "reason": v.reason, "offender": v.offender})
     _emit(args, {"theory": str(regime), "results": results},
           [("well-formed" if r["well_formed"]
             else f"ill-formed: {r['reason']} in {r['offender']}")
            for r in results])
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return EXIT_OK if all(r["well_formed"] for r in results) else EXIT_NEGATIVE
 
 
 def cmd_expand(args) -> int:
@@ -192,7 +194,7 @@ def cmd_model_check(args) -> int:
     max_type = args.max_type if args.max_type is not None else m.max_type
     report = check_axiom_suite(m, theory, max_type, budget=args.budget)
     _emit(args, report.to_json(), report.lines())
-    return EXIT_OK if report.all_pass else EXIT_NEGATIVE
+    return _suite_exit(report)
 
 
 def _separation_corpus(path: Optional[str]) -> list:
@@ -220,7 +222,7 @@ def cmd_sets(args) -> int:
         report = settheory.check_set_axioms(
             g, args.which, _separation_corpus(args.corpus), budget=args.budget)
         _emit(args, report.to_json(), report.lines())
-        return EXIT_OK if report.all_pass else EXIT_NEGATIVE
+        return _suite_exit(report)
     if args.sets_cmd == "levels":
         lv = settheory.levels_of(g)
         ranks = {}
@@ -443,8 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BudgetExceeded as e:
         _report_error(args.format, e, f"budget exceeded: {e}")
         return EXIT_BUDGET
-    except (ParseError, FormationError, EvalError, GraphError, ProofError,
-            RankUndefined, HotkError, OSError, ValueError) as e:
+    except (HotkError, OSError, ValueError) as e:
         _report_error(args.format, e, f"error: {e}")
         return EXIT_USAGE
 

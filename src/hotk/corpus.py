@@ -51,14 +51,13 @@ def run_formation_matrix() -> Tuple[bool, List[str]]:
     doc = formation_matrix()
     regimes = {r: parse_regime(r) for r in doc["regimes"]}
     lines = []
-    ok = True
     for entry in doc["formulas"]:
         f = parse_formula(entry["formula"])
         bad = [r for r, expected in entry["verdicts"].items()
                if check_formation(f, regimes[r]).ok != expected]
         if bad:
-            ok = False
             lines.append(f"FAIL formation {entry['formula']!r}: wrong under {bad}")
+    ok = not lines
     lines.append(f"{'PASS' if ok else 'FAIL'} formation matrix "
                  f"({len(doc['formulas'])} formulas x {len(regimes)} regimes)")
     return ok, lines
@@ -66,40 +65,31 @@ def run_formation_matrix() -> Tuple[bool, List[str]]:
 
 def run_goldens() -> Tuple[bool, List[str]]:
     lines = []
-    ok = True
     cases = golden_cases()
     for case in cases:
         regime = parse_regime(case["regime"])
         got = print_formula(alpha_normalize(expand_abbreviations(
             parse_formula(case["input"]), regime)))
         if got != case["expect"]:
-            ok = False
             lines.append(f"FAIL golden {case['name']}: got {got!r}")
+    ok = not lines
     lines.append(f"{'PASS' if ok else 'FAIL'} expansion goldens ({len(cases)} files)")
     return ok, lines
 
 
 def run_roundtrip_print() -> Tuple[bool, List[str]]:
-    doc = formation_matrix()
-    ok = True
-    for entry in doc["formulas"]:
-        f = parse_formula(entry["formula"])
-        if parse_formula(print_formula(f)) != f:
-            ok = False
+    formulas = [parse_formula(e["formula"]) for e in formation_matrix()["formulas"]]
+    ok = all(parse_formula(print_formula(f)) == f for f in formulas)
     return ok, [f"{'PASS' if ok else 'FAIL'} print/parse round trip over the corpus"]
 
 
 def run_all(budget: int = 10 ** 6) -> dict:
     from hotk.proofkit import verify_fixture_suite
     sections = [run_formation_matrix(), run_goldens(), run_roundtrip_print()]
-    lines: List[str] = []
-    ok = True
-    for section_ok, section_lines in sections:
-        ok = ok and section_ok
-        lines.extend(section_lines)
     fixtures = verify_fixture_suite()
-    lines.extend(fixtures.lines())
+    ok = all(section_ok for section_ok, _ in sections) and fixtures.all_as_expected
+    lines = [line for _, section_lines in sections for line in section_lines]
+    lines += fixtures.lines()
     lines.append(f"{'PASS' if fixtures.all_as_expected else 'FAIL'} proof fixtures")
-    ok = ok and fixtures.all_as_expected
     return {"ok": ok, "lines": lines,
             "json": {"ok": ok, "log": lines}}

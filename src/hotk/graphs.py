@@ -110,11 +110,7 @@ class MembershipGraph:
         names = set(self.nodes)
         for a in self.nodes:
             code = parse_brace_name(a)
-            if code is None:
-                return False
-            if not code <= names:
-                return False
-            if code != self.members(a):
+            if code is None or not code <= names or code != self.members(a):
                 return False
         return True
 

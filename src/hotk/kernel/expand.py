@@ -57,11 +57,8 @@ def _one_step(f: Sugar, fresh: FreshNames) -> Formula:
         return Forall(x, Iff(Apply(l, x), Apply(r, x)))
     if k == "coext_k":
         n, l, r = f.args
-        conjuncts = []
-        for i in range(n - 1, -1, -1):
-            x = fresh.var(fin(i))
-            conjuncts.append(Forall(x, Iff(Apply(l, x), Apply(r, x))))
-        return conj(conjuncts)
+        xs = (fresh.var(fin(i)) for i in range(n - 1, -1, -1))
+        return conj(Forall(x, Iff(Apply(l, x), Apply(r, x))) for x in xs)
     if k == "downeq":
         l, r = f.args
         n = term_index(l)

@@ -8,7 +8,7 @@ their own side-conditions before any expansion happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from hotk.kernel import regimes as rg
@@ -18,27 +18,40 @@ from hotk.kernel.syntax import (Apply, DownRel, Formula, InSet, Raised,
                                 StrictEq, Sugar, Term, parts, term_index)
 
 
-@dataclass(frozen=True)
 class FormationVerdict:
-    ok: bool
-    reason: Optional[str] = None
-    offender: Optional[str] = None
+    """ok, and for an ill-formed formula the reason and the offender: the
+    offending node, printed when first read."""
+
+    def __init__(self, ok: bool, reason: Optional[str] = None, offender=None):
+        self.ok, self.reason, self._offender = ok, reason, offender
 
     def __bool__(self) -> bool:
         return self.ok
 
+    @property
+    def offender(self) -> Optional[str]:
+        if self._offender is not None and not isinstance(self._offender, str):
+            try:
+                self._offender = print_formula(self._offender)
+            except TypeError:
+                self._offender = print_term(self._offender)
+        return self._offender
+
+    def _key(self):
+        return self.ok, self.reason, self.offender
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FormationVerdict) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"FormationVerdict{self._key()!r}"
+
 
 WELL_FORMED = FormationVerdict(True)
-
-
-def _bad(reason: str, offender) -> FormationVerdict:
-    if not isinstance(offender, str):
-        try:
-            offender = print_formula(offender)
-        except TypeError:
-            offender = print_term(offender)
-    return FormationVerdict(False, reason, offender)
-
+_bad = partial(FormationVerdict, False)     # (reason, offender) -> ill-formed
 
 _ZERO = fin(0)
 

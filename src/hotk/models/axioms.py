@@ -15,8 +15,6 @@ the report calls this FULL-COMPREHENSION.  A check that needs more than
 
 from __future__ import annotations
 
-from itertools import product
-
 from hotk.errors import BudgetExceeded, EvalError
 from hotk.graphs import first_unrealized
 from hotk.kernel import axioms as ax
@@ -25,7 +23,7 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import Forall
 from hotk.models.builders import DEFAULT_BUDGET
-from hotk.models.core import Model, _compile_expanded, akey
+from hotk.models.core import Model, _compile_expanded, counterexamples
 from hotk.models.decide import _top_type
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 
@@ -123,14 +121,12 @@ def _scheme_checks(m: Model, name: str, top: int, budget: int):
         try:
             if _compile_expanded(m, f, budget)():
                 continue
-            # Only a false instance pays for compiling its matrix.
+            # Only a false instance pays for sweeping its matrix.
             vs = []
             while isinstance(f, Forall):
                 vs.append(f.var)
                 f = f.body
-            matrix = _compile_expanded(m, f, budget)
-            values = next(e for e in product(*(m.domain(v.index) for v in vs))
-                          if not matrix({akey(v): x for v, x in zip(vs, e)}))
+            _, values = next(counterexamples(m, vs, f, budget=budget))
         except BudgetExceeded as e:
             yield SKIPPED, str(e)
         except EvalError as e:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from hotk.errors import (BudgetExceeded, EvalError, HotkError, check_json,
                          load_json)
@@ -177,10 +179,7 @@ def _compile_expanded(m: Structure, f: Formula,
     """compile_formula for an f that holds no sugar, which it does not
     expand again (decisions and axiom checks have expanded it already)."""
     graph = isinstance(m, MembershipGraph)
-    free: Dict = {}
-    for a in free_atoms(f):
-        free.setdefault(a.name if graph else akey(a), len(free))
-    root, blank = _compile_slots(m, f, free, budget)
+    root, blank, free = _compile_slots(m, f, free_atoms(f), budget)
     free_slots = tuple(free.items())
 
     def run(assignment: Optional[Assignment] = None) -> bool:
@@ -195,14 +194,17 @@ def _compile_expanded(m: Structure, f: Formula,
     return run
 
 
-def _compile_slots(m: Structure, f: Formula, free: Dict,
+def _compile_slots(m: Structure, f: Formula, atoms: Iterable[Term],
                    budget: int = DEFAULT_BUDGET):
-    """(root, env) for an f with no sugar: root maps a list environment to
-    f's truth value, and env is one with every slot _UNSET.  free maps
-    each free atom's key (its name in a graph) to a slot from 0 up; the
-    binders' slots follow."""
+    """(root, env, free) for an f with no sugar: root maps a list
+    environment to f's truth value, env has every slot _UNSET, and free
+    numbers the keys (names in a graph) of atoms, f's free atoms among
+    them, from 0 up in order of first appearance; binders' slots follow."""
     graph = isinstance(m, MembershipGraph)
     keyof = (lambda t: t.name) if graph else akey
+    free: Dict = {}
+    for a in atoms:
+        free.setdefault(keyof(a), len(free))
     nfree = nslots = len(free)
 
     def term(t: Term, scope: dict):
@@ -344,7 +346,30 @@ def _compile_slots(m: Structure, f: Formula, free: Dict,
         return cached, slots
 
     root, _ = node(f, dict(free))
-    return root, [_UNSET] * nslots
+    return root, [_UNSET] * nslots, free
+
+
+def counterexamples(m: Model, atoms: Sequence[Term], f: Formula,
+                    others: Iterable[Term] = (), budget: int = DEFAULT_BUDGET):
+    """(assignments checked, the atoms' values) at each assignment to atoms,
+    in product order over their domains, that makes f (no sugar) false;
+    then (all assignments, None).  f is compiled once over atoms and then
+    others, which stay unassigned; of atoms sharing a key, the later wins.
+    Domains are looked up in atom order, up to the first empty one."""
+    root, env, free = _compile_slots(m, f, (*atoms, *others), budget)
+    slots = [free[akey(a)] for a in atoms]
+    domains = []
+    for a in atoms:
+        domains.append(m.domain(a.index))
+        if not domains[-1]:
+            break
+    checked = 0
+    for checked, values in enumerate(product(*domains), 1):
+        for slot, e in zip(slots, values):
+            env[slot] = e
+        if not root(env):
+            yield checked, values
+    yield checked, None
 
 
 def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = None,

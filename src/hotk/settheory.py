@@ -16,12 +16,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          first_unrealized, ord_of_ranks)
+from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
-                                InSet, StrictEq, Sugar, Var, free_names)
+                                InSet, Not, StrictEq, Sugar, Var, free_names)
 from hotk.models.builders import build_graph_model, hierarchy_levels
-from hotk.models.core import (DEFAULT_BUDGET, Model, akey, compile_formula,
-                              eval_formula)
+from hotk.models.core import (DEFAULT_BUDGET, Model, compile_formula,
+                              counterexamples, eval_formula)
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 from hotk.translate import kappa_translate
 
@@ -247,16 +248,12 @@ def S_construction(m: Model, kappa: int) -> MembershipGraph:
     entities, membership is the evaluated defined-membership relation."""
     if not 0 <= kappa <= m.max_type:
         raise EvalError(f"model has no type {kappa}")
-    nodes = m.domains[kappa]
     k = fin(kappa)
     a, b = Var("a", k), Var("b", k)
-    member = compile_formula(m, Sugar("in", (a, b)))
-    edges = set()
-    for x in nodes:
-        for y in nodes:
-            if member({akey(a): x, akey(b): y}):
-                edges.add((x, y))
-    return MembershipGraph(tuple(nodes), frozenset(edges))
+    outside = expand_abbreviations(Not(Sugar("in", (a, b))))
+    edges = frozenset(pair for _, pair in counterexamples(m, (a, b), outside)
+                      if pair is not None)
+    return MembershipGraph(tuple(m.domains[kappa]), edges)
 
 
 def mostowski_collapse(g: MembershipGraph) -> Tuple[MembershipGraph, Dict[str, str]]:

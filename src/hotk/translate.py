@@ -10,7 +10,6 @@ expands its formula once and runs both bodies on that expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import is_not
 from typing import TYPE_CHECKING, Optional
 
@@ -20,10 +19,10 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.parser import parse_index
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
-                                Formula, FreshNames, Implies, InSet, Raised,
-                                StrictEq, Sugar, Term, Var, alpha_equal, conj,
-                                free_atoms, parts, raise_term, rebuild,
-                                term_index)
+                                Formula, FreshNames, Iff, Implies, InSet,
+                                Raised, StrictEq, Sugar, Term, Var,
+                                alpha_equal, conj, free_atoms, parts,
+                                raise_term, rebuild, term_index)
 
 if TYPE_CHECKING:
     from hotk.models.core import Model
@@ -265,28 +264,12 @@ def roundtrip_check(f: Formula, source: rg.Regime,
     if model is None:
         return RoundTripReport(source.kind, syntactic, None, 0)
     # Imported here, not at the top, so the maps load without the models.
-    from hotk.models.core import _compile_slots, akey
-    # Both sides share one free layout, the original's atoms first.  Atoms
-    # that share a key (a Var and a Const) share its slot: the later wins.
+    from hotk.models.core import counterexamples
+    # The image's own atoms stay unassigned; Iff evaluates the original first.
     atoms = sorted(free_atoms(original), key=lambda a: (str(a.index), a.name))
-    free: dict = {}
-    slots = [free.setdefault(akey(a), len(free)) for a in atoms]
-    eval_original, env_original = _compile_slots(model, original, free)
-    for a in free_atoms(image):
-        free.setdefault(akey(a), len(free))
-    eval_image, env_image = _compile_slots(model, image, free)
-    domains = []
-    for a in atoms:
-        domains.append(model.domain(a.index))
-        if not domains[-1]:
-            break
-    checked = 0
-    for checked, values in enumerate(product(*domains), 1):
-        for slot, e in zip(slots, values):
-            env_original[slot] = env_image[slot] = e
-        if eval_original(env_original) != eval_image(env_image):
-            return RoundTripReport(
-                source.kind, syntactic, False, checked,
-                counterexample={f"{a.name}^{a.index}": e
-                                for a, e in zip(atoms, values)})
-    return RoundTripReport(source.kind, syntactic, True, checked)
+    checked, values = next(counterexamples(
+        model, atoms, Iff(original, image), free_atoms(image)))
+    return RoundTripReport(
+        source.kind, syntactic, values is None, checked,
+        counterexample=None if values is None
+        else {f"{a.name}^{a.index}": e for a, e in zip(atoms, values)})

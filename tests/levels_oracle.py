@@ -11,7 +11,9 @@ build_V iterates powersets of frozensets and names them with
 graph_from_sets, where the module takes the last level of the pure
 hierarchy's builder, and check_wellordering_of_levels looks for a least
 level in every subset of the levels (in singletons only above 16 levels),
-where the module looks for a membership cycle among them.
+where the module looks for a membership cycle among them.  S_construction
+calls the compiled membership test with one assignment per node pair,
+where the module takes the edges as the counterexamples of `~(a in b)`.
 tests/test_levels_oracle.py compares their results with the module's.
 """
 
@@ -21,12 +23,13 @@ from typing import Iterable, List
 
 from itertools import combinations
 
-from hotk.errors import BudgetExceeded, GraphError
+from hotk.errors import BudgetExceeded, EvalError, GraphError
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          ord_of_ranks, powerset)
 from hotk.kernel.indices import fin, t_shunt
-from hotk.kernel.syntax import Formula
-from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
+from hotk.kernel.syntax import Formula, Sugar, Var
+from hotk.models.core import (DEFAULT_BUDGET, Model, akey, compile_formula,
+                              eval_formula)
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 from hotk.settheory import (endless_formula, infinity_formula,
                             separation_instance, stratification_formula)
@@ -227,6 +230,24 @@ def T_construction(g: MembershipGraph) -> Model:
     return Model(kind="pure", max_type=max_type, domains=domains,
                  members=members, cumulative=True, open_above=True,
                  meta={"source": "t-construction", "ord": top})
+
+
+def S_construction(m: Model, kappa: int) -> MembershipGraph:
+    """Slice a cumulative typed model at one type: the domain is the type's
+    entities, membership is the evaluated defined-membership relation,
+    compiled once and called with one assignment dict per node pair."""
+    if not 0 <= kappa <= m.max_type:
+        raise EvalError(f"model has no type {kappa}")
+    nodes = m.domains[kappa]
+    k = fin(kappa)
+    a, b = Var("a", k), Var("b", k)
+    member = compile_formula(m, Sugar("in", (a, b)))
+    edges = set()
+    for x in nodes:
+        for y in nodes:
+            if member({akey(a): x, akey(b): y}):
+                edges.add((x, y))
+    return MembershipGraph(tuple(nodes), frozenset(edges))
 
 
 def check_wellordering_of_levels(g: MembershipGraph, subset_budget: int = 2 ** 16) -> bool:

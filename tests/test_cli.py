@@ -310,6 +310,29 @@ def test_kappa_check_honours_the_budget(tmp_path, capsys):
     assert code == 0
 
 
+def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
+    """A suite with no FAIL and a budget SKIP exits 3, not the 1 of a
+    negative verdict; with a FAIL it exits 1 whatever else it skipped."""
+    pure4, v4 = tmp_path / "pure4.json", tmp_path / "V4.json"
+    pure4.write_text(run(capsys, "model", "build", "--kind", "pure",
+                         "--height", "4")[1])
+    v4.write_text(run(capsys, "sets", "build-v", "4")[1])
+    code, out = run(capsys, "--budget", "10", "model", "check", "--model",
+                    str(pure4), "--theory", "pctt:w", "--max-type", "3")
+    statuses = [line.split()[0] for line in out.splitlines()]
+    assert (code, statuses.count("SKIPPED"), statuses.count("PASS")) == (3, 5, 1)
+    code, out = run(capsys, "--budget", "8", "sets", "check", "lt", str(v4))
+    statuses = [line.split()[0] for line in out.splitlines()]
+    assert code == 3 and statuses.count("SKIPPED") == 3
+    assert "FAIL" not in statuses
+    code, _ = run(capsys, "model", "check", "--model", str(pure4),
+                  "--theory", "pctt:w", "--max-type", "3")
+    assert code == 0
+    code, out = run(capsys, "--budget", "10", "model", "check", "--model",
+                    str(pure4), "--theory", "stt-up", "--max-type", "3")
+    assert code == 1 and out.startswith("SKIPPED") and "FAIL" in out
+
+
 def test_hostile_proof_files_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.proof"
     for name, doc in HOSTILE_PROOFS.items():

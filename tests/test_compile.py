@@ -4,9 +4,11 @@ Every case compares `compile_formula` (one compiled function reused across
 all of a formula's assignments, so the quantifier caches carry over between
 them) with `tree_eval_formula` / `tree_eval_set_formula`: both must give
 the same truth value, or raise the same error class with the same message.
+The last tests pin `counterexamples`, the one sweep over assignments that
+round trips, axiom-row witnesses and slices share.
 """
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -18,9 +20,10 @@ from hotk.errors import BudgetExceeded, EvalError
 from hotk.kernel import fin, parse_formula, parse_regime
 from hotk.kernel.syntax import (Apply, Const, Forall, InSet, Or, Raised,
                                 StrictEq, Var, free_atoms)
-from hotk.models import (build_class_model, build_pure_model,
+from hotk.models import (Model, akey, build_class_model, build_pure_model,
                          build_sttd_companion, build_sttu_companion,
                          compile_formula, eval_formula)
+from hotk.models.core import counterexamples
 from hotk.settheory import (T_construction, build_V, endless_formula,
                             extensionality_formula, infinity_formula,
                             separation_instance, stratification_formula)
@@ -166,3 +169,43 @@ def test_raised_term_in_a_graph_is_an_eval_error():
     assert eval_formula(g, f, {"x": "{}"}) is False
     with pytest.raises(EvalError, match="raised term"):
         eval_formula(g, raised, {"x": "{}"})
+
+
+def test_counterexamples_walk_the_product_in_order():
+    """Each falsifying assignment in product order, first atom outermost,
+    with its count; then the number of assignments and None."""
+    m = build_pure_model(3)
+    x, y = Var("x", fin(1)), Var("y", fin(2))
+    f = parse_formula("~y^2(x^1)")
+    got = list(counterexamples(m, [x, y], f))
+    combos = list(product(m.domains[1], m.domains[2]))
+    assert got == [(i, c) for i, c in enumerate(combos, 1)
+                   if not eval_formula(m, f, {akey(x): c[0], akey(y): c[1]})] \
+        + [(len(combos), None)]
+    assert len(got) > 2
+
+
+def test_counterexamples_of_a_closed_formula_are_empty_tuples():
+    m = build_pure_model(3)
+    assert list(counterexamples(m, [], parse_formula("some x^0. ~x^0 = x^0"))) \
+        == [(1, ()), (1, None)]
+    assert list(counterexamples(m, [], parse_formula("all x^0. x^0 = x^0"))) \
+        == [(1, None)]
+
+
+def test_counterexamples_look_domains_up_to_the_first_empty_one():
+    m = Model(kind="pure", max_type=1, domains=((), ("a",)),
+              members={"a": frozenset()}, cumulative=False)
+    x, y = Var("x", fin(0)), Var("y", fin(5))     # the model has no type 5
+    f = StrictEq(x, x)
+    assert list(counterexamples(m, [x, y], f)) == [(0, None)]
+    with pytest.raises(EvalError, match="model has no type 5"):
+        next(counterexamples(m, [y, x], f))
+
+
+def test_counterexamples_leave_the_others_unassigned():
+    m = build_pure_model(3)
+    x, z = Var("x", fin(1)), Var("z", fin(1))
+    assert next(counterexamples(m, [x], StrictEq(x, x), [z])) == (2, None)
+    with pytest.raises(EvalError, match=r"unassigned free term z\^1"):
+        next(counterexamples(m, [x], StrictEq(x, z), [z]))

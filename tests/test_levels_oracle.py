@@ -124,6 +124,28 @@ def test_standardness_agrees_with_the_oracle(names):
                     (name, budget)
 
 
+def test_slices_agree_with_the_oracle():
+    """S_construction at every type of every typed expansion in the corpus:
+    V1-V4 (V0 has none), the transitive fixtures and the seeded graphs."""
+    sliced = set()
+    for name, g in CORPUS.items():
+        m = _outcome(T_construction, g)
+        if isinstance(m, tuple):
+            continue
+        for kappa in range(m.max_type + 1):
+            got = settheory.S_construction(m, kappa)
+            want = oracle.S_construction(m, kappa)
+            assert (got.nodes, got.edges) == (want.nodes, want.edges), \
+                (name, kappa)
+            sliced.add(name)
+        for kappa in (-1, m.max_type + 1):
+            assert (_outcome(settheory.S_construction, m, kappa)
+                    == _outcome(oracle.S_construction, m, kappa)), (name, kappa)
+    assert {"V1", "V2", "V3", "V4", "chain3.json", "chain4.json",
+            "pair_mix.json", "v2_plus_two.json",
+            "v4_minus_rank3.json"} < sliced
+
+
 def test_build_V_agrees_with_the_oracle():
     for n in range(5):
         for budget in BUDGETS + (16, 15, 1):
