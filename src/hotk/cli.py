@@ -276,7 +276,7 @@ def cmd_prove(args) -> int:
 
 def cmd_corpus(args) -> int:
     from hotk.corpus import run_all
-    report = run_all(budget=args.budget)
+    report = run_all()
     _emit(args, report["json"], report["lines"])
     return EXIT_OK if report["ok"] else EXIT_NEGATIVE
 
@@ -445,7 +445,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BudgetExceeded as e:
         _report_error(args.format, e, f"budget exceeded: {e}")
         return EXIT_BUDGET
-    except (HotkError, OSError, ValueError) as e:
+    except (HotkError, OSError) as e:
         _report_error(args.format, e, f"error: {e}")
         return EXIT_USAGE
 

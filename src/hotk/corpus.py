@@ -83,7 +83,7 @@ def run_roundtrip_print() -> Tuple[bool, List[str]]:
     return ok, [f"{'PASS' if ok else 'FAIL'} print/parse round trip over the corpus"]
 
 
-def run_all(budget: int = 10 ** 6) -> dict:
+def run_all() -> dict:
     from hotk.proofkit import verify_fixture_suite
     sections = [run_formation_matrix(), run_goldens(), run_roundtrip_print()]
     fixtures = verify_fixture_suite()

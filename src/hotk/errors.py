@@ -25,7 +25,7 @@ class SubstitutionError(HotkError):
 
 
 class EvalError(HotkError):
-    """Evaluation failed: unassigned variable, missing domain, etc."""
+    """Model building or evaluation failed: bad builder arguments, etc."""
 
 
 class BudgetExceeded(HotkError):

@@ -9,6 +9,7 @@ build them without loading the proof checker.
 from __future__ import annotations
 
 from hotk.errors import ProofError
+from hotk.kernel import regimes as rg
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
                                 Iff, Implies, Not, Raised, StrictEq, Sugar,
@@ -101,3 +102,26 @@ def down_max(n: int) -> Formula:
     return Forall(z, Forall(x, Forall(y, Implies(
         And(DownRel(z, x), And(Sugar("coext", (x, y)), Sugar("downeq", (y, x)))),
         DownRel(z, y)))))
+
+
+# Each axiom a proof may cite: name -> (builder, the scheme-record
+# parameters it takes, in order, and the kinds or overlay that assume it).
+AXIOMS = {
+    "type-founded": (type_founded, ("alpha", "beta"), rg.CTT_KINDS),
+    "type-base": (type_base, ("alpha",), rg.CTT_KINDS),
+    "type-ext": (type_ext, ("alpha", "beta"), ("pctt",)),
+    "type-purity": (type_purity, (), ("pctt",)),
+    "up-inject": (up_inject, ("n",), (rg.STT_UP,)),
+    "up-possess": (up_possess, ("n",), (rg.STT_UP,)),
+    "up-founded": (up_founded, ("n",), (rg.STT_UP,)),
+    "up-base": (up_base, (), (rg.STT_UP,)),
+    "down-exists": (down_exists, ("n",), (rg.STT_DOWN,)),
+    "down-sim": (down_sim, ("n",), (rg.STT_DOWN,)),
+    "down-max": (down_max, ("n",), (rg.STT_DOWN,)),
+}
+
+
+def axioms_of(theory: rg.Regime) -> list:
+    """The names of the axioms theory assumes, in table order."""
+    return [name for name, (_, _, by) in AXIOMS.items()
+            if theory.kind in by or theory.overlay in by]

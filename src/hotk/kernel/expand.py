@@ -57,6 +57,8 @@ def _one_step(f: Sugar, fresh: FreshNames) -> Formula:
         return Forall(x, Iff(Apply(l, x), Apply(r, x)))
     if k == "coext_k":
         n, l, r = f.args
+        if n < 1:       # an empty conjunction
+            raise FormationError(f"{sugar_violation(f, rg.fjt())} in {print_formula(f)}")
         xs = (fresh.var(fin(i)) for i in range(n - 1, -1, -1))
         return conj(Forall(x, Iff(Apply(l, x), Apply(r, x))) for x in xs)
     if k == "downeq":

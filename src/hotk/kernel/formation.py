@@ -73,7 +73,7 @@ def _check_term(t: Term, regime: rg.Regime) -> Optional[FormationVerdict]:
     if idx is None:
         return _bad("untyped term in a typed regime", t)
     if not regime.admits_index(idx):
-        if regime.finite_only:
+        if regime.kind in rg.FINITE_KINDS:
             return _bad(f"transfinite index {idx} in a finite-type theory", t)
         return _bad(f"index {idx} is not below the bound {regime.bound}", t)
     return None

@@ -16,16 +16,26 @@ CTT_STRINGENT = "ctt"
 CTT_LIBERAL = "ctt_liberal"
 FJT = "fjt"
 
-_KINDS = (STT, STT_UP, STT_DOWN, CTT_STRINGENT, CTT_LIBERAL, FJT)
+# Each kind's printed name, then the other spellings parse_regime accepts.
+_NAMES = {
+    STT: ("stt",),
+    STT_UP: ("stt-up", "sttu", "stt_up"),
+    STT_DOWN: ("stt-down", "sttd", "stt_down"),
+    CTT_STRINGENT: ("ctt",),
+    CTT_LIBERAL: ("ctt-liberal", "ctt_liberal"),
+    FJT: ("fjt",),
+}
+_KIND_OF = {name: kind for kind, names in _NAMES.items() for name in names}
 
 # The kinds by formation rule: the standard theories need head type =
 # argument type + 1, the cumulative ones let a head take any lower type
 # (the liberal CTT any type at all); all but the CTT kinds have finite
-# types only.
+# types only; every kind but stt-down and fjt has plain comprehension.
 STANDARD_KINDS = frozenset({STT, STT_UP, STT_DOWN})
 CUMULATIVE_KINDS = frozenset({FJT, CTT_STRINGENT, CTT_LIBERAL})
 CTT_KINDS = frozenset({CTT_STRINGENT, CTT_LIBERAL})
 FINITE_KINDS = frozenset({STT, STT_UP, STT_DOWN, FJT})
+PLAIN_COMPREHENSION_KINDS = frozenset({STT, STT_UP, CTT_STRINGENT, CTT_LIBERAL})
 
 
 @dataclass(frozen=True)
@@ -35,7 +45,7 @@ class Regime:
     overlay: str = "none"               # "none" or "pctt"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _NAMES:
             raise ValueError(f"unknown regime kind {self.kind!r}")
         if self.is_ctt and self.bound is None:
             raise ValueError("CTT regimes need a type bound")
@@ -46,19 +56,13 @@ class Regime:
     def is_ctt(self) -> bool:
         return self.kind in CTT_KINDS
 
-    @property
-    def finite_only(self) -> bool:
-        return self.kind in FINITE_KINDS
-
     def admits_index(self, idx: TypeIndex) -> bool:
         if self.kind in FINITE_KINDS:
             return idx.omega_coeff == 0
         return idx < self.bound
 
     def __str__(self) -> str:
-        names = {STT: "stt", STT_UP: "stt-up", STT_DOWN: "stt-down",
-                 CTT_STRINGENT: "ctt", CTT_LIBERAL: "ctt-liberal", FJT: "fjt"}
-        s = names[self.kind]
+        s = _NAMES[self.kind][0]
         if self.is_ctt:
             s += f":{self.bound}"
         if self.overlay == "pctt":
@@ -87,22 +91,14 @@ def fjt() -> Regime:
 
 
 def parse_regime(text: str) -> Regime:
-    """Parse CLI regime strings: stt, stt-up, stt-down, fjt, ctt:<idx>, ctt-liberal:<idx>, pctt:<idx>."""
-    s = text.strip().lower()
-    name, _, idx = s.partition(":")
-    if name in ("stt",):
-        return stt()
-    if name in ("stt-up", "sttu", "stt_up"):
-        return stt_up()
-    if name in ("stt-down", "sttd", "stt_down"):
-        return stt_down()
-    if name == "fjt":
-        return fjt()
+    """Parse CLI regime strings: a spelling in _NAMES, or pctt; the CTT kinds take a :<idx> bound."""
+    name, _, idx = text.strip().lower().partition(":")
+    kind = _KIND_OF.get(name, CTT_STRINGENT if name == "pctt" else None)
+    if kind in FINITE_KINDS:
+        if idx:
+            raise ParseError(f"{name} has no type bound, got {text!r}")
+        return Regime(kind)
     bound = parse_index(idx) if idx else OMEGA
-    if name == "ctt":
-        return ctt(bound)
-    if name in ("ctt-liberal", "ctt_liberal"):
-        return ctt(bound, liberal=True)
-    if name == "pctt":
-        return ctt(bound, overlay="pctt")
-    raise ParseError(f"unknown theory {text!r}")
+    if kind is None:
+        raise ParseError(f"unknown theory {text!r}")
+    return Regime(kind, bound, "pctt" if name == "pctt" else "none")

@@ -66,29 +66,25 @@ def check_axiom_suite(m: Model, theory: rg.Regime, max_type: int,
     if max_type < 0:
         raise EvalError(f"max_type {max_type} below 0")
     report = SuiteReport(subject=f"{theory} on {m.kind} model")
-    kind = theory.kind
-    schemes = ()
-    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.CTT_LIBERAL):
+    if theory.kind in rg.PLAIN_COMPREHENSION_KINDS:
         _add_row(report, "comprehension", _plain_checks(m, range(max_type), budget),
                  _FULL, fail_note=_FULL)
-    if kind in (rg.CTT_STRINGENT, rg.CTT_LIBERAL):
-        schemes = ("type-raising", "type-founded", "type-base")
-        if theory.overlay == "pctt":
-            schemes += ("type-ext", "type-purity")
-    elif kind == rg.STT_UP:
-        schemes = ("up-inject", "up-possess", "up-founded", "up-base")
-    elif kind == rg.STT_DOWN:
+        if theory.is_ctt:       # a lemma: no proof may cite it
+            _add_row(report, "type-raising",
+                     _scheme_checks(m, "type-raising", max_type, budget))
+    elif theory.kind == rg.STT_DOWN:
         _add_row(report, "comprehension-type1",
                  _plain_checks(m, range(min(max_type, 1)), budget), _FULL)
         _add_row(report, "comprehension-augmented",
                  _augmented_checks(m, max_type, budget), _FULL)
-        schemes = ("down-exists", "down-sim", "down-max")
-    elif kind == rg.FJT:
+    else:
         _add_row(report, "comprehension-finitary",
                  _finitary_checks(m, max_type, budget), _FULL)
         _add_row(report, "extensionality-surrogate", _surrogate_checks(m, max_type))
-        schemes = ("type-purity",)
-    for name in schemes:
+        # checked, though fjt's proofs may not cite it
+        _add_row(report, "type-purity",
+                 _scheme_checks(m, "type-purity", max_type, budget))
+    for name in ax.axioms_of(theory):
         _add_row(report, name, _scheme_checks(m, name, max_type, budget))
     return report
 

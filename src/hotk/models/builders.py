@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional
 
-from hotk.errors import BudgetExceeded, GraphError
+from hotk.errors import BudgetExceeded, EvalError, GraphError
 from hotk.graphs import MembershipGraph, brace_name, canonical_key, powerset
 from hotk.models.core import DEFAULT_BUDGET, Model
 
@@ -40,9 +40,9 @@ def build_class_model(urelement_count: int, height: int,
     """Cumulative class-semantics model: type a entities are the members of
     U_{a+1}, where U_1 = U + {empty} and U_{a+1} = powerset(U_a) + U."""
     if height < 1:
-        raise ValueError("height must be at least 1")
+        raise EvalError("height must be at least 1")
     if urelement_count < 0:
-        raise ValueError("urelement count must not be negative")
+        raise EvalError("urelement count must not be negative")
     levels, members = hierarchy_levels(urelement_count, height, budget)
     return Model(kind="class", max_type=height - 1,
                  domains=tuple(tuple(l) for l in levels), members=members,
@@ -54,7 +54,7 @@ def build_pure_model(height: int, budget: int = DEFAULT_BUDGET) -> Model:
     """Pure cumulative hierarchy: one type 0 entity, type n = all
     hereditarily pure sets of rank <= n.  Capped at five levels."""
     if not 1 <= height <= 5:
-        raise ValueError("pure hierarchy heights run from 1 to 5")
+        raise EvalError("pure hierarchy heights run from 1 to 5")
     levels, members = hierarchy_levels(0, height, budget)
     return Model(kind="pure", max_type=height - 1,
                  domains=tuple(tuple(l) for l in levels), members=members,
@@ -74,7 +74,7 @@ def build_fjt_canonical(height: int, budget: int = DEFAULT_BUDGET) -> Model:
     entity is a tuple of extensions, one per lower type; types never share
     entities."""
     if not 0 <= height <= 3:
-        raise ValueError("canonical model heights run from 0 to 3")
+        raise EvalError("canonical model heights run from 0 to 3")
     domains = [("o",)]
     members: Dict[str, FrozenSet[str]] = {"o": frozenset()}
     name_of: Dict[object, str] = {"o": "o"}
@@ -104,7 +104,7 @@ def build_sttu_companion(m: Model) -> Model:
     """Add the raising map to a pure cumulative model: each entity's unique
     copy one type up is itself."""
     if m.kind not in ("pure", "class") or not m.cumulative:
-        raise ValueError("raised-type companion needs a cumulative hierarchy model")
+        raise EvalError("raised-type companion needs a cumulative hierarchy model")
     up = {(n, e): e for n in range(m.max_type) for e in m.domains[n]}
     return Model(kind=m.kind, max_type=m.max_type, domains=m.domains,
                  members=m.members, cumulative=True, open_above=m.open_above,
@@ -115,7 +115,7 @@ def build_sttd_companion(m: Model) -> Model:
     """Add the projection relation to a canonical tuple model: b at type n+1
     projects to a at type n iff they are coextensive at every type < n."""
     if m.kind != "fjt":
-        raise ValueError("projection companion needs the canonical tuple model")
+        raise EvalError("projection companion needs the canonical tuple model")
     down = set()
     for hi in range(2, m.max_type + 1):
         lows = [frozenset(m.domains[i]) for i in range(hi - 1)]

@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from hotk.errors import HotkError, ProofError, check_json, load_json
 from hotk.kernel import regimes as rg
+from hotk.kernel.axioms import AXIOMS, axioms_of
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import check_formation
 from hotk.kernel.indices import TypeIndex
@@ -26,7 +27,7 @@ from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, Not, Or, Raised,
                                 StrictEq, Term, alpha_equal, alpha_normalize,
                                 occurs_free, substitute, term_index)
-from hotk.proofkit.schemes import AXIOM_AVAILABILITY, axiom_instance
+from hotk.proofkit.schemes import axiom_instance
 
 _RULE_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 
@@ -399,10 +400,9 @@ def _check_axiom(theory: rg.Regime, scheme: Optional[dict], conc: Formula) -> Re
     if not scheme or "name" not in scheme:
         return SCHEME, "axiom step needs a scheme record"
     name = scheme["name"]
-    avail = AXIOM_AVAILABILITY.get(name)
-    if avail is None:
+    if name not in AXIOMS:
         return SCHEME, f"unknown axiom {name!r}"
-    if theory.kind not in avail and theory.overlay not in avail:
+    if name not in axioms_of(theory):
         return "axiom-unavailable", f"{name} is not an axiom of {theory}"
     try:
         want = axiom_instance(name, {k: v for k, v in scheme.items() if k != "name"})
@@ -431,8 +431,7 @@ def _match_comprehension(f: Formula, theory: rg.Regime) -> Optional[Rejection]:
         return z, x, matrix.right
 
     # stt-down takes plain instances at type 0 and augmented ones above
-    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.CTT_LIBERAL) \
-            or kind == rg.STT_DOWN and plain(f):
+    if kind in rg.PLAIN_COMPREHENSION_KINDS or kind == rg.STT_DOWN and plain(f):
         got = plain(f)
         if not got:
             return (SCHEME, "not a comprehension instance")
@@ -464,33 +463,31 @@ def _match_comprehension(f: Formula, theory: rg.Regime) -> Optional[Rejection]:
             return ("comprehension-witness", f"witness {z.name} occurs in the matrix")
         return None
 
-    if kind == rg.FJT:
-        if not isinstance(f, Exists):
-            return (SCHEME, "not a finitary comprehension instance")
-        z = f.var
-        n = z.index.finite_value if z.index.is_finite else None
-        if not n:
-            return (SCHEME, "witness must have a positive finite type")
-        conjuncts = []
-        body = f.body
-        while isinstance(body, And):
-            conjuncts.append(body.left)
-            body = body.right
-        conjuncts.append(body)
-        if len(conjuncts) != n:
-            return (SCHEME, f"need {n} conjuncts, found {len(conjuncts)}")
-        for expected_i, c in zip(range(n - 1, -1, -1), conjuncts):
-            if not (isinstance(c, Forall) and isinstance(c.body, Iff)
-                    and isinstance(c.body.left, Apply)
-                    and c.body.left.head == z and c.body.left.arg == c.var
-                    and c.var.index == TypeIndex(0, expected_i)):
-                return (SCHEME, f"conjunct for type {expected_i} is off")
-            if occurs_free(z, c.body.right):
-                return ("comprehension-witness",
-                        f"witness {z.name} occurs in a matrix")
-        return None
-
-    return (SCHEME, f"no comprehension scheme for {theory}")
+    # fjt: the finitary scheme
+    if not isinstance(f, Exists):
+        return (SCHEME, "not a finitary comprehension instance")
+    z = f.var
+    n = z.index.finite_value if z.index.is_finite else None
+    if not n:
+        return (SCHEME, "witness must have a positive finite type")
+    conjuncts = []
+    body = f.body
+    while isinstance(body, And):
+        conjuncts.append(body.left)
+        body = body.right
+    conjuncts.append(body)
+    if len(conjuncts) != n:
+        return (SCHEME, f"need {n} conjuncts, found {len(conjuncts)}")
+    for expected_i, c in zip(range(n - 1, -1, -1), conjuncts):
+        if not (isinstance(c, Forall) and isinstance(c.body, Iff)
+                and isinstance(c.body.left, Apply)
+                and c.body.left.head == z and c.body.left.arg == c.var
+                and c.var.index == TypeIndex(0, expected_i)):
+            return (SCHEME, f"conjunct for type {expected_i} is off")
+        if occurs_free(z, c.body.right):
+            return ("comprehension-witness",
+                    f"witness {z.name} occurs in a matrix")
+    return None
 
 
 def _match_identity(f: Formula) -> Optional[str]:

@@ -5,9 +5,10 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from hotk.errors import ProofError
-from hotk.kernel.axioms import (down_exists, down_max, down_sim, type_base,
-                                type_ext, type_founded, type_purity, up_base,
-                                up_founded, up_inject, up_possess)
+# The builders are re-exported for callers that cite a scheme by function.
+from hotk.kernel.axioms import (AXIOMS, down_exists, down_max, down_sim,
+                                type_base, type_ext, type_founded, type_purity,
+                                up_base, up_founded, up_inject, up_possess)
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.parser import parse_formula, parse_index, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
@@ -70,33 +71,7 @@ def identity_scheme(left: Term, right: Term, witness: str = "z") -> Formula:
                Forall(z, Iff(Apply(z, left), Apply(z, right))))
 
 
-_AXIOMS = {
-    "type-founded": (type_founded, ("alpha", "beta")),
-    "type-base": (type_base, ("alpha",)),
-    "type-ext": (type_ext, ("alpha", "beta")),
-    "type-purity": (type_purity, ()),
-    "up-inject": (up_inject, ("n",)),
-    "up-possess": (up_possess, ("n",)),
-    "up-founded": (up_founded, ("n",)),
-    "up-base": (up_base, ()),
-    "down-exists": (down_exists, ("n",)),
-    "down-sim": (down_sim, ("n",)),
-    "down-max": (down_max, ("n",)),
-}
-
-AXIOM_AVAILABILITY = {
-    "type-founded": ("ctt", "ctt_liberal"),
-    "type-base": ("ctt", "ctt_liberal"),
-    "type-ext": ("pctt",),
-    "type-purity": ("pctt",),
-    "up-inject": ("stt_up",),
-    "up-possess": ("stt_up",),
-    "up-founded": ("stt_up",),
-    "up-base": ("stt_up",),
-    "down-exists": ("stt_down",),
-    "down-sim": ("stt_down",),
-    "down-max": ("stt_down",),
-}
+AXIOM_AVAILABILITY = {name: by for name, (_, _, by) in AXIOMS.items()}
 
 
 def _index_arg(value) -> TypeIndex:
@@ -139,8 +114,8 @@ def axiom_instance(name: str, params: Optional[Dict] = None) -> Formula:
         left = parse_term(params["left"]) if isinstance(params["left"], str) else params["left"]
         right = parse_term(params["right"]) if isinstance(params["right"], str) else params["right"]
         return identity_scheme(left, right, witness=params.get("witness", "z"))
-    if name in _AXIOMS:
-        fn, argnames = _AXIOMS[name]
+    if name in AXIOMS:
+        fn, argnames, _ = AXIOMS[name]
         try:
             args = [_index_arg(params[a]) if a != "n" else int(params[a])
                     for a in argnames]

@@ -34,7 +34,7 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
     """Transitive graph of the pure hierarchy up to rank n (V_0 is empty):
     the last of the pure hierarchy's first n levels."""
     if n < 0:
-        raise ValueError("n must be a natural")
+        raise GraphError("n must be a natural")
     levels, members = hierarchy_levels(0, n, budget)
     nodes = levels[-1] if n else []
     g = MembershipGraph(tuple(nodes),

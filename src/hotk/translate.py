@@ -189,8 +189,10 @@ def sttd_to_fjt(f: Formula) -> Formula:
 def _sttd_to_fjt(f: Formula) -> Formula:
     def atom(g: Formula) -> Formula:
         if isinstance(g, DownRel):
-            n = term_index(g.right).finite_value
-            return Sugar("coext_k", (n, g.left, g.right))
+            n = term_index(g.right)
+            if not n.is_finite or n.finite_value == 0:
+                raise FormationError(f"a projection to type {n} has no finitary image")
+            return Sugar("coext_k", (n.finite_value, g.left, g.right))
         if isinstance(g, (Apply, StrictEq)):
             return g
         raise FormationError(f"unexpected atom {g!r} in the projection theory")
@@ -202,10 +204,18 @@ def _sttd_to_fjt(f: Formula) -> Formula:
 # Translation maps as data, plus round-trip checking.
 
 KAPPA = "kappa"
-I_CTT_TO_STTU = "i-ctt-sttu"
-J_STTU_TO_CTT = "j-sttu-ctt"
-I_FJT_TO_STTD = "i-fjt-sttd"
-J_STTD_TO_FJT = "j-sttd-fjt"
+# name -> (source kind, target kind, body).  A body takes an expanded formula
+# and returns one, so a round trip needs no expansion between its two legs.
+_MAPS = {
+    "i-ctt-sttu": (rg.CTT_STRINGENT, rg.STT_UP, _ctt_to_sttu),
+    "j-sttu-ctt": (rg.STT_UP, rg.CTT_STRINGENT, _sttu_to_ctt),
+    "i-fjt-sttd": (rg.FJT, rg.STT_DOWN, _fjt_to_sttd),
+    "j-sttd-fjt": (rg.STT_DOWN, rg.FJT, _sttd_to_fjt),
+}
+
+# source kind -> (there, back): the bodies of a map and of its inverse.
+_ROUNDTRIPS = {src: (there, back) for src, dst, there in _MAPS.values()
+               for src2, dst2, back in _MAPS.values() if (src2, dst2) == (dst, src)}
 
 
 @dataclass(frozen=True)
@@ -216,29 +226,16 @@ class TranslationMap:
     def apply(self, f: Formula) -> Formula:
         if self.name == KAPPA:
             return kappa_translate(f, self.kappa)
-        return {I_CTT_TO_STTU: ctt_to_sttu,
-                J_STTU_TO_CTT: sttu_to_ctt,
-                I_FJT_TO_STTD: fjt_to_sttd,
-                J_STTD_TO_FJT: sttd_to_fjt}[self.name](f)
+        return _MAPS[self.name][2](expand_abbreviations(f, None))
 
 
 def parse_map(text: str) -> TranslationMap:
     s = text.strip().lower()
     if s.startswith("kappa:"):
         return TranslationMap(KAPPA, parse_index(s.split(":", 1)[1]))
-    if s in (I_CTT_TO_STTU, J_STTU_TO_CTT, I_FJT_TO_STTD, J_STTD_TO_FJT):
+    if s in _MAPS:
         return TranslationMap(s)
     raise FormationError(f"unknown translation map {text!r}")
-
-
-# The private bodies: each takes an expanded formula and returns one, so a
-# round trip needs no expansion between its two legs.
-_ROUNDTRIPS = {
-    rg.CTT_STRINGENT: (_ctt_to_sttu, _sttu_to_ctt),
-    rg.STT_UP: (_sttu_to_ctt, _ctt_to_sttu),
-    rg.FJT: (_fjt_to_sttd, _sttd_to_fjt),
-    rg.STT_DOWN: (_sttd_to_fjt, _fjt_to_sttd),
-}
 
 
 @dataclass

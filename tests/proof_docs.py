@@ -1,9 +1,9 @@
 """Proof documents for the checker's tests.
 
 The bundled fixtures as JSON documents, a small corpus of hand-written
-proofs for the propositional rules the fixtures never use, seeded
-mutations of both, and hostile documents whose fields have the wrong JSON
-type.
+proofs for the propositional rules the fixtures never use, single scheme
+steps and the rejections of their matchers, seeded mutations, and hostile
+documents whose fields have the wrong JSON type.
 """
 
 import copy
@@ -89,6 +89,67 @@ HAND_PROOFS = {
         _step(4, "some y^0. p^1(y^0)", "exists_e(0,0)", [1, 3], [2],
               eigen="c^0")]},
 }
+
+# Single comprehension and identity steps: an accepted instance of the
+# augmented (stt-down), finitary (fjt) and identity schemes, and a change to
+# one for each rejection message of its matcher, with the message under the
+# step's own theory.  The augmented matcher's "type arithmetic is off" has
+# none: formation already ties the witness, anchor and variable types.
+_AUG = "all y^1. some z^2. {} dn y^1 & (all x^1. {})"
+_FIN = "some z^2. (all x^{}. z^2(x^{}) <-> {}) & (all x^{}. z^2(x^{}) <-> {})"
+_IDENT = "a^0 = b^0 <-> {}"
+SCHEME_STEPS = {
+    "augmented": ("stt-down", "comprehension",
+                  _AUG.format("z^2", "z^2(x^1) <-> p^2(x^1)"), None),
+    "augmented, no anchor": ("stt-down", "comprehension",
+                             "all y^1. some z^2. all x^1. z^2(x^1) <-> p^2(x^1)",
+                             "not an augmented comprehension instance"),
+    "augmented, guard": ("stt-down", "comprehension",
+                         _AUG.format("c^2", "z^2(x^1) <-> p^2(x^1)"),
+                         "projection guard does not bind the witness"),
+    "augmented, matrix": ("stt-down", "comprehension",
+                          _AUG.format("z^2", "p^2(x^1) <-> z^2(x^1)"),
+                          "not an augmented comprehension instance"),
+    "augmented, witness": ("stt-down", "comprehension",
+                           _AUG.format("z^2", "z^2(x^1) <-> ~z^2(x^1)"),
+                           "witness z occurs in the matrix"),
+    "plain above type 0": ("stt-down", "comprehension",
+                           "some z^2. all x^1. z^2(x^1) <-> p^2(x^1)",
+                           "plain comprehension only forms type-1 properties here"),
+    "finitary": ("fjt", "comprehension",
+                 _FIN.format(1, 1, "p^2(x^1)", 0, 0, "q^1(x^0)"), None),
+    "finitary, no witness": ("fjt", "comprehension", "all x^1. p^2(x^1)",
+                             "not a finitary comprehension instance"),
+    "finitary, type 0": ("fjt", "comprehension", "some z^0. p^1(z^0)",
+                         "witness must have a positive finite type"),
+    "finitary, one conjunct": ("fjt", "comprehension",
+                               "some z^2. all x^1. z^2(x^1) <-> p^2(x^1)",
+                               "need 2 conjuncts, found 1"),
+    "finitary, order": ("fjt", "comprehension",
+                        _FIN.format(0, 0, "q^1(x^0)", 1, 1, "p^2(x^1)"),
+                        "conjunct for type 1 is off"),
+    "finitary, witness": ("fjt", "comprehension",
+                          _FIN.format(1, 1, "p^2(x^1)", 0, 0, "~z^2(x^0)"),
+                          "witness z occurs in a matrix"),
+    "identity": ("stt", "identity",
+                 _IDENT.format("(all z^1. z^1(a^0) <-> z^1(b^0))"), None),
+    "identity, no quantifier": ("stt", "identity", _IDENT.format("p^1(a^0)"),
+                                "not an identity-scheme instance"),
+    "identity, no biconditional": ("stt", "identity",
+                                   _IDENT.format("(all z^1. z^1(a^0) & z^1(b^0))"),
+                                   "not an identity-scheme instance"),
+    "identity, head": ("stt", "identity",
+                       _IDENT.format("(all z^1. z^1(a^0) <-> p^1(b^0))"),
+                       "indiscernibility quantifier must head both sides"),
+    "identity, terms": ("stt", "identity",
+                        _IDENT.format("(all z^1. z^1(b^0) <-> z^1(a^0))"),
+                        "indiscernibility must apply to the identity's terms"),
+    "identity, types": ("ctt:w", "identity",
+                        _IDENT.format("(all z^2. z^2(a^0) <-> z^2(b^0))"),
+                        "type arithmetic is off"),
+}
+SCHEME_PROOFS = {name: {"theory": theory, "steps": [_step(1, formula, rule)]}
+                 for name, (theory, rule, formula, _) in SCHEME_STEPS.items()}
 
 # Wrong JSON types in the fields the checker reads; each must be a
 # malformed file, not a crash.

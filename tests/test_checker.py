@@ -11,12 +11,12 @@ import copy
 import pytest
 
 import checker_oracle as oracle
-from proof_docs import (HAND_PROOFS, HOSTILE_PROOFS, REGIMES,
-                        fixture_documents, mutations)
+from proof_docs import (HAND_PROOFS, HOSTILE_PROOFS, REGIMES, SCHEME_PROOFS,
+                        SCHEME_STEPS, fixture_documents, mutations)
 
 from hotk.proofkit import check_proof, load_proof
 
-DOCUMENTS = {**fixture_documents(), **HAND_PROOFS}
+DOCUMENTS = {**fixture_documents(), **HAND_PROOFS, **SCHEME_PROOFS}
 
 
 def outcome(check, doc):
@@ -44,6 +44,13 @@ def test_documents_under_their_own_theory():
     verdicts = {name: assert_agree(doc) for name, doc in DOCUMENTS.items()}
     assert verdicts["or_e leak"][2] == "undischarged"
     assert sum(v[0] is True for v in verdicts.values()) >= 12
+
+
+def test_scheme_steps_draw_their_messages():
+    for name, doc in SCHEME_PROOFS.items():
+        message = SCHEME_STEPS[name][3]
+        accepted, _, _, got = assert_agree(doc)
+        assert (accepted, got) == (message is None, message), name
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import copy
 import io
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from proof_docs import HAND_PROOFS, HOSTILE_PROOFS, REGIMES, RULES, fixture_documents
 
 import hotk
+import hotk.errors
 from hotk.cli import main
 from hotk.kernel import fin, parse_formula
 from hotk.models import Model, check_axiom_suite, eval_formula
@@ -405,6 +407,15 @@ def test_fuzzed_proof_documents_keep_the_exit_codes(proof_path, doc):
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
         assert set(json.loads(out.getvalue())) >= {"accepted"}
+    else:
+        assert json.loads(err.getvalue())["error"] in KNOWN_ERRORS
+
+
+# The error classes --format json may name: the package's own, and the
+# OSErrors of reading a file.
+KNOWN_ERRORS = {"UsageError"} | {
+    name for module in (hotk.errors, builtins) for name, c in vars(module).items()
+    if isinstance(c, type) and issubclass(c, (hotk.errors.HotkError, OSError))}
 
 
 def run_json(*argv):
@@ -419,6 +430,7 @@ def run_json(*argv):
     if code in (2, 3):
         doc = json.loads(err.getvalue())
         assert set(doc) == {"error", "message"} and doc["message"]
+        assert doc["error"] in KNOWN_ERRORS
     else:
         doc = json.loads(out.getvalue())
     return code, doc
@@ -433,7 +445,8 @@ def error_files(tmp_path_factory):
              "no_height.json": json.dumps({"kind": "pure", "domains": [["{}"]]}),
              "broken.json": "{",
              "bad.proof": json.dumps({"theory": "stt", "steps": [{"n": 1}]}),
-             "deep.json": "[" * 5000 + "]" * 5000}
+             "deep.json": "[" * 5000 + "]" * 5000,
+             "dn0.hol": "b^1 dn a^0\n", "dnw.hol": "b^(w+1) dn a^w\n"}
     for name, text in files.items():
         (d / name).write_text(text)
     (d / "directory.json").mkdir()
@@ -441,7 +454,8 @@ def error_files(tmp_path_factory):
 
 
 # One command for each way main reports an error: (arguments, exit code,
-# error class).  Relative paths name files of the error_files fixture.
+# error class).  Relative paths name files of the error_files fixture.  A
+# bound on a finite theory is a parse error.
 ERROR_PATHS = [
     (["check", "--theory"], 2, "UsageError"),
     (["expand", "--theory", "stt", "-x"], 2, "UsageError"),
@@ -458,7 +472,7 @@ ERROR_PATHS = [
     (["eval", "--model", "missing.json", "a^0 = a^0"], 2, "FileNotFoundError"),
     (["eval", "--model", "directory.json", "a^0 = a^0"], 2, "IsADirectoryError"),
     (["eval", "--model", "broken.json", "a^0 = a^0"], 2, "HotkError"),
-    (["sets", "build-v", "-1"], 2, "ValueError"),
+    (["sets", "build-v", "-1"], 2, "GraphError"),
     (["--budget", "10", "model", "build", "--kind", "pure", "--height", "4"], 3,
      "BudgetExceeded"),
     (["--budget", "1", "eval", "--model", "fjt2.json", "all a^1. a^1 = a^1"], 3,
@@ -468,13 +482,21 @@ ERROR_PATHS = [
     (["model", "check", "--model", "fjt2.json", "--theory", "fjt",
       "--max-type", "-1"], 2, "EvalError"),
     (["model", "build", "--kind", "class", "--urelements", "-3"], 2,
-     "ValueError"),
+     "EvalError"),
+    (["model", "build", "--kind", "pure", "--height", "9"], 2, "EvalError"),
+    (["model", "build", "--kind", "fjt", "--companion", "up"], 2, "EvalError"),
+    (["check", "--theory", "stt:banana", "x^1(y^0)"], 2, "ParseError"),
+    (["check", "--theory", "fjt:3", "x^1(y^0)"], 2, "ParseError"),
+    (["check", "--theory", "stt-up:w", "x^1(y^0)"], 2, "ParseError"),
+    (["eval", "--model", "fjt2.json", "a^1 coext_0 b^1"], 2, "FormationError"),
+    (["translate", "--map", "j-sttd-fjt", "dn0.hol"], 2, "FormationError"),
+    (["translate", "--map", "j-sttd-fjt", "dnw.hol"], 2, "FormationError"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,error", ERROR_PATHS)
 def test_errors_are_json_under_format_json(argv, code, error, error_files, capsys):
-    argv = [str(error_files / a) if a.endswith((".json", ".proof")) else a
+    argv = [str(error_files / a) if a.endswith((".json", ".proof", ".hol")) else a
             for a in argv]
     got, doc = run_json(*argv)
     assert got == code and doc["error"] == error

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hotk.corpus import formation_matrix
+from hotk.errors import ParseError
 from hotk.kernel import (check_formation, ctt, fin, fjt, parse_formula,
                          parse_regime, stt, stt_down, stt_up)
 
@@ -126,3 +127,42 @@ def test_monotonicity_on_generated_formulas():
             continue   # projection atoms exist only in their home theory
         assert check_formation(f, stt()).ok
         assert check_formation(f, ctt()).ok
+
+
+# Regime spellings and how they print, as at the commit before the names
+# table; a bound on a finite kind was dropped then and is an error now.
+REGIME_SPELLINGS = {
+    "stt": "stt", "STT": "stt", " stt ": "stt", "stt:": "stt",
+    "stt-up": "stt-up", "sttu": "stt-up", "stt_up": "stt-up", "STT-UP": "stt-up",
+    "stt-down": "stt-down", "sttd": "stt-down", "stt_down": "stt-down",
+    "stt-down:": "stt-down", "fjt": "fjt", "fjt:": "fjt",
+    "ctt": "ctt:w", "ctt:": "ctt:w", "ctt:w": "ctt:w", "ctt:3": "ctt:3",
+    "ctt: 3": "ctt:3", "ctt:w+1": "ctt:w+1", "ctt:w*2+3": "ctt:w*2+3",
+    "ctt-liberal": "ctt-liberal:w", "ctt_liberal": "ctt-liberal:w",
+    "ctt-liberal:w": "ctt-liberal:w", "ctt_liberal:5": "ctt-liberal:5",
+    "  ctt-liberal:W*2  ": "ctt-liberal:w*2",
+    "pctt": "pctt:w", "pctt:": "pctt:w", "pctt:w": "pctt:w", "pctt:4": "pctt:4",
+    "PCTT:W": "pctt:w",
+}
+BAD_INDEX = "bad type index {!r} (indices up to w*q+r only)"
+REJECTED_SPELLINGS = {
+    "ctt:x": BAD_INDEX.format("x"), "pctt:x": BAD_INDEX.format("x"),
+    "ctt-liberal:banana": BAD_INDEX.format("banana"),
+    "ctt:w:w": BAD_INDEX.format("w:w"), "nope:x": BAD_INDEX.format("x"),
+    "nope": "unknown theory 'nope'", "": "unknown theory ''",
+    ":": "unknown theory ':'", "stt :3": "unknown theory 'stt :3'",
+    "ctt :3": "unknown theory 'ctt :3'",
+    "stt:banana": "stt has no type bound, got 'stt:banana'",
+    "fjt:3": "fjt has no type bound, got 'fjt:3'",
+    "stt-up:w": "stt-up has no type bound, got 'stt-up:w'",
+    "sttd:0": "sttd has no type bound, got 'sttd:0'",
+}
+
+
+def test_regime_spellings_parse_and_print():
+    for text, printed in REGIME_SPELLINGS.items():
+        assert str(parse_regime(text)) == printed, text
+    for text, message in REJECTED_SPELLINGS.items():
+        with pytest.raises(ParseError) as e:
+            parse_regime(text)
+        assert str(e.value) == message, text

@@ -122,9 +122,9 @@ class TestCompanions:
             assert rep.status(name) == "PASS"
 
     def test_companion_requires_matching_builder(self, pure4, fjt3):
-        with pytest.raises(ValueError):
+        with pytest.raises(EvalError, match="canonical tuple model"):
             build_sttd_companion(pure4)
-        with pytest.raises(ValueError):
+        with pytest.raises(EvalError, match="cumulative hierarchy model"):
             build_sttu_companion(fjt3)
 
     def test_chain_lemma_shared_projection(self, fjt3_down):

@@ -1,10 +1,15 @@
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from hotk.errors import ProofError
 from hotk.kernel import fin, parse_formula, print_formula
+from hotk.kernel import regimes as rg
+from hotk.kernel.axioms import AXIOMS, axioms_of
+from hotk.models import check_axiom_suite
 from hotk.proofkit import (axiom_instance, check_proof, load_fixture,
                            load_proof, verify_fixture_suite)
 from hotk.proofkit.checker import loads_proof
@@ -140,3 +145,23 @@ def test_accepted_conclusions_hold_in_reference_models(pure4, pure4_up):
         model = pure4_up if proof.theory.kind == "stt_up" else pure4
         f = universal_closure(proof)
         assert eval_formula(model, f) is True, name
+
+
+def test_readme_theory_table_matches_the_axioms_table(fjt2):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| axioms a proof may cite |")[1].split("\n\n")[0]
+    names = lambda cell: set(re.findall(r"`([a-z0-9-]+)`", cell))
+    theories, cited_anywhere = set(), set()
+    for line in table.splitlines()[2:]:
+        theory, comprehension, cited, others = line.strip(" |").split(" | ")
+        regime = rg.parse_regime(theory.strip("`").replace("<idx>", "w"))
+        assert names(cited) == set(axioms_of(regime)), theory
+        rows = {v.name for v in check_axiom_suite(fjt2, regime, 1).verdicts}
+        assert rows == names(comprehension) | names(cited) | names(others), theory
+        theories.add((regime.kind, regime.overlay))
+        cited_anywhere |= names(cited)
+    assert cited_anywhere == set(AXIOMS)
+    kinds = (rg.STT, rg.STT_UP, rg.STT_DOWN, rg.FJT, rg.CTT_STRINGENT, rg.CTT_LIBERAL)
+    assert theories == {(k, "none") for k in kinds} | {(rg.CTT_STRINGENT, "pctt")}
+    assumers = {by for _, _, assumed_by in AXIOMS.values() for by in assumed_by}
+    assert assumers <= set(kinds) | {"pctt"}
