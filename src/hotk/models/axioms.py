@@ -23,7 +23,7 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import Forall
 from hotk.models.builders import DEFAULT_BUDGET
-from hotk.models.core import Model, _compile_expanded, counterexamples
+from hotk.models.core import Model, _compile_slots, counterexamples
 from hotk.models.decide import _top_type
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 
@@ -115,7 +115,8 @@ def _scheme_checks(m: Model, name: str, top: int, budget: int):
         if not m.reaches(_top_type(f)):
             continue
         try:
-            if _compile_expanded(m, f, budget)():
+            root, env, _ = _compile_slots(m, f, (), budget)
+            if root(env):
                 continue
             # Only a false instance pays for sweeping its matrix.
             vs = []

@@ -119,13 +119,14 @@ def build_sttd_companion(m: Model) -> Model:
     down = set()
     for hi in range(2, m.max_type + 1):
         lows = [frozenset(m.domains[i]) for i in range(hi - 1)]
+        below: Dict[tuple, list] = {}   # extension key -> type-(hi-1) entities
+        for a in m.domains[hi - 1]:
+            am = m.members[a]
+            below.setdefault(tuple(am & d for d in lows), []).append(a)
         for b in m.domains[hi]:
             bm = m.members[b]
-            key = tuple(bm & d for d in lows)
-            for a in m.domains[hi - 1]:
-                am = m.members[a]
-                if tuple(am & d for d in lows) == key:
-                    down.add((hi, b, a))
+            for a in below.get(tuple(bm & d for d in lows), ()):
+                down.add((hi, b, a))
     return Model(kind="fjt", max_type=m.max_type, domains=m.domains,
                  members=m.members, cumulative=False, down_rel=down,
                  meta=dict(m.meta, companion="down"))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, Optional, Sequence,
                     Set, Tuple, Union)
 
@@ -144,6 +144,7 @@ Compiled = Callable[[Optional[Assignment]], bool]
 
 _UNSET = object()       # value of a free slot the assignment leaves out
 _EMPTY: FrozenSet[Entity] = frozenset()
+_NO_SLOTS: FrozenSet[int] = frozenset()
 
 
 def _fail(error, message: str):
@@ -151,6 +152,32 @@ def _fail(error, message: str):
     def fail(env):
         raise error(message)
     return fail
+
+
+def _true(env):
+    return True
+
+
+def _false(env):
+    return False
+
+
+def _once_then_true(c):
+    """c -> c or c <-> c: c runs once, for its errors, and the answer is true."""
+    def once(env):
+        c(env)
+        return True
+    return once
+
+
+# binary connective -> (closure over its two sides' closures, closure when
+# both sides compiled to one closure)
+_CONNECTIVES = {
+    And: (lambda l, r: lambda env: l(env) and r(env), lambda c: c),
+    Or: (lambda l, r: lambda env: l(env) or r(env), lambda c: c),
+    Implies: (lambda l, r: lambda env: not l(env) or r(env), _once_then_true),
+    Iff: (lambda l, r: lambda env: l(env) == r(env), _once_then_true),
+}
 
 
 def compile_formula(m: Structure, f: Formula,
@@ -165,55 +192,113 @@ def compile_formula(m: Structure, f: Formula,
     quantifier ranges over the nodes, variables are keyed by name alone and
     InSet(x, a) holds when x is a member of a.
 
-    A quantifier whose free slots are a strict subset of the slots in scope
-    caches its value keyed by those slots' values.  The cache lives as
-    long as the compiled function, so it also serves later assignments.
-    Errors (unassigned terms, missing domains, a domain of more than
-    `budget` entities) are raised only when the offending node is reached.
+    Every free atom of f is numbered before the walk, so that a quantifier
+    whose slots read are a strict subset of the slots in scope (every free
+    slot and the binders around it) caches its value keyed by those slots'
+    values.  The cache lives as long as the compiled function, so it also
+    serves later assignments.  Errors (unassigned terms, missing domains, a
+    domain of more than `budget` entities) are raised only when the
+    offending node is reached.
     """
-    return _compile_expanded(m, expand_abbreviations(f, None), budget)
-
-
-def _compile_expanded(m: Structure, f: Formula,
-                      budget: int = DEFAULT_BUDGET) -> Compiled:
-    """compile_formula for an f that holds no sugar, which it does not
-    expand again (decisions and axiom checks have expanded it already)."""
+    f = expand_abbreviations(f, None)
     graph = isinstance(m, MembershipGraph)
-    root, blank, free = _compile_slots(m, f, free_atoms(f), budget)
-    free_slots = tuple(free.items())
+    keys = [a.name if graph else akey(a) for a in free_atoms(f)]
+    root, blank, slots = _compile_slots(m, f, keys, budget)
+    free_slots = tuple(zip(keys, slots))
 
     def run(assignment: Optional[Assignment] = None) -> bool:
         env = blank.copy()
         if assignment:
             if graph:
-                assignment = {k if isinstance(k, str) else k[0]: v
-                              for k, v in assignment.items()}
+                assignment = _names(assignment)
             for k, i in free_slots:
                 env[i] = assignment.get(k, _UNSET)
         return root(env)
     return run
 
 
-def _compile_slots(m: Structure, f: Formula, atoms: Iterable[Term],
-                   budget: int = DEFAULT_BUDGET):
-    """(root, env, free) for an f with no sugar: root maps a list
-    environment to f's truth value, env has every slot _UNSET, and free
-    numbers the keys (names in a graph) of atoms, f's free atoms among
-    them, from 0 up in order of first appearance; binders' slots follow."""
-    graph = isinstance(m, MembershipGraph)
-    keyof = (lambda t: t.name) if graph else akey
-    free: Dict = {}
-    for a in atoms:
-        free.setdefault(keyof(a), len(free))
-    nfree = nslots = len(free)
+def _names(assignment: Assignment) -> Dict[str, Entity]:
+    """A graph assignment keyed by names alone."""
+    return {k if isinstance(k, str) else k[0]: v for k, v in assignment.items()}
 
-    def term(t: Term, scope: dict):
-        """(getter, slots read) for a term."""
+
+def _compile_slots(m: Structure, f: Formula, keys: Iterable,
+                   budget: int = DEFAULT_BUDGET, assigned: bool = False):
+    """(root, env, slots) for an f with no sugar: root maps a list
+    environment to f's truth value, env has every slot _UNSET, and slots
+    holds the slot of each assignment key in `keys` ((name, index) pairs,
+    names in a graph).  The keys are numbered from 0 up, then each other
+    free atom of f where the walk first meets it.  When `assigned`, the
+    caller fills every key's slot before each run, so its terms read the
+    list directly, as bound variables do."""
+    c = _Compiler(m, keys, budget)
+    root, _ = c.node(f, dict(c.free) if assigned else {})
+    return root, [_UNSET] * c.nslots, c.given
+
+
+def _slot_key(name: str, index: Optional[TypeIndex]):
+    """A typed term's key in the compiler's tables: its name and index, the
+    index spelled as its two naturals, which hash faster than a TypeIndex."""
+    if index is None:
+        return name, None
+    return name, index.omega_coeff, index.finite_part
+
+
+class _Compiler:
+    """One walk of a sugar-free formula over one structure.
+
+    A scope maps the keys of the binders around a node to their slots.  A
+    subformula is compiled once per scope: `memo` maps (id(node),
+    id(scope)) to its (closure, slots read), and `scopes` keeps every scope
+    it names alive.  So a subtree that occurs twice in one scope (a round
+    trip's unchanged image, say) becomes one closure, and a binary
+    connective of a closure with itself reduces to that closure (& and |)
+    or runs it once and holds (-> and <->).  No closure refers back to the
+    compiler, so the memo goes when the compile returns.
+    """
+
+    def __init__(self, m: Structure, keys: Iterable, budget: int):
+        self.m, self.budget = m, budget
+        self.graph = isinstance(m, MembershipGraph)
+        self.keyof = (attrgetter("name") if self.graph
+                      else lambda t: _slot_key(t.name, t.index))
+        self.free: Dict = {}        # key -> slot, for every free atom
+        self.given = []             # the slot of each of `keys`
+        for k in keys:
+            k = k if self.graph else _slot_key(*k)
+            self.given.append(self.free.setdefault(k, len(self.free)))
+        self.nslots = len(self.free)
+        self.memo: Dict = {}
+        self.scopes = []
+
+    def node(self, g: Formula, scope: dict):
+        """(closure, slots read) for a formula node, built once per scope."""
+        key = (id(g), id(scope))
+        got = self.memo.get(key)
+        if got is None:
+            build = _BUILD.get(type(g))
+            if build is None:
+                raise TypeError(f"unknown formula node {g!r}")
+            got = self.memo[key] = build(self, g, scope)
+        return got
+
+    def bound(self, scope: dict, s: Term, t: Term):
+        """The slots of s and t when both are read directly, else None."""
+        if isinstance(s, Raised) or isinstance(t, Raised):
+            return None
+        x = scope.get(self.keyof(s))
+        y = None if x is None else scope.get(self.keyof(t))
+        return None if y is None else (x, y)
+
+    def term(self, t: Term, scope: dict):
+        """(getter, slots read) for a term; a free atom met for the first
+        time gets the next slot."""
+        m, graph = self.m, self.graph
         if isinstance(t, Raised):
             if graph:
                 return (_fail(EvalError, "raised term in a set-language formula"),
-                        frozenset())
-            inner, slots = term(t.inner, scope)
+                        _NO_SLOTS)
+            inner, slots = self.term(t.inner, scope)
             n = term_index(t.inner)
             up = m.up_map
             if n is None or not n.is_finite:
@@ -221,20 +306,25 @@ def _compile_slots(m: Structure, f: Formula, atoms: Iterable[Term],
             elif up is None:
                 err = "model has no raising map"
             else:
-                err = None
+                err, below = None, n.finite_value
 
             def raised(env):
                 e = inner(env)
                 if err is not None:
                     raise EvalError(err)
-                got = up.get((n.finite_value, e), _UNSET)
+                got = up.get((below, e), _UNSET)
                 if got is _UNSET:
                     raise EvalError(f"raising map undefined at type {n} for {e}")
                 return got
             return raised, slots
-        slot = scope[keyof(t)]
-        if slot >= nfree:
+        key = self.keyof(t)
+        slot = scope.get(key)
+        if slot is not None:
             return itemgetter(slot), frozenset([slot])
+        slot = self.free.get(key)
+        if slot is None:
+            slot = self.free[key] = self.nslots
+            self.nslots += 1
 
         def free_term(env):
             e = env[slot]
@@ -244,65 +334,83 @@ def _compile_slots(m: Structure, f: Formula, atoms: Iterable[Term],
             return e
         return free_term, frozenset([slot])
 
-    def node(g: Formula, scope: dict):
-        """(closure, slots read) for a formula node."""
-        if isinstance(g, Not):
-            body, slots = node(g.body, scope)
-            return (lambda env: not body(env)), slots
-        if isinstance(g, (And, Or, Implies, Iff)):
-            l, ls = node(g.left, scope)
-            r, rs = node(g.right, scope)
-            if isinstance(g, And):
-                fn = lambda env: l(env) and r(env)
-            elif isinstance(g, Or):
-                fn = lambda env: l(env) or r(env)
-            elif isinstance(g, Implies):
-                fn = lambda env: not l(env) or r(env)
-            else:
-                fn = lambda env: l(env) == r(env)
-            return fn, ls | rs
-        if isinstance(g, (Forall, Exists)):
-            return quantifier(g, scope)
-        if isinstance(g, Apply):
-            h, hs = term(g.head, scope)
-            a, as_ = term(g.arg, scope)
-            if graph:
-                return (_fail(EvalError, f"cannot evaluate set formula node {g!r}"),
-                        hs | as_)
-            members = m.members
+    def negation(self, g: Not, scope: dict):
+        body, slots = self.node(g.body, scope)
+        return (lambda env: not body(env)), slots
 
-            def apply(env):
-                b = h(env)
-                return a(env) in members.get(b, _EMPTY)
-            return apply, hs | as_
-        if not isinstance(g, (StrictEq, DownRel, InSet)):
-            raise TypeError(f"unknown formula node {g!r}")
-        l, ls = term(g.left, scope)
-        r, rs = term(g.right, scope)
+    def binary(self, g, scope: dict):
+        l, ls = self.node(g.left, scope)
+        r, rs = self.node(g.right, scope)
+        join, same = _CONNECTIVES[type(g)]
+        return (same(l) if l is r else join(l, r)), ls | rs
+
+    def application(self, g: Apply, scope: dict):
+        both = None if self.graph else self.bound(scope, g.head, g.arg)
+        members = self.m.members
+        if both:
+            x, y = both
+            return ((lambda env: env[y] in members.get(env[x], _EMPTY)),
+                    frozenset(both))
+        h, hs = self.term(g.head, scope)
+        a, as_ = self.term(g.arg, scope)
+        if self.graph:
+            return (_fail(EvalError, f"cannot evaluate set formula node {g!r}"),
+                    hs | as_)
+
+        def apply(env):
+            b = h(env)
+            return a(env) in members.get(b, _EMPTY)
+        return apply, hs | as_
+
+    def equality(self, g: StrictEq, scope: dict):
+        both = self.bound(scope, g.left, g.right)
+        if both:
+            x, y = both
+            return (lambda env: env[x] == env[y]), frozenset(both)
+        l, ls = self.term(g.left, scope)
+        r, rs = self.term(g.right, scope)
+        return (lambda env: l(env) == r(env)), ls | rs
+
+    def membership(self, g: InSet, scope: dict):
+        l, ls = self.term(g.left, scope)
+        r, rs = self.term(g.right, scope)
+        if not self.graph:
+            return (_fail(EvalError, "untyped membership atom in a typed model"),
+                    ls | rs)
+        members = self.m.members
+        return (lambda env: l(env) in members(r(env))), ls | rs
+
+    def projection(self, g: DownRel, scope: dict):
+        l, ls = self.term(g.left, scope)
+        r, rs = self.term(g.right, scope)
         slots = ls | rs
-        if isinstance(g, StrictEq):
-            return (lambda env: l(env) == r(env)), slots
-        if isinstance(g, InSet):
-            if not graph:
-                return (_fail(EvalError, "untyped membership atom in a typed model"),
-                        slots)
-            members = m.members
-            return (lambda env: l(env) in members(r(env))), slots
-        if graph:
+        if self.graph:
             return _fail(EvalError, f"cannot evaluate set formula node {g!r}"), slots
         hi = term_index(g.left)
-        if m.down_rel is None:
+        down = self.m.down_rel
+        if down is None:
             return _fail(EvalError, "model has no projection relation"), slots
         if hi is None or not hi.is_finite:
             return _fail(EvalError, f"bad projection type {hi}"), slots
-        n, down = hi.finite_value, m.down_rel
+        n = hi.finite_value
+        both = self.bound(scope, g.left, g.right)
+        if both:
+            x, y = both
+            return (lambda env: (n, env[x], env[y]) in down), slots
         return (lambda env: (n, l(env), r(env)) in down), slots
 
-    def quantifier(g, scope: dict):
-        nonlocal nslots
-        slot = nslots
-        nslots += 1
-        body, slots = node(g.body, {**scope, keyof(g.var): slot})
+    def quantifier(self, g, scope: dict):
+        """A loop over the domain, cached when its slots read are a strict
+        subset of the slots in scope.  A quantifier whose body never reads
+        its variable is its body on a non-empty domain and a constant on an
+        empty one, after the same domain lookup and budget check."""
+        m, graph, budget = self.m, self.graph, self.budget
+        slot = self.nslots
+        self.nslots += 1
+        inner = {**scope, self.keyof(g.var): slot}
+        self.scopes.append(inner)
+        body, slots = self.node(g.body, inner)
+        vacuous = slot not in slots
         slots = slots - {slot}
         if graph:
             dom = m.nodes
@@ -318,6 +426,10 @@ def _compile_slots(m: Structure, f: Formula, atoms: Iterable[Term],
             return _fail(BudgetExceeded,
                          f"quantifier over {over} ranges over {len(dom)} "
                          f"entities, above budget {budget}"), slots
+        if vacuous:
+            if dom:
+                return body, slots
+            return (_true if isinstance(g, Forall) else _false), _NO_SLOTS
         if isinstance(g, Forall):
             def loop(env):
                 for e in dom:
@@ -332,7 +444,7 @@ def _compile_slots(m: Structure, f: Formula, atoms: Iterable[Term],
                     if body(env):
                         return True
                 return False
-        if not slots < set(scope.values()):
+        if not slots < {*scope.values(), *self.free.values()}:
             return loop, slots
         key = itemgetter(*sorted(slots)) if slots else (lambda env: ())
         cache: Dict = {}
@@ -345,19 +457,24 @@ def _compile_slots(m: Structure, f: Formula, atoms: Iterable[Term],
             return got
         return cached, slots
 
-    root, _ = node(f, dict(free))
-    return root, [_UNSET] * nslots, free
+
+_BUILD = {Not: _Compiler.negation, And: _Compiler.binary, Or: _Compiler.binary,
+          Implies: _Compiler.binary, Iff: _Compiler.binary,
+          Forall: _Compiler.quantifier, Exists: _Compiler.quantifier,
+          Apply: _Compiler.application, StrictEq: _Compiler.equality,
+          InSet: _Compiler.membership, DownRel: _Compiler.projection}
 
 
 def counterexamples(m: Model, atoms: Sequence[Term], f: Formula,
-                    others: Iterable[Term] = (), budget: int = DEFAULT_BUDGET):
+                    budget: int = DEFAULT_BUDGET):
     """(assignments checked, the atoms' values) at each assignment to atoms,
     in product order over their domains, that makes f (no sugar) false;
-    then (all assignments, None).  f is compiled once over atoms and then
-    others, which stay unassigned; of atoms sharing a key, the later wins.
-    Domains are looked up in atom order, up to the first empty one."""
-    root, env, free = _compile_slots(m, f, (*atoms, *others), budget)
-    slots = [free[akey(a)] for a in atoms]
+    then (all assignments, None).  f is compiled once, with atoms numbered
+    first; its other free atoms stay unassigned, and of atoms sharing a
+    key, the later wins.  Domains are looked up in atom order, up to the
+    first empty one."""
+    root, env, slots = _compile_slots(m, f, [akey(a) for a in atoms], budget,
+                                      assigned=True)
     domains = []
     for a in atoms:
         domains.append(m.domain(a.index))
@@ -375,5 +492,13 @@ def counterexamples(m: Model, atoms: Sequence[Term], f: Formula,
 def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = None,
                  budget: int = DEFAULT_BUDGET) -> bool:
     """Classical truth value of f in m (a Model or a MembershipGraph) under
-    the assignment; see compile_formula."""
-    return compile_formula(m, f, budget)(assignment)
+    the assignment; see compile_formula.  The assignment's keys are
+    numbered first and f's other free atoms as the compile meets them."""
+    assignment = assignment or {}
+    if isinstance(m, MembershipGraph):
+        assignment = _names(assignment)
+    root, env, slots = _compile_slots(m, expand_abbreviations(f, None),
+                                      assignment, budget, assigned=True)
+    for slot, v in zip(slots, assignment.values()):
+        env[slot] = v
+    return root(env)

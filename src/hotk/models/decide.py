@@ -14,7 +14,7 @@ from hotk.kernel.regimes import fjt
 from hotk.kernel.syntax import (Formula, free_atoms, parts, subformulas,
                                 term_index)
 from hotk.models.builders import build_fjt_canonical
-from hotk.models.core import DEFAULT_BUDGET, Model, _compile_expanded
+from hotk.models.core import DEFAULT_BUDGET, Model, _compile_slots
 
 
 def max_finite_type(f: Formula) -> int:
@@ -51,4 +51,5 @@ def decide_fjt(f: Formula, height: int, budget: int = DEFAULT_BUDGET,
         raise EvalError(f"sentence uses type {need}, above height {height}")
     if model is None:
         model = build_fjt_canonical(height, budget)
-    return _compile_expanded(model, g, budget)()
+    root, env, _ = _compile_slots(model, g, (), budget)
+    return root(env)

@@ -457,8 +457,6 @@ def _match_comprehension(f: Formula, theory: rg.Regime) -> Optional[Rejection]:
         if not (isinstance(matrix, Iff) and isinstance(matrix.left, Apply)
                 and matrix.left.head == z and matrix.left.arg == x):
             return (SCHEME, "not an augmented comprehension instance")
-        if z.index != x.index.succ() or y.index != x.index:
-            return (SCHEME, "type arithmetic is off")
         if occurs_free(z, matrix.right):
             return ("comprehension-witness", f"witness {z.name} occurs in the matrix")
         return None

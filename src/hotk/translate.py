@@ -144,7 +144,8 @@ def _sttu_to_ctt(f: Formula) -> Formula:
                                    And(uniq, atom(inner))))
         return g
 
-    return expand_abbreviations(_map_formula(f, atom), None)
+    g = _map_formula(f, atom)
+    return g if g is f else expand_abbreviations(g, None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,8 @@ def _sttd_to_fjt(f: Formula) -> Formula:
             return g
         raise FormationError(f"unexpected atom {g!r} in the projection theory")
 
-    return expand_abbreviations(_map_formula(f, atom), None)
+    g = _map_formula(f, atom)
+    return g if g is f else expand_abbreviations(g, None)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +266,7 @@ def roundtrip_check(f: Formula, source: rg.Regime,
     from hotk.models.core import counterexamples
     # The image's own atoms stay unassigned; Iff evaluates the original first.
     atoms = sorted(free_atoms(original), key=lambda a: (str(a.index), a.name))
-    checked, values = next(counterexamples(
-        model, atoms, Iff(original, image), free_atoms(image)))
+    checked, values = next(counterexamples(model, atoms, Iff(original, image)))
     return RoundTripReport(
         source.kind, syntactic, values is None, checked,
         counterexample=None if values is None

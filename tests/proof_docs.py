@@ -93,8 +93,9 @@ HAND_PROOFS = {
 # Single comprehension and identity steps: an accepted instance of the
 # augmented (stt-down), finitary (fjt) and identity schemes, and a change to
 # one for each rejection message of its matcher, with the message under the
-# step's own theory.  The augmented matcher's "type arithmetic is off" has
-# none: formation already ties the witness, anchor and variable types.
+# step's own theory.  The augmented matcher has no "type arithmetic is off"
+# (the oracle keeps it): formation already ties the witness, anchor and
+# variable types, so no well-formed step could reach it.
 _AUG = "all y^1. some z^2. {} dn y^1 & (all x^1. {})"
 _FIN = "some z^2. (all x^{}. z^2(x^{}) <-> {}) & (all x^{}. z^2(x^{}) <-> {})"
 _IDENT = "a^0 = b^0 <-> {}"

@@ -2,12 +2,15 @@
 
 Every case compares `compile_formula` (one compiled function reused across
 all of a formula's assignments, so the quantifier caches carry over between
-them) with `tree_eval_formula` / `tree_eval_set_formula`: both must give
-the same truth value, or raise the same error class with the same message.
+them) with `tree_eval_formula` / `tree_eval_set_formula`, and a typed case
+also `eval_formula` (one compile per assignment, whose keys it numbers
+first): all must give the same truth value, or raise the same error class
+with the same message.
 The last tests pin `counterexamples`, the one sweep over assignments that
 round trips, axiom-row witnesses and slices share.
 """
 
+from dataclasses import fields
 from itertools import islice, product
 
 import pytest
@@ -18,8 +21,9 @@ from tree_eval import tree_eval_formula, tree_eval_set_formula
 from hotk.corpus import graph_fixture, separation_corpus
 from hotk.errors import BudgetExceeded, EvalError
 from hotk.kernel import fin, parse_formula, parse_regime
-from hotk.kernel.syntax import (Apply, Const, Forall, InSet, Or, Raised,
-                                StrictEq, Var, free_atoms)
+from hotk.kernel.syntax import (And, Apply, Const, Exists, Forall, Iff,
+                                Implies, InSet, Or, Raised, StrictEq, Var,
+                                free_atoms, subformulas)
 from hotk.models import (Model, akey, build_class_model, build_pure_model,
                          build_sttd_companion, build_sttu_companion,
                          compile_formula, eval_formula)
@@ -58,8 +62,9 @@ def envs(m, f):
 def agree_typed(m, f, assignments):
     run = compile_formula(m, f)
     for env in assignments:
-        assert outcome(run, env) == outcome(tree_eval_formula, m, f, env), \
-            (f, env)
+        want = outcome(tree_eval_formula, m, f, env)
+        assert outcome(run, env) == want, (f, env)
+        assert outcome(eval_formula, m, f, env) == want, (f, env)
 
 
 def agree_set(g, f, assignments):
@@ -204,8 +209,142 @@ def test_counterexamples_look_domains_up_to_the_first_empty_one():
 
 
 def test_counterexamples_leave_the_others_unassigned():
+    """A free atom of f that is not among the atoms stays unassigned."""
     m = build_pure_model(3)
     x, z = Var("x", fin(1)), Var("z", fin(1))
-    assert next(counterexamples(m, [x], StrictEq(x, x), [z])) == (2, None)
+    assert next(counterexamples(m, [x], StrictEq(x, x))) == (2, None)
     with pytest.raises(EvalError, match=r"unassigned free term z\^1"):
-        next(counterexamples(m, [x], StrictEq(x, z), [z]))
+        next(counterexamples(m, [x], StrictEq(x, z)))
+    assert list(counterexamples(m, [x], Or(StrictEq(x, x), StrictEq(x, z)))) \
+        == [(2, None)]
+
+
+# -- the compile's own paths: shared subtrees, vacuous binders, free atoms
+# first met under a binder.
+
+# A height-2 model whose type-0 domain is empty.
+EMPTY_TYPE_0 = Model(kind="pure", max_type=2, domains=((), ("e",), ("e", "f")),
+                     members={"e": frozenset(), "f": frozenset({"e"})},
+                     cumulative=False)
+
+
+@pytest.fixture(scope="module")
+def compile_models(pure4_up, fjt2, fjt3_down):
+    return {"pure4_up": pure4_up, "fjt2": fjt2, "fjt3_down": fjt3_down,
+            "class1_3_up": build_sttu_companion(build_class_model(1, 3)),
+            "empty_type_0": EMPTY_TYPE_0}
+
+
+@pytest.mark.parametrize("regime", ["ctt", "stt-up", "fjt", "stt-down"])
+def test_a_subtree_on_both_sides_of_a_connective(compile_models, regime):
+    """f & f, f | f, f -> f and f <-> f share one object, so f compiles
+    once and the connective runs it at most once."""
+    for f in corpus(regime, seed=3):
+        for conn in (And, Or, Implies, Iff):
+            g = conn(f, f)
+            for m in compile_models.values():
+                agree_typed(m, g, envs(m, g))
+
+
+def fresh_binders(f, n: int):
+    v = Var("fresh", fin(n))            # a name FormulaGen never uses
+    return [Forall(v, f), Exists(v, f)]
+
+
+@pytest.mark.parametrize("regime", ["ctt", "stt-up", "fjt", "stt-down"])
+def test_a_binder_its_body_never_reads(compile_models, regime):
+    """On a non-empty domain the quantifier is its body, on an empty one a
+    constant; a body that raises (unassigned, no such type, no raising map)
+    raises only when the domain is non-empty."""
+    bodies = corpus(regime, seed=4) + [parse_formula(t) for t in (
+        "c^0 = c^0", "all z^9. z^9 = z^9", "up(c^0) = d^1", "c^0 = c^0 | d^1 = d^1")]
+    for f in bodies:
+        for n in (0, 1):
+            for g in fresh_binders(f, n):
+                for m in compile_models.values():
+                    agree_typed(m, g, envs(m, g))
+
+
+def test_a_vacuous_binder_still_checks_its_budget(fjt3):
+    """The binder's domain is looked up and held to the budget before it
+    is dropped: a budget below the domain's size raises where it is
+    reached, and the empty type-0 domain stays under any budget."""
+    for f in corpus("fjt", seed=5) + [parse_formula("c^0 = c^0")]:
+        for n, budget in ((1, 1), (2, 3), (3, 100)):
+            size = len(fjt3.domains[n])
+            want = ("BudgetExceeded", f"quantifier over type {n} ranges over "
+                    f"{size} entities, above budget {budget}")
+            for g in fresh_binders(f, n):
+                assert outcome(compile_formula(fjt3, g, budget), {}) == want
+                assert outcome(eval_formula, fjt3, g, {}, budget) == want
+        for g in fresh_binders(f, 0):
+            run = compile_formula(EMPTY_TYPE_0, g, 0)
+            assert run({}) is isinstance(g, Forall)
+            assert eval_formula(EMPTY_TYPE_0, g, budget=0) is isinstance(g, Forall)
+
+
+@pytest.mark.parametrize("text, assignment", [
+    ("all x^0. c^1(x^0)", {("c", fin(1)): "{{}}"}),          # assigned
+    ("some x^1. (c^2(x^1) & x^1 = x^1)", {}),                # reached
+    ("all x^0. (x^0 = x^0 | c^1(x^0))", {}),                 # short-circuited
+    ("some x^0. (~x^0 = x^0 & c^1(x^0))", {}),               # short-circuited
+    ("all x^0. some y^1. (y^1(x^0) -> d^2(y^1))", {("d", fin(2)): "{}"}),
+])
+def test_a_free_atom_first_met_under_a_binder(pure4, text, assignment):
+    f = parse_formula(text)
+    agree_typed(pure4, f, [assignment])
+    if not free_atoms(f) - {Const("c", fin(n)) for n in (1, 2)}:
+        # c is no atom of the sweep, so it stays unassigned there too
+        got = outcome(lambda: next(counterexamples(pure4, [], f))[1] is None)
+        assert got == outcome(tree_eval_formula, pure4, f, {})
+
+
+class CountingModel(Model):
+    """A Model that counts its domain lookups."""
+    lookups = 0
+
+    def domain(self, index):
+        self.lookups += 1
+        return super().domain(index)
+
+
+def counting(m: Model) -> CountingModel:
+    return CountingModel(**{f.name: getattr(m, f.name) for f in fields(m)})
+
+
+def test_one_walk_and_one_compile_per_evaluation(monkeypatch, pure4_up, fjt2):
+    """decide_fjt walks free_atoms once; a round trip whose image is its
+    formula walks it once and looks each quantifier's domain up once (and
+    each atom's, for the sweep); f & f looks them up as often as f."""
+    from hotk import translate
+    from hotk.models import core, decide
+    walks = []
+
+    def walk(f):
+        walks.append(f)
+        return free_atoms(f)
+
+    for module in (translate, core, decide):
+        monkeypatch.setattr(module, "free_atoms", walk)
+    for f in corpus("fjt", seed=6, count=6):
+        if not free_atoms(f):
+            walks.clear()
+            decide.decide_fjt(f, 2, model=fjt2)
+            assert len(walks) == 1, f
+    there, back = translate._ROUNDTRIPS[parse_regime("ctt").kind]
+    texts = ["all x^1. some y^0. (x^1(y^0) & c^1(b^0))",
+             "c^2(b^1) <-> all x^0. (some y^1. (y^1(x^0) | ~b^1(x^0)))",
+             "some x^2. all y^1. x^2(y^1)"]
+    for text in texts:
+        f = parse_formula(text)
+        assert back(there(f)) is f
+        quantifiers = sum(isinstance(g, (Forall, Exists)) for g in subformulas(f))
+        m = counting(pure4_up)
+        walks.clear()
+        report = translate.roundtrip_check(f, parse_regime("ctt"), m)
+        assert report.semantic_equivalent and len(walks) == 1
+        assert m.lookups == quantifiers + len(free_atoms(f))
+        for conn in (And, Or, Implies, Iff):
+            m = counting(pure4_up)
+            compile_formula(m, conn(f, f))
+            assert m.lookups == quantifiers
