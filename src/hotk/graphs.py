@@ -92,10 +92,11 @@ class MembershipGraph:
                 raise GraphError(f"edge ({x}, {a}) mentions a missing node")
 
     def members(self, a: str) -> FrozenSet[str]:
-        return self._member_map.get(a, frozenset())
+        return self.member_map.get(a, frozenset())
 
     @cached_property
-    def _member_map(self) -> Dict[str, FrozenSet[str]]:
+    def member_map(self) -> Dict[str, FrozenSet[str]]:
+        """Each node's member set, read as a Model's `members` is."""
         out: Dict[str, set] = {a: set() for a in self.nodes}
         for x, a in self.edges:
             out[a].add(x)

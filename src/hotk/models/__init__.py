@@ -7,7 +7,7 @@ from hotk.models.builders import (DEFAULT_BUDGET, build_class_model,
                                   build_sttu_companion, count_entities,
                                   fjt_counts)
 from hotk.models.core import (Assignment, Entity, Model, akey,
-                              compile_formula, eval_formula)
+                              counterexamples, eval_formula)
 from hotk.models.decide import decide_fjt, max_finite_type
 from hotk.models.domains import (KINDS, M_RUSSELLIAN, M_RUSSELLIAN_STAR,
                                  M_UNRESTRICTED, UNRESTRICTED_STT,
@@ -18,7 +18,7 @@ __all__ = [
     "DEFAULT_BUDGET", "build_class_model", "build_fjt_canonical",
     "build_graph_model", "build_pure_model", "build_sttd_companion",
     "build_sttu_companion", "count_entities", "fjt_counts",
-    "Assignment", "Entity", "Model", "akey", "compile_formula",
+    "Assignment", "Entity", "Model", "akey", "counterexamples",
     "eval_formula",
     "decide_fjt", "max_finite_type",
     "KINDS", "M_RUSSELLIAN", "M_RUSSELLIAN_STAR", "M_UNRESTRICTED",

@@ -23,8 +23,8 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import Forall
 from hotk.models.builders import DEFAULT_BUDGET
-from hotk.models.core import Model, _compile_slots, counterexamples
-from hotk.models.decide import _top_type
+from hotk.models.core import Model, counterexamples
+from hotk.models.decide import top_type
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 
 _FULL = "FULL-COMPREHENSION"
@@ -112,11 +112,10 @@ def _scheme_checks(m: Model, name: str, top: int, budget: int):
     build, instances, witness = _SCHEMES[name]
     for args in instances(top):
         f = expand_abbreviations(build(*args))
-        if not m.reaches(_top_type(f)):
+        if not m.reaches(top_type(f)[0]):
             continue
         try:
-            root, env, _ = _compile_slots(m, f, (), budget)
-            if root(env):
+            if next(counterexamples(m, (), f, budget))[1] is None:
                 continue
             # Only a false instance pays for sweeping its matrix.
             vs = []

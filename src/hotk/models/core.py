@@ -8,7 +8,12 @@ a JSON round trip byte-for-byte.
 
 Formulas are evaluated by compiling them once into closures (Feeley and
 Lapalme, "Using closures for code generation", Computer Languages 12(1),
-1987); the same compiler serves typed models and membership graphs.
+1987).  The compiler reads a structure as its domains, a member dict and a
+key for each term, so one compiler serves typed models and membership
+graphs; a graph is a one-sorted structure whose one domain is its nodes.
+There are two ways in: eval_formula evaluates a formula, sugar and all,
+under one assignment, and counterexamples sweeps every assignment to some
+atoms of a formula with no sugar.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter, itemgetter
-from typing import (Callable, Dict, FrozenSet, Iterable, Optional, Sequence,
-                    Set, Tuple, Union)
+from operator import itemgetter
+from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from hotk.errors import (BudgetExceeded, EvalError, HotkError, check_json,
                          load_json)
@@ -27,7 +32,7 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
                                 Iff, Implies, InSet, Not, Or, Raised,
-                                StrictEq, Term, free_atoms, term_index)
+                                StrictEq, Term, term_index)
 
 Entity = str
 Assignment = Dict[Tuple[str, Optional[TypeIndex]], Entity]
@@ -51,7 +56,9 @@ class Model:
     down_rel: Optional[Set[Tuple[int, Entity, Entity]]] = None
     meta: dict = field(default_factory=dict)
 
-    def domain(self, index: TypeIndex) -> Tuple[Entity, ...]:
+    def domain(self, index: Optional[TypeIndex]) -> Tuple[Entity, ...]:
+        if index is None:
+            raise EvalError("untyped quantifier in a typed model")
         if not index.is_finite:
             raise EvalError(f"type bound exceeded: no transfinite domain {index}")
         n = index.finite_value
@@ -140,7 +147,6 @@ def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:
 
 
 Structure = Union[Model, MembershipGraph]
-Compiled = Callable[[Optional[Assignment]], bool]
 
 _UNSET = object()       # value of a free slot the assignment leaves out
 _EMPTY: FrozenSet[Entity] = frozenset()
@@ -152,14 +158,6 @@ def _fail(error, message: str):
     def fail(env):
         raise error(message)
     return fail
-
-
-def _true(env):
-    return True
-
-
-def _false(env):
-    return False
 
 
 def _once_then_true(c):
@@ -180,103 +178,65 @@ _CONNECTIVES = {
 }
 
 
-def compile_formula(m: Structure, f: Formula,
-                    budget: int = DEFAULT_BUDGET) -> Compiled:
-    """Compile f once for m into a function from assignments to truth values.
-
-    Sugar is expanded here, once.  Every free atom and every binder gets a
-    slot in a list environment and every node becomes a closure over it.
-    In a typed Model a quantifier ranges over the full domain of its
-    variable's type (cumulative or not, as the model dictates); in a
-    MembershipGraph, the structure of the untyped set language, every
-    quantifier ranges over the nodes, variables are keyed by name alone and
-    InSet(x, a) holds when x is a member of a.
-
-    Every free atom of f is numbered before the walk, so that a quantifier
-    whose slots read are a strict subset of the slots in scope (every free
-    slot and the binders around it) caches its value keyed by those slots'
-    values.  The cache lives as long as the compiled function, so it also
-    serves later assignments.  Errors (unassigned terms, missing domains, a
-    domain of more than `budget` entities) are raised only when the
-    offending node is reached.
-    """
-    f = expand_abbreviations(f, None)
-    graph = isinstance(m, MembershipGraph)
-    keys = [a.name if graph else akey(a) for a in free_atoms(f)]
-    root, blank, slots = _compile_slots(m, f, keys, budget)
-    free_slots = tuple(zip(keys, slots))
-
-    def run(assignment: Optional[Assignment] = None) -> bool:
-        env = blank.copy()
-        if assignment:
-            if graph:
-                assignment = _names(assignment)
-            for k, i in free_slots:
-                env[i] = assignment.get(k, _UNSET)
-        return root(env)
-    return run
-
-
-def _names(assignment: Assignment) -> Dict[str, Entity]:
-    """A graph assignment keyed by names alone."""
-    return {k if isinstance(k, str) else k[0]: v for k, v in assignment.items()}
-
-
-def _compile_slots(m: Structure, f: Formula, keys: Iterable,
-                   budget: int = DEFAULT_BUDGET, assigned: bool = False):
-    """(root, env, slots) for an f with no sugar: root maps a list
-    environment to f's truth value, env has every slot _UNSET, and slots
-    holds the slot of each assignment key in `keys` ((name, index) pairs,
-    names in a graph).  The keys are numbered from 0 up, then each other
-    free atom of f where the walk first meets it.  When `assigned`, the
-    caller fills every key's slot before each run, so its terms read the
-    list directly, as bound variables do."""
-    c = _Compiler(m, keys, budget)
-    root, _ = c.node(f, dict(c.free) if assigned else {})
-    return root, [_UNSET] * c.nslots, c.given
-
-
-def _slot_key(name: str, index: Optional[TypeIndex]):
-    """A typed term's key in the compiler's tables: its name and index, the
-    index spelled as its two naturals, which hash faster than a TypeIndex."""
+def _key(name: str, index: Optional[TypeIndex]):
+    """A term's key in the compiler's tables: its name and index, the index
+    spelled as its two naturals, which hash faster than a TypeIndex."""
     if index is None:
         return name, None
     return name, index.omega_coeff, index.finite_part
 
 
 class _Compiler:
-    """One walk of a sugar-free formula over one structure.
+    """One walk of a sugar-free formula over one structure, seen as
+    `domain` (a variable's index to its entities), `members` (an entity to
+    its member set) and `keyof` (a term to its key).  A Model has a domain
+    per type and keys terms by name and index; a MembershipGraph is
+    one-sorted, with the nodes as its one domain and terms keyed by name.
 
-    A scope maps the keys of the binders around a node to their slots.  A
-    subformula is compiled once per scope: `memo` maps (id(node),
-    id(scope)) to its (closure, slots read), and `scopes` keeps every scope
-    it names alive.  So a subtree that occurs twice in one scope (a round
-    trip's unchanged image, say) becomes one closure, and a binary
-    connective of a closure with itself reduces to that closure (& and |)
-    or runs it once and holds (-> and <->).  No closure refers back to the
-    compiler, so the memo goes when the compile returns.
+    The keys given to `compile` get the first slots and are read as binders
+    are; any other free atom gets the next slot where the walk meets it.  A
+    subformula is compiled once per scope (binder keys to slots): `memo`
+    maps (id(node), id(scope)) to its (closure, slots read), and `scopes`
+    keeps every scope it names alive.  So a subtree that occurs twice in
+    one scope becomes one closure, and a binary connective of a closure
+    with itself reduces to it (& and |) or runs it once and holds (-> and
+    <->).  No closure refers back to the compiler.
     """
 
-    def __init__(self, m: Structure, keys: Iterable, budget: int):
+    def __init__(self, m: Structure, budget: int):
         self.m, self.budget = m, budget
-        self.graph = isinstance(m, MembershipGraph)
-        self.keyof = (attrgetter("name") if self.graph
-                      else lambda t: _slot_key(t.name, t.index))
+        self.sets = isinstance(m, MembershipGraph)
+        if self.sets:
+            nodes = m.nodes
+            self.members, self.build = m.member_map, _SET_BUILD
+            self.keyof = lambda t: (t.name, None)
+            self.domain = lambda index: nodes
+            self.sort_name = lambda index: "the nodes"
+        else:
+            self.members, self.build = m.members, _BUILD
+            self.keyof = lambda t: _key(t.name, t.index)
+            self.domain, self.sort_name = m.domain, "type {}".format
         self.free: Dict = {}        # key -> slot, for every free atom
-        self.given = []             # the slot of each of `keys`
-        for k in keys:
-            k = k if self.graph else _slot_key(*k)
-            self.given.append(self.free.setdefault(k, len(self.free)))
-        self.nslots = len(self.free)
+        self.nslots = 0
         self.memo: Dict = {}
         self.scopes = []
+
+    def compile(self, f: Formula, keys: Iterable):
+        """(root, env, slots): root maps a list environment to f's truth
+        value, env has every slot _UNSET, and slots holds the slot of each of
+        `keys`, which the caller fills before each run (of keys that repeat,
+        the last filled wins)."""
+        slots = [self.free.setdefault(k, len(self.free)) for k in keys]
+        self.nslots = len(self.free)
+        root, _ = self.node(f, dict(self.free))
+        return root, [_UNSET] * self.nslots, slots
 
     def node(self, g: Formula, scope: dict):
         """(closure, slots read) for a formula node, built once per scope."""
         key = (id(g), id(scope))
         got = self.memo.get(key)
         if got is None:
-            build = _BUILD.get(type(g))
+            build = self.build.get(type(g))
             if build is None:
                 raise TypeError(f"unknown formula node {g!r}")
             got = self.memo[key] = build(self, g, scope)
@@ -293,14 +253,14 @@ class _Compiler:
     def term(self, t: Term, scope: dict):
         """(getter, slots read) for a term; a free atom met for the first
         time gets the next slot."""
-        m, graph = self.m, self.graph
+        sets = self.sets
         if isinstance(t, Raised):
-            if graph:
+            if sets:
                 return (_fail(EvalError, "raised term in a set-language formula"),
                         _NO_SLOTS)
             inner, slots = self.term(t.inner, scope)
             n = term_index(t.inner)
-            up = m.up_map
+            up = self.m.up_map
             if n is None or not n.is_finite:
                 err = f"cannot raise a term of type {n}"
             elif up is None:
@@ -329,7 +289,7 @@ class _Compiler:
         def free_term(env):
             e = env[slot]
             if e is _UNSET:
-                raise EvalError(f"unassigned set variable {t.name}" if graph
+                raise EvalError(f"unassigned set variable {t.name}" if sets
                                 else f"unassigned free term {t.name}^{t.index}")
             return e
         return free_term, frozenset([slot])
@@ -344,23 +304,33 @@ class _Compiler:
         join, same = _CONNECTIVES[type(g)]
         return (same(l) if l is r else join(l, r)), ls | rs
 
-    def application(self, g: Apply, scope: dict):
-        both = None if self.graph else self.bound(scope, g.head, g.arg)
-        members = self.m.members
+    def membership(self, g: Union[Apply, InSet], scope: dict):
+        """x is a member of a: Apply(a, x) in a model, InSet(x, a) in a
+        graph.  Terms not read directly are read in the node's own order."""
+        members = self.members
+        applied = type(g) is Apply
+        owner, elem = (g.head, g.arg) if applied else (g.right, g.left)
+        both = self.bound(scope, owner, elem)
         if both:
-            x, y = both
-            return ((lambda env: env[y] in members.get(env[x], _EMPTY)),
+            a, x = both
+            return ((lambda env: env[x] in members.get(env[a], _EMPTY)),
                     frozenset(both))
-        h, hs = self.term(g.head, scope)
-        a, as_ = self.term(g.arg, scope)
-        if self.graph:
-            return (_fail(EvalError, f"cannot evaluate set formula node {g!r}"),
-                    hs | as_)
+        a, slots = self.term(owner, scope)
+        x, xs = self.term(elem, scope)
+        if applied:
+            def member(env):
+                b = a(env)
+                return x(env) in members.get(b, _EMPTY)
+        else:
+            def member(env):
+                return x(env) in members.get(a(env), _EMPTY)
+        return member, slots | xs
 
-        def apply(env):
-            b = h(env)
-            return a(env) in members.get(b, _EMPTY)
-        return apply, hs | as_
+    def untyped(self, g: InSet, scope: dict):
+        return _fail(EvalError, "untyped membership atom in a typed model"), _NO_SLOTS
+
+    def unevaluable(self, g, scope: dict):
+        return _fail(EvalError, f"cannot evaluate set formula node {g!r}"), _NO_SLOTS
 
     def equality(self, g: StrictEq, scope: dict):
         both = self.bound(scope, g.left, g.right)
@@ -371,21 +341,10 @@ class _Compiler:
         r, rs = self.term(g.right, scope)
         return (lambda env: l(env) == r(env)), ls | rs
 
-    def membership(self, g: InSet, scope: dict):
-        l, ls = self.term(g.left, scope)
-        r, rs = self.term(g.right, scope)
-        if not self.graph:
-            return (_fail(EvalError, "untyped membership atom in a typed model"),
-                    ls | rs)
-        members = self.m.members
-        return (lambda env: l(env) in members(r(env))), ls | rs
-
     def projection(self, g: DownRel, scope: dict):
         l, ls = self.term(g.left, scope)
         r, rs = self.term(g.right, scope)
         slots = ls | rs
-        if self.graph:
-            return _fail(EvalError, f"cannot evaluate set formula node {g!r}"), slots
         hi = term_index(g.left)
         down = self.m.down_rel
         if down is None:
@@ -404,7 +363,7 @@ class _Compiler:
         subset of the slots in scope.  A quantifier whose body never reads
         its variable is its body on a non-empty domain and a constant on an
         empty one, after the same domain lookup and budget check."""
-        m, graph, budget = self.m, self.graph, self.budget
+        budget = self.budget
         slot = self.nslots
         self.nslots += 1
         inner = {**scope, self.keyof(g.var): slot}
@@ -412,24 +371,18 @@ class _Compiler:
         body, slots = self.node(g.body, inner)
         vacuous = slot not in slots
         slots = slots - {slot}
-        if graph:
-            dom = m.nodes
-        elif g.var.index is None:
-            return _fail(EvalError, "untyped quantifier in a typed model"), slots
-        else:
-            try:
-                dom = m.domain(g.var.index)
-            except EvalError as e:
-                return _fail(EvalError, str(e)), slots
+        try:
+            dom = self.domain(g.var.index)
+        except EvalError as e:
+            return _fail(EvalError, str(e)), slots
         if len(dom) > budget:
-            over = "the nodes" if graph else f"type {g.var.index}"
             return _fail(BudgetExceeded,
-                         f"quantifier over {over} ranges over {len(dom)} "
-                         f"entities, above budget {budget}"), slots
+                         f"quantifier over {self.sort_name(g.var.index)} ranges "
+                         f"over {len(dom)} entities, above budget {budget}"), slots
         if vacuous:
             if dom:
                 return body, slots
-            return (_true if isinstance(g, Forall) else _false), _NO_SLOTS
+            return (lambda env: isinstance(g, Forall)), _NO_SLOTS
         if isinstance(g, Forall):
             def loop(env):
                 for e in dom:
@@ -458,26 +411,30 @@ class _Compiler:
         return cached, slots
 
 
+# node type -> its builder in a typed model; a graph's table differs only
+# in the membership atoms and projection.
 _BUILD = {Not: _Compiler.negation, And: _Compiler.binary, Or: _Compiler.binary,
           Implies: _Compiler.binary, Iff: _Compiler.binary,
           Forall: _Compiler.quantifier, Exists: _Compiler.quantifier,
-          Apply: _Compiler.application, StrictEq: _Compiler.equality,
-          InSet: _Compiler.membership, DownRel: _Compiler.projection}
+          Apply: _Compiler.membership, StrictEq: _Compiler.equality,
+          InSet: _Compiler.untyped, DownRel: _Compiler.projection}
+_SET_BUILD = {**_BUILD, Apply: _Compiler.unevaluable, InSet: _Compiler.membership,
+              DownRel: _Compiler.unevaluable}
 
 
-def counterexamples(m: Model, atoms: Sequence[Term], f: Formula,
+def counterexamples(m: Structure, atoms: Sequence[Term], f: Formula,
                     budget: int = DEFAULT_BUDGET):
     """(assignments checked, the atoms' values) at each assignment to atoms,
-    in product order over their domains, that makes f (no sugar) false;
-    then (all assignments, None).  f is compiled once, with atoms numbered
-    first; its other free atoms stay unassigned, and of atoms sharing a
-    key, the later wins.  Domains are looked up in atom order, up to the
-    first empty one."""
-    root, env, slots = _compile_slots(m, f, [akey(a) for a in atoms], budget,
-                                      assigned=True)
+    in product order over their domains, that makes f (no sugar) false in m
+    (a Model or a MembershipGraph); then (all assignments, None).  f is
+    compiled once, so a quantifier's cache serves every assignment.  Its
+    other free atoms stay unassigned, and of atoms sharing a key, the later
+    wins.  Domains are looked up in atom order, up to the first empty one."""
+    c = _Compiler(m, budget)
+    root, env, slots = c.compile(f, [c.keyof(a) for a in atoms])
     domains = []
     for a in atoms:
-        domains.append(m.domain(a.index))
+        domains.append(c.domain(a.index))
         if not domains[-1]:
             break
     checked = 0
@@ -492,13 +449,14 @@ def counterexamples(m: Model, atoms: Sequence[Term], f: Formula,
 def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = None,
                  budget: int = DEFAULT_BUDGET) -> bool:
     """Classical truth value of f in m (a Model or a MembershipGraph) under
-    the assignment; see compile_formula.  The assignment's keys are
-    numbered first and f's other free atoms as the compile meets them."""
+    the assignment, f's sugar expanded first.  A graph's assignment may key
+    a variable by its name or by (name, None).  Errors (an unassigned term,
+    a missing domain, a domain of more than `budget` entities) are raised
+    only when the offending node is reached."""
     assignment = assignment or {}
-    if isinstance(m, MembershipGraph):
-        assignment = _names(assignment)
-    root, env, slots = _compile_slots(m, expand_abbreviations(f, None),
-                                      assignment, budget, assigned=True)
+    keys = ((k, None) if isinstance(k, str) else _key(*k) for k in assignment)
+    root, env, slots = _Compiler(m, budget).compile(
+        expand_abbreviations(f, None), keys)
     for slot, v in zip(slots, assignment.values()):
         env[slot] = v
     return root(env)

@@ -11,7 +11,8 @@ collapse.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
@@ -21,8 +22,8 @@ from hotk.kernel.indices import fin
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
                                 InSet, Not, StrictEq, Sugar, Var, free_names)
 from hotk.models.builders import build_graph_model, hierarchy_levels
-from hotk.models.core import (DEFAULT_BUDGET, Model, compile_formula,
-                              counterexamples, eval_formula)
+from hotk.models.core import (DEFAULT_BUDGET, Model, counterexamples,
+                              eval_formula)
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
 from hotk.translate import kappa_translate
 
@@ -45,25 +46,23 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
 # ---------------------------------------------------------------------------
 # Histories, levels, rank.
 
-def _sugar_test(g: MembershipGraph, kind: str) -> Callable[[str], bool]:
-    """Whether a node satisfies the one-place sugar `kind`, compiled once
-    for g, so each call reuses the quantifier caches of the earlier ones."""
-    test = compile_formula(g, Sugar(kind, (_v("s"),)))
-    return lambda s: test({"s": s})
-
-
 def is_history(g: MembershipGraph, h: str) -> bool:
-    return _sugar_test(g, "history")(h)
+    return eval_formula(g, Sugar("history", (_v("s"),)), {"s": h})
 
 
 def is_level(g: MembershipGraph, s: str) -> bool:
-    return _sugar_test(g, "level")(s)
+    return eval_formula(g, Sugar("level", (_v("s"),)), {"s": s})
 
 
 def levels_of(g: MembershipGraph) -> List[str]:
-    """All levels, sorted by member count (the in-order when B.3 holds)."""
-    return sorted(filter(_sugar_test(g, "level"), g.nodes),
-                  key=lambda s: (len(g.members(s)), s))
+    """All levels, sorted by member count (the in-order when B.3 holds).
+    They are the nodes s that falsify ~Lev(s), from one compile, so the
+    cache of the Hist(h) quantifier in Lev serves every candidate."""
+    s = _v("s")
+    falsified = counterexamples(
+        g, (s,), expand_abbreviations(Not(Sugar("level", (s,)))))
+    return sorted((v[0] for _, v in falsified if v is not None),
+                  key=lambda node: (len(g.members(node)), node))
 
 
 def rank(g: MembershipGraph, a: str, levels: Optional[List[str]] = None) -> int:
@@ -175,7 +174,8 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
     if corpus and not brute_ok:
         report.add("separation-corpus", SKIPPED, note="budget")
     elif corpus:
-        bad = _first_false(corpus, lambda f: eval_formula(g, f))
+        bad = _first_false(map(_expanded_instance, corpus),
+                           lambda f: next(counterexamples(g, (), f))[1] is None)
         report.add("separation-corpus", PASS if bad is None else FAIL,
                    witness=bad, note=f"{len(corpus)} instances")
 
@@ -192,11 +192,18 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
     return report
 
 
-def _first_false(corpus: List[Formula], holds) -> Optional[str]:
-    """'corpus formula #i' for the first formula of the separation corpus
-    whose separation instance does not hold, else None."""
-    for i, phi in enumerate(corpus):
-        if not holds(separation_instance(phi)):
+@lru_cache(maxsize=256)
+def _expanded_instance(phi: Formula) -> Formula:
+    """The expanded separation instance of phi, made once for all the
+    graphs a corpus is checked on."""
+    return expand_abbreviations(separation_instance(phi), None)
+
+
+def _first_false(instances: Iterable[Formula], holds) -> Optional[str]:
+    """'corpus formula #i' for the first separation instance that does not
+    hold, else None."""
+    for i, f in enumerate(instances):
+        if not holds(f):
             return f"corpus formula #{i}"
     return None
 
@@ -333,7 +340,7 @@ def check_kappa_axioms_in_T(g: MembershipGraph, kappa: int,
 
     ev("extensionality^k", extensionality_formula())
     corpus = list(separation_corpus)
-    bad = _first_false(corpus, lambda f: eval_formula(
+    bad = _first_false(map(separation_instance, corpus), lambda f: eval_formula(
         m, kappa_translate(f, k), budget=budget))
     if corpus:
         report.add("separation^k", PASS if bad is None else FAIL,

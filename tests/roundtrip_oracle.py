@@ -4,10 +4,10 @@
 These are the maps as they stood before each one got a private body that
 takes an expanded formula: every map expands its input, a round trip runs
 the public maps (so it expands the formula in the forward map and again as
-`original`, and the backward map expands its input again), compiles both
-sides through `compile_formula` (which expands them once more), sweeps
-`all_assignments`, which builds every assignment as a dict, and compares
-them by `alpha_normalize`.  `alpha_equal` is the comparison by
+`original`, and the backward map expands its input again), sweeps
+`all_assignments`, which builds every assignment as a dict, evaluates both
+sides at each with the tree-walking oracle of tests/tree_eval.py (which
+expands them once more), and compares them by `alpha_normalize`.  `alpha_equal` is the comparison by
 normalization.  `hotk.translate` and `hotk.kernel.syntax.alpha_equal` must
 agree with them on every input: the same result, or the same error class
 and message.
@@ -24,8 +24,10 @@ from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 alpha_normalize, all_names, conj, fresh_name,
                                 free_atoms, parts, raise_term, rebuild,
                                 term_index)
-from hotk.models.core import Assignment, Model, compile_formula
+from hotk.models.core import Assignment, Model
 from hotk.translate import RoundTripReport
+
+from tree_eval import tree_evaluator
 
 
 def alpha_equal(f, g) -> bool:
@@ -185,8 +187,8 @@ def roundtrip_check(f, source: rg.Regime,
     if model is None:
         return RoundTripReport(source.kind, syntactic, None, 0)
     checked = 0
-    eval_original = compile_formula(model, original)
-    eval_image = compile_formula(model, image)
+    eval_original = tree_evaluator(model, original)
+    eval_image = tree_evaluator(model, image)
     for env in all_assignments(model, free_atoms(original)):
         checked += 1
         if eval_original(env) != eval_image(env):

@@ -31,7 +31,7 @@ from hotk.kernel.syntax import Forall
 from hotk.models import (akey, build_class_model, build_fjt_canonical,
                          build_graph_model, build_pure_model,
                          build_sttd_companion, build_sttu_companion,
-                         check_axiom_suite, compile_formula)
+                         check_axiom_suite, eval_formula)
 from hotk.settheory import T_construction, build_V
 
 THEORIES = ["stt", "stt-up", "stt-down", "ctt:w", "ctt-liberal:w", "pctt:w",
@@ -106,9 +106,8 @@ def _failing_witnesses(m, name, max_type):
         while isinstance(f, Forall):
             binders.append(f.var)
             f = f.body
-        matrix = compile_formula(m, f)
         for values in product(*(m.domain(v.index) for v in binders)):
-            if not matrix({akey(v): e for v, e in zip(binders, values)}):
+            if not eval_formula(m, f, {akey(v): e for v, e in zip(binders, values)}):
                 texts.add(text(n, *values))
     return texts
 

@@ -1,13 +1,13 @@
 """Differential test: the compiled evaluator against the tree-walking oracles.
 
-Every case compares `compile_formula` (one compiled function reused across
-all of a formula's assignments, so the quantifier caches carry over between
-them) with `tree_eval_formula` / `tree_eval_set_formula`, and a typed case
-also `eval_formula` (one compile per assignment, whose keys it numbers
-first): all must give the same truth value, or raise the same error class
-with the same message.
-The last tests pin `counterexamples`, the one sweep over assignments that
-round trips, axiom-row witnesses and slices share.
+Every case compares `eval_formula` (one compile per assignment, whose keys
+it numbers first) with `tree_eval_formula` / `tree_eval_set_formula`: both
+must give the same truth value, or raise the same error class with the
+same message.  The tests of `counterexamples`, the one sweep over
+assignments that round trips, axiom-row witnesses, slices and levels
+share, reuse one compile across every assignment, so the quantifier caches
+carry over between them; on a graph they are checked against
+`tree_eval_set_formula` too.
 """
 
 from dataclasses import fields
@@ -20,14 +20,13 @@ from tree_eval import tree_eval_formula, tree_eval_set_formula
 
 from hotk.corpus import graph_fixture, separation_corpus
 from hotk.errors import BudgetExceeded, EvalError
-from hotk.kernel import fin, parse_formula, parse_regime
+from hotk.kernel import expand_abbreviations, fin, parse_formula, parse_regime
 from hotk.kernel.syntax import (And, Apply, Const, Exists, Forall, Iff,
                                 Implies, InSet, Or, Raised, StrictEq, Var,
                                 free_atoms, subformulas)
 from hotk.models import (Model, akey, build_class_model, build_pure_model,
                          build_sttd_companion, build_sttu_companion,
-                         compile_formula, eval_formula)
-from hotk.models.core import counterexamples
+                         counterexamples, eval_formula)
 from hotk.settheory import (T_construction, build_V, endless_formula,
                             extensionality_formula, infinity_formula,
                             separation_instance, stratification_formula)
@@ -60,18 +59,15 @@ def envs(m, f):
 
 
 def agree_typed(m, f, assignments):
-    run = compile_formula(m, f)
     for env in assignments:
-        want = outcome(tree_eval_formula, m, f, env)
-        assert outcome(run, env) == want, (f, env)
-        assert outcome(eval_formula, m, f, env) == want, (f, env)
+        assert outcome(eval_formula, m, f, env) == \
+            outcome(tree_eval_formula, m, f, env), (f, env)
 
 
 def agree_set(g, f, assignments):
-    run = compile_formula(g, f)
     for env in assignments:
-        assert outcome(run, env) == outcome(tree_eval_set_formula, g, f, env), \
-            (f, env)
+        assert outcome(eval_formula, g, f, env) == \
+            outcome(tree_eval_set_formula, g, f, env), (f, env)
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +215,22 @@ def test_counterexamples_leave_the_others_unassigned():
         == [(2, None)]
 
 
+@pytest.mark.parametrize("name", ["chain3.json", "pair_mix.json", "quine.json"])
+def test_counterexamples_sweep_a_graph_in_product_order(name):
+    """On a graph every atom ranges over the nodes, first atom outermost,
+    and the sweep agrees with tree_eval_set_formula at every assignment."""
+    g = graph_fixture(name)
+    x, y = Var("x", None), Var("y", None)
+    combos = list(product(g.nodes, g.nodes))
+    for text in ["x in y", "x sub y | y in x", "Lev(x) -> x = y",
+                 "all z. (z in x -> z in y)"]:
+        f = parse_formula(text, mode="set")
+        got = list(counterexamples(g, [x, y], expand_abbreviations(f)))
+        assert got == [(i, c) for i, c in enumerate(combos, 1)
+                       if not tree_eval_set_formula(g, f, {"x": c[0], "y": c[1]})] \
+            + [(len(combos), None)], text
+
+
 # -- the compile's own paths: shared subtrees, vacuous binders, free atoms
 # first met under a binder.
 
@@ -275,12 +287,13 @@ def test_a_vacuous_binder_still_checks_its_budget(fjt3):
             want = ("BudgetExceeded", f"quantifier over type {n} ranges over "
                     f"{size} entities, above budget {budget}")
             for g in fresh_binders(f, n):
-                assert outcome(compile_formula(fjt3, g, budget), {}) == want
                 assert outcome(eval_formula, fjt3, g, {}, budget) == want
+                assert outcome(lambda: next(counterexamples(
+                    fjt3, [], expand_abbreviations(g), budget))) == want
         for g in fresh_binders(f, 0):
-            run = compile_formula(EMPTY_TYPE_0, g, 0)
-            assert run({}) is isinstance(g, Forall)
             assert eval_formula(EMPTY_TYPE_0, g, budget=0) is isinstance(g, Forall)
+            swept = counterexamples(EMPTY_TYPE_0, [], expand_abbreviations(g), 0)
+            assert (next(swept)[1] is None) is isinstance(g, Forall)
 
 
 @pytest.mark.parametrize("text, assignment", [
@@ -313,24 +326,26 @@ def counting(m: Model) -> CountingModel:
 
 
 def test_one_walk_and_one_compile_per_evaluation(monkeypatch, pure4_up, fjt2):
-    """decide_fjt walks free_atoms once; a round trip whose image is its
-    formula walks it once and looks each quantifier's domain up once (and
-    each atom's, for the sweep); f & f looks them up as often as f."""
+    """decide_fjt never walks free_atoms for a well-formed sentence (its
+    type walk tells whether the sentence is closed); a round trip whose
+    image is its formula walks it once and looks each quantifier's domain
+    up once (and each atom's, for the sweep); f & f looks them up as often
+    as f."""
     from hotk import translate
-    from hotk.models import core, decide
+    from hotk.models import decide
     walks = []
 
     def walk(f):
         walks.append(f)
         return free_atoms(f)
 
-    for module in (translate, core, decide):
+    for module in (translate, decide):
         monkeypatch.setattr(module, "free_atoms", walk)
     for f in corpus("fjt", seed=6, count=6):
         if not free_atoms(f):
             walks.clear()
             decide.decide_fjt(f, 2, model=fjt2)
-            assert len(walks) == 1, f
+            assert walks == [], f
     there, back = translate._ROUNDTRIPS[parse_regime("ctt").kind]
     texts = ["all x^1. some y^0. (x^1(y^0) & c^1(b^0))",
              "c^2(b^1) <-> all x^0. (some y^1. (y^1(x^0) | ~b^1(x^0)))",
@@ -346,5 +361,5 @@ def test_one_walk_and_one_compile_per_evaluation(monkeypatch, pure4_up, fjt2):
         assert m.lookups == quantifiers + len(free_atoms(f))
         for conn in (And, Or, Implies, Iff):
             m = counting(pure4_up)
-            compile_formula(m, conn(f, f))
+            outcome(lambda: next(counterexamples(m, [], conn(f, f))))
             assert m.lookups == quantifiers

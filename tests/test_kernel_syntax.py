@@ -175,7 +175,7 @@ def test_formula_at_the_nesting_cap_goes_through_every_walk():
     from hotk.kernel import (check_formation, expand_abbreviations,
                              parse_regime)
     from hotk.kernel.parser import MAX_DEPTH
-    from hotk.models import build_pure_model, build_sttu_companion, compile_formula
+    from hotk.models import build_pure_model, build_sttu_companion, eval_formula
     from hotk import translate
 
     model = build_sttu_companion(build_pure_model(2))
@@ -193,7 +193,7 @@ def test_formula_at_the_nesting_cap_goes_through_every_walk():
             except HotkError:       # not a formula of the map's source theory
                 pass
         try:
-            compile_formula(model, f)({})
+            eval_formula(model, f)
         except HotkError:           # unassigned constants, missing types
             pass
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from genutil import FormulaGen, all_env, oracle_eval
-from hotk.errors import BudgetExceeded, EvalError
+from hotk.errors import BudgetExceeded, EvalError, FormationError
 from hotk.kernel import (alpha_normalize, ctt, fin, parse_formula,
                          parse_regime, print_formula)
 from hotk.kernel.syntax import Const, Var, free_atoms
@@ -272,6 +272,27 @@ class TestDecide:
     def test_height_guard(self):
         with pytest.raises(EvalError):
             decide_fjt(parse_formula("all x^3. x^3 = x^3"), 2)
+
+    @pytest.mark.parametrize("closed, height, error, message", [
+        ("all x^0. all y^1. x^0 = y^1", 2, FormationError,
+         "strict identity needs equal types (0 vs 1)"),
+        ("all x^3. x^3 = x^3", 2, EvalError, "sentence uses type 3, above height 2"),
+        # eq at type 1 quantifies at type 2
+        ("all x^1. x^1 eq x^1", 1, EvalError, "sentence uses type 2, above height 1"),
+        # no canonical model reaches height 4
+        ("all x^5. x^5 = x^5", 4, EvalError, "sentence uses type 5, above height 4"),
+    ])
+    def test_an_open_sentence_is_refused_before_any_other_fault(
+            self, closed, height, error, message):
+        """The closed sentence fails for its fault; with its binders
+        dropped, for being open."""
+        with pytest.raises(error) as e:
+            decide_fjt(parse_formula(closed), height)
+        assert str(e.value) == message
+        open_ = closed.split(". ")[-1]
+        with pytest.raises(EvalError) as e:
+            decide_fjt(parse_formula(open_), height)
+        assert str(e.value) == "decision procedure needs a closed sentence"
 
     def test_agrees_with_grounding_oracle_on_random_sentences(self, fjt2):
         from hotk.kernel.regimes import fjt as fjt_regime

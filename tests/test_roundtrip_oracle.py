@@ -425,7 +425,6 @@ def test_round_trips_walk_free_atoms_at_most_twice(monkeypatch, request):
         return free_atoms(f)
 
     monkeypatch.setattr(translate, "free_atoms", counting)
-    monkeypatch.setattr(core, "free_atoms", counting)
     for plan in PLANS:
         regime = parse_regime(plan)
         m = request.getfixturevalue(REFERENCE[plan])

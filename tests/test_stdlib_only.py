@@ -1,5 +1,5 @@
 """The package imports nothing outside itself and the standard library,
-and no module takes a private name from another of its parts."""
+and no module takes a private name from another module."""
 
 import ast
 import sys
@@ -31,22 +31,16 @@ def test_every_module_imports_only_hotk_and_the_standard_library():
     assert outside == {}
 
 
-def _part(module: str) -> str:
-    """The top-level part of the package a module belongs to: `models` for
-    hotk.models.core, `translate` for hotk.translate."""
-    return module.split(".")[1]
-
-
 def test_no_module_imports_a_private_name_from_another_part():
+    """Every module is a part here: a private name stays in its module, so
+    nothing outside models/core.py reaches into the compiler, say."""
     crossings = []
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = path.relative_to(PACKAGE.parent).with_suffix("")
-        here = _part(".".join(rel.parts))
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if (isinstance(node, ast.ImportFrom) and node.level == 0
-                    and node.module.startswith("hotk.")
-                    and _part(node.module) != here):
+                    and node.module.startswith("hotk.")):
                 crossings += [f"{rel}: {node.module}.{alias.name}"
                               for alias in node.names
                               if alias.name.startswith("_")]

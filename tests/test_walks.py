@@ -20,6 +20,7 @@ from hotk.kernel.syntax import (Apply, Const, Forall, Exists, Raised, Sugar, Var
                                 all_names, alpha_normalize, free_atoms, parts,
                                 rebuild, subformulas, substitute)
 from hotk.models import max_finite_type
+from hotk.models.decide import top_type
 from hotk.proofkit.fixtures import fixture_manifest, load_fixture
 
 REGIMES = ["stt", "stt-up", "stt-down", "fjt", "ctt:w", "ctt:3",
@@ -199,6 +200,17 @@ def test_max_finite_type():
             assert _allowed_max_type_change(f, got), f
             changed += 1
     assert changed == 6
+
+
+def test_the_type_walk_also_tells_whether_a_formula_is_closed():
+    """decide_fjt reads closedness off top_type, not off free_atoms."""
+    seen = set()
+    for g in EXPANDED:
+        got = outcome(top_type, g)
+        if got[0] != "FormationError":
+            assert got == (max_finite_type(g), not free_atoms(g)), g
+            seen.add(got[1])
+    assert seen == {True, False}
 
 
 def test_map_formula_visits_atoms_in_the_same_order():

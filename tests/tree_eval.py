@@ -4,7 +4,9 @@
 `tree_eval_set_formula` walks a set-language formula over a
 MembershipGraph.  Both re-expand the formula on every call, dispatch on
 node type, copy the environment for every binding and memoize quantifiers
-by their free variables' values.  `hotk.models.eval_formula` must agree
+by their free variables' values.  `tree_evaluator(m, f)` is
+`tree_eval_formula(m, f, ·)` with f expanded once and the memo kept
+across calls, for oracles that evaluate one formula at many assignments.  `hotk.models.eval_formula` must agree
 with them on every input: the same truth value, or the same error class
 and message.
 """
@@ -38,8 +40,11 @@ def _eval_term(m, t, env):
 
 
 def tree_eval_formula(m, f, assignment: Optional[dict] = None) -> bool:
+    return tree_evaluator(m, f)(assignment)
+
+
+def tree_evaluator(m, f):
     f = expand_abbreviations(f, None)
-    env = dict(assignment) if assignment else {}
     fv_cache: Dict[int, Tuple] = {}
     memo: Dict[Tuple, bool] = {}
 
@@ -103,7 +108,7 @@ def tree_eval_formula(m, f, assignment: Optional[dict] = None) -> bool:
             return result
         raise EvalError(f"cannot evaluate node {g!r}")
 
-    return go(f, env)
+    return lambda assignment=None: go(f, dict(assignment) if assignment else {})
 
 
 def tree_eval_set_formula(g, f, env: Optional[dict] = None) -> bool:
