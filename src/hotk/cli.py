@@ -18,8 +18,8 @@ import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
-from hotk.errors import (BudgetExceeded, EvalError, FormationError,
-                         HotkError, ParseError, RankUndefined)
+from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError,
+                         FormationError, HotkError, ParseError, RankUndefined)
 
 if TYPE_CHECKING:
     from hotk.graphs import MembershipGraph
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "projection-typed theories at desk scale.")
     ap.add_argument("--format", choices=FORMATS, default="text")
     ap.add_argument("--budget", type=int,
-                    help="enumeration cap (default: $HOTK_BUDGET or 1000000)")
+                    help=f"enumeration cap (default: $HOTK_BUDGET or {DEFAULT_BUDGET})")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("check", help="formation checking")
@@ -399,13 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _env_budget() -> int:
-    """The budget when --budget is absent: HOTK_BUDGET, or a million."""
-    text = os.environ.get("HOTK_BUDGET", "1000000")
+    """The budget when --budget is absent: HOTK_BUDGET, or DEFAULT_BUDGET."""
+    text = os.environ.get("HOTK_BUDGET", str(DEFAULT_BUDGET))
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise UsageError(f"HOTK_BUDGET must be an integer, got {text!r}",
                          "hotk", "") from None
+    if value < 0:
+        raise UsageError(f"HOTK_BUDGET must not be negative, got {value}", "hotk", "")
+    return value
 
 
 def _report_error(output_format: str, error: Exception, text: str) -> None:
@@ -434,6 +437,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
         if args.budget is None:
             args.budget = _env_budget()
+        elif args.budget < 0:
+            ap.error(f"argument --budget: must not be negative, got {args.budget}")
     except SystemExit as e:         # --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except UsageError as e:

@@ -32,6 +32,10 @@ class BudgetExceeded(HotkError):
     """An enumeration would exceed the configured entity/subset budget."""
 
 
+# The budget when none is given (the CLI's default too).
+DEFAULT_BUDGET = 10**6
+
+
 class GraphError(HotkError):
     """Malformed membership graph or an operation's graph precondition failed."""
 

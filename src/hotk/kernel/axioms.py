@@ -1,107 +1,87 @@
-"""The theory axioms as formula builders, one per scheme.
+"""The theory axioms, one per scheme, each written in the formula notation.
 
 These are the only statement of each axiom: the proof checker cites them
 (hotk.proofkit.schemes) and the model suites evaluate them
 (hotk.models.axioms).  They live in the kernel so that the model layer can
-build them without loading the proof checker.
+build them without loading the proof checker.  Each builder fills its type
+indices into the notation and parses it (x^w+1 reads as x at index w+1).
 """
 
 from __future__ import annotations
 
 from hotk.errors import ProofError
 from hotk.kernel import regimes as rg
-from hotk.kernel.indices import TypeIndex, fin
-from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
-                                Iff, Implies, Not, Raised, StrictEq, Sugar,
-                                Var)
+from hotk.kernel.indices import TypeIndex
+from hotk.kernel.parser import parse_formula
+from hotk.kernel.syntax import Formula
 
 
 def type_raising(alpha: TypeIndex, beta: TypeIndex) -> Formula:
     """Every type-alpha entity has a type-beta copy (a lemma, not an axiom
     that proofs may cite)."""
-    x, y = Var("x", alpha), Var("y", beta)
-    return Forall(x, Exists(y, Sugar("eq", (x, y))))
+    return parse_formula(f"all x^{alpha}. some y^{beta}. x^{alpha} eq y^{beta}")
 
 
 def type_founded(alpha: TypeIndex, beta: TypeIndex) -> Formula:
-    a = Var("a", alpha)
-    b = Var("b", beta.succ())
-    x = Var("x", beta)
-    return Forall(a, Forall(b, Implies(
-        Sugar("in", (a, b)), Exists(x, Sugar("eq", (a, x))))))
+    a, b, x = f"a^{alpha}", f"b^{beta.succ()}", f"x^{beta}"
+    return parse_formula(f"all {a}. all {b}. {a} in {b} -> some {x}. {a} eq {x}")
 
 
 def type_base(alpha: TypeIndex) -> Formula:
-    x = Var("x", fin(0))
-    y = Var("y", alpha)
-    return Forall(x, Forall(y, Not(Sugar("in", (y, x)))))
+    return parse_formula(f"all x^0. all y^{alpha}. ~y^{alpha} in x^0")
 
 
 def type_ext(alpha: TypeIndex, beta: TypeIndex) -> Formula:
     if beta < alpha:
         raise ProofError("cross-type extensionality wants alpha <= beta")
-    a = Var("a", alpha.succ())
-    b = Var("b", beta.succ())
-    xa = Var("x", alpha)
-    xb = Var("x", beta)
-    low = Forall(xa, Implies(Apply(a, xa), Apply(b, xa)))
-    high = Forall(xb, Implies(
-        Apply(b, xb),
-        Sugar("bounded", ("some", Var("y", alpha), "eq", xb,
-                          Apply(a, Var("y", alpha))))))
-    return Forall(a, Forall(b, Implies(And(low, high), Sugar("eq", (a, b)))))
+    a, b = f"a^{alpha.succ()}", f"b^{beta.succ()}"
+    xa, xb, y = f"x^{alpha}", f"x^{beta}", f"y^{alpha}"
+    return parse_formula(
+        f"all {a}. all {b}. (all {xa}. {a}({xa}) -> {b}({xa}))"
+        f" & (all {xb}. {b}({xb}) -> (some {y} eq {xb}. {a}({y}))) -> {a} eq {b}")
 
 
 def type_purity() -> Formula:
-    x, y = Var("x", fin(0)), Var("y", fin(0))
-    return Forall(x, Forall(y, StrictEq(x, y)))
+    return parse_formula("all x^0. all y^0. x^0 = y^0")
 
 
 def up_inject(n: int) -> Formula:
-    x, y = Var("x", fin(n)), Var("y", fin(n))
-    return Forall(x, Forall(y, Implies(StrictEq(Raised(x), Raised(y)),
-                                       StrictEq(x, y))))
+    return parse_formula(f"all x^{n}. all y^{n}. up(x^{n}) = up(y^{n}) -> x^{n} = y^{n}")
 
 
 def up_possess(n: int) -> Formula:
-    x, y = Var("x", fin(n)), Var("y", fin(n + 1))
-    return Forall(x, Forall(y, Iff(Apply(Raised(y), Raised(x)), Apply(y, x))))
+    x, y = f"x^{n}", f"y^{n + 1}"
+    return parse_formula(f"all {x}. all {y}. up({y})(up({x})) <-> {y}({x})")
 
 
 def up_founded(n: int) -> Formula:
-    x, y, z = Var("x", fin(n + 1)), Var("y", fin(n + 1)), Var("z", fin(n))
-    return Forall(x, Forall(y, Implies(Apply(Raised(y), x),
-                                       Exists(z, StrictEq(x, Raised(z))))))
+    x, y, z = f"x^{n + 1}", f"y^{n + 1}", f"z^{n}"
+    return parse_formula(f"all {x}. all {y}. up({y})({x}) -> some {z}. {x} = up({z})")
 
 
 def up_base() -> Formula:
-    x, y = Var("x", fin(0)), Var("y", fin(0))
-    return Forall(x, Forall(y, Not(Apply(Raised(y), x))))
+    return parse_formula("all x^0. all y^0. ~up(y^0)(x^0)")
+
+
+def _projection(n: int, text: str) -> Formula:
+    """text with z at type n+1 and x, y at type n filled in."""
+    if n < 1:
+        raise ProofError("projection starts at type 2 over type 1")
+    return parse_formula(text.format(z=f"z^{n + 1}", x=f"x^{n}", y=f"y^{n}"))
 
 
 def down_exists(n: int) -> Formula:
-    if n < 1:
-        raise ProofError("projection starts at type 2 over type 1")
-    z, x = Var("z", fin(n + 1)), Var("x", fin(n))
-    return Forall(z, Exists(x, DownRel(z, x)))
+    return _projection(n, "all {z}. some {x}. {z} dn {x}")
 
 
 def down_sim(n: int) -> Formula:
-    if n < 1:
-        raise ProofError("projection starts at type 2 over type 1")
-    z, x, y = Var("z", fin(n + 1)), Var("x", fin(n)), Var("y", fin(n))
-    return Forall(z, Forall(x, Forall(y, Implies(
-        And(DownRel(z, x), DownRel(z, y)),
-        And(Sugar("coext", (x, y)), Sugar("downeq", (y, x)))))))
+    return _projection(n, "all {z}. all {x}. all {y}. {z} dn {x} & {z} dn {y}"
+                          " -> {x} coext {y} & {y} downeq {x}")
 
 
 def down_max(n: int) -> Formula:
-    if n < 1:
-        raise ProofError("projection starts at type 2 over type 1")
-    z, x, y = Var("z", fin(n + 1)), Var("x", fin(n)), Var("y", fin(n))
-    return Forall(z, Forall(x, Forall(y, Implies(
-        And(DownRel(z, x), And(Sugar("coext", (x, y)), Sugar("downeq", (y, x)))),
-        DownRel(z, y)))))
+    return _projection(n, "all {z}. all {x}. all {y}."
+                          " {z} dn {x} & {x} coext {y} & {y} downeq {x} -> {z} dn {y}")
 
 
 # Each axiom a proof may cite: name -> (builder, the scheme-record

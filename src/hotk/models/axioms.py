@@ -15,6 +15,8 @@ the report calls this FULL-COMPREHENSION.  A check that needs more than
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from hotk.errors import BudgetExceeded, EvalError
 from hotk.graphs import first_unrealized
 from hotk.kernel import axioms as ax
@@ -67,14 +69,15 @@ def check_axiom_suite(m: Model, theory: rg.Regime, max_type: int,
         raise EvalError(f"max_type {max_type} below 0")
     report = SuiteReport(subject=f"{theory} on {m.kind} model")
     if theory.kind in rg.PLAIN_COMPREHENSION_KINDS:
-        _add_row(report, "comprehension", _plain_checks(m, range(max_type), budget),
+        _add_row(report, "comprehension",
+                 plain_comprehension_checks(m, range(max_type), budget),
                  _FULL, fail_note=_FULL)
         if theory.is_ctt:       # a lemma: no proof may cite it
             _add_row(report, "type-raising",
                      _scheme_checks(m, "type-raising", max_type, budget))
     elif theory.kind == rg.STT_DOWN:
         _add_row(report, "comprehension-type1",
-                 _plain_checks(m, range(min(max_type, 1)), budget), _FULL)
+                 plain_comprehension_checks(m, range(min(max_type, 1)), budget), _FULL)
         _add_row(report, "comprehension-augmented",
                  _augmented_checks(m, max_type, budget), _FULL)
     else:
@@ -109,9 +112,9 @@ def _add_row(report: SuiteReport, name: str, checks, note=None,
 
 def _scheme_checks(m: Model, name: str, top: int, budget: int):
     """The false or unevaluable instances of a theory axiom."""
-    build, instances, witness = _SCHEMES[name]
+    _, instances, witness = _SCHEMES[name]
     for args in instances(top):
-        f = expand_abbreviations(build(*args))
+        f = _expanded_axiom(name, args)
         if not m.reaches(top_type(f)[0]):
             continue
         try:
@@ -134,6 +137,12 @@ def _scheme_checks(m: Model, name: str, top: int, budget: int):
                 *args, sizes=[len(d) for d in m.domains], **fields)
 
 
+@lru_cache(maxsize=256)
+def _expanded_axiom(name: str, args: tuple):
+    """A theory axiom's expanded instance, parsed once per process."""
+    return expand_abbreviations(_SCHEMES[name][0](*args))
+
+
 def _comprehension(m: Model, types, entities, budget: int):
     """Whether every tuple of subsets of the domains of `types` is the tuple
     of extensions at those types of one of the entities: (PASS, None),
@@ -148,7 +157,7 @@ def _comprehension(m: Model, types, entities, budget: int):
     return (PASS, None) if combo is None else (FAIL, combo)
 
 
-def _plain_checks(m: Model, levels, budget: int):
+def plain_comprehension_checks(m: Model, levels, budget: int):
     """Every subset of the type-n domain is the extension of a type-(n+1)
     entity, for each n in levels."""
     for n in levels:

@@ -25,8 +25,8 @@ from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
                     Union)
 
-from hotk.errors import (BudgetExceeded, EvalError, HotkError, check_json,
-                         load_json)
+from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, HotkError,
+                         check_json, load_json)
 from hotk.graphs import MembershipGraph, canonical_key
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import TypeIndex
@@ -36,8 +36,6 @@ from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
 
 Entity = str
 Assignment = Dict[Tuple[str, Optional[TypeIndex]], Entity]
-
-DEFAULT_BUDGET = 10**6
 
 _MODEL_SHAPE = {"kind": str, "height": int, "domains": [[str]],
                 "apply": {str: [str]}, "meta": dict,

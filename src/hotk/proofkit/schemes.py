@@ -74,12 +74,16 @@ def identity_scheme(left: Term, right: Term, witness: str = "z") -> Formula:
 AXIOM_AVAILABILITY = {name: by for name, (_, _, by) in AXIOMS.items()}
 
 
-def _index_arg(value) -> TypeIndex:
+def _scheme_arg(param: str, value):
+    """A scheme record's parameter: a natural for n, else a type index.  A
+    negative number is refused before any formula is built."""
+    if isinstance(value, int) and value < 0:
+        raise ProofError(f"scheme parameter {param!r} must be a natural, got {value}")
+    if param == "n":
+        return int(value)
     if isinstance(value, TypeIndex):
         return value
-    if isinstance(value, int):
-        return fin(value)
-    return parse_index(str(value))
+    return fin(value) if isinstance(value, int) else parse_index(str(value))
 
 
 def axiom_instance(name: str, params: Optional[Dict] = None) -> Formula:
@@ -93,7 +97,7 @@ def axiom_instance(name: str, params: Optional[Dict] = None) -> Formula:
         phi = params["phi"]
         if isinstance(phi, str):
             phi = parse_formula(phi)
-        return comprehension(phi, _index_arg(params.get("type", 0)),
+        return comprehension(phi, _scheme_arg("type", params.get("type", 0)),
                              var=params.get("var", "x"),
                              witness=params.get("witness", "z"))
     if name == "fjt-comprehension":
@@ -117,8 +121,7 @@ def axiom_instance(name: str, params: Optional[Dict] = None) -> Formula:
     if name in AXIOMS:
         fn, argnames, _ = AXIOMS[name]
         try:
-            args = [_index_arg(params[a]) if a != "n" else int(params[a])
-                    for a in argnames]
+            args = [_scheme_arg(a, params[a]) for a in argnames]
         except KeyError as e:
             raise ProofError(f"axiom {name} needs parameter {e.args[0]!r}") from e
         return fn(*args)

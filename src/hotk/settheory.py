@@ -19,8 +19,10 @@ from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          first_unrealized, ord_of_ranks)
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
-from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, Implies,
-                                InSet, Not, StrictEq, Sugar, Var, free_names)
+from hotk.kernel.parser import parse_formula
+from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, InSet, Not,
+                                Sugar, Var, free_names)
+from hotk.models.axioms import plain_comprehension_checks
 from hotk.models.builders import build_graph_model, hierarchy_levels
 from hotk.models.core import (DEFAULT_BUDGET, Model, counterexamples,
                               eval_formula)
@@ -94,43 +96,34 @@ def _v(name: str) -> Var:
 
 
 def extensionality_formula() -> Formula:
-    a, b, x = _v("a"), _v("b"), _v("x")
-    return Forall(a, Forall(b, Implies(
-        Forall(x, Iff(InSet(x, a), InSet(x, b))), StrictEq(a, b))))
+    return parse_formula("all a. all b. (all x. x in a <-> x in b) -> a = b", "set")
 
 
 def stratification_formula() -> Formula:
-    a, s = _v("a"), _v("s")
-    return Forall(a, Exists(s, And(Sugar("subset", (a, s)), Sugar("level", (s,)))))
+    return parse_formula("all a. some s. a sub s & Lev(s)", "set")
 
 
 def endless_formula() -> Formula:
-    a, b = _v("a"), _v("b")
-    return Forall(a, Exists(b, InSet(a, b)))
+    return parse_formula("all a. some b. a in b", "set")
 
 
 def infinity_formula() -> Formula:
-    a, x, y = _v("a"), _v("x"), _v("y")
-    return Exists(a, And(
-        Exists(x, InSet(x, a)),
-        Forall(x, Implies(InSet(x, a),
-                          Exists(y, And(InSet(x, y), InSet(y, a)))))))
+    return parse_formula(
+        "some a. (some x. x in a) & (all x. x in a -> some y. x in y & y in a)", "set")
 
 
-def separation_instance(phi: Formula, x: Var = None, a: Var = None) -> Formula:
+def separation_instance(phi: Formula) -> Formula:
     """For every a there is b holding exactly the members of a satisfying phi.
 
-    phi's designated variable is x (default the free 'x'); its remaining
-    free variables are closed universally as parameters.
+    phi's designated variable is the free 'x'; its remaining free variables
+    are closed universally as parameters.
     """
-    x = x or _v("x")
-    a = a or _v("a")
+    x, a = _v("x"), _v("a")
     names = free_names(phi)
     b = _v("b" if "b" not in names else "b0")
     body = Forall(a, Exists(b, Forall(
         x, Iff(InSet(x, b), And(phi, InSet(x, a))))))
-    params = sorted(names - {x.name, a.name})
-    for p in reversed(params):
+    for p in sorted(names - {"x", "a"}, reverse=True):
         body = Forall(_v(p), body)
     return body
 
@@ -308,12 +301,12 @@ def is_standard(g: MembershipGraph, budget: int = DEFAULT_BUDGET) -> bool:
 def is_standard_typed(m: Model, budget: int = DEFAULT_BUDGET) -> bool:
     """Typed-model standardness: for each type below the greatest, some
     next-type property applies exactly to any given entities of that type."""
-    for alpha in range(m.max_type):
-        dom = m.domains[alpha]
-        if 2 ** len(dom) > budget:
-            raise BudgetExceeded(f"domain of {len(dom)} entities at type {alpha}")
-        if first_unrealized([dom], {(m.extension(z, alpha),)
-                                    for z in m.domains[alpha + 1]}) is not None:
+    checks = plain_comprehension_checks(m, range(m.max_type), budget)
+    for alpha, (status, _) in enumerate(checks):
+        if status == SKIPPED:
+            raise BudgetExceeded(
+                f"domain of {len(m.domains[alpha])} entities at type {alpha}")
+        if status == FAIL:
             return False
     return True
 

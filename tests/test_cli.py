@@ -491,6 +491,8 @@ ERROR_PATHS = [
     (["eval", "--model", "fjt2.json", "a^1 coext_0 b^1"], 2, "FormationError"),
     (["translate", "--map", "j-sttd-fjt", "dn0.hol"], 2, "FormationError"),
     (["translate", "--map", "j-sttd-fjt", "dnw.hol"], 2, "FormationError"),
+    (["--budget", "-5", "eval", "--model", "fjt2.json", "a^0 = a^0"], 2,
+     "UsageError"),
 ]
 
 
@@ -636,6 +638,16 @@ def test_non_integer_budget_variable_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("HOTK_BUDGET", "10")
     code, _ = run(capsys, "model", "build", "--kind", "pure", "--height", "4")
     assert code == 3
+
+
+def test_negative_budget_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HOTK_BUDGET", "-1")
+    assert main(["check", "--theory", "stt", "x^0 = x^0"]) == 2
+    assert capsys.readouterr().err == (
+        "hotk: error: HOTK_BUDGET must not be negative, got -1\n")
+    monkeypatch.setenv("HOTK_BUDGET", "0")
+    code, _ = run(capsys, "check", "--theory", "stt", "x^0 = x^0")
+    assert code == 0        # a zero budget is allowed
 
 
 # Each subcommand run as `python -m hotk.cli`: its exit code and the hotk

@@ -134,6 +134,20 @@ class TestAxiomInstances:
             axiom_instance("type-founded", {"alpha": 0})
 
 
+@pytest.mark.parametrize("theory,scheme,formula", [
+    ("stt-up", {"name": "up-inject", "n": -1},
+     "all x^0. all y^0. up(x^0) = up(y^0) -> x^0 = y^0"),
+    ("pctt:w", {"name": "type-base", "alpha": -1}, "all x^0. all y^0. ~y^0 in x^0")])
+def test_negative_scheme_parameter_is_a_scheme_shape_rejection(theory, scheme, formula):
+    doc = {"theory": theory, "steps": [
+        {"n": 1, "formula": formula, "rule": "axiom", "scheme": scheme}]}
+    verdict = check_proof(load_proof(doc))
+    assert not verdict.accepted and verdict.tag == "scheme-shape"
+    param = next(k for k in scheme if k != "name")
+    assert verdict.step == 1 and verdict.message == (
+        f"scheme parameter {param!r} must be a natural, got -1")
+
+
 def test_accepted_conclusions_hold_in_reference_models(pure4, pure4_up):
     # soundness spot-check: the universal closure of hyps -> conclusion
     # evaluates true
