@@ -1,6 +1,6 @@
-"""The theory axioms, one per scheme, each written in the formula notation.
+"""The theory axioms, one builder per axiom, each written in the notation.
 
-These are the only statement of each axiom: the proof checker cites them
+These are the only statement of each axiom: a proof's axiom step names one
 (hotk.proofkit.schemes) and the model suites evaluate them
 (hotk.models.axioms).  They live in the kernel so that the model layer can
 build them without loading the proof checker.  Each builder fills its type

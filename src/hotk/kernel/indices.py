@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TypeIndex:
     omega_coeff: int
     finite_part: int
@@ -51,18 +51,6 @@ class TypeIndex:
         if n < 0:
             raise ValueError("plus takes a natural")
         return ordinal(self.omega_coeff, self.finite_part + n)
-
-    def __lt__(self, other: "TypeIndex") -> bool:
-        return (self.omega_coeff, self.finite_part) < (other.omega_coeff, other.finite_part)
-
-    def __le__(self, other: "TypeIndex") -> bool:
-        return (self.omega_coeff, self.finite_part) <= (other.omega_coeff, other.finite_part)
-
-    def __gt__(self, other: "TypeIndex") -> bool:
-        return (self.omega_coeff, self.finite_part) > (other.omega_coeff, other.finite_part)
-
-    def __ge__(self, other: "TypeIndex") -> bool:
-        return (self.omega_coeff, self.finite_part) >= (other.omega_coeff, other.finite_part)
 
     def __str__(self) -> str:
         q, r = self.omega_coeff, self.finite_part

@@ -2,8 +2,9 @@
 
 Proofs are JSON step lists (Fitch-style, explicit discharge indices).  The
 checker enforces formation of every step, the typed quantifier rules with
-their regime's type side-condition, eigenvariable conditions, scheme shape
-for comprehension/identity steps, and axiom availability per theory.
+their regime's type side-condition, eigenvariable conditions, the shape of
+comprehension and identity instances as written (the only statement of those
+schemes), and axiom availability per theory.
 
 Every rule returns one of two things: the frozenset of assumption steps its
 step rests on, or a (tag, message) rejection.  check_proof records the

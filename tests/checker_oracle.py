@@ -13,6 +13,7 @@ from typing import Dict, FrozenSet
 
 from hotk.errors import ProofError
 from hotk.kernel import regimes as rg
+from hotk.kernel.axioms import AXIOMS
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import check_formation
 from hotk.kernel.indices import TypeIndex
@@ -21,7 +22,9 @@ from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Var, alpha_normalize, free_atoms,
                                 substitute, term_index)
 from hotk.proofkit.checker import ProofObject, ProofStep, ProofVerdict
-from hotk.proofkit.schemes import AXIOM_AVAILABILITY, axiom_instance
+from hotk.proofkit.schemes import axiom_instance
+
+AXIOM_AVAILABILITY = {name: by for name, (_, _, by) in AXIOMS.items()}
 
 QUANT_RULES = {"forall_i", "forall_e", "exists_i", "exists_e"}
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hotk.errors import ProofError
-from hotk.kernel import fin, parse_formula, print_formula
+from hotk.kernel import print_formula
 from hotk.kernel import regimes as rg
 from hotk.kernel.axioms import AXIOMS, axioms_of
 from hotk.models import check_axiom_suite
@@ -104,30 +104,9 @@ def test_malformed_file_raises():
 
 
 class TestAxiomInstances:
-    def test_stt_comprehension_display(self):
-        f = axiom_instance("comprehension", {"phi": "x^0 = x^0", "type": 0})
-        assert print_formula(f) == "some z^1. all x^0. z^1(x^0) <-> x^0 = x^0"
-
-    def test_fjt_comprehension_display(self):
-        f = axiom_instance("fjt-comprehension",
-                           {"phis": ["~x^0 = x^0", "x^1 = x^1"], "n": 2})
-        assert print_formula(f) == ("some z^2. (all x^1. z^2(x^1) <-> x^1 = x^1)"
-                                    " & (all x^0. z^2(x^0) <-> ~x^0 = x^0)")
-
     def test_type_base_display(self):
         f = axiom_instance("type-base", {"alpha": 1})
         assert print_formula(f) == "all x^0. all y^1. ~y^1 in x^0"
-
-    def test_witness_occurrence_rejected(self):
-        with pytest.raises(ProofError):
-            axiom_instance("comprehension", {"phi": "z^1(x^0)", "type": 0})
-
-    def test_sttd_comprehension_shape(self):
-        f = axiom_instance("sttd-comprehension", {"phi": "x^1(a^0)", "n": 1})
-        from hotk.kernel.syntax import And, DownRel, Exists, Forall
-        assert isinstance(f, Forall) and isinstance(f.body, Exists)
-        assert isinstance(f.body.body, And)
-        assert isinstance(f.body.body.left, DownRel)
 
     def test_missing_parameter(self):
         with pytest.raises(ProofError):
@@ -146,6 +125,19 @@ def test_negative_scheme_parameter_is_a_scheme_shape_rejection(theory, scheme, f
     param = next(k for k in scheme if k != "name")
     assert verdict.step == 1 and verdict.message == (
         f"scheme parameter {param!r} must be a natural, got -1")
+
+
+@pytest.mark.parametrize("value,shown", [
+    ("-1", '"-1"'), (True, "true"), (1.5, "1.5"), (None, "null"), ([1], "[1]"),
+    ({}, "{}")])
+def test_non_index_scheme_parameter_is_a_scheme_shape_rejection(value, shown):
+    doc = {"theory": "pctt:w", "steps": [
+        {"n": 1, "formula": "all x^0. all y^1. ~y^1 in x^0", "rule": "axiom",
+         "scheme": {"name": "type-base", "alpha": value}}]}
+    verdict = check_proof(load_proof(doc))
+    assert not verdict.accepted and verdict.tag == "scheme-shape"
+    assert verdict.step == 1 and verdict.message == (
+        f"scheme parameter 'alpha' must be a type index, got {shown}")
 
 
 def test_accepted_conclusions_hold_in_reference_models(pure4, pure4_up):

@@ -4,11 +4,14 @@ from genutil import FormulaGen, all_env, oracle_eval
 from hotk.errors import FormationError
 from hotk.kernel import (alpha_normalize, check_formation, ctt,
                          expand_abbreviations, fin, fjt, parse_formula,
-                         print_formula, stt_down, stt_up)
+                         print_formula, print_term, stt_down, stt_up)
+from hotk.kernel.axioms import (down_exists, down_max, down_sim, up_base,
+                                up_founded, up_inject, up_possess)
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Iff,
                                 Implies, Not, Or, Raised, StrictEq,
                                 free_atoms, subformulas)
 from hotk.models import eval_formula
+from hotk.proofkit import check_proof, load_proof
 from hotk.translate import (ctt_to_sttu, fjt_to_sttd, kappa_translate,
                             parse_map, roundtrip_check, sttd_to_fjt,
                             sttu_to_ctt)
@@ -71,7 +74,6 @@ class TestRaisedTheoryMaps:
         assert pp(sttu_to_ctt(parse_formula("y^1(x^0)"))) == "y^1(x^0)"
 
     def test_up_inject_j_image_true_in_pure_model(self, pure4):
-        from hotk.proofkit.schemes import up_inject
         image = sttu_to_ctt(up_inject(1))
         assert check_formation(image, ctt()).ok
         assert eval_formula(pure4, image) is True
@@ -163,50 +165,47 @@ def test_transfinite_rejected_by_raised_map():
         ctt_to_sttu(parse_formula("y^(w+1)(x^w)"))
 
 
+def comprehension_instance(text, theory, params=()):
+    """text parsed, once the checker accepts it as a one-step comprehension
+    proof under theory and its only free atoms are the named params."""
+    proof = load_proof({"theory": theory, "steps": [
+        {"n": 1, "formula": text, "rule": "comprehension"}]})
+    assert check_proof(proof).accepted, text
+    f = parse_formula(text)
+    assert sorted(print_term(a) for a in free_atoms(f)) == sorted(params), text
+    return f
+
+
 class TestComprehensionImages:
     """Interpretation lemmas at desk scale: translated comprehension
     instances evaluate true in the reference models."""
 
     def test_fjt_comprehension_image_true_in_projection_companion(self, fjt3_down):
-        from hotk.proofkit.schemes import fjt_comprehension
-        from hotk.kernel.syntax import Apply, Var, StrictEq
         # the counterexample entity's defining instance, and a mixed one
-        instances = [
-            fjt_comprehension([parse_formula("x^0 = x^0"),
-                               parse_formula("~x^1 = x^1")], 2),
-            fjt_comprehension([parse_formula("~x^0 = x^0"),
-                               parse_formula("x^1 = x^1")], 2),
-            fjt_comprehension([parse_formula("x^0 = x^0")], 1),
-        ]
-        for inst in instances:
-            image = fjt_to_sttd(inst)
+        for text in [
+                "some z^2. (all x^1. z^2(x^1) <-> ~x^1 = x^1)"
+                " & (all x^0. z^2(x^0) <-> x^0 = x^0)",
+                "some z^2. (all x^1. z^2(x^1) <-> x^1 = x^1)"
+                " & (all x^0. z^2(x^0) <-> ~x^0 = x^0)",
+                "some z^1. all x^0. z^1(x^0) <-> x^0 = x^0"]:
+            image = fjt_to_sttd(comprehension_instance(text, "fjt"))
             assert check_formation(image, stt_down()).ok
             assert eval_formula(fjt3_down, image) is True
 
     def test_ctt_comprehension_image_true_in_raised_companion(self, pure4_up):
-        from hotk.proofkit.schemes import comprehension
-        instances = [
-            comprehension(parse_formula("x^0 = x^0"), fin(0)),
-            comprehension(parse_formula("some y^1. y^1(x^0)"), fin(0)),
-            comprehension(parse_formula("x^1(a^0)"), fin(1)),
-        ]
-        for inst in instances:
-            image = ctt_to_sttu(inst)
+        for text, params in [
+                ("some z^1. all x^0. z^1(x^0) <-> x^0 = x^0", ()),
+                ("some z^1. all x^0. z^1(x^0) <-> (some y^1. y^1(x^0))", ()),
+                ("some z^2. all x^1. z^2(x^1) <-> x^1(a^0)", ("a^0",))]:
+            image = ctt_to_sttu(comprehension_instance(text, "ctt:w", params))
             assert check_formation(image, stt_up()).ok
-            closed = image
-            from genutil import universal_closure
-            from hotk.proofkit.checker import ProofObject, ProofStep
-            # close any parameters before evaluating
-            from hotk.kernel.syntax import free_atoms as fa
-            if not fa(image):
-                assert eval_formula(pure4_up, image) is True
-            else:
-                for env in all_env(pure4_up, fa(image)):
-                    assert eval_formula(pure4_up, image, env) is True
+            for env in all_env(pure4_up, free_atoms(image)):
+                assert eval_formula(pure4_up, image, env) is True
 
     def test_sttd_comprehension_image_true_in_canonical_model(self, fjt3):
-        from hotk.proofkit.schemes import sttd_comprehension
-        inst = sttd_comprehension(parse_formula("x^1(b^0)"), 1)
+        inst = comprehension_instance(
+            "all y^1. some z^2. z^2 dn y^1 & (all x^1. z^2(x^1) <-> x^1(b^0))",
+            "stt-down", ("b^0",))
         image = sttd_to_fjt(inst)
         assert check_formation(image, fjt()).ok
         for env in all_env(fjt3, free_atoms(image)):
@@ -215,8 +214,6 @@ class TestComprehensionImages:
     def test_up_axiom_images_true_in_pure_model(self, pure4):
         # instances whose descriptions stay below the model height: the
         # eliminated raise at type n+1 quantifies identity at n+2
-        from hotk.proofkit.schemes import (up_base, up_founded, up_inject,
-                                           up_possess)
         for inst in (up_inject(0), up_inject(1), up_possess(0),
                      up_founded(0), up_base()):
             image = sttu_to_ctt(inst)
@@ -224,7 +221,6 @@ class TestComprehensionImages:
             assert eval_formula(pure4, image) is True
 
     def test_down_axiom_images_true_in_canonical_model(self, fjt3):
-        from hotk.proofkit.schemes import down_exists, down_max, down_sim
         for inst in (down_exists(1), down_exists(2), down_sim(1), down_sim(2),
                      down_max(1), down_max(2)):
             image = sttd_to_fjt(inst)
