@@ -39,7 +39,9 @@ def _below(f: Sugar, n: TypeIndex) -> TypeIndex:
     return n.pred()
 
 
-def _one_step(f: Sugar, fresh: FreshNames) -> Formula:
+def define(f: Sugar, fresh: FreshNames) -> Formula:
+    """The definiens of the sugar node f, its new variables drawn from
+    fresh; sugar inside f or in the definiens is left as it is."""
     k = f.kind
     if k == "eq":
         l, r = f.args
@@ -134,6 +136,6 @@ def expand_abbreviations(f: Formula, regime: Optional[rg.Regime] = None) -> Form
             new.append(b if type(b) in ATOMS else go(b))
         if any(map(is_not, new, bodies)):
             g = rebuild(g, terms, binder, new)
-        return go(_one_step(g, fresh)) if sugar else g
+        return go(define(g, fresh)) if sugar else g
 
     return go(f)

@@ -284,34 +284,28 @@ def all_names(f: Formula) -> frozenset:
     return frozenset(names)
 
 
-def fresh_name(stem: str, used) -> str:
-    i = 1
-    while f"{stem}{i}" in used:
-        i += 1
-    return f"{stem}{i}"
-
-
 class FreshNames:
-    """Variables with new names stem1, stem2, ... (v1, v2, ... by default)
-    that occur nowhere in a formula; each name is handed out once.  The
-    formula's names are collected on the first request, so a formula that
-    needs no new variable is never scanned."""
+    """The one supply of new variables, for expansion, the translation maps,
+    substitution, normalization and separation instances: names stem1,
+    stem2, ... (v1, v2, ... by default) that are not in used and occur
+    nowhere in f, each handed out once.  f's names are collected on the
+    first request, so a formula that needs no new variable is never
+    scanned."""
 
-    def __init__(self, f: Formula):
-        self.f = f
-        self.used = None
+    def __init__(self, f: Optional[Formula] = None, used=()):
+        self.f = f                 # its names are not collected yet
+        self.used = set(used)
         self.last: dict = {}       # stem -> the number it last gave
 
     def var(self, index: Optional[TypeIndex], stem: str = "v") -> Var:
-        if self.used is None:
-            self.used = set(all_names(self.f))
-        i = self.last.get(stem, 0)
-        while True:
+        if self.f is not None:
+            self.used |= all_names(self.f)
+            self.f = None
+        i = self.last.get(stem, 0) + 1
+        while f"{stem}{i}" in self.used:
             i += 1
-            name = f"{stem}{i}"
-            if name not in self.used:
-                break
         self.last[stem] = i
+        name = f"{stem}{i}"
         self.used.add(name)
         return Var(name, index)
 
@@ -348,7 +342,7 @@ def substitute(f: Formula, var: Var, repl: Term, strict_type: bool = True) -> Fo
                 return rebuild(g, terms, binder, bodies)
             (body,) = bodies
             if binder.name in repl_names and var.name in free_names(body):
-                renamed = Var(fresh_name("r", all_names(body) | repl_names), binder.index)
+                renamed = FreshNames(body, repl_names).var(binder.index, "r")
                 bodies = (substitute(body, binder, renamed, strict_type=False),)
                 binder = renamed
         return rebuild(g, terms, binder, [go(b) for b in bodies])
@@ -362,25 +356,16 @@ def alpha_normalize(f: Formula) -> Formula:
     Alpha-equivalent formulas become structurally equal; canonical names
     skip anything occurring free so no capture is possible.
     """
-    taken = free_names(f)
-    counter = 0
-
-    def next_var(index) -> Var:
-        nonlocal counter
-        while True:
-            counter += 1
-            name = f"v{counter}"
-            if name not in taken:
-                return Var(name, index)
+    fresh = FreshNames(used=free_names(f))
 
     def go(g: Formula, images: dict) -> Formula:
         terms, binder, bodies = parts(g)
         if images:
             terms = [_rename(t, images) for t in terms]
         if binder is not None:
-            fresh = next_var(binder.index)
-            images = {**images, (binder.name, binder.index): fresh}
-            binder = fresh
+            canon = fresh.var(binder.index)
+            images = {**images, (binder.name, binder.index): canon}
+            binder = canon
         new = []
         for b in bodies:
             new.append(go(b, images))

@@ -26,8 +26,8 @@ from hotk.kernel.indices import TypeIndex
 from hotk.kernel.parser import parse_formula, parse_index, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, Not, Or, Raised,
-                                StrictEq, Term, alpha_equal, alpha_normalize,
-                                occurs_free, substitute, term_index)
+                                StrictEq, Term, alpha_equal, occurs_free,
+                                substitute, term_index)
 from hotk.proofkit.schemes import axiom_instance
 
 _RULE_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
@@ -37,7 +37,7 @@ _RULE_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 _PROOF_SHAPE = {"theory": str, "hypotheses": [str], "goal": str, "steps": [dict]}
 _STEP_SHAPE = {"n": int, "formula": str, "rule": str, "premises": [int],
                "discharge": [int], "eigen": str, "witness": str, "scheme": dict}
-_SCHEME_SHAPE = {"name": str, "n": int}
+_SCHEME_SHAPE = {"name": str}
 
 MISMATCH = "rule-mismatch"
 SCHEME = "scheme-shape"
@@ -149,7 +149,7 @@ class _Cited(NamedTuple):
 
 def check_proof(p: ProofObject) -> ProofVerdict:
     theory = p.theory
-    hyp_norms = [alpha_normalize(expand_abbreviations(h)) for h in p.hypotheses]
+    hyps = [expand_abbreviations(h) for h in p.hypotheses]
     # Of each step checked so far: its rule, its expanded formula and the
     # assumption steps it rests on.
     rules: Dict[int, str] = {}
@@ -170,7 +170,7 @@ def check_proof(p: ProofObject) -> ProofVerdict:
                        [forms[k] for k in s.premises],
                        [asm[k] for k in s.premises],
                        [forms[k] for k in s.discharge])
-        got = _check_rule(theory, hyp_norms, s, cited, forms)
+        got = _check_rule(theory, hyps, s, cited, forms)
         if isinstance(got, tuple):
             return ProofVerdict(False, s.n, *got)
         rules[s.n], forms[s.n], asm[s.n] = s.rule, cited.conc, got
@@ -201,7 +201,7 @@ def _citation_error(s: ProofStep, rules: Dict[int, str]) -> Optional[Rejection]:
     return None
 
 
-def _check_rule(theory: rg.Regime, hyp_norms: List[Formula], s: ProofStep,
+def _check_rule(theory: rg.Regime, hyps: List[Formula], s: ProofStep,
                 cited: _Cited, forms: Dict[int, Formula]) -> Result:
     rule = s.rule
     conc, prems, rests, dis = cited
@@ -210,7 +210,7 @@ def _check_rule(theory: rg.Regime, hyp_norms: List[Formula], s: ProofStep,
     if rule == "assume":
         return frozenset([s.n])
     if rule == "hyp":
-        if alpha_normalize(conc) not in hyp_norms:
+        if not any(alpha_equal(conc, h) for h in hyps):
             return "hypothesis-unknown", "formula is not a declared hypothesis"
         return frozenset([s.n])
 

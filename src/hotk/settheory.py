@@ -20,8 +20,8 @@ from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.parser import parse_formula
-from hotk.kernel.syntax import (And, Exists, Forall, Formula, Iff, InSet, Not,
-                                Sugar, Var, free_names)
+from hotk.kernel.syntax import (And, Exists, Forall, Formula, FreshNames, Iff,
+                                InSet, Not, Sugar, Var, free_names)
 from hotk.models.axioms import plain_comprehension_checks
 from hotk.models.builders import build_graph_model, hierarchy_levels
 from hotk.models.core import (DEFAULT_BUDGET, Model, counterexamples,
@@ -116,14 +116,13 @@ def separation_instance(phi: Formula) -> Formula:
     """For every a there is b holding exactly the members of a satisfying phi.
 
     phi's designated variable is the free 'x'; its remaining free variables
-    are closed universally as parameters.
+    are closed universally as parameters, which the new witness b avoids.
     """
     x, a = _v("x"), _v("a")
-    names = free_names(phi)
-    b = _v("b" if "b" not in names else "b0")
+    b = FreshNames(phi).var(None, "b")
     body = Forall(a, Exists(b, Forall(
         x, Iff(InSet(x, b), And(phi, InSet(x, a))))))
-    for p in sorted(names - {"x", "a"}, reverse=True):
+    for p in sorted(free_names(phi) - {"x", "a"}, reverse=True):
         body = Forall(_v(p), body)
     return body
 

@@ -4,7 +4,9 @@ All translators expand defined symbols first and return primitive formulas;
 the maps themselves only ever touch atoms, so the logical skeleton is
 preserved.  Each public map is its private body (which takes a formula
 already expanded) applied to the expansion of its input; a round trip
-expands its formula once and runs both bodies on that expansion.
+expands its formula once and runs both bodies on that expansion.  A body
+defines each eq or coext_k atom it brings in (kernel.expand.define) from
+its own FreshNames supply, so its output is never expanded again.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
-from hotk.kernel.expand import expand_abbreviations
+from hotk.kernel.expand import define, expand_abbreviations
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.parser import parse_index
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
@@ -139,13 +141,14 @@ def _sttu_to_ctt(f: Formula) -> Formula:
             new_terms[pos] = stripped
             inner = type(g)(*new_terms)
             u = fresh.var(var.index, "w")
-            uniq = Forall(u, Implies(Sugar("eq", (core, u)), StrictEq(u, var)))
-            return Exists(var, And(Sugar("eq", (core, var)),
-                                   And(uniq, atom(inner))))
+            # Defined in print order, so the v-numbers rise left to right.
+            core_eq = define(Sugar("eq", (core, var)), fresh)
+            uniq = Forall(u, Implies(define(Sugar("eq", (core, u)), fresh),
+                                     StrictEq(u, var)))
+            return Exists(var, And(core_eq, And(uniq, atom(inner))))
         return g
 
-    g = _map_formula(f, atom)
-    return g if g is f else expand_abbreviations(g, None)
+    return _map_formula(f, atom)
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +191,19 @@ def sttd_to_fjt(f: Formula) -> Formula:
 
 
 def _sttd_to_fjt(f: Formula) -> Formula:
+    fresh = FreshNames(f)
+
     def atom(g: Formula) -> Formula:
         if isinstance(g, DownRel):
             n = term_index(g.right)
             if not n.is_finite or n.finite_value == 0:
                 raise FormationError(f"a projection to type {n} has no finitary image")
-            return Sugar("coext_k", (n.finite_value, g.left, g.right))
+            return define(Sugar("coext_k", (n.finite_value, g.left, g.right)), fresh)
         if isinstance(g, (Apply, StrictEq)):
             return g
         raise FormationError(f"unexpected atom {g!r} in the projection theory")
 
-    g = _map_formula(f, atom)
-    return g if g is f else expand_abbreviations(g, None)
+    return _map_formula(f, atom)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ error class and message.
 
 from hotk.errors import FormationError, SubstitutionError
 from hotk.kernel import regimes as rg
-from hotk.kernel.expand import _one_step
+from hotk.kernel.expand import define
 from hotk.kernel.formation import (WELL_FORMED, _apply_gap_ok, _bad,
                                    _check_term, sugar_violation)
 from hotk.kernel.indices import TypeIndex
 from hotk.kernel.syntax import (And, Apply, Const, DownRel, Exists, Forall,
                                 Iff, Implies, InSet, Not, Or, Raised,
-                                StrictEq, Sugar, Var, base_atom, fresh_name,
-                                term_index)
+                                StrictEq, Sugar, Var, base_atom, term_index)
 
 BINARY = (And, Or, Implies, Iff)
 QUANTIFIERS = (Forall, Exists)
@@ -118,6 +117,13 @@ def all_names(f):
 
     go(f)
     return frozenset(names)
+
+
+def fresh_name(stem, used):
+    i = 1
+    while f"{stem}{i}" in used:
+        i += 1
+    return f"{stem}{i}"
 
 
 def _subst_term(t, var, repl):
@@ -274,7 +280,7 @@ def expand_abbreviations(f, regime=None):
             if g.kind == "bounded":
                 quant, var, rel, bound, body = g.args
                 g = Sugar("bounded", (quant, var, rel, bound, go(body)))
-            return go(_one_step(g, fresh))
+            return go(define(g, fresh))
         raise TypeError(f"unknown formula node {g!r}")
 
     return go(f)

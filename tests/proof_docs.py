@@ -165,9 +165,6 @@ HOSTILE_PROOFS = {
     "scheme a string": {"theory": "ctt:w", "steps": [
         _step(1, "all x^0. all y^1. ~y^1 in x^0", "axiom",
               scheme="name: type-base")]},
-    "scheme parameter a list": {"theory": "stt-up", "steps": [
-        _step(1, "all x^0. all y^1. up(y^1)(up(x^0)) <-> y^1(x^0)", "axiom",
-              scheme={"name": "up-possess", "n": [0]})]},
     "raised eigenvariable": {"theory": "stt-up", "steps": [
         _step(1, "up(z^0)(a^0)", "assume"),
         _step(2, "all x^1. x^1(a^0)", "forall_i(1,1)", [1], eigen="up(z^0)")]},

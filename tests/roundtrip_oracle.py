@@ -21,13 +21,20 @@ from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 Implies, Raised, StrictEq, Sugar, Var,
-                                alpha_normalize, all_names, conj, fresh_name,
+                                alpha_normalize, all_names, conj,
                                 free_atoms, parts, raise_term, rebuild,
                                 term_index)
 from hotk.models.core import Assignment, Model
 from hotk.translate import RoundTripReport
 
 from tree_eval import tree_evaluator
+
+
+def fresh_name(stem, used):
+    i = 1
+    while f"{stem}{i}" in used:
+        i += 1
+    return f"{stem}{i}"
 
 
 def alpha_equal(f, g) -> bool:

@@ -128,6 +128,20 @@ def test_negative_scheme_parameter_is_a_scheme_shape_rejection(theory, scheme, f
 
 
 @pytest.mark.parametrize("value,shown", [
+    ("1", '"1"'), (True, "true"), (1.5, "1.5"), ([0], "[0]")])
+def test_non_natural_scheme_n_is_a_scheme_shape_rejection(value, shown):
+    """A scheme record's n is checked where every other parameter is, so a
+    value of the wrong JSON type rejects the step as a negative one does."""
+    doc = {"theory": "stt-up", "steps": [
+        {"n": 1, "formula": "all x^0. all y^0. up(x^0) = up(y^0) -> x^0 = y^0",
+         "rule": "axiom", "scheme": {"name": "up-inject", "n": value}}]}
+    verdict = check_proof(load_proof(doc))
+    assert not verdict.accepted and verdict.tag == "scheme-shape"
+    assert verdict.step == 1 and verdict.message == (
+        f"scheme parameter 'n' must be a natural, got {shown}")
+
+
+@pytest.mark.parametrize("value,shown", [
     ("-1", '"-1"'), (True, "true"), (1.5, "1.5"), (None, "null"), ([1], "[1]"),
     ({}, "{}")])
 def test_non_index_scheme_parameter_is_a_scheme_shape_rejection(value, shown):

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+import hotk
 from hotk.corpus import graph_fixture, separation_corpus, transitive_fixture_names
 from hotk.errors import EvalError, GraphError, RankUndefined
 from hotk.graphs import MembershipGraph, parse_brace_name
@@ -102,6 +105,26 @@ class TestSetAxioms:
         from hotk.kernel.syntax import Forall
         assert isinstance(inst, Forall)       # the parameter p is closed
         assert eval_formula(build_V(3), inst)
+
+    def test_separation_witness_captures_no_parameter(self):
+        """The witness is a new name, so an instance holds exactly when its
+        alpha-variant does.  A witness named b0 would capture the parameter
+        b0 and make the first instance true on CAPTURE_GRAPH and on
+        v4_minus_rank3, where the second is false."""
+        named = separation_instance(parse_formula("x in b & x in b0", mode="set"))
+        renamed = separation_instance(parse_formula("x in p & x in q", mode="set"))
+        graphs = [MembershipGraph.loads(CAPTURE_GRAPH)]
+        graphs += [build_V(n) for n in range(1, 5)]
+        graphs += [graph_fixture(p.name) for p in sorted(GRAPH_DIR.glob("*.json"))]
+        for g in graphs:
+            assert eval_formula(g, named) == eval_formula(g, renamed), g.nodes
+        assert not eval_formula(graphs[0], renamed)
+
+
+GRAPH_DIR = Path(hotk.__file__).parent / "data" / "graphs"
+CAPTURE_GRAPH = """{"nodes": ["{}", "{{}}", "{{},{{}}}", "{{{}},{{},{{}}}}"],
+ "edges": [["{}", "{{}}"], ["{}", "{{},{{}}}"], ["{{}}", "{{},{{}}}"],
+           ["{{}}", "{{{}},{{},{{}}}}"], ["{{},{{}}}", "{{{}},{{},{{}}}}"]]}"""
 
 
 class TestConstructions:
