@@ -5,6 +5,10 @@ axiom FAIL, proof Rejected, false sentence), 2 usage or parse error,
 3 budget exceeded (also a suite whose only non-PASS rows are budget SKIPs).
 Text output is human-oriented; --format json is the stable surface.
 
+Each cmd_* function returns (payload, lines, exit code), and main prints
+the payload under --format json, else the lines.  A command that prints a
+model or graph document returns it as its one line and no payload.
+
 Each command imports the layers it runs inside its cmd_* function, so a
 process loads only those; hotk.errors is imported up front because main
 catches its classes.
@@ -31,34 +35,45 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(args, payload: dict, text_lines: List[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _answer(value, payload: dict, lines: List[str]) -> tuple:
+    """A yes/no verdict: exit 0 on yes, 1 on no."""
+    return payload, lines, EXIT_OK if value else EXIT_NEGATIVE
 
 
-def _suite_exit(report) -> int:
+def _suite(report, ok: Optional[bool] = None) -> tuple:
+    """A suite report: exit 1 unless ok (by default, unless a row FAILs),
+    else 3 if a row is SKIPPED for the budget, else 0."""
     statuses = {v.status for v in report.verdicts}
-    return (EXIT_NEGATIVE if "FAIL" in statuses
-            else EXIT_BUDGET if "SKIPPED" in statuses else EXIT_OK)
+    ok = "FAIL" not in statuses if ok is None else ok
+    return report.to_json(), report.lines(), (
+        EXIT_NEGATIVE if not ok else EXIT_BUDGET if "SKIPPED" in statuses else EXIT_OK)
+
+
+def _read(path: str) -> str:
+    """The text of a file, or of stdin for `-`; it must be UTF-8."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{'stdin' if path == '-' else path} is not UTF-8 "
+                         f"text: {e.reason} at byte {e.start}") from None
 
 
 def _read_formula_lines(path: str) -> List[str]:
     from hotk.kernel.parser import hol_lines
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return [line for _, line in hol_lines(text)]
+    return [line for _, line in hol_lines(_read(path))]
 
 
 def _load_model(path: str) -> Model:
     from hotk.models.core import Model
-    return Model.loads(open(path).read())
+    return Model.loads(_read(path))
 
 
 def _load_graph(path: str) -> MembershipGraph:
     from hotk.graphs import MembershipGraph
-    return MembershipGraph.loads(open(path).read())
+    return MembershipGraph.loads(_read(path))
 
 
 def _parse_lets(pairs: List[str], m: Model) -> dict:
@@ -79,7 +94,7 @@ def _parse_lets(pairs: List[str], m: Model) -> dict:
     return env
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple:
     from hotk.kernel.formation import check_formation
     from hotk.kernel.parser import parse_formula
     from hotk.kernel.regimes import parse_regime
@@ -92,14 +107,14 @@ def cmd_check(args) -> int:
         v = check_formation(parse_formula(line), regime)
         results.append({"formula": line, "well_formed": v.ok,
                         "reason": v.reason, "offender": v.offender})
-    _emit(args, {"theory": str(regime), "results": results},
-          [("well-formed" if r["well_formed"]
-            else f"ill-formed: {r['reason']} in {r['offender']}")
-           for r in results])
-    return EXIT_OK if all(r["well_formed"] for r in results) else EXIT_NEGATIVE
+    return _answer(all(r["well_formed"] for r in results),
+                   {"theory": str(regime), "results": results},
+                   [("well-formed" if r["well_formed"]
+                     else f"ill-formed: {r['reason']} in {r['offender']}")
+                    for r in results])
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> tuple:
     from hotk.kernel.expand import expand_abbreviations
     from hotk.kernel.parser import parse_formula
     from hotk.kernel.printer import print_formula
@@ -111,11 +126,10 @@ def cmd_expand(args) -> int:
     if args.normalize:
         out = alpha_normalize(out)
     text = print_formula(out)
-    _emit(args, {"input": args.formula, "expanded": text}, [text])
-    return EXIT_OK
+    return {"input": args.formula, "expanded": text}, [text], EXIT_OK
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> tuple:
     from hotk.kernel.parser import parse_formula
     from hotk.kernel.printer import print_formula
     from hotk.translate import parse_map
@@ -125,11 +139,10 @@ def cmd_translate(args) -> int:
     for line in _read_formula_lines(args.input):
         f = parse_formula(line, mode=mode)
         outputs.append(print_formula(tmap.apply(f)))
-    _emit(args, {"map": args.map, "formulas": outputs}, outputs)
-    return EXIT_OK
+    return {"map": args.map, "formulas": outputs}, outputs, EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple:
     from hotk.kernel.formation import check_formation
     from hotk.kernel.parser import parse_formula
     from hotk.kernel.regimes import parse_regime
@@ -142,20 +155,18 @@ def cmd_eval(args) -> int:
             raise FormationError(f"{v.reason} in {v.offender}")
     value = eval_formula(m, f, _parse_lets(args.let or [], m),
                          budget=args.budget)
-    _emit(args, {"value": value}, ["true" if value else "false"])
-    return EXIT_OK if value else EXIT_NEGATIVE
+    return _answer(value, {"value": value}, ["true" if value else "false"])
 
 
-def cmd_decide(args) -> int:
+def cmd_decide(args) -> tuple:
     from hotk.kernel.parser import parse_formula
     from hotk.models.decide import decide_fjt
     f = parse_formula(args.formula)
     value = decide_fjt(f, args.height, budget=args.budget)
-    _emit(args, {"value": value}, ["true" if value else "false"])
-    return EXIT_OK if value else EXIT_NEGATIVE
+    return _answer(value, {"value": value}, ["true" if value else "false"])
 
 
-def cmd_model_build(args) -> int:
+def cmd_model_build(args) -> tuple:
     from hotk.models.builders import (build_class_model, build_fjt_canonical,
                                       build_graph_model, build_pure_model,
                                       build_sttd_companion,
@@ -166,12 +177,10 @@ def cmd_model_build(args) -> int:
         m = build_pure_model(args.height, budget=args.budget)
     elif args.kind == "fjt":
         m = build_fjt_canonical(args.height, budget=args.budget)
-    elif args.kind == "graph":
+    else:
         if not args.graph:
             raise ParseError("--graph is required for graph models")
         m = build_graph_model(_load_graph(args.graph), height=args.height)
-    else:
-        raise ParseError(f"unknown model kind {args.kind!r}")
     if args.companion == "up":
         m = build_sttu_companion(m)
     elif args.companion == "down":
@@ -181,20 +190,16 @@ def cmd_model_build(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text)
-    return EXIT_OK
+    return None, [] if args.output else [text], EXIT_OK
 
 
-def cmd_model_check(args) -> int:
+def cmd_model_check(args) -> tuple:
     from hotk.kernel.regimes import parse_regime
     from hotk.models.axioms import check_axiom_suite
     m = _load_model(args.model)
     theory = parse_regime(args.theory)
     max_type = args.max_type if args.max_type is not None else m.max_type
-    report = check_axiom_suite(m, theory, max_type, budget=args.budget)
-    _emit(args, report.to_json(), report.lines())
-    return _suite_exit(report)
+    return _suite(check_axiom_suite(m, theory, max_type, budget=args.budget))
 
 
 def _separation_corpus(path: Optional[str]) -> list:
@@ -207,22 +212,17 @@ def _separation_corpus(path: Optional[str]) -> list:
     return [parse_formula(l, mode="set") for l in _read_formula_lines(path)]
 
 
-def cmd_sets(args) -> int:
+def cmd_sets(args) -> tuple:
     from hotk import settheory
     if args.sets_cmd == "build-v":
-        g = settheory.build_V(args.n, budget=args.budget)
-        print(g.dumps())
-        return EXIT_OK
+        return None, [settheory.build_V(args.n, budget=args.budget).dumps()], EXIT_OK
     if args.sets_cmd == "slice":
         m = _load_model(args.model)
-        print(settheory.S_construction(m, args.kappa).dumps())
-        return EXIT_OK
+        return None, [settheory.S_construction(m, args.kappa).dumps()], EXIT_OK
     g = _load_graph(args.graph)
     if args.sets_cmd == "check":
-        report = settheory.check_set_axioms(
-            g, args.which, _separation_corpus(args.corpus), budget=args.budget)
-        _emit(args, report.to_json(), report.lines())
-        return _suite_exit(report)
+        return _suite(settheory.check_set_axioms(
+            g, args.which, _separation_corpus(args.corpus), budget=args.budget))
     if args.sets_cmd == "levels":
         lv = settheory.levels_of(g)
         ranks = {}
@@ -231,54 +231,44 @@ def cmd_sets(args) -> int:
                 ranks[node] = settheory.rank(g, node, lv)
             except RankUndefined:
                 ranks[node] = None
-        _emit(args, {"levels": lv, "ranks": ranks},
-              [f"levels: {', '.join(lv) if lv else '(none)'}"]
-              + [f"rank {node} = {r if r is not None else 'undefined'}"
-                 for node, r in ranks.items()])
-        return EXIT_OK
+        return ({"levels": lv, "ranks": ranks},
+                [f"levels: {', '.join(lv) if lv else '(none)'}"]
+                + [f"rank {node} = {r if r is not None else 'undefined'}"
+                   for node, r in ranks.items()], EXIT_OK)
     if args.sets_cmd == "collapse":
         out, mapping = settheory.mostowski_collapse(g)
-        _emit(args, {"graph": out.to_json(), "map": mapping},
-              [out.dumps()] + [f"{k} -> {v}" for k, v in sorted(mapping.items())])
-        return EXIT_OK
+        return ({"graph": out.to_json(), "map": mapping},
+                [out.dumps()] + [f"{k} -> {v}" for k, v in sorted(mapping.items())],
+                EXIT_OK)
     if args.sets_cmd == "t-model":
-        print(settheory.T_construction(g).dumps())
-        return EXIT_OK
+        return None, [settheory.T_construction(g).dumps()], EXIT_OK
     if args.sets_cmd == "kappa-check":
         report = settheory.check_kappa_axioms_in_T(
             g, args.kappa, _separation_corpus(args.corpus), budget=args.budget)
-        _emit(args, report.to_json(), report.lines())
-        core = [v for v in report.verdicts
-                if v.name.split("^")[0] in ("extensionality", "separation",
-                                            "stratification")]
-        return EXIT_OK if all(v.status == "PASS" for v in core) else EXIT_NEGATIVE
-    if args.sets_cmd == "standard":
-        value = settheory.is_standard(g, budget=args.budget)
-        _emit(args, {"standard": value}, ["standard" if value else "non-standard"])
-        return EXIT_OK if value else EXIT_NEGATIVE
-    raise ParseError(f"unknown sets subcommand {args.sets_cmd!r}")
+        core = ("extensionality", "separation", "stratification")
+        return _suite(report, ok=all(v.status == "PASS" for v in report.verdicts
+                                     if v.name.split("^")[0] in core))
+    value = settheory.is_standard(g, budget=args.budget)     # standard
+    return _answer(value, {"standard": value},
+                   ["standard" if value else "non-standard"])
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args) -> tuple:
     if args.prove_cmd == "fixtures":
         from hotk.proofkit.fixtures import verify_fixture_suite
         report = verify_fixture_suite()
-        _emit(args, report.to_json(), report.lines())
-        return EXIT_OK if report.all_as_expected else EXIT_NEGATIVE
+        return _answer(report.all_as_expected, report.to_json(), report.lines())
     from hotk.proofkit.checker import check_proof, loads_proof
-    proof = loads_proof(open(args.file).read())
-    verdict = check_proof(proof)
+    verdict = check_proof(loads_proof(_read(args.file)))
     lines = ["Accepted"] if verdict.accepted else [
         f"Rejected at step {verdict.step}: {verdict.tag} ({verdict.message})"]
-    _emit(args, verdict.to_json(), lines)
-    return EXIT_OK if verdict.accepted else EXIT_NEGATIVE
+    return _answer(verdict.accepted, verdict.to_json(), lines)
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> tuple:
     from hotk.corpus import run_all
-    report = run_all()
-    _emit(args, report["json"], report["lines"])
-    return EXIT_OK if report["ok"] else EXIT_NEGATIVE
+    ok, lines = run_all()
+    return _answer(ok, {"ok": ok, "log": lines}, lines)
 
 
 FORMATS = ("text", "json")
@@ -446,13 +436,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"{e.usage}{e.prog}: error: {e}")
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        payload, lines, code = args.fn(args)
     except BudgetExceeded as e:
         _report_error(args.format, e, f"budget exceeded: {e}")
         return EXIT_BUDGET
     except (HotkError, OSError) as e:
         _report_error(args.format, e, f"error: {e}")
         return EXIT_USAGE
+    if args.format == "json" and payload is not None:
+        lines = [json.dumps(payload, sort_keys=True)]
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -83,7 +83,7 @@ def run_roundtrip_print() -> Tuple[bool, List[str]]:
     return ok, [f"{'PASS' if ok else 'FAIL'} print/parse round trip over the corpus"]
 
 
-def run_all() -> dict:
+def run_all() -> Tuple[bool, List[str]]:
     from hotk.proofkit import verify_fixture_suite
     sections = [run_formation_matrix(), run_goldens(), run_roundtrip_print()]
     fixtures = verify_fixture_suite()
@@ -91,5 +91,4 @@ def run_all() -> dict:
     lines = [line for _, section_lines in sections for line in section_lines]
     lines += fixtures.lines()
     lines.append(f"{'PASS' if fixtures.all_as_expected else 'FAIL'} proof fixtures")
-    return {"ok": ok, "lines": lines,
-            "json": {"ok": ok, "log": lines}}
+    return ok, lines

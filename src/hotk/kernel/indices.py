@@ -83,8 +83,3 @@ OMEGA = ordinal(1, 0)
 
 def max_index(a: TypeIndex, b: TypeIndex) -> TypeIndex:
     return a if a >= b else b
-
-
-def t_shunt(alpha: TypeIndex) -> TypeIndex:
-    """Rank-to-type adjustment: identity below w, successor at w and above."""
-    return alpha if alpha.is_finite else alpha.succ()

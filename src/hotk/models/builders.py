@@ -157,9 +157,3 @@ def build_graph_model(g: MembershipGraph, rho: Optional[Dict[str, int]] = None,
     return Model(kind="graph", max_type=height, domains=domains,
                  members=members, cumulative=True, open_above=True,
                  meta={"nodes": len(g.nodes)})
-
-
-def count_entities(m: Model, n: int) -> int:
-    if not 0 <= n <= m.max_type:
-        raise ValueError(f"model has no type {n}")
-    return len(m.domains[n])

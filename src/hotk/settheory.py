@@ -48,14 +48,6 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
 # ---------------------------------------------------------------------------
 # Histories, levels, rank.
 
-def is_history(g: MembershipGraph, h: str) -> bool:
-    return eval_formula(g, Sugar("history", (_v("s"),)), {"s": h})
-
-
-def is_level(g: MembershipGraph, s: str) -> bool:
-    return eval_formula(g, Sugar("level", (_v("s"),)), {"s": s})
-
-
 def levels_of(g: MembershipGraph) -> List[str]:
     """All levels, sorted by member count (the in-order when B.3 holds).
     They are the nodes s that falsify ~Lev(s), from one compile, so the
@@ -247,6 +239,9 @@ def S_construction(m: Model, kappa: int) -> MembershipGraph:
     entities, membership is the evaluated defined-membership relation."""
     if not 0 <= kappa <= m.max_type:
         raise EvalError(f"model has no type {kappa}")
+    if not m.reaches(kappa + 2):
+        raise EvalError(f"membership at type {kappa} is defined at type "
+                        f"{kappa + 2}, above the model's top type {m.max_type}")
     k = fin(kappa)
     a, b = Var("a", k), Var("b", k)
     outside = expand_abbreviations(Not(Sugar("in", (a, b))))

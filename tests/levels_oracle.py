@@ -26,7 +26,7 @@ from itertools import combinations
 from hotk.errors import BudgetExceeded, EvalError, GraphError
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          ord_of_ranks, powerset)
-from hotk.kernel.indices import fin, t_shunt
+from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.syntax import Formula, Sugar, Var
 from hotk.models.core import DEFAULT_BUDGET, Model, akey, eval_formula
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
@@ -34,6 +34,11 @@ from hotk.settheory import (endless_formula, infinity_formula,
                             separation_instance, stratification_formula)
 
 from tree_eval import tree_evaluator
+
+
+def t_shunt(alpha: TypeIndex) -> TypeIndex:
+    """Rank-to-type adjustment: identity below w, successor at w and above."""
+    return alpha if alpha.is_finite else alpha.succ()
 
 
 def graph_from_sets(sets) -> MembershipGraph:

@@ -16,7 +16,7 @@ from hotk.kernel import (alpha_normalize, check_formation, ctt,
 from hotk.kernel.syntax import free_atoms
 from hotk.models import (akey, build_fjt_canonical,
                          build_graph_model, build_pure_model,
-                         check_axiom_suite, count_entities, decide_fjt,
+                         check_axiom_suite, decide_fjt,
                          domain_const, eval_formula, fjt_counts,
                          gen_domain_formula, M_RUSSELLIAN, M_UNRESTRICTED,
                          UNRESTRICTED_STT)
@@ -71,7 +71,7 @@ def test_criterion_2_expansion_goldens():
 def test_criterion_3_fjt_counting_and_decision(fjt2, fjt3):
     start = time.monotonic()
     assert [fjt_counts(n) for n in range(4)] == [1, 2, 8, 2048]
-    assert [count_entities(fjt3, n) for n in range(4)] == [1, 2, 8, 2048]
+    assert [len(fjt3.domains[n]) for n in range(4)] == [1, 2, 8, 2048]
     gen = FormulaGen(parse_regime("fjt"), seed=2024, max_type=2)
     agreements = 0
     for _ in range(200):

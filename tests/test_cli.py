@@ -262,6 +262,21 @@ def test_sets_slice_and_companions(tmp_path, capsys):
     assert code == 0
 
 
+def test_a_slice_needs_the_type_two_above_it(tmp_path):
+    # Membership at type k is defined by quantifiers at type k+2; pure 3
+    # has no type 3 to slice at type 1 with.
+    from hotk.models import build_pure_model
+    path = tmp_path / "pure3.json"
+    path.write_text(build_pure_model(3).dumps())
+    code, doc = run_json("sets", "slice", "--kappa", "0", str(path))
+    assert code == 0 and doc["nodes"] == ["{}"]
+    code, doc = run_json("sets", "slice", "--kappa", "1", str(path))
+    assert code == 2
+    assert doc == {"error": "EvalError",
+                   "message": "membership at type 1 is defined at type 3, "
+                              "above the model's top type 2"}
+
+
 def test_check_file_mode(tmp_path, capsys):
     hol = tmp_path / "formulas.hol"
     hol.write_text("# matrix slice\nb^1(a^0)\nc^2(a^1)\n")
@@ -686,6 +701,8 @@ atexit.register(lambda: print(sorted(m for m in sys.modules
 runpy.run_module("hotk.cli", run_name="__main__")
 """
 
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
@@ -700,6 +717,7 @@ def cli_files(tmp_path_factory):
                  {"n": 1, "formula": "z^1(a^0)", "rule": "assume"}]})}
     for name, text in files.items():
         (d / name).write_text(text)
+    (d / "bin.dat").write_bytes(NOT_UTF8)
     return d
 
 
@@ -713,3 +731,45 @@ def test_each_command_loads_only_its_layers(argv, code, packages, cli_files):
     assert proc.returncode == code, proc.stderr
     loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert {".".join(m.split(".")[:2]) for m in loaded} == packages
+
+
+# The commands that print a model or graph document, the same in either format.
+DOCUMENTS = [["model", "build"], ["sets", "build-v"], ["sets", "slice"],
+             ["sets", "t-model"]]
+
+
+@pytest.mark.parametrize("argv,code", [(argv, code) for argv, code, _ in LAYERS])
+def test_each_command_prints_one_json_document(argv, code, cli_files, monkeypatch,
+                                               capsys):
+    monkeypatch.chdir(cli_files)
+    monkeypatch.delenv("HOTK_BUDGET", raising=False)
+    got, doc = run_json(*argv)
+    assert got == code
+    if argv[:2] in DOCUMENTS:
+        assert main(argv) == code
+        assert capsys.readouterr().out == json.dumps(
+            doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# Each command that reads a file, given bin.dat of the cli_files fixture,
+# whose bytes are not UTF-8, or the same bytes on stdin (-).
+READERS = [
+    ["eval", "--model", "bin.dat", "a^0 = a^0"],
+    ["check", "--theory", "stt", "--file", "bin.dat"],
+    ["check", "--theory", "stt", "--file", "-"],
+    ["translate", "--map", "i-ctt-sttu", "bin.dat"],
+    ["sets", "levels", "bin.dat"],
+    ["sets", "check", "lt", "v3.json", "--corpus", "bin.dat"],
+    ["prove", "check", "bin.dat"],
+]
+
+
+@pytest.mark.parametrize("argv", READERS)
+def test_a_file_that_is_not_utf8_is_a_parse_error(argv, cli_files, monkeypatch):
+    monkeypatch.chdir(cli_files)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+    code, doc = run_json(*argv)
+    name = "stdin" if "-" in argv else "bin.dat"
+    assert code == 2
+    assert doc == {"error": "ParseError", "message": f"{name} is not UTF-8 text: "
+                   "invalid start byte at byte 0"}

@@ -1,7 +1,7 @@
 import pytest
 
 from hotk.errors import ParseError
-from hotk.kernel import OMEGA, TypeIndex, fin, parse_index, t_shunt
+from hotk.kernel import OMEGA, TypeIndex, fin, parse_index
 
 
 def test_lexicographic_order_agrees_with_ordinal_order():
@@ -51,13 +51,6 @@ def test_index_print_parse_round_trip():
             assert parse_index(str(idx)) == idx
 
 
-def test_t_shunt_cases():
-    assert t_shunt(fin(3)) == fin(3)
-    assert t_shunt(fin(0)) == fin(0)
-    assert t_shunt(OMEGA) == TypeIndex(1, 1)
-    assert t_shunt(TypeIndex(1, 2)) == TypeIndex(1, 3)
-
-
 def test_interned_indices_behave_like_directly_built_ones():
     import operator
     from hotk.kernel.indices import ordinal
@@ -83,4 +76,4 @@ def test_the_kernel_hands_out_one_object_per_index():
             x = ordinal(q, r)
             assert x.succ().pred() is x
             assert parse_index(str(x)) is x
-    assert OMEGA is ordinal(1, 0) and t_shunt(OMEGA) is ordinal(1, 1)
+    assert OMEGA is ordinal(1, 0) and OMEGA.succ() is ordinal(1, 1)

@@ -24,10 +24,11 @@ from hotk import graphs, settheory
 from hotk.corpus import graph_fixture, separation_corpus
 from hotk.errors import HotkError
 from hotk.graphs import MembershipGraph, first_unrealized, powerset
+from hotk.kernel.parser import parse_formula
 from hotk.models import eval_formula
 from hotk.settheory import (T_construction, build_V, check_set_axioms,
-                            check_wellordering_of_levels, is_history, is_level,
-                            is_standard, is_standard_typed, levels_of)
+                            check_wellordering_of_levels, is_standard,
+                            is_standard_typed, levels_of)
 
 BUDGETS = (10 ** 6, 40, 8, 2)
 FIXTURES = ["astruct.json", "chain3.json", "chain4.json", "pair_mix.json",
@@ -97,12 +98,14 @@ def _chunks(n):
 
 @pytest.mark.parametrize("names", _chunks(4))
 def test_histories_and_levels_agree_with_the_oracle(names):
+    hist, lev = parse_formula("Hist(s)", "set"), parse_formula("Lev(s)", "set")
     for name in names:
         g = CORPUS[name]
         assert levels_of(g) == oracle.levels_of(g), name
         for s in g.nodes:
-            assert is_history(g, s) == oracle.is_history(g, s), (name, s)
-            assert is_level(g, s) == oracle.is_level(g, s), (name, s)
+            env = {"s": s}
+            assert eval_formula(g, hist, env) == oracle.is_history(g, s), (name, s)
+            assert eval_formula(g, lev, env) == oracle.is_level(g, s), (name, s)
 
 
 @pytest.mark.parametrize("names", _chunks(4))

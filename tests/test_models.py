@@ -13,7 +13,7 @@ from hotk.models import (Model, akey, build_class_model,
                          build_fjt_canonical, build_graph_model,
                          build_pure_model, build_sttd_companion,
                          build_sttu_companion, check_axiom_suite,
-                         count_entities, decide_fjt, eval_formula, fjt_counts,
+                         decide_fjt, eval_formula, fjt_counts,
                          gen_domain_formula, M_RUSSELLIAN, M_RUSSELLIAN_STAR,
                          M_UNRESTRICTED, UNRESTRICTED_STT, domain_const)
 from hotk.corpus import graph_fixture
@@ -59,7 +59,7 @@ class TestBuilders:
 
     def test_fjt_counts_match_recurrence(self, fjt3):
         assert [fjt_counts(n) for n in range(4)] == [1, 2, 8, 2048]
-        assert [count_entities(fjt3, n) for n in range(4)] == [1, 2, 8, 2048]
+        assert [len(fjt3.domains[n]) for n in range(4)] == [1, 2, 8, 2048]
 
     def test_fjt_domains_disjoint(self, fjt3):
         seen = set()

@@ -11,8 +11,8 @@ from hotk.settheory import (S_construction, T_construction, build_V,
                             check_kappa_axioms_in_T, check_set_axioms,
                             check_wellordering_of_levels,
                             extensionality_formula, hereditary_part,
-                            infinity_formula, is_history, is_level,
-                            is_standard, is_standard_typed, levels_of,
+                            infinity_formula, is_standard,
+                            is_standard_typed, levels_of,
                             mostowski_collapse, rank, separation_instance,
                             stratification_formula, valid_slice_types)
 from hotk.kernel.parser import parse_formula
@@ -42,8 +42,8 @@ class TestLevelsAndRank:
 
     def test_empty_history_vacuous(self):
         g = build_V(3)
-        assert is_history(g, "{}")
-        assert is_level(g, "{}")
+        assert eval_formula(g, parse_formula("Hist(s)", "set"), {"s": "{}"})
+        assert eval_formula(g, parse_formula("Lev(s)", "set"), {"s": "{}"})
 
     def test_rank_by_definition_matches_construction_rank(self):
         g = build_V(4)
