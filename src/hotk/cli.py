@@ -61,11 +61,6 @@ def _read(path: str) -> str:
                          f"text: {e.reason} at byte {e.start}") from None
 
 
-def _read_formula_lines(path: str) -> List[str]:
-    from hotk.kernel.parser import hol_lines
-    return [line for _, line in hol_lines(_read(path))]
-
-
 def _load_model(path: str) -> Model:
     from hotk.models.core import Model
     return Model.loads(_read(path))
@@ -96,15 +91,20 @@ def _parse_lets(pairs: List[str], m: Model) -> dict:
 
 def cmd_check(args) -> tuple:
     from hotk.kernel.formation import check_formation
-    from hotk.kernel.parser import parse_formula
+    from hotk.kernel.parser import hol_lines, parse_formula, parse_hol_lines
     from hotk.kernel.regimes import parse_regime
     regime = parse_regime(args.theory)
     if not args.file and args.formula is None:
         raise ParseError("give a formula or --file")
-    lines = _read_formula_lines(args.file) if args.file else [args.formula]
+    if args.file:
+        text = _read(args.file)
+        lines = [line for _, line in hol_lines(text)]
+        formulas = parse_hol_lines(text)
+    else:
+        lines, formulas = [args.formula], [parse_formula(args.formula)]
     results = []
-    for line in lines:
-        v = check_formation(parse_formula(line), regime)
+    for line, f in zip(lines, formulas):
+        v = check_formation(f, regime)
         results.append({"formula": line, "well_formed": v.ok,
                         "reason": v.reason, "offender": v.offender})
     return _answer(all(r["well_formed"] for r in results),
@@ -130,15 +130,13 @@ def cmd_expand(args) -> tuple:
 
 
 def cmd_translate(args) -> tuple:
-    from hotk.kernel.parser import parse_formula
+    from hotk.kernel.parser import parse_hol_lines
     from hotk.kernel.printer import print_formula
     from hotk.translate import parse_map
     tmap = parse_map(args.map)
     mode = "set" if tmap.name == "kappa" else "typed"
-    outputs = []
-    for line in _read_formula_lines(args.input):
-        f = parse_formula(line, mode=mode)
-        outputs.append(print_formula(tmap.apply(f)))
+    outputs = [print_formula(tmap.apply(f))
+               for f in parse_hol_lines(_read(args.input), mode)]
     return {"map": args.map, "formulas": outputs}, outputs, EXIT_OK
 
 
@@ -208,8 +206,8 @@ def _separation_corpus(path: Optional[str]) -> list:
     if path is None:
         from hotk.corpus import separation_corpus
         return separation_corpus()
-    from hotk.kernel.parser import parse_formula
-    return [parse_formula(l, mode="set") for l in _read_formula_lines(path)]
+    from hotk.kernel.parser import parse_hol_lines
+    return list(parse_hol_lines(_read(path), mode="set"))
 
 
 def cmd_sets(args) -> tuple:

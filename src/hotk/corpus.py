@@ -21,7 +21,8 @@ def formation_matrix() -> dict:
 
 
 def separation_corpus() -> List[Formula]:
-    return parse_hol_lines((_data() / "set_corpus.hol").read_text(), mode="set")
+    text = (_data() / "set_corpus.hol").read_text()
+    return list(parse_hol_lines(text, mode="set"))
 
 
 def golden_cases() -> List[Dict[str, str]]:

@@ -1,9 +1,10 @@
 """Directed membership graphs.
 
 Nodes are name strings; an edge (x, a) says x is a member of a.  A graph
-whose node names are all canonical brace codes ("{}", "{{}}", ...) that
-agree with its edges is transitive in the set-theoretic sense; the
-non-well-founded fixtures deliberately are not.
+is transitive, in the set-theoretic sense, when every node is named by the
+canonical brace code of its members, `brace_name(members(node))` ("{}",
+"{{}}", "{{},{{}}}", ...): members listed once each, shortest first, then
+by text.  The non-well-founded fixtures deliberately are not.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ def canonical_key(name: str) -> Tuple[int, str]:
 
 
 def brace_name(member_names) -> str:
+    """The canonical brace code of a set whose members have these names."""
     return "{" + ",".join(sorted(member_names, key=canonical_key)) + "}"
 
 
@@ -49,32 +51,6 @@ def first_unrealized(doms, realized):
 def ord_of_ranks(ranks: Dict[str, int]) -> int:
     """Least missing rank: max rank + 1 (0 for the empty graph)."""
     return max(ranks.values(), default=-1) + 1
-
-
-def parse_brace_name(name: str) -> Optional[FrozenSet[str]]:
-    """Member names encoded in a canonical brace code, or None if not a code."""
-    if not (name.startswith("{") and name.endswith("}")):
-        return None
-    inner = name[1:-1]
-    if not inner:
-        return frozenset()
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                return None
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    if depth != 0:
-        return None
-    parts.append(inner[start:])
-    return frozenset(parts)
 
 
 @dataclass(frozen=True)
@@ -107,13 +83,10 @@ class MembershipGraph:
 
     @cached_property
     def transitive(self) -> bool:
-        """True iff node names are set codes, hereditarily present, matching edges."""
-        names = set(self.nodes)
-        for a in self.nodes:
-            code = parse_brace_name(a)
-            if code is None or not code <= names or code != self.members(a):
-                return False
-        return True
+        """True iff every node is named by the canonical brace code of its
+        members, brace_name(members(node)).  No name contains itself, so
+        such a graph has no membership cycle."""
+        return all(a == brace_name(self.members(a)) for a in self.nodes)
 
     def _depth_first(self) -> Tuple[List[str], Optional[List[str]]]:
         """Depth-first search from each node in turn, members in canonical

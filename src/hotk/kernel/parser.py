@@ -319,11 +319,10 @@ def hol_lines(text: str) -> List[Tuple[int, str]]:
 
 
 def parse_hol_lines(text: str, mode: str = "typed"):
-    """Parse every formula line of a .hol document (see hol_lines)."""
-    out = []
+    """Parse the formula lines of a .hol document (see hol_lines) one at a
+    time, as they are asked for; a parse error names its line."""
     for lineno, line in hol_lines(text):
         try:
-            out.append(parse_formula(line, mode))
+            yield parse_formula(line, mode)
         except ParseError as e:
             raise ParseError(f"line {lineno}: {e}") from e
-    return out

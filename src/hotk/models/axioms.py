@@ -69,45 +69,27 @@ def check_axiom_suite(m: Model, theory: rg.Regime, max_type: int,
         raise EvalError(f"max_type {max_type} below 0")
     report = SuiteReport(subject=f"{theory} on {m.kind} model")
     if theory.kind in rg.PLAIN_COMPREHENSION_KINDS:
-        _add_row(report, "comprehension",
-                 plain_comprehension_checks(m, range(max_type), budget),
-                 _FULL, fail_note=_FULL)
+        report.row("comprehension",
+                   plain_comprehension_checks(m, range(max_type), budget),
+                   _FULL, fail_note=_FULL)
         if theory.is_ctt:       # a lemma: no proof may cite it
-            _add_row(report, "type-raising",
-                     _scheme_checks(m, "type-raising", max_type, budget))
+            report.row("type-raising",
+                       _scheme_checks(m, "type-raising", max_type, budget))
     elif theory.kind == rg.STT_DOWN:
-        _add_row(report, "comprehension-type1",
-                 plain_comprehension_checks(m, range(min(max_type, 1)), budget), _FULL)
-        _add_row(report, "comprehension-augmented",
-                 _augmented_checks(m, max_type, budget), _FULL)
+        report.row("comprehension-type1",
+                   plain_comprehension_checks(m, range(min(max_type, 1)), budget), _FULL)
+        report.row("comprehension-augmented",
+                   _augmented_checks(m, max_type, budget), _FULL)
     else:
-        _add_row(report, "comprehension-finitary",
-                 _finitary_checks(m, max_type, budget), _FULL)
-        _add_row(report, "extensionality-surrogate", _surrogate_checks(m, max_type))
+        report.row("comprehension-finitary",
+                   _finitary_checks(m, max_type, budget), _FULL)
+        report.row("extensionality-surrogate", _surrogate_checks(m, max_type))
         # checked, though fjt's proofs may not cite it
-        _add_row(report, "type-purity",
-                 _scheme_checks(m, "type-purity", max_type, budget))
+        report.row("type-purity",
+                   _scheme_checks(m, "type-purity", max_type, budget))
     for name in ax.axioms_of(theory):
-        _add_row(report, name, _scheme_checks(m, name, max_type, budget))
+        report.row(name, _scheme_checks(m, name, max_type, budget))
     return report
-
-
-def _add_row(report: SuiteReport, name: str, checks, note=None,
-             fail_note=None) -> None:
-    """One row for an axiom's (status, detail) checks: the first FAIL, with
-    its detail as witness, else the first SKIPPED, with its detail as
-    note, else PASS."""
-    skipped = None
-    for status, detail in checks:
-        if status == FAIL:
-            report.add(name, FAIL, witness=detail, note=fail_note)
-            return
-        if status == SKIPPED and skipped is None:
-            skipped = detail
-    if skipped is None:
-        report.add(name, PASS, note=note)
-    else:
-        report.add(name, SKIPPED, note=skipped)
 
 
 def _scheme_checks(m: Model, name: str, top: int, budget: int):

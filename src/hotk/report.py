@@ -1,4 +1,7 @@
-"""Shared report types for axiom-suite style checks."""
+"""Shared report types for axiom-suite style checks.
+
+Every row of `model check`, `sets check` and `sets kappa-check` is made by
+`SuiteReport.row` from the (status, detail) checks of its axiom."""
 
 from __future__ import annotations
 
@@ -33,6 +36,23 @@ class SuiteReport:
 
     def add(self, name: str, status: str, witness=None, note=None) -> None:
         self.verdicts.append(AxiomVerdict(name, status, witness, note))
+
+    def row(self, name: str, checks, note=None, fail_note=None) -> None:
+        """One row for an axiom's (status, detail) checks: the first FAIL,
+        with its detail as witness and fail_note as note, else the first
+        SKIPPED, with its detail as note, else PASS with note.  The checks
+        are read up to the first FAIL only."""
+        skipped = None
+        for status, detail in checks:
+            if status == FAIL:
+                self.add(name, FAIL, witness=detail, note=fail_note)
+                return
+            if status == SKIPPED and skipped is None:
+                skipped = detail
+        if skipped is None:
+            self.add(name, PASS, note=note)
+        else:
+            self.add(name, SKIPPED, note=skipped)
 
     def status(self, name: str) -> str:
         for v in self.verdicts:

@@ -3,9 +3,12 @@
 Histories and levels are the `Hist`/`Lev` sugar of hotk.kernel.expand,
 evaluated over the graph, and rank is read off the levels.  The level
 theory LT (extensionality, separation, stratification) and its extension
-Zr (endless, infinity) are checked on graphs; transitive graphs convert to
-cumulative typed models and back via the slice construction and Mostowski
-collapse.
+Zr (endless, infinity) are checked on graphs, and their superscripted
+forms in a graph's typed expansion; each row is made by SuiteReport.row
+from (status, detail) checks, a sentence row failing at its first false
+sentence.  Transitive graphs, whose nodes are named by the canonical brace
+codes of their members, convert to cumulative typed models and back via
+the slice construction and Mostowski collapse.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from hotk.models.axioms import plain_comprehension_checks
 from hotk.models.builders import build_graph_model, hierarchy_levels
 from hotk.models.core import (DEFAULT_BUDGET, Model, counterexamples,
                               eval_formula)
-from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
+from hotk.report import FAIL, SKIPPED, SuiteReport
 from hotk.translate import kappa_translate
 
 
@@ -127,53 +130,58 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
                      budget: int = DEFAULT_BUDGET) -> SuiteReport:
     """Check LT (extensionality, separation, stratification) or Zr (plus
     endless, infinity).  Separation is checked on the corpus and by direct
-    subset search (every subset of every node's members realized)."""
+    subset search (every subset of every node's members realized).  The
+    rows that evaluate sentences are SKIPPED when n^3 is above the budget,
+    since the definitional checks nest three quantifiers over n nodes."""
     if which not in ("lt", "zr"):
         raise ValueError("which must be 'lt' or 'zr'")
     report = SuiteReport(subject=f"{which} on {len(g.nodes)}-node graph")
-    n = len(g.nodes)
-    brute_ok = n ** 3 <= budget   # the definitional checks nest three quantifiers
+    over_budget = [(SKIPPED, "budget")] if len(g.nodes) ** 3 > budget else None
 
     wit = g.extensional_witness
-    report.add("extensionality", PASS if wit is None else FAIL,
-               witness=None if wit is None else f"{wit[0]} and {wit[1]} share members")
+    report.row("extensionality",
+               [(FAIL, f"{wit[0]} and {wit[1]} share members")] if wit else ())
+    report.row("separation-full", _separation_checks(g, budget))
+    corpus = list(separation_corpus)
+    if corpus:
+        size = f"{len(corpus)} instances"
+        report.row("separation-corpus", over_budget or _sentence_checks(
+            g, map(_expanded_instance, corpus), budget, corpus=True),
+            note=size, fail_note=size)
+    rows = [("stratification", stratification_formula())]
+    if which == "zr":
+        rows += [("endless", endless_formula()), ("infinity", infinity_formula())]
+    for name, f in rows:
+        report.row(name, over_budget or _sentence_checks(g, [f], budget))
+    return report
 
+
+def _separation_checks(g: MembershipGraph, budget: int):
+    """FAIL at the first node with a subset of its members that no node's
+    member set is; SKIPPED once the subsets of the nodes scanned so far
+    (the sum of 2^|members|) are more than the budget."""
     member_sets = {g.members(a) for a in g.nodes}
-    separation = (PASS,)
     enumerated = 0
     for a in g.nodes:
         ms = g.members(a)
         enumerated += 2 ** len(ms)
         if enumerated > budget:
-            separation = (SKIPPED, None, "budget")
-            break
+            yield SKIPPED, "budget"
+            return
         sub = first_unrealized([sorted(ms, key=canonical_key)],
                                {(s,) for s in member_sets if s <= ms})
         if sub is not None:
-            separation = (FAIL, f"{a}: subset {brace_name(sub[0])} unrealized")
-            break
-    report.add("separation-full", *separation)
+            yield FAIL, f"{a}: subset {brace_name(sub[0])} unrealized"
 
-    corpus = list(separation_corpus)
-    if corpus and not brute_ok:
-        report.add("separation-corpus", SKIPPED, note="budget")
-    elif corpus:
-        bad = _first_false(map(_expanded_instance, corpus),
-                           lambda f: next(counterexamples(g, (), f))[1] is None)
-        report.add("separation-corpus", PASS if bad is None else FAIL,
-                   witness=bad, note=f"{len(corpus)} instances")
 
-    def brute(name, formula):
-        if not brute_ok:
-            report.add(name, SKIPPED, note="budget")
-        else:
-            report.add(name, PASS if eval_formula(g, formula) else FAIL)
-
-    brute("stratification", stratification_formula())
-    if which == "zr":
-        brute("endless", endless_formula())
-        brute("infinity", infinity_formula())
-    return report
+def _sentence_checks(s, sentences: Iterable[Formula], budget: int,
+                     corpus: bool = False):
+    """A FAIL for each sentence false in s (a graph or a model), lazily, so
+    a row stops at the first; on a corpus row its detail is
+    `corpus formula #i`."""
+    for i, f in enumerate(sentences):
+        if not eval_formula(s, f, budget=budget):
+            yield FAIL, f"corpus formula #{i}" if corpus else None
 
 
 @lru_cache(maxsize=256)
@@ -181,15 +189,6 @@ def _expanded_instance(phi: Formula) -> Formula:
     """The expanded separation instance of phi, made once for all the
     graphs a corpus is checked on."""
     return expand_abbreviations(separation_instance(phi), None)
-
-
-def _first_false(instances: Iterable[Formula], holds) -> Optional[str]:
-    """'corpus formula #i' for the first separation instance that does not
-    hold, else None."""
-    for i, f in enumerate(instances):
-        if not holds(f):
-            return f"corpus formula #{i}"
-    return None
 
 
 def check_wellordering_of_levels(g: MembershipGraph) -> bool:
@@ -253,7 +252,8 @@ def S_construction(m: Model, kappa: int) -> MembershipGraph:
 def mostowski_collapse(g: MembershipGraph) -> Tuple[MembershipGraph, Dict[str, str]]:
     """The unique transitive isomorph of an extensional well-founded graph,
     with the witnessing node map.  Output names are canonical, so collapsing
-    twice is the identity."""
+    twice is the identity; by induction on rank, distinct nodes of such a
+    graph get distinct names."""
     order = g.postorder()
     wit = g.extensional_witness
     if wit:
@@ -261,11 +261,8 @@ def mostowski_collapse(g: MembershipGraph) -> Tuple[MembershipGraph, Dict[str, s
     image: Dict[str, str] = {}
     for a in order:
         image[a] = brace_name(image[x] for x in g.members(a))
-    names = [image[a] for a in g.nodes]
-    if len(set(names)) != len(names):
-        raise GraphError("collapse failed to separate nodes")   # unreachable
     edges = frozenset((image[x], image[a]) for x, a in g.edges)
-    out = MembershipGraph(tuple(sorted(names, key=canonical_key)), edges)
+    out = MembershipGraph(tuple(sorted(image.values(), key=canonical_key)), edges)
     out = MembershipGraph(out.nodes, out.edges, ranks=out.structural_ranks())
     return out, image
 
@@ -314,6 +311,8 @@ def check_kappa_axioms_in_T(g: MembershipGraph, kappa: int,
     the finite-successor surrogate of the interpretation lemmas; endless
     and infinity are reported too (expected to fail at finite scale).
     """
+    if kappa < 0:
+        raise EvalError(f"kappa must be a natural, got {kappa}")
     top = g.ord()
     if kappa + 2 > top:
         raise EvalError(f"need kappa + 2 <= ord = {top}, got kappa = {kappa}")
@@ -321,20 +320,20 @@ def check_kappa_axioms_in_T(g: MembershipGraph, kappa: int,
     k = fin(kappa)
     report = SuiteReport(subject=f"kappa={kappa} axioms in typed expansion")
 
-    def ev(name: str, f: Formula, expect_note: Optional[str] = None) -> None:
-        ok = eval_formula(m, kappa_translate(f, k), budget=budget)
-        report.add(name, PASS if ok else FAIL, note=expect_note)
-
-    ev("extensionality^k", extensionality_formula())
+    report.row("extensionality^k", _sentence_checks(
+        m, [kappa_translate(extensionality_formula(), k)], budget))
     corpus = list(separation_corpus)
-    bad = _first_false(map(separation_instance, corpus), lambda f: eval_formula(
-        m, kappa_translate(f, k), budget=budget))
     if corpus:
-        report.add("separation^k", PASS if bad is None else FAIL,
-                   witness=bad, note=f"{len(corpus)} instances")
-    ev("stratification^k", stratification_formula())
-    ev("endless^k", endless_formula(), expect_note="expected FAIL at finite scale")
-    ev("infinity^k", infinity_formula(), expect_note="expected FAIL at finite scale")
+        size = f"{len(corpus)} instances"
+        report.row("separation^k", _sentence_checks(
+            m, (kappa_translate(separation_instance(phi), k) for phi in corpus),
+            budget, corpus=True), note=size, fail_note=size)
+    finite = "expected FAIL at finite scale"
+    for name, f, note in [("stratification^k", stratification_formula(), None),
+                          ("endless^k", endless_formula(), finite),
+                          ("infinity^k", infinity_formula(), finite)]:
+        report.row(name, _sentence_checks(m, [kappa_translate(f, k)], budget),
+                   note, note)
     return report
 
 

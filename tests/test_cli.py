@@ -15,7 +15,7 @@ from proof_docs import HAND_PROOFS, HOSTILE_PROOFS, REGIMES, RULES, fixture_docu
 
 import hotk
 import hotk.errors
-from hotk.cli import main
+from hotk.cli import FORMATS, main
 from hotk.kernel import fin, parse_formula
 from hotk.models import Model, check_axiom_suite, eval_formula
 from hotk.kernel.regimes import parse_regime
@@ -454,8 +454,10 @@ def run_json(*argv):
 @pytest.fixture(scope="module")
 def error_files(tmp_path_factory):
     from hotk.models import build_fjt_canonical
+    from hotk.settheory import build_V
     d = tmp_path_factory.mktemp("errors")
     files = {"fjt2.json": build_fjt_canonical(2).dumps(),
+             "v2.json": build_V(2).dumps(),
              "cyclic.json": json.dumps({"nodes": ["a"], "edges": [["a", "a"]]}),
              "no_height.json": json.dumps({"kind": "pure", "domains": [["{}"]]}),
              "broken.json": "{",
@@ -508,6 +510,7 @@ ERROR_PATHS = [
     (["translate", "--map", "j-sttd-fjt", "dnw.hol"], 2, "FormationError"),
     (["--budget", "-5", "eval", "--model", "fjt2.json", "a^0 = a^0"], 2,
      "UsageError"),
+    (["sets", "kappa-check", "--kappa", "-1", "v2.json"], 2, "EvalError"),
 ]
 
 
@@ -773,3 +776,44 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(argv, cli_files, monkeypatch):
     assert code == 2
     assert doc == {"error": "ParseError", "message": f"{name} is not UTF-8 text: "
                    "invalid start byte at byte 0"}
+
+
+# Every integer argument, each taking the values -2..4: (arguments with {}
+# for the value).  Files are those of the cli_files fixture.
+INTEGER_ARGUMENTS = [
+    ["sets", "kappa-check", "--kappa", "{}", "v3.json"],
+    ["sets", "slice", "--kappa", "{}", "t3.json"],
+    ["decide", "--height", "{}", "some x^0. ~x^0 = x^0"],
+    ["model", "build", "--kind", "pure", "--height", "{}"],
+    ["model", "check", "--model", "fjt2.json", "--theory", "fjt", "--max-type", "{}"],
+    ["model", "build", "--kind", "class", "--height", "2", "--urelements", "{}"],
+    ["sets", "build-v", "{}"],
+    ["--budget", "{}", "sets", "check", "lt", "v3.json"],
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_ARGUMENTS)
+def test_every_integer_argument_keeps_the_exit_codes(argv, cli_files, monkeypatch):
+    monkeypatch.chdir(cli_files)
+    monkeypatch.delenv("HOTK_BUDGET", raising=False)
+    for value in range(-2, 5):
+        for output_format in FORMATS:
+            code = main(["--format", output_format,
+                         *(a.format(value) for a in argv)])
+            assert code in (0, 1, 2, 3), (value, output_format)
+
+
+@pytest.mark.parametrize("argv,mode", [
+    (["translate", "--map", "i-ctt-sttu"], "typed"),
+    (["check", "--theory", "stt", "--file"], "typed"),
+    (["sets", "check", "lt", "v3.json", "--corpus"], "set"),
+])
+def test_a_parse_error_in_a_hol_file_names_its_line(argv, mode, cli_files,
+                                                     monkeypatch):
+    monkeypatch.chdir(cli_files)
+    first = "b^1(a^0)" if mode == "typed" else "x in y"
+    (cli_files / f"bad-{mode}.hol").write_text(f"{first}\n# comment\n\n~\n")
+    code, doc = run_json(*argv, f"bad-{mode}.hol")
+    assert code == 2
+    assert doc == {"error": "ParseError",
+                   "message": "line 4: expected formula (at column 1)"}

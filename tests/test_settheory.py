@@ -5,7 +5,7 @@ import pytest
 import hotk
 from hotk.corpus import graph_fixture, separation_corpus, transitive_fixture_names
 from hotk.errors import EvalError, GraphError, RankUndefined
-from hotk.graphs import MembershipGraph, parse_brace_name
+from hotk.graphs import MembershipGraph
 from hotk.kernel import fin
 from hotk.settheory import (S_construction, T_construction, build_V,
                             check_kappa_axioms_in_T, check_set_axioms,
@@ -267,11 +267,17 @@ class TestKappaAxioms:
 
 
 class TestBraceCodec:
-    def test_parse_brace_names(self):
-        assert parse_brace_name("{}") == frozenset()
-        assert parse_brace_name("{{},{{}}}") == frozenset({"{}", "{{}}"})
-        assert parse_brace_name("plain") is None
-        assert parse_brace_name("{unbalanced") is None
+    def test_transitive_names_are_canonical_codes(self):
+        v2 = MembershipGraph(("{}", "{{}}"), frozenset({("{}", "{{}}")}))
+        assert v2.transitive
+
+        def with_pair(name):
+            return MembershipGraph(v2.nodes + (name,),
+                                   v2.edges | {("{}", name), ("{{}}", name)})
+        assert with_pair("{{},{{}}}").transitive
+        # the same set, its members spelled out of canonical order
+        assert not with_pair("{{{}},{}}").transitive
+        assert not MembershipGraph(("plain",), frozenset()).transitive
 
 
 def _recursive_find_cycle(g):
