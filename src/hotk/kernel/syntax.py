@@ -285,12 +285,12 @@ def all_names(f: Formula) -> frozenset:
 
 
 class FreshNames:
-    """The one supply of new variables, for expansion, the translation maps,
-    substitution, normalization and separation instances: names stem1,
-    stem2, ... (v1, v2, ... by default) that are not in used and occur
-    nowhere in f, each handed out once.  f's names are collected on the
-    first request, so a formula that needs no new variable is never
-    scanned."""
+    """The one supply of new variables, for expansion, the compiler's sugar
+    nodes, the translation maps, substitution, normalization and separation
+    instances: names stem1, stem2, ... (v1, v2, ... by default) that are not
+    in used and occur nowhere in f, each handed out once.  f's names are
+    collected on the first request, so a formula that needs no new variable
+    is never scanned."""
 
     def __init__(self, f: Optional[Formula] = None, used=()):
         self.f = f                 # its names are not collected yet

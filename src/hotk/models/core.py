@@ -11,9 +11,10 @@ Lapalme, "Using closures for code generation", Computer Languages 12(1),
 1987).  The compiler reads a structure as its domains, a member dict and a
 key for each term, so one compiler serves typed models and membership
 graphs; a graph is a one-sorted structure whose one domain is its nodes.
-There are two ways in: eval_formula evaluates a formula, sugar and all,
-under one assignment, and counterexamples sweeps every assignment to some
-atoms of a formula with no sugar.
+A defined symbol is compiled where the walk meets it, as its definiens
+(kernel.expand.define), so no expansion pass runs first.  There are two
+ways in: eval_formula evaluates a formula under one assignment, and
+counterexamples sweeps every assignment to some atoms of a formula.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
 from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, HotkError,
                          check_json, load_json)
 from hotk.graphs import MembershipGraph, canonical_key
-from hotk.kernel.expand import expand_abbreviations
+from hotk.kernel.expand import define
 from hotk.kernel.indices import TypeIndex
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
-                                Iff, Implies, InSet, Not, Or, Raised,
-                                StrictEq, Term, term_index)
+                                FreshNames, Iff, Implies, InSet, Not, Or,
+                                Raised, StrictEq, Sugar, Term, term_index)
 
 Entity = str
 Assignment = Dict[Tuple[str, Optional[TypeIndex]], Entity]
@@ -185,20 +186,24 @@ def _key(name: str, index: Optional[TypeIndex]):
 
 
 class _Compiler:
-    """One walk of a sugar-free formula over one structure, seen as
-    `domain` (a variable's index to its entities), `members` (an entity to
-    its member set) and `keyof` (a term to its key).  A Model has a domain
-    per type and keys terms by name and index; a MembershipGraph is
-    one-sorted, with the nodes as its one domain and terms keyed by name.
+    """One walk of a formula over one structure, seen as `domain` (a
+    variable's index to its entities), `members` (an entity to its member
+    set) and `keyof` (a term to its key).  A Model has a domain per type
+    and keys terms by name and index; a MembershipGraph is one-sorted, with
+    the nodes as its one domain and terms keyed by name.
 
     The keys given to `compile` get the first slots and are read as binders
     are; any other free atom gets the next slot where the walk meets it.  A
-    subformula is compiled once per scope (binder keys to slots): `memo`
-    maps (id(node), id(scope)) to its (closure, slots read), and `scopes`
-    keeps every scope it names alive.  So a subtree that occurs twice in
-    one scope becomes one closure, and a binary connective of a closure
-    with itself reduces to it (& and |) or runs it once and holds (-> and
-    <->).  No closure refers back to the compiler.
+    sugar node compiles as its definiens in the same scope, the definiens'
+    new variables drawn from one FreshNames of the root, made at the first
+    sugar node; an ill-formed sugar raises its FormationError here, before
+    anything is evaluated.  A subformula is compiled once per scope (binder
+    keys to slots): `memo` maps (id(node), id(scope)) to its (closure,
+    slots read), and `alive` keeps every scope and definiens it names
+    alive, so no id is reused during the walk.  So a subtree that occurs
+    twice in one scope becomes one closure, and a binary connective of a
+    closure with itself reduces to it (& and |) or runs it once and holds
+    (-> and <->).  No closure refers back to the compiler.
     """
 
     def __init__(self, m: Structure, budget: int):
@@ -217,7 +222,9 @@ class _Compiler:
         self.free: Dict = {}        # key -> slot, for every free atom
         self.nslots = 0
         self.memo: Dict = {}
-        self.scopes = []
+        self.alive = []
+        self.root: Optional[Formula] = None
+        self.fresh: Optional[FreshNames] = None
 
     def compile(self, f: Formula, keys: Iterable):
         """(root, env, slots): root maps a list environment to f's truth
@@ -226,6 +233,7 @@ class _Compiler:
         the last filled wins)."""
         slots = [self.free.setdefault(k, len(self.free)) for k in keys]
         self.nslots = len(self.free)
+        self.root = f
         root, _ = self.node(f, dict(self.free))
         return root, [_UNSET] * self.nslots, slots
 
@@ -291,6 +299,13 @@ class _Compiler:
                                 else f"unassigned free term {t.name}^{t.index}")
             return e
         return free_term, frozenset([slot])
+
+    def sugar(self, g: Sugar, scope: dict):
+        if self.fresh is None:
+            self.fresh = FreshNames(self.root)
+        definiens = define(g, self.fresh)
+        self.alive.append(definiens)
+        return self.node(definiens, scope)
 
     def negation(self, g: Not, scope: dict):
         body, slots = self.node(g.body, scope)
@@ -365,7 +380,7 @@ class _Compiler:
         slot = self.nslots
         self.nslots += 1
         inner = {**scope, self.keyof(g.var): slot}
-        self.scopes.append(inner)
+        self.alive.append(inner)
         body, slots = self.node(g.body, inner)
         vacuous = slot not in slots
         slots = slots - {slot}
@@ -411,7 +426,8 @@ class _Compiler:
 
 # node type -> its builder in a typed model; a graph's table differs only
 # in the membership atoms and projection.
-_BUILD = {Not: _Compiler.negation, And: _Compiler.binary, Or: _Compiler.binary,
+_BUILD = {Sugar: _Compiler.sugar, Not: _Compiler.negation,
+          And: _Compiler.binary, Or: _Compiler.binary,
           Implies: _Compiler.binary, Iff: _Compiler.binary,
           Forall: _Compiler.quantifier, Exists: _Compiler.quantifier,
           Apply: _Compiler.membership, StrictEq: _Compiler.equality,
@@ -423,11 +439,11 @@ _SET_BUILD = {**_BUILD, Apply: _Compiler.unevaluable, InSet: _Compiler.membershi
 def counterexamples(m: Structure, atoms: Sequence[Term], f: Formula,
                     budget: int = DEFAULT_BUDGET):
     """(assignments checked, the atoms' values) at each assignment to atoms,
-    in product order over their domains, that makes f (no sugar) false in m
-    (a Model or a MembershipGraph); then (all assignments, None).  f is
-    compiled once, so a quantifier's cache serves every assignment.  Its
-    other free atoms stay unassigned, and of atoms sharing a key, the later
-    wins.  Domains are looked up in atom order, up to the first empty one."""
+    in product order over their domains, that makes f false in m (a Model
+    or a MembershipGraph); then (all assignments, None).  f is compiled
+    once, so a quantifier's cache serves every assignment.  Its other free
+    atoms stay unassigned, and of atoms sharing a key, the later wins.
+    Domains are looked up in atom order, up to the first empty one."""
     c = _Compiler(m, budget)
     root, env, slots = c.compile(f, [c.keyof(a) for a in atoms])
     domains = []
@@ -447,14 +463,13 @@ def counterexamples(m: Structure, atoms: Sequence[Term], f: Formula,
 def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = None,
                  budget: int = DEFAULT_BUDGET) -> bool:
     """Classical truth value of f in m (a Model or a MembershipGraph) under
-    the assignment, f's sugar expanded first.  A graph's assignment may key
-    a variable by its name or by (name, None).  Errors (an unassigned term,
-    a missing domain, a domain of more than `budget` entities) are raised
-    only when the offending node is reached."""
+    the assignment.  A graph's assignment may key a variable by its name or
+    by (name, None).  Errors (an unassigned term, a missing domain, a domain
+    of more than `budget` entities) are raised only when the offending node
+    is reached; an ill-formed sugar raises when f is compiled."""
     assignment = assignment or {}
     keys = ((k, None) if isinstance(k, str) else _key(*k) for k in assignment)
-    root, env, slots = _Compiler(m, budget).compile(
-        expand_abbreviations(f, None), keys)
+    root, env, slots = _Compiler(m, budget).compile(f, keys)
     for slot, v in zip(slots, assignment.values()):
         env[slot] = v
     return root(env)

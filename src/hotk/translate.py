@@ -20,6 +20,7 @@ from hotk.kernel import regimes as rg
 from hotk.kernel.expand import define, expand_abbreviations
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.parser import parse_index
+from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 Formula, FreshNames, Iff, Implies, InSet,
                                 Raised, StrictEq, Sugar, Term, Var,
@@ -103,7 +104,8 @@ def _ctt_to_sttu(f: Formula) -> Formula:
             return Apply(g.head, raise_term(g.arg, gap)) if gap else g
         if isinstance(g, StrictEq):
             return g
-        raise FormationError(f"unexpected atom {g!r} in the cumulative theory")
+        raise FormationError(
+            f"unexpected atom {print_formula(g)} in the cumulative theory")
 
     return _map_formula(f, atom)
 
@@ -130,7 +132,8 @@ def _sttu_to_ctt(f: Formula) -> Formula:
 
     def atom(g: Formula) -> Formula:
         if not isinstance(g, (Apply, StrictEq)):
-            raise FormationError(f"unexpected atom {g!r} in the raised-type theory")
+            raise FormationError(
+                f"unexpected atom {print_formula(g)} in the raised-type theory")
         terms = ((g.head, g.arg) if isinstance(g, Apply)
                  else (g.left, g.right))
         for pos, t in enumerate(terms):
@@ -166,7 +169,8 @@ def _fjt_to_sttd(f: Formula) -> Formula:
         if isinstance(g, StrictEq):
             return g
         if not isinstance(g, Apply):
-            raise FormationError(f"unexpected atom {g!r} in the finitary theory")
+            raise FormationError(
+                f"unexpected atom {print_formula(g)} in the finitary theory")
         n, m = term_index(g.head), term_index(g.arg)
         if not (n.is_finite and m.is_finite):
             raise FormationError("finitary theory admits finite types only")
@@ -201,7 +205,8 @@ def _sttd_to_fjt(f: Formula) -> Formula:
             return define(Sugar("coext_k", (n.finite_value, g.left, g.right)), fresh)
         if isinstance(g, (Apply, StrictEq)):
             return g
-        raise FormationError(f"unexpected atom {g!r} in the projection theory")
+        raise FormationError(
+            f"unexpected atom {print_formula(g)} in the projection theory")
 
     return _map_formula(f, atom)
 

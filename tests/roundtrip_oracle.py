@@ -19,6 +19,7 @@ from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
+from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 Implies, Raised, StrictEq, Sugar, Var,
                                 alpha_normalize, all_names, conj,
@@ -65,7 +66,8 @@ def ctt_to_sttu(f):
             return Apply(g.head, raise_term(g.arg, gap))
         if isinstance(g, StrictEq):
             return g
-        raise FormationError(f"unexpected atom {g!r} in the cumulative theory")
+        raise FormationError(
+            f"unexpected atom {print_formula(g)} in the cumulative theory")
 
     return _map_formula(f, atom)
 
@@ -91,7 +93,8 @@ def sttu_to_ctt(f):
 
     def atom(g):
         if not isinstance(g, (Apply, StrictEq)):
-            raise FormationError(f"unexpected atom {g!r} in the raised-type theory")
+            raise FormationError(
+                f"unexpected atom {print_formula(g)} in the raised-type theory")
         terms = ((g.head, g.arg) if isinstance(g, Apply)
                  else (g.left, g.right))
         for pos, t in enumerate(terms):
@@ -118,7 +121,8 @@ def fjt_to_sttd(f):
         if isinstance(g, StrictEq):
             return g
         if not isinstance(g, Apply):
-            raise FormationError(f"unexpected atom {g!r} in the finitary theory")
+            raise FormationError(
+                f"unexpected atom {print_formula(g)} in the finitary theory")
         n, m = term_index(g.head), term_index(g.arg)
         if not (n.is_finite and m.is_finite):
             raise FormationError("finitary theory admits finite types only")
@@ -150,7 +154,8 @@ def sttd_to_fjt(f):
             return Sugar("coext_k", (n, g.left, g.right))
         if isinstance(g, (Apply, StrictEq)):
             return g
-        raise FormationError(f"unexpected atom {g!r} in the projection theory")
+        raise FormationError(
+            f"unexpected atom {print_formula(g)} in the projection theory")
 
     return expand_abbreviations(_map_formula(f, atom), None)
 

@@ -340,7 +340,7 @@ def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
     assert (code, statuses.count("SKIPPED"), statuses.count("PASS")) == (3, 5, 1)
     code, out = run(capsys, "--budget", "8", "sets", "check", "lt", str(v4))
     statuses = [line.split()[0] for line in out.splitlines()]
-    assert code == 3 and statuses.count("SKIPPED") == 3
+    assert code == 3 and statuses.count("SKIPPED") == 2
     assert "FAIL" not in statuses
     code, _ = run(capsys, "model", "check", "--model", str(pure4),
                   "--theory", "pctt:w", "--max-type", "3")
@@ -348,6 +348,28 @@ def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
     code, out = run(capsys, "--budget", "10", "model", "check", "--model",
                     str(pure4), "--theory", "stt-up", "--max-type", "3")
     assert code == 1 and out.startswith("SKIPPED") and "FAIL" in out
+
+
+def test_separation_full_is_charged_only_for_a_shortfall(tmp_path, capsys):
+    """Every subset of every V4 node's members is a node, so the counting
+    scan decides separation-full with one comparison per node, and a budget
+    below the 2^|members| the subsets would cost does not skip it."""
+    v4 = tmp_path / "V4.json"
+    v4.write_text(run(capsys, "sets", "build-v", "4")[1])
+    code, out = run(capsys, "--budget", "8", "sets", "check", "lt", str(v4))
+    rows = [line.split()[:2] for line in out.splitlines()]
+    assert code == 3
+    assert rows == [["PASS", "extensionality"], ["PASS", "separation-full"],
+                    ["SKIPPED", "separation-corpus"], ["SKIPPED", "stratification"]]
+
+
+def test_translate_names_an_unexpected_atom_in_the_notation(tmp_path, capsys):
+    path = tmp_path / "dn.hol"
+    path.write_text("b^1 dn a^0\n")
+    code = main(["translate", "--map", "i-ctt-sttu", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: unexpected atom b^1 dn a^0 in the cumulative theory"
 
 
 def test_hostile_proof_files_exit_2(tmp_path, capsys):

@@ -25,7 +25,6 @@ from hotk.kernel.indices import fin
 from hotk.kernel.syntax import (ATOMS, And, Apply, Const, Forall, Not, Or,
                                 StrictEq, Sugar, Var, alpha_equal,
                                 alpha_normalize, free_atoms, parts, rebuild)
-from hotk.models import core
 
 PLANS = ["ctt", "stt-up", "fjt", "stt-down"]
 MAPS = {"i-ctt-sttu": (translate.ctt_to_sttu, oracle.ctt_to_sttu),
@@ -410,7 +409,6 @@ def test_round_trips_expand_at_most_twice(monkeypatch, pure4_up, fjt3_down):
         return expand_abbreviations(f, regime)
 
     monkeypatch.setattr(translate, "expand_abbreviations", counting)
-    monkeypatch.setattr(core, "expand_abbreviations", counting)
     for plan, model in (("ctt", pure4_up), ("stt-up", pure4_up),
                         ("fjt", fjt3_down), ("stt-down", fjt3_down)):
         regime = parse_regime(plan)
