@@ -7,7 +7,7 @@ from hotk.models.builders import (DEFAULT_BUDGET, build_class_model,
                                   build_sttu_companion, fjt_counts)
 from hotk.models.core import (Assignment, Entity, Model, akey,
                               counterexamples, eval_formula)
-from hotk.models.decide import decide_fjt, max_finite_type
+from hotk.models.decide import decide_fjt
 from hotk.models.domains import (KINDS, M_RUSSELLIAN, M_RUSSELLIAN_STAR,
                                  M_UNRESTRICTED, UNRESTRICTED_STT,
                                  domain_const, gen_domain_formula)
@@ -19,7 +19,7 @@ __all__ = [
     "build_sttu_companion", "fjt_counts",
     "Assignment", "Entity", "Model", "akey", "counterexamples",
     "eval_formula",
-    "decide_fjt", "max_finite_type",
+    "decide_fjt",
     "KINDS", "M_RUSSELLIAN", "M_RUSSELLIAN_STAR", "M_UNRESTRICTED",
     "UNRESTRICTED_STT", "domain_const", "gen_domain_formula",
 ]

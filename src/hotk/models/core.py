@@ -31,6 +31,7 @@ from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, HotkError,
 from hotk.graphs import MembershipGraph, canonical_key
 from hotk.kernel.expand import define
 from hotk.kernel.indices import TypeIndex
+from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
                                 FreshNames, Iff, Implies, InSet, Not, Or,
                                 Raised, StrictEq, Sugar, Term, term_index)
@@ -147,7 +148,7 @@ def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:
 
 Structure = Union[Model, MembershipGraph]
 
-_UNSET = object()       # value of a free slot the assignment leaves out
+_UNSET = object()       # value of a slot not yet filled
 _EMPTY: FrozenSet[Entity] = frozenset()
 _NO_SLOTS: FrozenSet[int] = frozenset()
 
@@ -193,7 +194,8 @@ class _Compiler:
     the nodes as its one domain and terms keyed by name.
 
     The keys given to `compile` get the first slots and are read as binders
-    are; any other free atom gets the next slot where the walk meets it.  A
+    are; any other free atom is unassigned, so it compiles to a closure that
+    raises, and it still gets the next slot where the walk meets it.  A
     sugar node compiles as its definiens in the same scope, the definiens'
     new variables drawn from one FreshNames of the root, made at the first
     sugar node; an ill-formed sugar raises its FormationError here, before
@@ -257,8 +259,9 @@ class _Compiler:
         return None if y is None else (x, y)
 
     def term(self, t: Term, scope: dict):
-        """(getter, slots read) for a term; a free atom met for the first
-        time gets the next slot."""
+        """(getter, slots read) for a term; an atom no binder or key reads
+        gets a getter that raises, and a slot of its own, which the
+        quantifiers around it count when they decide whether to cache."""
         sets = self.sets
         if isinstance(t, Raised):
             if sets:
@@ -291,14 +294,9 @@ class _Compiler:
         if slot is None:
             slot = self.free[key] = self.nslots
             self.nslots += 1
-
-        def free_term(env):
-            e = env[slot]
-            if e is _UNSET:
-                raise EvalError(f"unassigned set variable {t.name}" if sets
-                                else f"unassigned free term {t.name}^{t.index}")
-            return e
-        return free_term, frozenset([slot])
+        message = (f"unassigned set variable {t.name}" if sets
+                   else f"unassigned free term {t.name}^{t.index}")
+        return _fail(EvalError, message), frozenset([slot])
 
     def sugar(self, g: Sugar, scope: dict):
         if self.fresh is None:
@@ -343,7 +341,8 @@ class _Compiler:
         return _fail(EvalError, "untyped membership atom in a typed model"), _NO_SLOTS
 
     def unevaluable(self, g, scope: dict):
-        return _fail(EvalError, f"cannot evaluate set formula node {g!r}"), _NO_SLOTS
+        return (_fail(EvalError, "cannot evaluate set formula node "
+                      + print_formula(g)), _NO_SLOTS)
 
     def equality(self, g: StrictEq, scope: dict):
         both = self.bound(scope, g.left, g.right)

@@ -16,20 +16,14 @@ from hotk.kernel.regimes import fjt
 from hotk.kernel.syntax import (Formula, Var, base_atom, free_atoms, parts,
                                 term_index)
 from hotk.models.builders import build_fjt_canonical
-from hotk.models.core import DEFAULT_BUDGET, Model, counterexamples
+from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
 
 _OPEN = "decision procedure needs a closed sentence"
 
 
-def max_finite_type(f: Formula) -> int:
-    """Largest type index among the terms and binders of f's expansion: the
-    height a model needs to evaluate f."""
-    return top_type(expand_abbreviations(f))[0]
-
-
 def top_type(g: Formula) -> Tuple[int, bool]:
-    """(max_finite_type, whether every atom is bound) of a formula that
-    holds no sugar, in one walk."""
+    """(the height a model needs: g's largest term or binder type, whether
+    every atom is bound) of a formula g that holds no sugar, in one walk."""
     indices, closed = set(), True
     stack = [(g, frozenset())]
     while stack:
@@ -73,4 +67,4 @@ def decide_fjt(f: Formula, height: int, budget: int = DEFAULT_BUDGET,
         raise EvalError(f"sentence uses type {need}, above height {height}")
     if model is None:
         model = build_fjt_canonical(height, budget)
-    return next(counterexamples(model, (), g, budget))[1] is None
+    return eval_formula(model, g, budget=budget)

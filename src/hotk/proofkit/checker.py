@@ -26,8 +26,8 @@ from hotk.kernel.indices import TypeIndex
 from hotk.kernel.parser import parse_formula, parse_index, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, Not, Or, Raised,
-                                StrictEq, Term, alpha_equal, occurs_free,
-                                substitute, term_index)
+                                StrictEq, Term, Var, alpha_equal,
+                                occurs_free, substitute, term_index)
 from hotk.proofkit.schemes import axiom_instance
 
 _RULE_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
@@ -318,11 +318,10 @@ def _check_rule(theory: rg.Regime, hyps: List[Formula], s: ProofStep,
         return _check_quantifier(theory, s, cited, forms)
 
     if rule == "comprehension":
-        return _match_comprehension(s.formula, theory) or frozenset()
+        return _match_comprehension(s.formula, theory)
 
     if rule == "identity":
-        err = _match_identity(s.formula)
-        return (SCHEME, err) if err else frozenset()
+        return _match_identity(s.formula)
 
     if rule == "axiom":
         return _check_axiom(theory, s.scheme, conc)
@@ -414,61 +413,55 @@ def _check_axiom(theory: rg.Regime, scheme: Optional[dict], conc: Formula) -> Re
     return frozenset()
 
 
-def _match_comprehension(f: Formula, theory: rg.Regime) -> Optional[Rejection]:
+def _clause(g: Formula, z: Term) -> Optional[Tuple[Var, Formula]]:
+    """(x, phi) when g is `all x. z(x) <-> phi`, else None."""
+    if (isinstance(g, Forall) and isinstance(g.body, Iff)
+            and g.body.left == Apply(z, g.var)):
+        return g.var, g.body.right
+    return None
+
+
+def _witness_free(z: Var, phi: Formula, where: str = "the matrix") -> Result:
+    if occurs_free(z, phi):
+        return "comprehension-witness", f"witness {z.name} occurs in {where}"
+    return frozenset()
+
+
+def _match_comprehension(f: Formula, theory: rg.Regime) -> Result:
     kind = theory.kind
-
-    def plain(g):
-        if not (isinstance(g, Exists) and isinstance(g.body, Forall)):
-            return None
-        z, inner = g.var, g.body
-        x, matrix = inner.var, inner.body
-        if not (isinstance(matrix, Iff) and isinstance(matrix.left, Apply)):
-            return None
-        app = matrix.left
-        if app.head != z or app.arg != x:
-            return None
-        if z.index != (x.index.succ() if x.index is not None else None):
-            return None
-        return z, x, matrix.right
-
+    # plain: some z. all x. z(x) <-> phi, with z one type above x
+    plain = isinstance(f, Exists) and _clause(f.body, f.var)
+    if plain and f.var.index != (plain[0].index and plain[0].index.succ()):
+        plain = None
     # stt-down takes plain instances at type 0 and augmented ones above
-    if kind in rg.PLAIN_COMPREHENSION_KINDS or kind == rg.STT_DOWN and plain(f):
-        got = plain(f)
-        if not got:
-            return (SCHEME, "not a comprehension instance")
-        z, x, phi = got
-        if kind == rg.STT_DOWN and x.index != TypeIndex(0, 0):
-            return (SCHEME, "plain comprehension only forms type-1 properties here")
-        if occurs_free(z, phi):
-            return ("comprehension-witness", f"witness {z.name} occurs in the matrix")
-        return None
+    if kind in rg.PLAIN_COMPREHENSION_KINDS or kind == rg.STT_DOWN and plain:
+        if not plain:
+            return SCHEME, "not a comprehension instance"
+        if kind == rg.STT_DOWN and plain[0].index != TypeIndex(0, 0):
+            return SCHEME, "plain comprehension only forms type-1 properties here"
+        return _witness_free(f.var, plain[1])
 
     if kind == rg.STT_DOWN:
         if not (isinstance(f, Forall) and isinstance(f.body, Exists)
                 and isinstance(f.body.body, And)
                 and isinstance(f.body.body.left, DownRel)
                 and isinstance(f.body.body.right, Forall)):
-            return (SCHEME, "not an augmented comprehension instance")
-        y, ex = f.var, f.body
-        z = ex.var
-        dn, inner = ex.body.left, ex.body.right
-        if dn.left != z or dn.right != y:
-            return (SCHEME, "projection guard does not bind the witness")
-        x, matrix = inner.var, inner.body
-        if not (isinstance(matrix, Iff) and isinstance(matrix.left, Apply)
-                and matrix.left.head == z and matrix.left.arg == x):
-            return (SCHEME, "not an augmented comprehension instance")
-        if occurs_free(z, matrix.right):
-            return ("comprehension-witness", f"witness {z.name} occurs in the matrix")
-        return None
+            return SCHEME, "not an augmented comprehension instance"
+        z, dn = f.body.var, f.body.body.left
+        if dn.left != z or dn.right != f.var:
+            return SCHEME, "projection guard does not bind the witness"
+        got = _clause(f.body.body.right, z)
+        if not got:
+            return SCHEME, "not an augmented comprehension instance"
+        return _witness_free(z, got[1])
 
     # fjt: the finitary scheme
     if not isinstance(f, Exists):
-        return (SCHEME, "not a finitary comprehension instance")
+        return SCHEME, "not a finitary comprehension instance"
     z = f.var
     n = z.index.finite_value if z.index.is_finite else None
     if not n:
-        return (SCHEME, "witness must have a positive finite type")
+        return SCHEME, "witness must have a positive finite type"
     conjuncts = []
     body = f.body
     while isinstance(body, And):
@@ -476,33 +469,31 @@ def _match_comprehension(f: Formula, theory: rg.Regime) -> Optional[Rejection]:
         body = body.right
     conjuncts.append(body)
     if len(conjuncts) != n:
-        return (SCHEME, f"need {n} conjuncts, found {len(conjuncts)}")
-    for expected_i, c in zip(range(n - 1, -1, -1), conjuncts):
-        if not (isinstance(c, Forall) and isinstance(c.body, Iff)
-                and isinstance(c.body.left, Apply)
-                and c.body.left.head == z and c.body.left.arg == c.var
-                and c.var.index == TypeIndex(0, expected_i)):
-            return (SCHEME, f"conjunct for type {expected_i} is off")
-        if occurs_free(z, c.body.right):
-            return ("comprehension-witness",
-                    f"witness {z.name} occurs in a matrix")
-    return None
+        return SCHEME, f"need {n} conjuncts, found {len(conjuncts)}"
+    for i, c in zip(range(n - 1, -1, -1), conjuncts):
+        got = _clause(c, z)
+        if not got or got[0].index != TypeIndex(0, i):
+            return SCHEME, f"conjunct for type {i} is off"
+        err = _witness_free(z, got[1], "a matrix")
+        if err:
+            return err
+    return frozenset()
 
 
-def _match_identity(f: Formula) -> Optional[str]:
+def _match_identity(f: Formula) -> Result:
     if not (isinstance(f, Iff) and isinstance(f.left, StrictEq)
             and isinstance(f.right, Forall)):
-        return "not an identity-scheme instance"
+        return SCHEME, "not an identity-scheme instance"
     s, t = f.left.left, f.left.right
     z, body = f.right.var, f.right.body
     if not (isinstance(body, Iff) and isinstance(body.left, Apply)
             and isinstance(body.right, Apply)):
-        return "not an identity-scheme instance"
+        return SCHEME, "not an identity-scheme instance"
     if body.left.head != z or body.right.head != z:
-        return "indiscernibility quantifier must head both sides"
+        return SCHEME, "indiscernibility quantifier must head both sides"
     if body.left.arg != s or body.right.arg != t:
-        return "indiscernibility must apply to the identity's terms"
+        return SCHEME, "indiscernibility must apply to the identity's terms"
     n = term_index(s)
     if n is None or term_index(t) != n or z.index != n.succ():
-        return "type arithmetic is off"
-    return None
+        return SCHEME, "type arithmetic is off"
+    return frozenset()

@@ -16,7 +16,6 @@ class FixtureResult:
     file: str
     expected: str              # "accepted" or a rejection tag
     verdict: ProofVerdict
-    proof: ProofObject
 
     @property
     def as_expected(self) -> bool:
@@ -66,13 +65,11 @@ def verify_fixture_suite() -> FixtureReport:
     manifest = fixture_manifest()
     report = FixtureReport()
     for name in manifest["positive"]:
-        proof = load_fixture(name)
         report.results.append(
-            FixtureResult(name, "accepted", check_proof(proof), proof))
+            FixtureResult(name, "accepted", check_proof(load_fixture(name))))
     for item in manifest["negative"]:
-        proof = load_fixture(item["file"])
-        report.results.append(
-            FixtureResult(item["file"], item["tag"], check_proof(proof), proof))
+        report.results.append(FixtureResult(
+            item["file"], item["tag"], check_proof(load_fixture(item["file"]))))
     if not report.results:
         raise ProofError("no bundled fixtures found")
     return report

@@ -14,13 +14,11 @@ the slice construction and Mostowski collapse.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          first_unrealized, ord_of_ranks)
-from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.parser import parse_formula
 from hotk.kernel.syntax import (And, Exists, Forall, Formula, FreshNames, Iff,
@@ -145,7 +143,7 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
     if corpus:
         size = f"{len(corpus)} instances"
         report.row("separation-corpus", over_budget or _sentence_checks(
-            g, map(_expanded_instance, corpus), budget, corpus=True),
+            g, map(separation_instance, corpus), budget, corpus=True),
             note=size, fail_note=size)
     rows = [("stratification", stratification_formula())]
     if which == "zr":
@@ -184,13 +182,6 @@ def _sentence_checks(s, sentences: Iterable[Formula], budget: int,
     for i, f in enumerate(sentences):
         if not eval_formula(s, f, budget=budget):
             yield FAIL, f"corpus formula #{i}" if corpus else None
-
-
-@lru_cache(maxsize=256)
-def _expanded_instance(phi: Formula) -> Formula:
-    """The expanded separation instance of phi, made once for all the
-    graphs a corpus is checked on."""
-    return expand_abbreviations(separation_instance(phi), None)
 
 
 def check_wellordering_of_levels(g: MembershipGraph) -> bool:

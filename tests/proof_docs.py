@@ -1,8 +1,9 @@
 """Proof documents for the checker's tests.
 
 The bundled fixtures as JSON documents, a small corpus of hand-written
-proofs for the propositional rules the fixtures never use, single scheme
-steps and the rejections of their matchers, seeded mutations, and hostile
+proofs for the propositional rules the fixtures never use, one document
+per rule rejection nothing else reaches, single scheme steps and the
+rejections of their matchers, seeded mutations, and hostile
 documents whose fields have the wrong JSON type.
 """
 
@@ -89,6 +90,68 @@ HAND_PROOFS = {
         _step(4, "some y^0. p^1(y^0)", "exists_e(0,0)", [1, 3], [2],
               eigen="c^0")]},
 }
+
+# One document per rejection that neither the fixtures nor the documents
+# above reach, with its (step, tag, message), or for a document that does
+# not load, its error class and message.
+_MIS = "rule-mismatch"
+_EXISTS_CASE = [_step(1, "some x^0. p^1(x^0)", "assume"),
+                _step(2, "p^1(c^0)", "assume"),
+                _step(3, "some y^0. p^1(y^0)", "exists_i(0,0)", [2], witness="c^0")]
+REJECTIONS = {
+    "and_e, neither conjunct": ("stt", [
+        _step(1, f"{P} & {Q}", "assume"), _step(2, R, "and_e", [1])],
+        (2, _MIS, "conclusion is neither conjunct")),
+    "or_i, neither disjunct": ("stt", [
+        _step(1, P, "assume"), _step(2, f"{Q} | {R}", "or_i", [1])],
+        (2, _MIS, "premise is neither disjunct")),
+    "or_e, no disjunction": ("stt", [
+        _step(1, f"{P} & {Q}", "assume"), _step(2, P, "assume"),
+        _step(3, Q, "assume"), _step(4, R, "or_e", [1, 2, 3], [2, 3])],
+        (4, _MIS, "first premise is not a disjunction")),
+    "or_e, cases differ": ("stt", [
+        _step(1, f"{P} | {Q}", "assume"), _step(2, P, "assume"),
+        _step(3, Q, "assume"), _step(4, P, "or_e", [1, 2, 3], [2, 3])],
+        (4, _MIS, "case conclusions differ from the conclusion")),
+    "not_i, other negation": ("stt", [
+        _step(1, P, "assume"), _step(2, f"~{P}", "assume"),
+        _step(3, f"~{Q}", "not_i", [1, 2], [1])],
+        (3, _MIS, "conclusion is not the negated assumption")),
+    "iff_i, one direction twice": ("stt", [
+        _step(1, f"{P} -> {Q}", "assume"), _step(2, f"{P} -> {Q}", "assume"),
+        _step(3, f"{P} <-> {Q}", "iff_i", [1, 2])],
+        (3, _MIS, "premises are not the two directions")),
+    "iff_e, no direction": ("stt", [
+        _step(1, f"{P} <-> {Q}", "assume"), _step(2, f"{P} -> {R}", "iff_e", [1])],
+        (2, _MIS, "conclusion is neither direction")),
+    "unknown rule": ("stt", [_step(1, P, "frobnicate")],
+                     (1, _MIS, "unknown rule 'frobnicate'")),
+    "exists_e, case derivation": ("stt", _EXISTS_CASE + [
+        _step(4, "q^1(b^0)", "exists_e(0,0)", [1, 3], [2], eigen="c^0")],
+        (4, _MIS, "conclusion differs from the case derivation")),
+    "forall_i, eigenvariable in conclusion": ("stt", [
+        _step(1, "p^1(c^0) & q^1(c^0)", "assume"),
+        _step(2, "all x^0. (p^1(x^0) & q^1(c^0))", "forall_i(0,0)", [1],
+              eigen="c^0")],
+        (2, "eigenvariable-conclusion", "eigenvariable c occurs where forbidden")),
+    "axiom, unknown": ("ctt:w", [_step(1, P, "axiom", scheme={"name": "no-such"})],
+                       (1, "scheme-shape", "unknown axiom 'no-such'")),
+    "axiom, other instance": ("ctt:w", [
+        _step(1, P, "axiom", scheme={"name": "type-base", "alpha": 0})],
+        (1, "scheme-shape", "formula is not the declared type-base instance")),
+    "bad rule string": ("stt", [_step(1, P, "and e")],
+                        ("ProofError", "step 1: bad rule string 'and e'")),
+    "plain, no quantifiers": ("stt", [_step(1, "all x^0. p^1(x^0)", "comprehension")],
+                              (1, "scheme-shape", "not a comprehension instance")),
+    "plain, matrix": ("stt", [
+        _step(1, "some z^1. all x^0. p^1(x^0) <-> z^1(x^0)", "comprehension")],
+        (1, "scheme-shape", "not a comprehension instance")),
+    "plain, types": ("ctt:w", [
+        _step(1, "some z^2. all x^0. z^2(x^0) <-> p^1(x^0)", "comprehension")],
+        (1, "scheme-shape", "not a comprehension instance")),
+}
+REJECTION_PROOFS = {name: {"theory": theory, "steps": steps}
+                    for name, (theory, steps, _) in REJECTIONS.items()}
 
 # Single comprehension and identity steps: an accepted instance of the
 # augmented (stt-down), finitary (fjt) and identity schemes, and a change to

@@ -11,8 +11,9 @@ import copy
 import pytest
 
 import checker_oracle as oracle
-from proof_docs import (HAND_PROOFS, HOSTILE_PROOFS, REGIMES, SCHEME_PROOFS,
-                        SCHEME_STEPS, fixture_documents, mutations)
+from proof_docs import (HAND_PROOFS, HOSTILE_PROOFS, REGIMES, REJECTION_PROOFS,
+                        REJECTIONS, SCHEME_PROOFS, SCHEME_STEPS,
+                        fixture_documents, mutations)
 
 from hotk.proofkit import check_proof, load_proof
 
@@ -51,6 +52,13 @@ def test_scheme_steps_draw_their_messages():
         message = SCHEME_STEPS[name][3]
         accepted, _, _, got = assert_agree(doc)
         assert (accepted, got) == (message is None, message), name
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_each_rejection_is_drawn(name):
+    want = REJECTIONS[name][2]
+    got = assert_agree(REJECTION_PROOFS[name])
+    assert got == (want if len(want) == 2 else (False, *want)), name
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -215,6 +215,13 @@ def test_counterexamples_leave_the_others_unassigned():
         == [(2, None)]
 
 
+def test_a_typed_atom_on_a_graph_is_named_in_the_notation():
+    f = parse_formula("all x^0 eq y^0. (a^0 eq b^0)")
+    with pytest.raises(EvalError) as e:
+        eval_formula(build_V(2), f)
+    assert str(e.value) == "cannot evaluate set formula node v1^1(x^0)"
+
+
 @pytest.mark.parametrize("name", ["chain3.json", "pair_mix.json", "quine.json"])
 def test_counterexamples_sweep_a_graph_in_product_order(name):
     """On a graph every atom ranges over the nodes, first atom outermost,

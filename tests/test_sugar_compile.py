@@ -153,7 +153,8 @@ def test_evaluation_makes_no_expansion_pass(monkeypatch, pure4):
         return expand.define(g, fresh)
 
     monkeypatch.setattr(expand, "expand_abbreviations", counting)
-    monkeypatch.setattr(settheory, "expand_abbreviations", counting)
+    monkeypatch.setattr(settheory, "expand_abbreviations", counting,
+                        raising=False)
     monkeypatch.setattr(core, "expand_abbreviations", counting, raising=False)
     monkeypatch.setattr(core, "define", define)
     d = domain_const(2)

@@ -19,7 +19,6 @@ from hotk.kernel import (check_formation, expand_abbreviations, fin,
 from hotk.kernel.syntax import (Apply, Const, Forall, Exists, Raised, Sugar, Var,
                                 all_names, alpha_normalize, free_atoms, parts,
                                 rebuild, subformulas, substitute)
-from hotk.models import max_finite_type
 from hotk.models.decide import top_type
 from hotk.proofkit.fixtures import fixture_manifest, load_fixture
 
@@ -173,6 +172,12 @@ def test_expand_abbreviations(regime):
     for f in TYPED:
         assert outcome(expand_abbreviations, f, r) == \
             outcome(ladder.expand_abbreviations, f, r), (f, regime)
+
+
+def max_finite_type(f):
+    """The height a model needs to evaluate f: the largest type index among
+    the terms and binders of f's expansion."""
+    return top_type(expand_abbreviations(f))[0]
 
 
 def _allowed_max_type_change(f, got):

@@ -15,6 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from hotk.errors import EvalError
 from hotk.kernel.expand import expand_abbreviations
+from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Iff,
                                 Implies, InSet, Not, Or, Raised, StrictEq,
                                 free_atoms, term_index)
@@ -164,6 +165,6 @@ def tree_eval_set_formula(g, f, env: Optional[dict] = None) -> bool:
                     break
             memo[key] = result
             return result
-        raise EvalError(f"cannot evaluate set formula node {h!r}")
+        raise EvalError(f"cannot evaluate set formula node {print_formula(h)}")
 
     return go(f, {k if isinstance(k, str) else k[0]: v for k, v in env.items()})
