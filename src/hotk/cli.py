@@ -215,14 +215,14 @@ def cmd_sets(args) -> tuple:
     if args.sets_cmd == "build-v":
         return None, [settheory.build_V(args.n, budget=args.budget).dumps()], EXIT_OK
     if args.sets_cmd == "slice":
-        m = _load_model(args.model)
-        return None, [settheory.S_construction(m, args.kappa).dumps()], EXIT_OK
+        s = settheory.S_construction(_load_model(args.model), args.kappa, args.budget)
+        return None, [s.dumps()], EXIT_OK
     g = _load_graph(args.graph)
     if args.sets_cmd == "check":
         return _suite(settheory.check_set_axioms(
             g, args.which, _separation_corpus(args.corpus), budget=args.budget))
     if args.sets_cmd == "levels":
-        lv = settheory.levels_of(g)
+        lv = settheory.levels_of(g, args.budget)
         ranks = {}
         for node in g.nodes:
             try:

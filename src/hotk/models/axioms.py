@@ -21,7 +21,6 @@ from hotk.errors import BudgetExceeded, EvalError
 from hotk.graphs import first_unrealized
 from hotk.kernel import axioms as ax
 from hotk.kernel import regimes as rg
-from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import Forall
 from hotk.models.builders import DEFAULT_BUDGET
@@ -96,8 +95,8 @@ def _scheme_checks(m: Model, name: str, top: int, budget: int):
     """The false or unevaluable instances of a theory axiom."""
     _, instances, witness = _SCHEMES[name]
     for args in instances(top):
-        f = _expanded_axiom(name, args)
-        if not m.reaches(top_type(f)[0]):
+        f, height = _axiom(name, args)
+        if not m.reaches(height):
             continue
         try:
             if eval_formula(m, f, budget=budget):
@@ -120,9 +119,11 @@ def _scheme_checks(m: Model, name: str, top: int, budget: int):
 
 
 @lru_cache(maxsize=256)
-def _expanded_axiom(name: str, args: tuple):
-    """A theory axiom's expanded instance, parsed once per process."""
-    return expand_abbreviations(_SCHEMES[name][0](*args))
+def _axiom(name: str, args: tuple):
+    """A theory axiom's instance as written and the height a model needs to
+    evaluate it, both found once per process."""
+    f = _SCHEMES[name][0](*args)
+    return f, top_type(f)[0]
 
 
 def _comprehension(m: Model, types, entities, budget: int):

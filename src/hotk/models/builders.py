@@ -4,6 +4,7 @@ companion, and graph-backed structures."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, FrozenSet, Optional
 
 from hotk.errors import BudgetExceeded, EvalError, GraphError
@@ -55,10 +56,8 @@ def build_pure_model(height: int, budget: int = DEFAULT_BUDGET) -> Model:
     hereditarily pure sets of rank <= n.  Capped at five levels."""
     if not 1 <= height <= 5:
         raise EvalError("pure hierarchy heights run from 1 to 5")
-    levels, members = hierarchy_levels(0, height, budget)
-    return Model(kind="pure", max_type=height - 1,
-                 domains=tuple(tuple(l) for l in levels), members=members,
-                 cumulative=True, meta={"height": height})
+    return replace(build_class_model(0, height, budget), kind="pure",
+                   meta={"height": height})
 
 
 def fjt_counts(n: int) -> int:
@@ -77,26 +76,21 @@ def build_fjt_canonical(height: int, budget: int = DEFAULT_BUDGET) -> Model:
         raise EvalError("canonical model heights run from 0 to 3")
     domains = [("o",)]
     members: Dict[str, FrozenSet[str]] = {"o": frozenset()}
-    name_of: Dict[object, str] = {"o": "o"}
-    objects = [["o"]]
     for n in range(height):
         expected = fjt_counts(n + 1)
         if expected > budget:
             raise BudgetExceeded(f"type {n + 1} needs {expected} entities")
         tuples = [()]
-        for lower in objects:
+        for lower in domains:
             tuples = [t + (frozenset(s),) for t in tuples for s in powerset(lower)]
         names = []
         for t in tuples:
             nm = "(" + "|".join(brace_name(slot) for slot in t) + ")"
-            name_of[t] = nm
             members[nm] = frozenset().union(*t) if t else frozenset()
             names.append(nm)
         names.sort(key=canonical_key)
         domains.append(tuple(names))
-        objects.append(names)
-    return Model(kind="fjt", max_type=height,
-                 domains=tuple(tuple(d) for d in domains), members=members,
+    return Model(kind="fjt", max_type=height, domains=tuple(domains), members=members,
                  cumulative=False, meta={"height": height})
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from typing import Tuple
 
 from hotk.errors import EvalError, FormationError
-from hotk.kernel.expand import expand_abbreviations
+from hotk.kernel.expand import define
 from hotk.kernel.formation import check_formation
 from hotk.kernel.regimes import fjt
-from hotk.kernel.syntax import (Formula, Var, base_atom, free_atoms, parts,
-                                term_index)
+from hotk.kernel.syntax import (Formula, FreshNames, Sugar, Var, base_atom,
+                                free_atoms, parts, term_index)
 from hotk.models.builders import build_fjt_canonical
 from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
 
@@ -22,12 +22,17 @@ _OPEN = "decision procedure needs a closed sentence"
 
 
 def top_type(g: Formula) -> Tuple[int, bool]:
-    """(the height a model needs: g's largest term or binder type, whether
-    every atom is bound) of a formula g that holds no sugar, in one walk."""
-    indices, closed = set(), True
+    """(the height a model needs: the largest term or binder type of g with
+    each defined symbol read as its definiens, whether every atom is bound),
+    in one walk.  A sugar node is walked as define(node, fresh), from one
+    FreshNames of g, which scans g only when the first sugar node asks."""
+    indices, closed, fresh = set(), True, FreshNames(g)
     stack = [(g, frozenset())]
     while stack:
         h, bound = stack.pop()
+        if type(h) is Sugar:
+            stack.append((define(h, fresh), bound))
+            continue
         terms, binder, bodies = parts(h)
         for t in terms:
             indices.add(term_index(t))
@@ -57,14 +62,13 @@ def decide_fjt(f: Formula, height: int, budget: int = DEFAULT_BUDGET,
         if free_atoms(f):
             raise EvalError(_OPEN)
         raise FormationError(verdict.reason)
-    # Under fjt, expansion keeps every term and binds only fresh variables,
-    # so g is closed exactly when f is.
-    g = expand_abbreviations(f)
-    need, closed = top_type(g)
+    # Under fjt, each definiens keeps every term and binds only fresh
+    # variables, so top_type finds f closed exactly when it is.
+    need, closed = top_type(f)
     if not closed:
         raise EvalError(_OPEN)
     if need > height:
         raise EvalError(f"sentence uses type {need}, above height {height}")
     if model is None:
         model = build_fjt_canonical(height, budget)
-    return eval_formula(model, g, budget=budget)
+    return eval_formula(model, f, budget=budget)

@@ -49,12 +49,12 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
 # ---------------------------------------------------------------------------
 # Histories, levels, rank.
 
-def levels_of(g: MembershipGraph) -> List[str]:
+def levels_of(g: MembershipGraph, budget: int = DEFAULT_BUDGET) -> List[str]:
     """All levels, sorted by member count (the in-order when B.3 holds).
     They are the nodes s that falsify ~Lev(s), from one compile, so the
     cache of the Hist(h) quantifier in Lev serves every candidate."""
     s = _v("s")
-    falsified = counterexamples(g, (s,), Not(Sugar("level", (s,))))
+    falsified = counterexamples(g, (s,), Not(Sugar("level", (s,))), budget)
     return sorted((v[0] for _, v in falsified if v is not None),
                   key=lambda node: (len(g.members(node)), node))
 
@@ -226,7 +226,7 @@ def T_construction(g: MembershipGraph) -> Model:
                    meta={"source": "t-construction", "ord": ord_of_ranks(ranks)})
 
 
-def S_construction(m: Model, kappa: int) -> MembershipGraph:
+def S_construction(m: Model, kappa: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
     """Slice a cumulative typed model at one type: the domain is the type's
     entities, membership is the evaluated defined-membership relation."""
     if not 0 <= kappa <= m.max_type:
@@ -237,7 +237,7 @@ def S_construction(m: Model, kappa: int) -> MembershipGraph:
     k = fin(kappa)
     a, b = Var("a", k), Var("b", k)
     outside = Not(Sugar("in", (a, b)))
-    edges = frozenset(pair for _, pair in counterexamples(m, (a, b), outside)
+    edges = frozenset(pair for _, pair in counterexamples(m, (a, b), outside, budget)
                       if pair is not None)
     return MembershipGraph(tuple(m.domains[kappa]), edges)
 

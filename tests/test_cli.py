@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +328,52 @@ def test_kappa_check_honours_the_budget(tmp_path, capsys):
     assert code == 0
 
 
+def test_levels_and_slice_honour_the_budget(tmp_path, capsys):
+    """An ordinal chain o0 in o1 in ... with o_j in o_i for every j < i,
+    under short names: its levels take seconds at the default budget, and
+    a budget of 10 stops the first quantifier over its 96 nodes."""
+    names = [f"o{i}" for i in range(96)]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"nodes": names, "edges": [
+        [names[j], names[i]] for i in range(96) for j in range(i)]}))
+    start = time.perf_counter()
+    code, doc = run_json("--budget", "10", "sets", "levels", str(chain))
+    assert code == 3 and doc["error"] == "BudgetExceeded"
+    assert time.perf_counter() - start < 1
+    _, out = run(capsys, "sets", "build-v", "3")
+    v3, t3 = tmp_path / "v3.json", tmp_path / "t3.json"
+    v3.write_text(out)
+    t3.write_text(run(capsys, "sets", "t-model", str(v3))[1])
+    code, doc = run_json("--budget", "2", "sets", "slice", "--kappa", "1", str(t3))
+    assert code == 3 and doc["error"] == "BudgetExceeded"
+    code, out = run(capsys, "sets", "slice", "--kappa", "1", str(t3))
+    assert code == 0 and json.loads(out)["edges"] == [["{}", "{{}}"]]
+
+
+def test_levels_name_a_rank_that_is_undefined(tmp_path, capsys):
+    """In quine.json b is its own member, so no level includes it."""
+    from hotk.corpus import graph_fixture
+    path = str(tmp_path / "quine.json")
+    (tmp_path / "quine.json").write_text(graph_fixture("quine.json").dumps())
+    code, out = run(capsys, "sets", "levels", path)
+    assert code == 0
+    assert out.splitlines() == ["levels: empty, s_empty", "rank b = undefined",
+                                "rank empty = 0", "rank s_empty = 1",
+                                "rank p_eb = undefined"]
+    code, doc = run_json("sets", "levels", path)
+    assert code == 0 and doc["ranks"]["b"] is None
+
+
+def test_model_build_writes_its_output_file(tmp_path, capsys):
+    path = tmp_path / "fjt1.json"
+    code = main(["model", "build", "--kind", "fjt", "--height", "1", "-o", str(path)])
+    out = capsys.readouterr()
+    assert code == 0
+    assert (out.out, out.err) == ("", f"wrote {path}\n")
+    _, printed = run(capsys, "model", "build", "--kind", "fjt", "--height", "1")
+    assert path.read_text() == printed
+
+
 def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
     """A suite with no FAIL and a budget SKIP exits 3, not the 1 of a
     negative verdict; with a FAIL it exits 1 whatever else it skipped."""
@@ -533,6 +580,10 @@ ERROR_PATHS = [
     (["--budget", "-5", "eval", "--model", "fjt2.json", "a^0 = a^0"], 2,
      "UsageError"),
     (["sets", "kappa-check", "--kappa", "-1", "v2.json"], 2, "EvalError"),
+    (["eval", "--model", "fjt2.json", "--theory", "stt", "c^2(a^0)"], 2,
+     "FormationError"),
+    (["eval", "--model", "fjt2.json", "--let", "x^0", "x^0 = x^0"], 2,
+     "ParseError"),
 ]
 
 
@@ -717,6 +768,7 @@ LAYERS = [
     (["prove", "check", "bad.proof"], 1, PROOFS),
     (["prove", "fixtures"], 0, PROOFS),
     (["corpus", "run"], 0, PROOFS | {"hotk.corpus"}),
+    (["translate", "--map", "kappa:1", "set.hol"], 0, KERNEL | {"hotk.translate"}),
 ]
 # Runs the module as `python -m` does, then prints the loaded hotk modules.
 _PROBE = """
@@ -811,6 +863,7 @@ INTEGER_ARGUMENTS = [
     ["model", "build", "--kind", "class", "--height", "2", "--urelements", "{}"],
     ["sets", "build-v", "{}"],
     ["--budget", "{}", "sets", "check", "lt", "v3.json"],
+    ["--budget", "{}", "sets", "levels", "v3.json"],
 ]
 
 

@@ -45,3 +45,23 @@ def test_no_module_imports_a_private_name_from_another_part():
                               for alias in node.names
                               if alias.name.startswith("_")]
     assert crossings == []
+
+
+# The modules whose product is a rewritten tree: the kernel, the translation
+# maps, the proof checker's comparisons, the goldens and `hotk expand`.
+# Evaluation reads each defined symbol as its definiens where it meets it.
+EXPANDERS = ("kernel/", "translate.py", "proofkit/checker.py", "corpus.py", "cli.py")
+
+
+def test_only_the_rewriting_modules_import_expand_abbreviations():
+    readers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        if "expand_abbreviations" in names and not rel.startswith(EXPANDERS):
+            readers.append(rel)
+    assert readers == []

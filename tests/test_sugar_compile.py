@@ -10,22 +10,30 @@ domain formulas, defined identity, coextensiveness and projection
 equivalence (ill-formed ones included), kappa images of the separation
 corpus, and `Lev`/`Hist`/`Rank`/`sub` sentences and separation instances
 on graphs, under the default budget and under one small enough to trip.
+
+`top_type` and `decide_fjt` read each defined symbol as its definiens where
+their walk meets it too; they are checked against the same walk of the
+expanded formula, and against deciding by expanding first.
 """
 
 from itertools import islice
 
 import pytest
 
+from genutil import FormulaGen
 from test_compile import outcome
+from test_walks import ALL, EXPANDED
 
 from hotk import settheory
 from hotk.corpus import graph_fixture, separation_corpus, transitive_fixture_names
-from hotk.errors import DEFAULT_BUDGET, FormationError
-from hotk.kernel import expand, fin, parse_formula
+from hotk.errors import DEFAULT_BUDGET, EvalError, FormationError
+from hotk.kernel import check_formation, expand, fin, fjt, parse_formula, parse_regime
 from hotk.kernel.expand import expand_abbreviations
-from hotk.kernel.syntax import Not, Sugar, Var
-from hotk.models import (build_class_model, build_pure_model, core,
-                         counterexamples, eval_formula)
+from hotk.kernel.syntax import Not, Sugar, Var, free_atoms
+from hotk.models import (axioms, build_class_model, build_fjt_canonical,
+                         build_pure_model, check_axiom_suite, core,
+                         counterexamples, decide, eval_formula)
+from hotk.models.decide import decide_fjt, top_type
 from hotk.models.domains import KINDS, domain_const, gen_domain_formula
 from hotk.settheory import (S_construction, T_construction, build_V,
                             levels_of, separation_instance)
@@ -139,9 +147,77 @@ def test_slices_of_T_models(name):
         sweeps_agree(m, [a, b], Not(Sugar("in", (a, b))))
 
 
-def test_evaluation_makes_no_expansion_pass(monkeypatch, pure4):
+# Typed set sugar, which the corpora of test_walks hold only at type 2: an
+# open and a closed formula of each kind in turn.
+TYPED_SET_TEXTS = ["a^0 sub b^0", "all x^1. some y^1. x^1 sub y^1", "Lev(s^0)",
+                   "some s^1. Lev(s^1)", "Hist(h^0)", "all h^1. Hist(h^1)",
+                   "Rank(a^0, s^0)", "all a^1. some s^1. Rank(a^1, s^1)"]
+
+
+def test_the_type_walk_reads_definientia_as_expansion_does():
+    typed = [parse_formula(t) for t in TYPED_SET_TEXTS]
+    for f in ALL + EXPANDED + typed:
+        expanded = outcome(expand_abbreviations, f)
+        want = expanded if isinstance(expanded, tuple) else outcome(top_type, expanded)
+        assert outcome(top_type, f) == want, f
+
+
+_OPEN = "decision procedure needs a closed sentence"
+
+
+def expand_then_decide(f, height, budget, model):
+    """decide_fjt as it was written with an expansion pass ahead of its
+    type walk and evaluation."""
+    verdict = check_formation(f, fjt())
+    if not verdict:
+        if free_atoms(f):
+            raise EvalError(_OPEN)
+        raise FormationError(verdict.reason)
+    g = expand_abbreviations(f)
+    need, closed = top_type(g)
+    if not closed:
+        raise EvalError(_OPEN)
+    if need > height:
+        raise EvalError(f"sentence uses type {need}, above height {height}")
+    return eval_formula(model, g, budget=budget)
+
+
+# Closed sentences with every sugar kind fjt admits, one that needs a type
+# above every height, an open one and two that fjt rejects.
+DECIDE_TEXTS = TYPED_SET_TEXTS[1::2] + [
+    "all x^0. all y^0. x^0 eq y^0", "all x^0. some y^1. x^0 in y^1",
+    "all x^1. all y^1. (x^1 coext y^1 -> x^1 eq y^1)",
+    "all x^2. all y^2. (x^2 coext_2 y^2 <-> x^2 eq y^2)",
+    "all x^1. all y^1 eq x^1. x^1 coext y^1", "some s^0. Lev(s^0) & Hist(s^0)",
+    "all y^2. some x^0 in y^2. x^0 eq x^0", "all a^0. some s^0. Rank(a^0, s^0)",
+    "all x^3. x^3 eq x^3", "x^0 eq y^0", "all a^1. all b^1. a^1 downeq b^1",
+    "a^1 downeq b^1"]
+
+
+def test_decide_agrees_with_deciding_the_expansion():
+    models = [build_fjt_canonical(h) for h in range(4)]
+    sentences = [parse_formula(t) for t in DECIDE_TEXTS]
+    for height in (1, 2, 3):
+        for seed in range(40):
+            gen = FormulaGen(fjt(), seed=seed, max_type=height, max_depth=3)
+            sentences.append(gen.sentence())
+    seen = set()
+    for f in sentences:
+        for height, m in enumerate(models):
+            # At height 3 the default budget would sweep the 2048 type-3
+            # entities under other quantifiers.
+            for budget in (10, 300 if height == 3 else DEFAULT_BUDGET):
+                got = outcome(decide_fjt, f, height, budget, m)
+                assert got == outcome(expand_then_decide, f, height, budget, m), \
+                    (f, height, budget)
+                seen.add(got if type(got) is bool else got[0])
+    assert seen == {True, False, "EvalError", "FormationError", "BudgetExceeded"}
+
+
+def test_evaluation_makes_no_expansion_pass(monkeypatch, pure4, fjt3_down):
     """The compiler defines each sugar node it meets and never runs
-    expand_abbreviations; nor do levels_of and S_construction."""
+    expand_abbreviations; nor do levels_of, S_construction, decide_fjt and
+    the axiom suites."""
     calls, defined = [], []
 
     def counting(f, regime=None):
@@ -155,7 +231,8 @@ def test_evaluation_makes_no_expansion_pass(monkeypatch, pure4):
     monkeypatch.setattr(expand, "expand_abbreviations", counting)
     monkeypatch.setattr(settheory, "expand_abbreviations", counting,
                         raising=False)
-    monkeypatch.setattr(core, "expand_abbreviations", counting, raising=False)
+    for module in (core, decide, axioms):
+        monkeypatch.setattr(module, "expand_abbreviations", counting, raising=False)
     monkeypatch.setattr(core, "define", define)
     d = domain_const(2)
     f = gen_domain_formula("m-russellian", 2, 2)
@@ -166,4 +243,10 @@ def test_evaluation_makes_no_expansion_pass(monkeypatch, pure4):
     S_construction(T_construction(g), 1)
     with pytest.raises(FormationError):
         eval_formula(pure4, parse_formula("a^0 coext b^0"))
+    decide_fjt(parse_formula("all x^1. some y^1. x^1 eq y^1"), 2)
+    for held in vars(axioms).values():     # instances an earlier suite kept
+        if hasattr(held, "cache_clear"):
+            held.cache_clear()
+    for theory in ("ctt:w", "stt-down"):
+        check_axiom_suite(fjt3_down, parse_regime(theory), 3)
     assert calls == [] and len(defined) > 4
