@@ -12,7 +12,12 @@ Lapalme, "Using closures for code generation", Computer Languages 12(1),
 key for each term, so one compiler serves typed models and membership
 graphs; a graph is a one-sorted structure whose one domain is its nodes.
 A defined symbol is compiled where the walk meets it, as its definiens
-(kernel.expand.define), so no expansion pass runs first.  There are two
+(kernel.expand.define), so no expansion pass runs first.  Defined identity
+on a typed model is the exception: `a eq b`, and the quantifier
+`all v. v(a) <-> v(b)` it abbreviates, compile to one comparison of a's
+and b's owners, from the converse of the member table (Codd,
+"Relational Completeness of Data Base Sublanguages", 1972), which each
+Model fills one entity at a time on first use.  There are two
 ways in: eval_formula evaluates a formula under one assignment, and
 counterexamples sweeps every assignment to some atoms of a formula.
 """
@@ -21,7 +26,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import compress, product
 from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
                     Union)
@@ -30,13 +36,15 @@ from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, HotkError,
                          check_json, load_json)
 from hotk.graphs import MembershipGraph, canonical_key
 from hotk.kernel.expand import define
-from hotk.kernel.indices import TypeIndex
+from hotk.kernel.indices import TypeIndex, fin, max_index
 from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
                                 FreshNames, Iff, Implies, InSet, Not, Or,
-                                Raised, StrictEq, Sugar, Term, term_index)
+                                Raised, StrictEq, Sugar, Term, base_atom,
+                                term_index)
 
 Entity = str
+_EMPTY: FrozenSet[Entity] = frozenset()
 Assignment = Dict[Tuple[str, Optional[TypeIndex]], Entity]
 
 _MODEL_SHAPE = {"kind": str, "height": int, "domains": [[str]],
@@ -55,6 +63,11 @@ class Model:
     up_map: Optional[Dict[Tuple[int, Entity], Entity]] = None
     down_rel: Optional[Set[Tuple[int, Entity, Entity]]] = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # type -> its _Converse, made on first use; no field, so ==, repr,
+        # dataclasses.replace and to_json never see it
+        self._tables: Dict[int, _Converse] = {}
 
     def domain(self, index: Optional[TypeIndex]) -> Tuple[Entity, ...]:
         if index is None:
@@ -75,8 +88,19 @@ class Model:
         return a in self.members.get(b, frozenset())
 
     def extension(self, e: Entity, n: int) -> FrozenSet[Entity]:
-        dom = frozenset(self.domain(TypeIndex(0, n)))
-        return self.members.get(e, frozenset()) & dom
+        return self.members.get(e, _EMPTY) & self.converse(n).domain
+
+    def owners(self, e: Entity, n: int) -> FrozenSet[Entity]:
+        """The type-n entities whose member sets hold e."""
+        table = self.converse(n)
+        return frozenset(compress(table.dom, table[e]))
+
+    def converse(self, n: int) -> "_Converse":
+        """Type n's converse member table, made on first use."""
+        got = self._tables.get(n)
+        if got is None:
+            got = self._tables[n] = _Converse(self.domain(fin(n)), self.members)
+        return got
 
     def entity_count(self) -> int:
         return len(self.members)
@@ -140,6 +164,28 @@ class Model:
         return cls.from_json(load_json(text, "model file"))
 
 
+class _Converse(dict):
+    """The converse of the member table on one domain, an entity e to its
+    owner row: one byte per entity of the domain, in domain order, 1 where
+    that entity's member set holds e.  A row is found in one pass over the
+    domain when first asked for, and two entities have the same owners
+    exactly when their rows are equal.  A row takes a byte per entity where
+    the owner set itself would take a hash-table slot."""
+
+    def __init__(self, dom: Tuple[Entity, ...], members: Dict[Entity, FrozenSet[Entity]]):
+        super().__init__()
+        self.dom, self.members = dom, members
+
+    @cached_property
+    def domain(self) -> FrozenSet[Entity]:
+        return frozenset(self.dom)
+
+    def __missing__(self, e: Entity) -> bytes:
+        members = self.members
+        got = self[e] = bytes([e in members.get(d, _EMPTY) for d in self.dom])
+        return got
+
+
 def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:
     if isinstance(t, Raised):
         raise EvalError("raised terms are not assignment keys")
@@ -149,7 +195,6 @@ def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:
 Structure = Union[Model, MembershipGraph]
 
 _UNSET = object()       # value of a slot not yet filled
-_EMPTY: FrozenSet[Entity] = frozenset()
 _NO_SLOTS: FrozenSet[int] = frozenset()
 
 
@@ -299,6 +344,10 @@ class _Compiler:
         return _fail(EvalError, message), frozenset([slot])
 
     def sugar(self, g: Sugar, scope: dict):
+        if g.kind == "eq" and not self.sets:
+            s, t = g.args
+            gamma = max_index(term_index(s), term_index(t)).succ()
+            return self.identity(s, t, gamma, scope)
         if self.fresh is None:
             self.fresh = FreshNames(self.root)
         definiens = define(g, self.fresh)
@@ -370,27 +419,66 @@ class _Compiler:
             return (lambda env: (n, env[x], env[y]) in down), slots
         return (lambda env: (n, l(env), r(env)) in down), slots
 
+    def checked_domain(self, index):
+        """(the domain of index, None), or (None, a closure that raises the
+        missing domain's or the budget's error when it is reached)."""
+        try:
+            dom = self.domain(index)
+        except EvalError as e:
+            return None, _fail(EvalError, str(e))
+        if len(dom) > self.budget:
+            return None, _fail(BudgetExceeded,
+                               f"quantifier over {self.sort_name(index)} ranges "
+                               f"over {len(dom)} entities, above budget {self.budget}")
+        return dom, None
+
+    def identity(self, s: Term, t: Term, gamma, scope: dict):
+        """all v^gamma. v(s) <-> v(t) as one comparison: s and t have the
+        same type-gamma owner rows.  As in the loop, the domain lookup and the
+        budget come first, an empty domain makes it true without reading
+        s or t, and s is read before t."""
+        both = self.bound(scope, s, t)
+        if both:
+            slots = frozenset(both)
+        else:
+            l, ls = self.term(s, scope)
+            r, rs = self.term(t, scope)
+            slots = ls | rs
+        dom, fail = self.checked_domain(gamma)
+        if fail:
+            return fail, slots
+        if not dom:
+            return (lambda env: True), _NO_SLOTS
+        owners = self.m.converse(gamma.finite_value)
+        if both:
+            x, y = both
+            return (lambda env: owners[env[x]] == owners[env[y]]), slots
+        return (lambda env: owners[l(env)] == owners[r(env)]), slots
+
     def quantifier(self, g, scope: dict):
         """A loop over the domain, cached when its slots read are a strict
         subset of the slots in scope.  A quantifier whose body never reads
         its variable is its body on a non-empty domain and a constant on an
-        empty one, after the same domain lookup and budget check."""
-        budget = self.budget
+        empty one, after the same domain lookup and budget check.  In a
+        typed model, `all v. v(s) <-> v(t)` with v in neither s nor t is
+        an identity."""
+        v, body = g.var, g.body
+        if (type(g) is Forall and type(body) is Iff and not self.sets
+                and type(body.left) is Apply and type(body.right) is Apply
+                and body.left.head == v and body.right.head == v):
+            s, t = body.left.arg, body.right.arg
+            if not (_reads(s, v) or _reads(t, v)):
+                return self.identity(s, t, v.index, scope)
         slot = self.nslots
         self.nslots += 1
-        inner = {**scope, self.keyof(g.var): slot}
+        inner = {**scope, self.keyof(v): slot}
         self.alive.append(inner)
-        body, slots = self.node(g.body, inner)
+        body, slots = self.node(body, inner)
         vacuous = slot not in slots
         slots = slots - {slot}
-        try:
-            dom = self.domain(g.var.index)
-        except EvalError as e:
-            return _fail(EvalError, str(e)), slots
-        if len(dom) > budget:
-            return _fail(BudgetExceeded,
-                         f"quantifier over {self.sort_name(g.var.index)} ranges "
-                         f"over {len(dom)} entities, above budget {budget}"), slots
+        dom, fail = self.checked_domain(v.index)
+        if fail:
+            return fail, slots
         if vacuous:
             if dom:
                 return body, slots
@@ -421,6 +509,12 @@ class _Compiler:
                 got = cache[k] = loop(env)
             return got
         return cached, slots
+
+
+def _reads(t: Term, v: Term) -> bool:
+    """Whether the term t reads the variable v, by name and index."""
+    a = base_atom(t)
+    return a.name == v.name and a.index == v.index
 
 
 # node type -> its builder in a typed model; a graph's table differs only

@@ -71,6 +71,8 @@ class FormulaGen:
     def _atom(self, scope):
         kind = self.regime.kind
         r = self.rng.random()
+        if self.max_type == 0:      # no type to apply a term of
+            return StrictEq(self._term(scope, 0), self._term(scope, 0))
         if kind in (rg.CTT_STRINGENT, rg.FJT):
             if r < 0.75:
                 n = self.rng.randint(1, self.max_type)

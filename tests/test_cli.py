@@ -684,7 +684,12 @@ def test_fuzzed_model_and_graph_files_keep_the_exit_codes(tmp_path_factory, mode
     d = tmp_path_factory.mktemp("files")
     (d / "model.json").write_text(model)
     (d / "graph.json").write_text(graph)
-    run_json("eval", "--model", str(d / "model.json"),
+    # defined identity and its definiens, both compiled as owner-set
+    # comparisons, and the budget's check ahead of them
+    for sentence in ("all x^0. some y^1. x^0 eq y^1",
+                     "all x^0. some y^1. all v^2. (v^2(x^0) <-> v^2(y^1))"):
+        run_json("eval", "--model", str(d / "model.json"), sentence)
+    run_json("--budget", "1", "eval", "--model", str(d / "model.json"),
              "all x^0. some y^1. x^0 eq y^1")
     run_json("model", "check", "--model", str(d / "model.json"),
              "--theory", theory)

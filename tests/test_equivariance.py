@@ -8,16 +8,21 @@ may differ, but none may capture a name of the input or be captured by one.
 For a function that evaluates, the value on pi.f under the renamed
 assignment is the value on f.  The permutations are seeded, and they range
 over the stems new names are drawn from, so a rule that picks a new name by
-looking at only some of the names of its input shows up as a capture.
+looking at only some of the names of its input shows up as a capture.  The
+proof checker gives a renamed proof document the same verdict, at the same
+step, with the same tag.
 """
 
 import random
+from dataclasses import replace
 
 from genutil import FormulaGen
+from proof_docs import REGIMES as PROOF_REGIMES, HAND_PROOFS, REJECTION_PROOFS
+from proof_docs import SCHEME_PROOFS, fixture_documents, mutations
 from test_compile import outcome
 
 from hotk.corpus import separation_corpus
-from hotk.errors import DEFAULT_BUDGET
+from hotk.errors import DEFAULT_BUDGET, ProofError
 from hotk.kernel import fin, parse_formula, parse_regime
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.syntax import (Const, Exists, Forall, Raised, Var,
@@ -25,6 +30,7 @@ from hotk.kernel.syntax import (Const, Exists, Forall, Raised, Var,
                                 parts, rebuild, subformulas, substitute)
 from hotk.models import eval_formula
 from hotk.models.decide import decide_fjt, top_type
+from hotk.proofkit import check_proof, load_proof
 from hotk.settheory import build_V, separation_instance
 from hotk.translate import (ctt_to_sttu, fjt_to_sttd, kappa_translate,
                             sttd_to_fjt, sttu_to_ctt)
@@ -193,3 +199,46 @@ def test_evaluation_type_walk_and_decision(fjt2, fjt3):
             for height, m in ((2, fjt2), (3, fjt3)):
                 assert outcome(decide_fjt, act(pi, f), height, 300, m) == \
                     outcome(decide_fjt, f, height, 300, m), (f, pi)
+
+
+def _renamed_proof(pi, p):
+    """pi.p: every formula and term of a loaded proof renamed through pi."""
+    def term(t):
+        return t and rename(pi, t)
+    return replace(p, hypotheses=[act(pi, h) for h in p.hypotheses],
+                   goal=p.goal and act(pi, p.goal),
+                   steps=[replace(s, formula=act(pi, s.formula), eigen=term(s.eigen),
+                                  witness=term(s.witness)) for s in p.steps])
+
+
+def _verdict(p):
+    """(accepted, step, tag), or the error class; a message may name a
+    variable, so it is left out."""
+    try:
+        v = check_proof(p)
+    except Exception as e:
+        return type(e).__name__
+    return v.accepted, v.step, v.tag
+
+
+def test_the_proof_checker():
+    """A renamed proof document gets the same verdict, at the same step,
+    with the same tag, under its own theory and under every regime."""
+    docs = {**fixture_documents(), **HAND_PROOFS, **SCHEME_PROOFS,
+            **REJECTION_PROOFS}
+    names = POOL + ["p", "q", "r", "x", "y", "z", "u", "w", "d", "e", "f", "g"]
+    proofs = []
+    for doc in list(docs.values()) + [d for _, d in mutations(docs, 0, 60)]:
+        for regime in [doc["theory"]] + PROOF_REGIMES:
+            try:
+                proofs.append(load_proof({**doc, "theory": regime}))
+            except ProofError:      # a malformed file has no formulas to rename
+                pass
+    verdicts = set()
+    for seed in SEEDS:
+        pi = permutation(seed, names)
+        for p in proofs:
+            want = _verdict(p)
+            assert _verdict(_renamed_proof(pi, p)) == want, (p, pi)
+            verdicts.add(want[0] if isinstance(want, tuple) else want)
+    assert verdicts == {True, False}

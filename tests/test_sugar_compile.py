@@ -20,7 +20,7 @@ from itertools import islice
 
 import pytest
 
-from genutil import FormulaGen
+from genutil import FormulaGen, oracle_eval
 from test_compile import outcome
 from test_walks import ALL, EXPANDED
 
@@ -29,7 +29,8 @@ from hotk.corpus import graph_fixture, separation_corpus, transitive_fixture_nam
 from hotk.errors import DEFAULT_BUDGET, EvalError, FormationError
 from hotk.kernel import check_formation, expand, fin, fjt, parse_formula, parse_regime
 from hotk.kernel.expand import expand_abbreviations
-from hotk.kernel.syntax import Not, Sugar, Var, free_atoms
+from hotk.kernel.syntax import (Not, StrictEq, Sugar, Var, free_atoms, parts,
+                                subformulas)
 from hotk.models import (axioms, build_class_model, build_fjt_canonical,
                          build_pure_model, check_axiom_suite, core,
                          counterexamples, decide, eval_formula)
@@ -212,6 +213,22 @@ def test_decide_agrees_with_deciding_the_expansion():
                     (f, height, budget)
                 seen.add(got if type(got) is bool else got[0])
     assert seen == {True, False, "EvalError", "FormationError", "BudgetExceeded"}
+
+
+def test_the_generator_draws_height_0_formulas():
+    """At max_type 0 every atom is a type-0 `=`, so height-0 sentences can
+    be drawn, and decided, under every regime the generator knows."""
+    m = build_fjt_canonical(0)
+    for regime in ("ctt", "stt-up", "fjt", "stt-down"):
+        for seed in range(20):
+            gen = FormulaGen(parse_regime(regime), seed=seed, max_type=0)
+            f, s = gen.formula(), gen.sentence()
+            for g in (f, s):
+                assert check_formation(g, parse_regime(regime)).ok
+                atoms = [h for h in subformulas(g) if not parts(h)[2]]
+                assert atoms and all(type(h) is StrictEq and h.left.index == fin(0)
+                                     for h in atoms), g
+            assert decide_fjt(s, 0, model=m) == oracle_eval(m, s, {})
 
 
 def test_evaluation_makes_no_expansion_pass(monkeypatch, pure4, fjt3_down):
