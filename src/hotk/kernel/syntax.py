@@ -242,18 +242,20 @@ def subformulas(f: Formula):
 
 
 def free_atoms(f: Formula) -> frozenset:
-    """Free variables and constants of f (Raised wrappers stripped)."""
+    """Free variables and constants of f (Raised wrappers stripped).  The
+    binders in scope are a tuple of (name, index) pairs: a formula binds few
+    variables, and a tuple grows without hashing an index."""
     out = set()
-    stack = [(f, frozenset())]
+    stack = [(f, ())]
     while stack:
         g, bound = stack.pop()
         terms, binder, bodies = parts(g)
         for t in terms:
             a = base_atom(t)
-            if not (isinstance(a, Var) and (a.name, a.index) in bound):
+            if not (type(a) is Var and (a.name, a.index) in bound):
                 out.add(a)
         if binder is not None:
-            bound = bound | {(binder.name, binder.index)}
+            bound = (*bound, (binder.name, binder.index))
         for b in bodies:
             stack.append((b, bound))
     return frozenset(out)

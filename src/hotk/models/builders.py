@@ -68,12 +68,22 @@ def fjt_counts(n: int) -> int:
     return sizes[n]
 
 
+# The heights of the canonical tuple models: type 4 would need 2^2059 entities.
+FJT_HEIGHTS = range(4)
+
+
+def check_fjt_height(height: int) -> None:
+    """Refuse a height that has no canonical tuple model."""
+    if height not in FJT_HEIGHTS:
+        raise EvalError(f"canonical model heights run from {FJT_HEIGHTS[0]} "
+                        f"to {FJT_HEIGHTS[-1]}")
+
+
 def build_fjt_canonical(height: int, budget: int = DEFAULT_BUDGET) -> Model:
     """The canonical pure extensional model of the finitary theory: a type n
     entity is a tuple of extensions, one per lower type; types never share
     entities."""
-    if not 0 <= height <= 3:
-        raise EvalError("canonical model heights run from 0 to 3")
+    check_fjt_height(height)
     domains = [("o",)]
     members: Dict[str, FrozenSet[str]] = {"o": frozenset()}
     for n in range(height):

@@ -70,6 +70,9 @@ class Model:
         self._tables: Dict[int, _Converse] = {}
 
     def domain(self, index: Optional[TypeIndex]) -> Tuple[Entity, ...]:
+        if (index is not None and index.omega_coeff == 0
+                and index.finite_part <= self.max_type):
+            return self.domains[index.finite_part]
         if index is None:
             raise EvalError("untyped quantifier in a typed model")
         if not index.is_finite:
@@ -231,6 +234,15 @@ def _key(name: str, index: Optional[TypeIndex]):
     return name, index.omega_coeff, index.finite_part
 
 
+def _term_key(t: Term):
+    """_key(t.name, t.index) in one call: the key of a variable or constant
+    in a typed model."""
+    index = t.index
+    if index is None:
+        return t.name, None
+    return t.name, index.omega_coeff, index.finite_part
+
+
 class _Compiler:
     """One walk of a formula over one structure, seen as `domain` (a
     variable's index to its entities), `members` (an entity to its member
@@ -264,7 +276,7 @@ class _Compiler:
             self.sort_name = lambda index: "the nodes"
         else:
             self.members, self.build = m.members, _BUILD
-            self.keyof = lambda t: _key(t.name, t.index)
+            self.keyof = _term_key
             self.domain, self.sort_name = m.domain, "type {}".format
         self.free: Dict = {}        # key -> slot, for every free atom
         self.nslots = 0
@@ -289,9 +301,10 @@ class _Compiler:
         key = (id(g), id(scope))
         got = self.memo.get(key)
         if got is None:
-            build = self.build.get(type(g))
-            if build is None:
-                raise TypeError(f"unknown formula node {g!r}")
+            try:
+                build = self.build[type(g)]
+            except KeyError:
+                raise TypeError(f"unknown formula node {g!r}") from None
             got = self.memo[key] = build(self, g, scope)
         return got
 
@@ -462,8 +475,8 @@ class _Compiler:
         empty one, after the same domain lookup and budget check.  In a
         typed model, `all v. v(s) <-> v(t)` with v in neither s nor t is
         an identity."""
-        v, body = g.var, g.body
-        if (type(g) is Forall and type(body) is Iff and not self.sets
+        kind, v, body = type(g), g.var, g.body
+        if (kind is Forall and type(body) is Iff and not self.sets
                 and type(body.left) is Apply and type(body.right) is Apply
                 and body.left.head == v and body.right.head == v):
             s, t = body.left.arg, body.right.arg
@@ -475,40 +488,70 @@ class _Compiler:
         self.alive.append(inner)
         body, slots = self.node(body, inner)
         vacuous = slot not in slots
-        slots = slots - {slot}
+        if not vacuous:
+            slots = slots - {slot}
         dom, fail = self.checked_domain(v.index)
         if fail:
             return fail, slots
         if vacuous:
-            if dom:
-                return body, slots
-            return (lambda env: isinstance(g, Forall)), _NO_SLOTS
-        if isinstance(g, Forall):
-            def loop(env):
-                for e in dom:
-                    env[slot] = e
-                    if not body(env):
-                        return False
-                return True
-        else:
-            def loop(env):
-                for e in dom:
-                    env[slot] = e
-                    if body(env):
-                        return True
-                return False
-        if not slots < {*scope.values(), *self.free.values()}:
-            return loop, slots
-        key = itemgetter(*sorted(slots)) if slots else (lambda env: ())
-        cache: Dict = {}
+            return (body, slots) if dom else (_EMPTY_RANGE[kind], _NO_SLOTS)
+        loop = _LOOPS[kind](dom, slot, body)
+        if self.cacheable(slots, scope):
+            return _cached(loop, slots), slots
+        return loop, slots
 
-        def cached(env):
-            k = key(env)
-            got = cache.get(k)
-            if got is None:
-                got = cache[k] = loop(env)
-            return got
-        return cached, slots
+    def cacheable(self, slots: FrozenSet[int], scope: dict) -> bool:
+        """Whether the slots a loop reads are a strict subset of the slots
+        in scope and the free atoms'.  They always lie among those, and the
+        scope's slots are distinct, so the count decides unless it falls
+        between the scope's size and the sum of both sizes."""
+        n = len(slots)
+        if n < len(scope):
+            return True
+        if n >= len(scope) + len(self.free):
+            return False
+        return slots < {*scope.values(), *self.free.values()}
+
+
+def _forall(dom, slot: int, body):
+    """The loop of `all`: body true with each entity of dom in the slot."""
+    def loop(env):
+        for e in dom:
+            env[slot] = e
+            if not body(env):
+                return False
+        return True
+    return loop
+
+
+def _exists(dom, slot: int, body):
+    """The loop of `some`: body true with some entity of dom in the slot."""
+    def loop(env):
+        for e in dom:
+            env[slot] = e
+            if body(env):
+                return True
+        return False
+    return loop
+
+
+_LOOPS = {Forall: _forall, Exists: _exists}
+# each quantifier's value over an empty domain
+_EMPTY_RANGE = {Forall: lambda env: True, Exists: lambda env: False}
+
+
+def _cached(loop, slots):
+    """loop, its value kept per values of the slots it reads."""
+    key = itemgetter(*sorted(slots)) if slots else (lambda env: ())
+    cache: Dict = {}
+
+    def cached(env):
+        k = key(env)
+        got = cache.get(k)
+        if got is None:
+            got = cache[k] = loop(env)
+        return got
+    return cached
 
 
 def _reads(t: Term, v: Term) -> bool:

@@ -15,19 +15,25 @@ from hotk.kernel.formation import check_formation
 from hotk.kernel.regimes import fjt
 from hotk.kernel.syntax import (Formula, FreshNames, Sugar, Var, base_atom,
                                 free_atoms, parts, term_index)
-from hotk.models.builders import build_fjt_canonical
+from hotk.models.builders import (FJT_HEIGHTS, build_fjt_canonical,
+                                  check_fjt_height)
 from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
 
 _OPEN = "decision procedure needs a closed sentence"
+_FJT = fjt()
 
 
 def top_type(g: Formula) -> Tuple[int, bool]:
     """(the height a model needs: the largest term or binder type of g with
     each defined symbol read as its definiens, whether every atom is bound),
     in one walk.  A sugar node is walked as define(node, fresh), from one
-    FreshNames of g, which scans g only when the first sugar node asks."""
-    indices, closed, fresh = set(), True, FreshNames(g)
-    stack = [(g, frozenset())]
+    FreshNames of g, which scans g only when the first sugar node asks.  The
+    binders in scope are a tuple of (name, index) pairs, so no set is built
+    per binder and no index is hashed.  An untyped or transfinite index is
+    reported after the walk, so an ill-formed sugar node met anywhere in it
+    is reported first."""
+    top, closed, typed, fresh = 0, True, True, FreshNames(g)
+    stack = [(g, ())]
     while stack:
         h, bound = stack.pop()
         if type(h) is Sugar:
@@ -35,20 +41,25 @@ def top_type(g: Formula) -> Tuple[int, bool]:
             continue
         terms, binder, bodies = parts(h)
         for t in terms:
-            indices.add(term_index(t))
+            idx = term_index(t)
+            if idx is None or idx.omega_coeff:
+                typed = False
+            elif idx.finite_part > top:
+                top = idx.finite_part
             if closed:
                 a = base_atom(t)
                 closed = type(a) is Var and (a.name, a.index) in bound
         if binder is not None:
-            indices.add(binder.index)
-            bound = bound | {(binder.name, binder.index)}
+            idx = binder.index
+            if idx is None or idx.omega_coeff:
+                typed = False
+            elif idx.finite_part > top:
+                top = idx.finite_part
+            bound = (*bound, (binder.name, idx))
         for b in bodies:
             stack.append((b, bound))
-    top = 0
-    for idx in indices:
-        if idx is None or not idx.is_finite:
-            raise FormationError("finitary sentences need finite typed terms")
-        top = max(top, idx.finite_value)
+    if not typed:
+        raise FormationError("finitary sentences need finite typed terms")
     return top, closed
 
 
@@ -57,7 +68,7 @@ def decide_fjt(f: Formula, height: int, budget: int = DEFAULT_BUDGET,
     """Truth of a closed finitary sentence in the canonical model of the
     given height, which decides the theory for sentences of bounded type.
     An open sentence is refused before any other fault is named."""
-    verdict = check_formation(f, fjt())
+    verdict = check_formation(f, _FJT)
     if not verdict:
         if free_atoms(f):
             raise EvalError(_OPEN)
@@ -67,6 +78,8 @@ def decide_fjt(f: Formula, height: int, budget: int = DEFAULT_BUDGET,
     need, closed = top_type(f)
     if not closed:
         raise EvalError(_OPEN)
+    if model is None and height < FJT_HEIGHTS[0]:
+        check_fjt_height(height)    # no sentence fits: name the heights
     if need > height:
         raise EvalError(f"sentence uses type {need}, above height {height}")
     if model is None:

@@ -4,7 +4,8 @@ Each function here is a hand-written `isinstance` ladder that restates the
 argument layout of every node kind, as the kernel's walks did before
 `hotk.kernel.syntax.parts` and `rebuild` took that layout over.  The walks
 in `hotk` must agree with them on every input: the same result, or the same
-error class and message.
+error class and message.  `top_type` is kept as it stood before the type
+walk stopped building a set per binder and a set of indices.
 """
 
 from hotk.errors import FormationError, SubstitutionError
@@ -14,8 +15,9 @@ from hotk.kernel.formation import (WELL_FORMED, _apply_gap_ok, _bad,
                                    _check_term, sugar_violation)
 from hotk.kernel.indices import TypeIndex
 from hotk.kernel.syntax import (And, Apply, Const, DownRel, Exists, Forall,
-                                Iff, Implies, InSet, Not, Or, Raised,
-                                StrictEq, Sugar, Var, base_atom, term_index)
+                                FreshNames, Iff, Implies, InSet, Not, Or,
+                                Raised, StrictEq, Sugar, Var, base_atom, parts,
+                                term_index)
 
 BINARY = (And, Or, Implies, Iff)
 QUANTIFIERS = (Forall, Exists)
@@ -401,6 +403,35 @@ def max_finite_type(f):
 
     go(f)
     return top
+
+
+def top_type(g):
+    """models.decide.top_type with the binders in scope as a frozenset and
+    every index collected in a set, checked after the walk."""
+    indices, closed, fresh = set(), True, FreshNames(g)
+    stack = [(g, frozenset())]
+    while stack:
+        h, bound = stack.pop()
+        if type(h) is Sugar:
+            stack.append((define(h, fresh), bound))
+            continue
+        terms, binder, bodies = parts(h)
+        for t in terms:
+            indices.add(term_index(t))
+            if closed:
+                a = base_atom(t)
+                closed = type(a) is Var and (a.name, a.index) in bound
+        if binder is not None:
+            indices.add(binder.index)
+            bound = bound | {(binder.name, binder.index)}
+        for b in bodies:
+            stack.append((b, bound))
+    top = 0
+    for idx in indices:
+        if idx is None or not idx.is_finite:
+            raise FormationError("finitary sentences need finite typed terms")
+        top = max(top, idx.finite_value)
+    return top, closed
 
 
 def map_formula(f, atom_fn):

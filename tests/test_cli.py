@@ -111,6 +111,25 @@ def test_decide_counts_the_types_set_sugar_expands_to(capsys):
         "error: sentence uses type 3, above height 1"
 
 
+def test_a_negative_height_names_the_canonical_heights(capsys):
+    """decide and model build name the same range for a height below 0;
+    decide names it after formation and the open-sentence check."""
+    for argv in (["decide", "--height", "-1", "some x^0. x^0 = x^0"],
+                 ["model", "build", "--kind", "fjt", "--height", "-1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: canonical model heights run from 0 to 3"
+        assert run_json(*argv) == (2, {
+            "error": "EvalError",
+            "message": "canonical model heights run from 0 to 3"})
+    for formula, message in [
+            ("x^0 = x^0", "decision procedure needs a closed sentence"),
+            ("all x^0. all y^1. x^0 = y^1",
+             "strict identity needs equal types (0 vs 1)")]:
+        assert main(["decide", "--height", "-1", formula]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_type_0_coext_and_downeq_name_the_rule_they_break(tmp_path):
     from hotk.models import build_pure_model
     path = tmp_path / "pure2.json"

@@ -16,9 +16,10 @@ from hotk import translate
 from hotk.corpus import formation_matrix, golden_cases, separation_corpus
 from hotk.kernel import (check_formation, expand_abbreviations, fin,
                          parse_formula, parse_regime)
-from hotk.kernel.syntax import (Apply, Const, Forall, Exists, Raised, Sugar, Var,
-                                all_names, alpha_normalize, free_atoms, parts,
-                                rebuild, subformulas, substitute)
+from hotk.kernel.syntax import (And, Apply, Const, Forall, Exists, Raised,
+                                StrictEq, Sugar, Var, all_names,
+                                alpha_normalize, free_atoms, parts, rebuild,
+                                subformulas, substitute)
 from hotk.models.decide import top_type
 from hotk.proofkit.fixtures import fixture_manifest, load_fixture
 
@@ -216,6 +217,85 @@ def test_the_type_walk_also_tells_whether_a_formula_is_closed():
             assert got == (max_finite_type(g), not free_atoms(g)), g
             seen.add(got[1])
     assert seen == {True, False}
+
+
+# The regimes FormulaGen draws from, each at heights 0-3.
+GEN_REGIMES = ["ctt:w", "ctt:3", "pctt:w", "stt-up", "stt-down", "fjt"]
+
+# Transfinite and untyped indices, type-0 coext beside a transfinite index
+# (expansion's error comes first, wherever the index is), raised terms and
+# shadowed binders.
+TYPE_WALK_CASES = [
+    "all x^w. x^w = x^w",
+    "a^(w+1)(b^w)",
+    "all x^w. a^0 = a^0",
+    "a^0 coext b^0 & c^w = c^w",
+    "c^w = c^w & a^0 coext b^0",
+    "all x^w. x^0 coext y^0",
+    "all x^0. up(x^0) = y^1",
+    "up(a^w) = b^(w+1)",
+    "all x^0. all y^1. up(up(x^0)) = up(y^1)",
+    "all x^0. some x^0. x^0 = y^0",
+    "all x^1. ((x^1(a^0) & all x^1. x^1(b^0)) & x^1(c^0))",
+    "all x^0. all x^1. x^1(x^0)",
+    "some x^1. all y^1. (x^1 eq y^1 & all x^2. x^2 in y^3)",
+]
+
+
+def _built_type_walk_cases():
+    """Untyped terms and binders, which the typed notation cannot write."""
+    x, a = Var("x", None), Const("a", None)
+    b0, c0 = Const("b", fin(0)), Const("c", fin(0))
+    coext = Sugar("coext", (b0, c0))
+    return [Forall(x, StrictEq(x, x)),
+            Forall(x, Apply(Const("p", fin(1)), b0)),
+            StrictEq(Raised(a), Const("d", fin(1))),
+            And(StrictEq(a, a), coext),
+            And(coext, StrictEq(a, a))]
+
+
+def _type_walk_generated():
+    out = []
+    for name in GEN_REGIMES:
+        for height in range(4):
+            for seed in range(3):
+                gen = FormulaGen(parse_regime(name), seed=10 * seed + height,
+                                 max_type=height)
+                out += [gen.sentence() for _ in range(4)]
+                out += [gen.formula() for _ in range(4)]
+    return out
+
+
+TYPE_WALK = (_type_walk_generated()
+             + [parse_formula(t) for t in TYPE_WALK_CASES]
+             + _built_type_walk_cases())
+
+
+def test_the_type_walk_agrees_with_the_set_walk():
+    """top_type against the walk that kept its binders and indices in sets:
+    the same (height, closed), or the same error class and message."""
+    outcomes = []
+    for f in ALL + EXPANDED + TYPE_WALK:
+        got = outcome(top_type, f)
+        assert got == outcome(ladder.top_type, f), f
+        outcomes.append(got)
+    assert ("FormationError", "finitary sentences need finite typed terms") \
+        in outcomes
+    assert {top for top, _ in outcomes if isinstance(top, int)} == {0, 1, 2, 3, 4, 5}
+    assert {closed for _, closed in outcomes if isinstance(closed, bool)} == \
+        {True, False}
+    for text in ("a^0 coext b^0 & c^w = c^w", "c^w = c^w & a^0 coext b^0"):
+        assert outcome(top_type, parse_formula(text)) == (
+            "FormationError", "coextensiveness undefined at type 0 in a^0 coext b^0")
+
+
+def test_free_atoms_over_the_type_walk_corpus():
+    """free_atoms against the ladder on generated formulas under every
+    regime at heights 0-3, raised terms and shadowed binders."""
+    for f in TYPE_WALK:
+        assert free_atoms(f) == ladder.free_atoms(f), f
+    assert any(free_atoms(f) for f in TYPE_WALK)
+    assert any(not free_atoms(f) for f in TYPE_WALK)
 
 
 def test_map_formula_visits_atoms_in_the_same_order():
