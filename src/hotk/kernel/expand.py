@@ -15,7 +15,7 @@ from typing import Optional
 from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.formation import sugar_violation
-from hotk.kernel.indices import TypeIndex, fin, max_index
+from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
                                 FreshNames, Formula, Iff, Implies, InSet, Not,
@@ -45,12 +45,12 @@ def define(f: Sugar, fresh: FreshNames) -> Formula:
     k = f.kind
     if k == "eq":
         l, r = f.args
-        gamma = max_index(term_index(l), term_index(r)).succ()
+        gamma = max(term_index(l), term_index(r)).succ()
         x = fresh.var(gamma)
         return Forall(x, Iff(Apply(x, l), Apply(x, r)))
     if k == "in":
         l, r = f.args
-        gamma = max_index(term_index(l), term_index(r)).succ()
+        gamma = max(term_index(l), term_index(r)).succ()
         x = fresh.var(gamma)
         return Exists(x, And(Sugar("eq", (x, r)), Apply(x, l)))
     if k == "coext":

@@ -13,7 +13,7 @@ from functools import partial
 from typing import Optional, Union
 
 from hotk.kernel import regimes as rg
-from hotk.kernel.indices import TypeIndex, fin, max_index
+from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.printer import print_formula, print_term
 from hotk.kernel.syntax import (Apply, DownRel, Formula, InSet, Raised,
                                 StrictEq, Sugar, Term, parts, term_index)
@@ -98,7 +98,7 @@ def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
     k = f.kind
     if k in ("eq", "in"):
         a, b = (term_index(f.args[0]), term_index(f.args[1]))
-        gamma = max_index(a, b).succ()
+        gamma = max(a, b).succ()
         if regime.kind in rg.STANDARD_KINDS:
             if k == "in":
                 return "defined membership is not available in standard-type regimes"

@@ -5,6 +5,11 @@ pair of naturals (q, r) denoting w*q + r covers them all, and the ordinal
 order is plain lexicographic order on the pair.  Anything larger (w*w and
 beyond) is rejected at parse time (hotk.kernel.parser reads indices).
 
+A TypeIndex is that pair as a tuple, so it hashes, compares and orders as
+the tuple does, in C: a table keyed by (name, index) hashes no Python
+method, and max, min, < and == on indices are the tuple's own.  Only this
+module relies on an index being a pair.
+
 The kernel builds its indices through ordinal (fin, succ, pred, plus and
 the parser all do), which hands out one shared object per value: the few
 indices a formula uses are built once, and comparing equal indices finds
@@ -13,17 +18,16 @@ them identical.  A TypeIndex built directly is an equal, separate object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True, order=True)
-class TypeIndex:
-    omega_coeff: int
-    finite_part: int
+class TypeIndex(namedtuple("TypeIndex", "omega_coeff finite_part")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.omega_coeff < 0 or self.finite_part < 0:
+    def __new__(cls, omega_coeff: int, finite_part: int):
+        if omega_coeff < 0 or finite_part < 0:
             raise ValueError("type index parts must be naturals")
+        return super().__new__(cls, omega_coeff, finite_part)
 
     @property
     def is_finite(self) -> bool:
@@ -53,13 +57,13 @@ class TypeIndex:
         return ordinal(self.omega_coeff, self.finite_part + n)
 
     def __str__(self) -> str:
-        q, r = self.omega_coeff, self.finite_part
+        q, r = self
         if q == 0:
             return str(r)
         head = "w" if q == 1 else f"w*{q}"
         return head if r == 0 else f"{head}+{r}"
 
-    def __repr__(self)  -> str:
+    def __repr__(self) -> str:
         return f"TypeIndex({self})"
 
 
@@ -80,6 +84,3 @@ def fin(n: int) -> TypeIndex:
 
 
 OMEGA = ordinal(1, 0)
-
-def max_index(a: TypeIndex, b: TypeIndex) -> TypeIndex:
-    return a if a >= b else b

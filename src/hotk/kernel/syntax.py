@@ -244,7 +244,7 @@ def subformulas(f: Formula):
 def free_atoms(f: Formula) -> frozenset:
     """Free variables and constants of f (Raised wrappers stripped).  The
     binders in scope are a tuple of (name, index) pairs: a formula binds few
-    variables, and a tuple grows without hashing an index."""
+    variables, and a tuple grows without building a set per binder."""
     out = set()
     stack = [(f, ())]
     while stack:

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
                     Union)
 
@@ -36,7 +36,7 @@ from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, HotkError,
                          check_json, load_json)
 from hotk.graphs import MembershipGraph, canonical_key
 from hotk.kernel.expand import define
-from hotk.kernel.indices import TypeIndex, fin, max_index
+from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
                                 FreshNames, Iff, Implies, InSet, Not, Or,
@@ -70,17 +70,16 @@ class Model:
         self._tables: Dict[int, _Converse] = {}
 
     def domain(self, index: Optional[TypeIndex]) -> Tuple[Entity, ...]:
-        if (index is not None and index.omega_coeff == 0
-                and index.finite_part <= self.max_type):
-            return self.domains[index.finite_part]
         if index is None:
             raise EvalError("untyped quantifier in a typed model")
-        if not index.is_finite:
+        if index.omega_coeff:
             raise EvalError(f"type bound exceeded: no transfinite domain {index}")
-        n = index.finite_value
+        n = index.finite_part
+        if n <= self.max_type:
+            return self.domains[n]
         if not self.reaches(n):
             raise EvalError(f"type bound exceeded: model has no type {n}")
-        return self.domains[min(n, self.max_type)]
+        return self.domains[self.max_type]
 
     def reaches(self, n: int) -> bool:
         """Whether type n has a domain: every type up to the height, and
@@ -226,29 +225,13 @@ _CONNECTIVES = {
 }
 
 
-def _key(name: str, index: Optional[TypeIndex]):
-    """A term's key in the compiler's tables: its name and index, the index
-    spelled as its two naturals, which hash faster than a TypeIndex."""
-    if index is None:
-        return name, None
-    return name, index.omega_coeff, index.finite_part
-
-
-def _term_key(t: Term):
-    """_key(t.name, t.index) in one call: the key of a variable or constant
-    in a typed model."""
-    index = t.index
-    if index is None:
-        return t.name, None
-    return t.name, index.omega_coeff, index.finite_part
-
-
 class _Compiler:
     """One walk of a formula over one structure, seen as `domain` (a
     variable's index to its entities), `members` (an entity to its member
     set) and `keyof` (a term to its key).  A Model has a domain per type
-    and keys terms by name and index; a MembershipGraph is one-sorted, with
-    the nodes as its one domain and terms keyed by name.
+    and keys a term by (name, index), as akey and an Assignment do; a
+    MembershipGraph is one-sorted, with the nodes as its one domain and
+    terms keyed by (name, None).
 
     The keys given to `compile` get the first slots and are read as binders
     are; any other free atom is unassigned, so it compiles to a closure that
@@ -276,7 +259,7 @@ class _Compiler:
             self.sort_name = lambda index: "the nodes"
         else:
             self.members, self.build = m.members, _BUILD
-            self.keyof = _term_key
+            self.keyof = attrgetter("name", "index")
             self.domain, self.sort_name = m.domain, "type {}".format
         self.free: Dict = {}        # key -> slot, for every free atom
         self.nslots = 0
@@ -359,7 +342,7 @@ class _Compiler:
     def sugar(self, g: Sugar, scope: dict):
         if g.kind == "eq" and not self.sets:
             s, t = g.args
-            gamma = max_index(term_index(s), term_index(t)).succ()
+            gamma = max(term_index(s), term_index(t)).succ()
             return self.identity(s, t, gamma, scope)
         if self.fresh is None:
             self.fresh = FreshNames(self.root)
@@ -604,7 +587,7 @@ def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = No
     of more than `budget` entities) are raised only when the offending node
     is reached; an ill-formed sugar raises when f is compiled."""
     assignment = assignment or {}
-    keys = ((k, None) if isinstance(k, str) else _key(*k) for k in assignment)
+    keys = ((k, None) if isinstance(k, str) else k for k in assignment)
     root, env, slots = _Compiler(m, budget).compile(f, keys)
     for slot, v in zip(slots, assignment.values()):
         env[slot] = v

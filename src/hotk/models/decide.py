@@ -29,9 +29,9 @@ def top_type(g: Formula) -> Tuple[int, bool]:
     in one walk.  A sugar node is walked as define(node, fresh), from one
     FreshNames of g, which scans g only when the first sugar node asks.  The
     binders in scope are a tuple of (name, index) pairs, so no set is built
-    per binder and no index is hashed.  An untyped or transfinite index is
-    reported after the walk, so an ill-formed sugar node met anywhere in it
-    is reported first."""
+    per binder.  An untyped or transfinite index is reported after the
+    walk, so an ill-formed sugar node met anywhere in it is reported
+    first."""
     top, closed, typed, fresh = 0, True, True, FreshNames(g)
     stack = [(g, ())]
     while stack:

@@ -21,8 +21,8 @@ from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          first_unrealized, ord_of_ranks)
 from hotk.kernel.indices import fin
 from hotk.kernel.parser import parse_formula
-from hotk.kernel.syntax import (And, Exists, Forall, Formula, FreshNames, Iff,
-                                InSet, Not, Sugar, Var, free_names)
+from hotk.kernel.printer import print_formula
+from hotk.kernel.syntax import Formula, FreshNames, Not, Sugar, Var, free_names
 from hotk.models.axioms import plain_comprehension_checks
 from hotk.models.builders import build_graph_model, hierarchy_levels
 from hotk.models.core import (DEFAULT_BUDGET, Model, counterexamples,
@@ -110,13 +110,10 @@ def separation_instance(phi: Formula) -> Formula:
     phi's designated variable is the free 'x'; its remaining free variables
     are closed universally as parameters, which the new witness b avoids.
     """
-    x, a = _v("x"), _v("a")
-    b = FreshNames(phi).var(None, "b")
-    body = Forall(a, Exists(b, Forall(
-        x, Iff(InSet(x, b), And(phi, InSet(x, a))))))
-    for p in sorted(free_names(phi) - {"x", "a"}, reverse=True):
-        body = Forall(_v(p), body)
-    return body
+    b = FreshNames(phi).var(None, "b").name
+    params = "".join(f"all {p}. " for p in sorted(free_names(phi) - {"x", "a"}))
+    return parse_formula(f"{params}all a. some {b}. all x. x in {b} <-> "
+                         f"({print_formula(phi)}) & x in a", "set")
 
 
 # ---------------------------------------------------------------------------

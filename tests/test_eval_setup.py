@@ -2,12 +2,14 @@
 
 `Model.domain` reads a finite type up to the height with one comparison,
 the compiler decides whether to cache a quantifier's loop from the sizes of
-its slot sets where they settle it, and `decide_fjt` neither hashes a type
-index nor builds a regime.  Each fast path is checked here against the
-test it replaces: the same value, or the same error class and message.
+its slot sets where they settle it, a type index hashes and compares as a
+tuple, and `decide_fjt` builds no regime.  Each fast path is checked here
+against the test it replaces: the same value, or the same error class and
+message.
 """
 
 from collections import Counter
+from operator import attrgetter
 
 from genutil import FormulaGen
 
@@ -20,7 +22,7 @@ from hotk.kernel.syntax import free_atoms
 from hotk.models import (build_class_model, build_fjt_canonical,
                          build_graph_model, build_pure_model,
                          build_sttd_companion, build_sttu_companion, decide_fjt)
-from hotk.models.core import _Compiler, _term_key
+from hotk.models.core import _Compiler
 from hotk.settheory import build_V
 
 # The median decide of the eval-sweep workload.
@@ -108,7 +110,7 @@ def test_the_cache_decision_agrees_with_the_set_test(monkeypatch):
         return got
 
     monkeypatch.setattr(_Compiler, "cacheable", checked)
-    cases = [(m, f, _term_key) for m, f in _typed_cases()]
+    cases = [(m, f, attrgetter("name", "index")) for m, f in _typed_cases()]
     graphs = [build_V(2), build_V(3)]
     cases += [(g, f, lambda a: (a.name, None))
               for g in graphs for f in separation_corpus()]
@@ -121,7 +123,11 @@ def test_the_cache_decision_agrees_with_the_set_test(monkeypatch):
 
 def test_deciding_hashes_no_index_and_builds_no_regime(monkeypatch):
     """The median decide reads each index's two naturals: no TypeIndex is
-    hashed or asked is_finite or finite_value, and no Regime is built."""
+    asked is_finite or finite_value, and no Regime is built.  An index
+    hashes, compares and orders as a tuple does, with no Python-level
+    call."""
+    for name in ("__hash__", "__eq__", "__lt__"):
+        assert getattr(TypeIndex, name) is getattr(tuple, name)
     calls = Counter()
 
     def counted(name, fn):
@@ -132,8 +138,6 @@ def test_deciding_hashes_no_index_and_builds_no_regime(monkeypatch):
 
     f = parse_formula(MEDIAN_DECIDE)
     fjt2 = build_fjt_canonical(2)
-    monkeypatch.setattr(TypeIndex, "__hash__",
-                        counted("__hash__", TypeIndex.__hash__))
     for name in ("is_finite", "finite_value"):
         getter = getattr(TypeIndex, name).fget
         monkeypatch.setattr(TypeIndex, name, property(counted(name, getter)))
@@ -143,5 +147,5 @@ def test_deciding_hashes_no_index_and_builds_no_regime(monkeypatch):
     assert decide_fjt(f, 2) is False
     assert calls == Counter()
     # the counters count
-    hash(fin(0)), fin(0).is_finite, fin(0).finite_value, Regime("fjt")
-    assert calls == Counter(__hash__=1, is_finite=2, finite_value=1, Regime=1)
+    fin(0).is_finite, fin(0).finite_value, Regime("fjt")
+    assert calls == Counter(is_finite=2, finite_value=1, Regime=1)

@@ -13,6 +13,18 @@ def test_lexicographic_order_agrees_with_ordinal_order():
             assert (a == b) == (i == j)
 
 
+def test_an_index_is_its_pair_of_naturals():
+    """Equality, hashing and order are the tuple's own, so an index keys a
+    table as its pair does and max picks the later ordinal."""
+    assert fin(1) == (0, 1) and hash(OMEGA) == hash((1, 0))
+    assert max(fin(7), OMEGA) is OMEGA and min(OMEGA, fin(7)) is fin(7)
+    assert {("x", fin(2)): 1}[("x", TypeIndex(0, 2))] == 1
+    assert repr(TypeIndex(1, 2)) == "TypeIndex(w+2)" and str(fin(3)) == "3"
+    for bad in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            TypeIndex(*bad)
+
+
 def test_limit_and_successor_structure():
     assert OMEGA.is_limit
     assert not fin(0).is_limit

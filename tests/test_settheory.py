@@ -16,7 +16,8 @@ from hotk.settheory import (S_construction, T_construction, build_V,
                             mostowski_collapse, rank, separation_instance,
                             stratification_formula, valid_slice_types)
 from hotk.kernel.parser import parse_formula
-from hotk.kernel.syntax import Sugar, Var
+from hotk.kernel.printer import print_formula
+from hotk.kernel.syntax import Sugar, Var, free_atoms
 from hotk.models import eval_formula
 
 
@@ -119,6 +120,15 @@ class TestSetAxioms:
         for g in graphs:
             assert eval_formula(g, named) == eval_formula(g, renamed), g.nodes
         assert not eval_formula(graphs[0], renamed)
+
+    def test_separation_instances_bind_every_atom(self):
+        """An instance is a sentence in the notation: its binders bind the
+        atoms of phi they close over, so it has no free atom and reads
+        back as itself."""
+        for phi in separation_corpus() + [parse_formula("x in p", "set")]:
+            inst = separation_instance(phi)
+            assert free_atoms(inst) == frozenset(), print_formula(inst)
+            assert parse_formula(print_formula(inst), "set") == inst
 
 
 GRAPH_DIR = Path(hotk.__file__).parent / "data" / "graphs"
