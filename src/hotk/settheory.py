@@ -21,8 +21,9 @@ from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          first_unrealized, ord_of_ranks)
 from hotk.kernel.indices import fin
 from hotk.kernel.parser import parse_formula
-from hotk.kernel.printer import print_formula
-from hotk.kernel.syntax import Formula, FreshNames, Not, Sugar, Var, free_names
+from hotk.kernel.syntax import (And, Const, Exists, Forall, Formula,
+                                FreshNames, Iff, InSet, Not, Sugar, Var,
+                                free_names, parts, rebuild)
 from hotk.models.axioms import plain_comprehension_checks
 from hotk.models.builders import build_graph_model, hierarchy_levels
 from hotk.models.core import (DEFAULT_BUDGET, Model, counterexamples,
@@ -109,11 +110,24 @@ def separation_instance(phi: Formula) -> Formula:
 
     phi's designated variable is the free 'x'; its remaining free variables
     are closed universally as parameters, which the new witness b avoids.
+    phi is in the set language, so each of its atoms is then in scope of a
+    binder of its name: a constant becomes that binder's variable, as the
+    parser reads the instance's printed text.
     """
-    b = FreshNames(phi).var(None, "b").name
-    params = "".join(f"all {p}. " for p in sorted(free_names(phi) - {"x", "a"}))
-    return parse_formula(f"{params}all a. some {b}. all x. x in {b} <-> "
-                         f"({print_formula(phi)}) & x in a", "set")
+    x, a = _v("x"), _v("a")
+    b = FreshNames(phi).var(None, "b")
+    body = Forall(a, Exists(b, Forall(
+        x, Iff(InSet(x, b), And(_bind_constants(phi), InSet(x, a))))))
+    for p in sorted(free_names(phi) - {"x", "a"}, reverse=True):
+        body = Forall(_v(p), body)
+    return body
+
+
+def _bind_constants(f: Formula) -> Formula:
+    terms, binder, bodies = parts(f)
+    return rebuild(f, [Var(t.name, t.index) if type(t) is Const else t
+                       for t in terms],
+                   binder, [_bind_constants(g) for g in bodies])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hotk.settheory import (S_construction, T_construction, build_V,
                             is_standard_typed, levels_of,
                             mostowski_collapse, rank, separation_instance,
                             stratification_formula, valid_slice_types)
-from hotk.kernel.parser import parse_formula
+from hotk.kernel.parser import MAX_DEPTH, parse_formula
 from hotk.kernel.printer import print_formula
 from hotk.kernel.syntax import Sugar, Var, free_atoms
 from hotk.models import eval_formula
@@ -125,10 +125,20 @@ class TestSetAxioms:
         """An instance is a sentence in the notation: its binders bind the
         atoms of phi they close over, so it has no free atom and reads
         back as itself."""
-        for phi in separation_corpus() + [parse_formula("x in p", "set")]:
+        texts = ["x in p", "x in p & some x. x in a", "all p in a. x in p",
+                 "Rank(x, q) | ~Lev(b1)"]
+        for phi in separation_corpus() + [parse_formula(t, "set") for t in texts]:
             inst = separation_instance(phi)
             assert free_atoms(inst) == frozenset(), print_formula(inst)
             assert parse_formula(print_formula(inst), "set") == inst
+
+    def test_a_line_at_the_nesting_cap_makes_an_instance(self):
+        """The instance is built around phi's tree, not read back from its
+        text, so any line the parser reads makes an instance."""
+        deep = parse_formula("~" * MAX_DEPTH + "x in p", "set")
+        inst = separation_instance(deep)
+        assert free_atoms(inst) == frozenset()
+        assert eval_formula(build_V(2), inst)
 
 
 GRAPH_DIR = Path(hotk.__file__).parent / "data" / "graphs"
