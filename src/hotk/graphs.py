@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from hotk.errors import GraphError, check_json, load_json
+from hotk.errors import BudgetExceeded, GraphError, check_json, load_json
 
 _GRAPH_SHAPE = {"nodes": [str], "edges": [(str, str)], "ranks": {str: int}}
 
@@ -36,12 +36,16 @@ def powerset(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
-def first_unrealized(doms, realized):
+def first_unrealized(doms, realized, budget: int):
     """The first tuple of subsets of doms, in powerset and product order,
     whose frozensets are not a tuple in `realized`, or None.  Every tuple in
-    `realized` must lie inside doms, so all tuples are realized when as many
-    distinct ones are as exist; only a shortfall walks the subsets."""
-    if len(realized) < 2 ** sum(map(len, doms)):
+    `realized` must lie inside doms, so all are realized, at no charge, when
+    as many distinct ones are as exist.  Only a shortfall walks the tuples,
+    and it raises BudgetExceeded first if they are more than budget."""
+    total = 2 ** sum(map(len, doms))
+    if len(realized) < total:
+        if total > budget:
+            raise BudgetExceeded(f"{total} tuples of subsets, above budget {budget}")
         for combo in product(*map(powerset, doms)):
             if tuple(map(frozenset, combo)) not in realized:
                 return combo

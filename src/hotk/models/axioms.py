@@ -9,8 +9,9 @@ map misses, no projection relation) FAILs with the evaluator's message.
 Comprehension schemes are checked by extensional completeness: a witness
 entity for every candidate extension (or tuple of extensions).  That
 dominates every instance of the scheme, so a PASS is sound for all of them;
-the report calls this FULL-COMPREHENSION.  A check that needs more than
-`budget` entities or subsets is SKIPPED, unless a later one FAILs.
+the report calls this FULL-COMPREHENSION.  A check that must walk more than
+`budget` candidates to name a missing one, or quantify over more than
+`budget` entities, is SKIPPED, unless a later one FAILs.
 """
 
 from __future__ import annotations
@@ -129,14 +130,14 @@ def _axiom(name: str, args: tuple):
 def _comprehension(m: Model, types, entities, budget: int):
     """Whether every tuple of subsets of the domains of `types` is the tuple
     of extensions at those types of one of the entities: (PASS, None),
-    (SKIPPED, the number of tuples) when that number is above budget, or
-    (FAIL, the first missing tuple in powerset and product order)."""
+    (FAIL, the first missing tuple in powerset and product order), or
+    (SKIPPED, the number of tuples) if finding it is over budget."""
     doms = [m.domains[i] for i in types]
-    target = 2 ** sum(map(len, doms))
-    if target > budget:
-        return SKIPPED, target
-    combo = first_unrealized(
-        doms, {tuple(m.extension(z, i) for i in types) for z in entities})
+    try:
+        combo = first_unrealized(doms, {tuple(m.extension(z, i) for i in types)
+                                        for z in entities}, budget)
+    except BudgetExceeded:
+        return SKIPPED, 2 ** sum(map(len, doms))
     return (PASS, None) if combo is None else (FAIL, combo)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, product
+from itertools import product
 from operator import attrgetter, itemgetter
 from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
                     Union)
@@ -91,11 +91,6 @@ class Model:
 
     def extension(self, e: Entity, n: int) -> FrozenSet[Entity]:
         return self.members.get(e, _EMPTY) & self.converse(n).domain
-
-    def owners(self, e: Entity, n: int) -> FrozenSet[Entity]:
-        """The type-n entities whose member sets hold e."""
-        table = self.converse(n)
-        return frozenset(compress(table.dom, table[e]))
 
     def converse(self, n: int) -> "_Converse":
         """Type n's converse member table, made on first use."""

@@ -137,10 +137,10 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
                      separation_corpus: Iterable[Formula] = (),
                      budget: int = DEFAULT_BUDGET) -> SuiteReport:
     """Check LT (extensionality, separation, stratification) or Zr (plus
-    endless, infinity).  Separation is checked on the corpus and by direct
-    subset search (every subset of every node's members realized).  The
-    rows that evaluate sentences are SKIPPED when n^3 is above the budget,
-    since the definitional checks nest three quantifiers over n nodes."""
+    endless, infinity): separation on the corpus and by subset search.  The
+    sentence rows are SKIPPED ahead of the work when n^3 is above the budget,
+    the one size still estimated so: the definitional checks nest three
+    quantifiers over n nodes, and the compiler caps each, not their nesting."""
     if which not in ("lt", "zr"):
         raise ValueError("which must be 'lt' or 'zr'")
     report = SuiteReport(subject=f"{which} on {len(g.nodes)}-node graph")
@@ -168,31 +168,31 @@ def _separation_checks(g: MembershipGraph, budget: int):
     """FAIL at each node with a subset of its members that no node's member
     set is.  A node whose realized subsets are as many as exist costs one
     comparison; only a shortfall, whose subsets first_unrealized walks, is
-    charged 2^|members|, and the row is SKIPPED once those charges are
-    more than the budget."""
+    charged 2^|members|, and it is SKIPPED when that is more than the
+    budget, so a later node can still FAIL the row."""
     member_sets = {g.members(a) for a in g.nodes}
-    enumerated = 0
     for a in g.nodes:
         ms = g.members(a)
-        realized = {(s,) for s in member_sets if s <= ms}
-        if len(realized) == 2 ** len(ms):
-            continue
-        enumerated += 2 ** len(ms)
-        if enumerated > budget:
+        try:
+            sub = first_unrealized([sorted(ms, key=canonical_key)],
+                                   {(s,) for s in member_sets if s <= ms}, budget)
+            if sub is not None:
+                yield FAIL, f"{a}: subset {brace_name(sub[0])} unrealized"
+        except BudgetExceeded:
             yield SKIPPED, "budget"
-            return
-        sub = first_unrealized([sorted(ms, key=canonical_key)], realized)[0]
-        yield FAIL, f"{a}: subset {brace_name(sub)} unrealized"
 
 
 def _sentence_checks(s, sentences: Iterable[Formula], budget: int,
                      corpus: bool = False):
     """A FAIL for each sentence false in s (a graph or a model), lazily, so
-    a row stops at the first; on a corpus row its detail is
-    `corpus formula #i`."""
+    a row stops at the first, `corpus formula #i` on a corpus row; a SKIPPED,
+    with the evaluator's message, for each one over the budget."""
     for i, f in enumerate(sentences):
-        if not eval_formula(s, f, budget=budget):
-            yield FAIL, f"corpus formula #{i}" if corpus else None
+        try:
+            if not eval_formula(s, f, budget=budget):
+                yield FAIL, f"corpus formula #{i}" if corpus else None
+        except BudgetExceeded as e:
+            yield SKIPPED, str(e)
 
 
 def check_wellordering_of_levels(g: MembershipGraph) -> bool:

@@ -274,7 +274,7 @@ def roundtrip_check(f: Formula, source: rg.Regime,
     # Imported here, not at the top, so the maps load without the models.
     from hotk.models.core import counterexamples
     # The image's own atoms stay unassigned; Iff evaluates the original first.
-    atoms = sorted(free_atoms(original), key=lambda a: (str(a.index), a.name))
+    atoms = sorted(free_atoms(original), key=lambda a: (a.index or (), a.name))
     checked, values = next(counterexamples(model, atoms, Iff(original, image)))
     return RoundTripReport(
         source.kind, syntactic, values is None, checked,

@@ -340,9 +340,10 @@ def test_kappa_check_honours_the_budget(tmp_path, capsys):
     _, out = run(capsys, "sets", "build-v", "4")
     path = tmp_path / "v4.json"
     path.write_text(out)
-    code, _ = run(capsys, "--budget", "2", "sets", "kappa-check", "--kappa", "2",
-                  str(path))
+    code, out = run(capsys, "--budget", "2", "sets", "kappa-check", "--kappa", "2",
+                    str(path))
     assert code == 3
+    assert [line.split()[0] for line in out.splitlines()] == ["SKIPPED"] * 5
     code, _ = run(capsys, "sets", "kappa-check", "--kappa", "2", str(path))
     assert code == 0
 
@@ -395,15 +396,26 @@ def test_model_build_writes_its_output_file(tmp_path, capsys):
 
 def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
     """A suite with no FAIL and a budget SKIP exits 3, not the 1 of a
-    negative verdict; with a FAIL it exits 1 whatever else it skipped."""
+    negative verdict; with a FAIL it exits 1 whatever else it skipped.
+    Without its last type-3 entity, pure 4 misses a subset of type 2, so
+    its comprehension row walks 2^4 subsets and skips under budget 10."""
     pure4, v4 = tmp_path / "pure4.json", tmp_path / "V4.json"
+    short = tmp_path / "short4.json"
     pure4.write_text(run(capsys, "model", "build", "--kind", "pure",
                          "--height", "4")[1])
+    doc = json.loads(pure4.read_text())
+    del doc["apply"][doc["domains"][3].pop()]
+    short.write_text(json.dumps(doc))
     v4.write_text(run(capsys, "sets", "build-v", "4")[1])
+    code, out = run(capsys, "--budget", "10", "model", "check", "--model",
+                    str(short), "--theory", "pctt:w", "--max-type", "3")
+    statuses = [line.split()[0] for line in out.splitlines()]
+    assert (code, statuses.count("SKIPPED"), statuses.count("PASS")) == (3, 5, 1)
+    assert out.startswith("SKIPPED comprehension [2^4 subsets at type 2]\n")
     code, out = run(capsys, "--budget", "10", "model", "check", "--model",
                     str(pure4), "--theory", "pctt:w", "--max-type", "3")
     statuses = [line.split()[0] for line in out.splitlines()]
-    assert (code, statuses.count("SKIPPED"), statuses.count("PASS")) == (3, 5, 1)
+    assert (code, statuses.count("SKIPPED"), statuses.count("PASS")) == (3, 4, 2)
     code, out = run(capsys, "--budget", "8", "sets", "check", "lt", str(v4))
     statuses = [line.split()[0] for line in out.splitlines()]
     assert code == 3 and statuses.count("SKIPPED") == 2
@@ -412,7 +424,7 @@ def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
                   "--theory", "pctt:w", "--max-type", "3")
     assert code == 0
     code, out = run(capsys, "--budget", "10", "model", "check", "--model",
-                    str(pure4), "--theory", "stt-up", "--max-type", "3")
+                    str(short), "--theory", "stt-up", "--max-type", "3")
     assert code == 1 and out.startswith("SKIPPED") and "FAIL" in out
 
 
@@ -427,6 +439,21 @@ def test_separation_full_is_charged_only_for_a_shortfall(tmp_path, capsys):
     assert code == 3
     assert rows == [["PASS", "extensionality"], ["PASS", "separation-full"],
                     ["SKIPPED", "separation-corpus"], ["SKIPPED", "stratification"]]
+
+
+def test_a_full_count_is_decided_under_any_budget(tmp_path, capsys):
+    """Every subset of each type of pure 4, and of each rank of V4, is
+    realized one up, so counting decides comprehension and standardness,
+    and a budget below the 2^4 subsets a walk would cost does not stop
+    them."""
+    pure4, v4 = tmp_path / "pure4.json", tmp_path / "V4.json"
+    pure4.write_text(run(capsys, "model", "build", "--kind", "pure",
+                         "--height", "4")[1])
+    v4.write_text(run(capsys, "sets", "build-v", "4")[1])
+    assert run(capsys, "--budget", "8", "model", "check", "--model", str(pure4),
+               "--theory", "stt") == (0, "PASS    comprehension [FULL-COMPREHENSION]\n")
+    assert run(capsys, "--budget", "8", "sets", "standard", str(v4)) == \
+        (0, "standard\n")
 
 
 def test_translate_names_an_unexpected_atom_in_the_notation(tmp_path, capsys):

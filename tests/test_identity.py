@@ -204,7 +204,9 @@ def test_one_pass_over_the_domain_per_entity():
     assert eval_formula(m, f) is True
     assert CountingDomain.iterations <= 3
     assert eval_formula(m, f) is True and CountingDomain.iterations <= 3
-    assert m.owners("q", 2) == frozenset({"{q}", "{p,q}", "{p,q,r}"})
+    table = m.converse(2)
+    assert {d for d, bit in zip(table.dom, table["q"]) if bit} == \
+        {"{q}", "{p,q}", "{p,q,r}"}
     # the table is no part of the model's value
     assert m == replace(m) and "_tables" not in repr(m)
     assert m.to_json() == replace(m).to_json()

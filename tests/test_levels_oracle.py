@@ -4,25 +4,36 @@ hand-written loops of levels_oracle.
 
 Results must agree exactly, on the pure hierarchies V0-V4, the bundled
 graph fixtures, seeded ill-founded graphs and seeded transitive graphs,
-under several budgets.  The allowed differences are in two budget
-messages: when is_standard runs out of budget, its BudgetExceeded names
-the typed expansion's domain ("domain of 2 entities at type 1") where the
-oracle named the graph's stratum ("stratum of 2 nodes at rank 1"); and
-build_V, which takes the pure hierarchy's levels from the model builder,
-words the builder's message ("powerset of 4 entities exceeds budget 10",
-where the oracle said "powerset of 4 sets exceeds budget").  A budget
-below 1 is no longer checked before the first level, {}, is built.
+under several budgets.  The allowed differences:
+- The oracle stops a subset search for the budget before it counts the
+  realized subsets; the suite is charged only for a walk over a shortfall.
+  Where the oracle's is_standard or is_standard_typed raises for the
+  budget, the result is the oracle's at the default budget when that is
+  True, and else the BudgetExceeded of the first type with a missing
+  subset.  It names the typed expansion's domain ("domain of 2 entities
+  at type 1"), where the oracle named the graph's stratum ("stratum of 2
+  nodes at rank 1").
+- Where the oracle SKIPs separation-full for the budget, the suite's row
+  goes on past the skipped node, so it may FAIL at a later one; its
+  witness must then name a subset of that node's members that no node's
+  member set is.
+- build_V, which takes the pure hierarchy's levels from the model
+  builder, words the builder's message ("powerset of 4 entities exceeds
+  budget 10", where the oracle said "powerset of 4 sets exceeds budget").
+  A budget below 1 is no longer checked before the first level, {}, is
+  built.
 """
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 import levels_oracle as oracle
 from hotk import graphs, settheory
 from hotk.corpus import graph_fixture, separation_corpus
-from hotk.errors import HotkError
+from hotk.errors import BudgetExceeded, HotkError
 from hotk.graphs import MembershipGraph, first_unrealized, powerset
 from hotk.kernel.parser import parse_formula
 from hotk.models import eval_formula
@@ -81,14 +92,30 @@ def _outcome(fn, *args):
 
 
 def _standard_expected(g, budget):
-    """The oracle's is_standard outcome, with its budget message worded as
-    the typed expansion's."""
+    """The oracle's is_standard outcome, with a budget stop replaced as the
+    module docstring says."""
     got = _outcome(oracle.is_standard, g, budget)
     if isinstance(got, tuple) and got[0] == "BudgetExceeded":
-        n, alpha = re.fullmatch(r"stratum of (\d+) nodes at rank (\d+)",
-                                got[1]).groups()
-        return got[0], f"domain of {n} entities at type {alpha}"
+        return _unguessed(oracle.T_construction(g))
     return got
+
+
+def _typed_expected(m, budget):
+    got = _outcome(oracle.is_standard_typed, m, budget)
+    if isinstance(got, tuple) and got[0] == "BudgetExceeded":
+        return _unguessed(m)
+    return got
+
+
+def _unguessed(m):
+    """is_standard_typed(m) where the oracle stopped for the budget: True
+    when the oracle finds m standard at the default budget, else the budget
+    stop at the first type whose truncation it finds not standard."""
+    if oracle.is_standard_typed(m):
+        return True
+    a = next(a for a in range(m.max_type)
+             if not oracle.is_standard_typed(replace(m, max_type=a + 1)))
+    return "BudgetExceeded", f"domain of {len(m.domains[a])} entities at type {a}"
 
 
 def _chunks(n):
@@ -123,8 +150,7 @@ def test_standardness_agrees_with_the_oracle(names):
                     == _standard_expected(g, budget)), (name, budget)
             if not isinstance(m, tuple):
                 assert (_outcome(is_standard_typed, m, budget)
-                        == _outcome(oracle.is_standard_typed, m, budget)), \
-                    (name, budget)
+                        == _typed_expected(m, budget)), (name, budget)
 
 
 def test_slices_agree_with_the_oracle():
@@ -201,7 +227,30 @@ def test_set_axiom_reports_agree_with_the_oracle(names, monkeypatch):
                 got = check_set_axioms(g, which, SEPARATION, budget).to_json()
                 want = oracle.check_set_axioms(g, which, SEPARATION,
                                                budget).to_json()
+                _allow_a_later_separation_fail(g, got, want)
                 assert got == want, (name, which, budget)
+
+
+_SKIPPED_SEPARATION = {"name": "separation-full", "status": "SKIPPED",
+                       "note": "budget"}
+
+
+def _allow_a_later_separation_fail(g, got, want):
+    """Take the suite's separation-full FAIL into the oracle's report where
+    the oracle SKIPs the row, once its witness is checked."""
+    for i, (v, w) in enumerate(zip(got["verdicts"], want["verdicts"])):
+        if w == _SKIPPED_SEPARATION and v["status"] == "FAIL":
+            assert v["witness"] in _unrealized_subsets(g), v
+            want["verdicts"][i] = v
+
+
+def _unrealized_subsets(g):
+    """A separation-full witness for each subset of a node's members that
+    no node's member set is."""
+    member_sets = {g.members(a) for a in g.nodes}
+    return {f"{a}: subset {graphs.brace_name(sub)} unrealized"
+            for a in g.nodes for sub in powerset(sorted(g.members(a)))
+            if frozenset(sub) not in member_sets}
 
 
 def test_the_corpus_reaches_every_outcome():
@@ -215,22 +264,44 @@ def test_the_corpus_reaches_every_outcome():
         for budget in BUDGETS:
             rep = check_set_axioms(g, "lt", (), budget)
             seen.add(("separation-full", rep.status("separation-full")))
+            if (rep.status("separation-full") == "FAIL" and oracle.check_set_axioms(
+                    g, "lt", (), budget).status("separation-full") == "SKIPPED"):
+                seen.add("separation-full FAIL after a SKIP")
     assert seen == {("levels", True), ("levels", False),
                     ("standard", True), ("standard", False),
                     ("standard", "BudgetExceeded"),
                     ("separation-full", "PASS"), ("separation-full", "FAIL"),
-                    ("separation-full", "SKIPPED")}
+                    ("separation-full", "SKIPPED"),
+                    "separation-full FAIL after a SKIP"}
+
+
+def test_standardness_under_a_small_budget_is_standardness_under_a_large_one():
+    """is_standard is True under a small budget exactly when it is True
+    under a large one: a standard graph is found so by counting, which is
+    not charged, and only a missing subset can exceed the budget."""
+    for name, g in CORPUS.items():
+        if g.transitive:
+            full = is_standard(g, 10 ** 6)
+            for budget in BUDGETS:
+                got = _outcome(is_standard, g, budget)
+                assert (got is True) == full, (name, budget)
 
 
 def test_a_full_count_walks_no_subset(monkeypatch):
+    """A full count returns None under any budget, and a shortfall whose
+    2^3 tuples are more than the budget raises before it walks them."""
     doms = [("a", "b"), ("c",)]
     every = {(frozenset(x), frozenset(y))
              for x in powerset(doms[0]) for y in powerset(doms[1])}
     missing = (frozenset("a"), frozenset("c"))
 
     def walked(items):
-        raise AssertionError("subsets walked although every tuple is realized")
+        raise AssertionError("subsets walked")
 
-    assert first_unrealized(doms, every - {missing}) == (("a",), ("c",))
+    assert first_unrealized(doms, every - {missing}, 8) == (("a",), ("c",))
     monkeypatch.setattr(graphs, "powerset", walked)
-    assert first_unrealized(doms, every) is None
+    assert first_unrealized(doms, every, 0) is None
+    assert first_unrealized([()], {(frozenset(),)}, 0) is None
+    with pytest.raises(BudgetExceeded) as e:
+        first_unrealized(doms, every - {missing}, 7)
+    assert str(e.value) == "8 tuples of subsets, above budget 7"

@@ -281,9 +281,15 @@ class TestKappaAxioms:
             check_kappa_axioms_in_T(build_V(3), 2, ())
 
     def test_budget_reaches_every_evaluation(self):
-        from hotk.errors import BudgetExceeded
-        with pytest.raises(BudgetExceeded):
-            check_kappa_axioms_in_T(build_V(4), 2, separation_corpus(), budget=2)
+        """Each row evaluates a quantifier over the 4 type-2 entities, so
+        each is SKIPPED under budget 2 with the evaluator's message."""
+        rep = check_kappa_axioms_in_T(build_V(4), 2, separation_corpus(), budget=2)
+        assert [(v.name, v.status, v.witness) for v in rep.verdicts] == [
+            (name, "SKIPPED", None) for name in (
+                "extensionality^k", "separation^k", "stratification^k",
+                "endless^k", "infinity^k")]
+        assert {v.note for v in rep.verdicts} == {
+            "quantifier over type 2 ranges over 4 entities, above budget 2"}
 
 
 class TestBraceCodec:

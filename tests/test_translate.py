@@ -1,10 +1,11 @@
 import pytest
 
 from genutil import FormulaGen, all_env, oracle_eval
-from hotk.errors import FormationError
+from hotk.errors import EvalError, FormationError
 from hotk.kernel import (alpha_normalize, check_formation, ctt,
                          expand_abbreviations, fin, fjt, parse_formula,
-                         print_formula, print_term, stt_down, stt_up)
+                         parse_regime, print_formula, print_term, stt_down,
+                         stt_up)
 from hotk.kernel.axioms import (down_exists, down_max, down_sim, up_base,
                                 up_founded, up_inject, up_possess)
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Iff,
@@ -119,6 +120,15 @@ class TestRoundTrips:
     def test_fjt_gap_roundtrip(self, fjt3_down):
         r = roundtrip_check(parse_formula("y^3(x^0)"), fjt(), fjt3_down)
         assert r.semantic_equivalent
+
+    def test_atoms_are_swept_in_ordinal_order(self, pure4_up):
+        """The sweep orders the atoms by type index as ordinals, not as
+        printed text: w+1 comes before w*2, so the first domain the model
+        lacks is w+1's."""
+        f = parse_formula("a^(w+1) = a^(w+1) & b^(w*2) = b^(w*2)")
+        with pytest.raises(EvalError) as e:
+            roundtrip_check(f, parse_regime("ctt:w*3"), pure4_up)
+        assert str(e.value) == "type bound exceeded: no transfinite domain w+1"
 
 
 class TestGeneratedCorpus:
