@@ -20,10 +20,6 @@ class FormationError(HotkError):
     """A formula or term violates the active regime's formation rules."""
 
 
-class SubstitutionError(HotkError):
-    """Type-mismatched or otherwise illegal substitution."""
-
-
 class EvalError(HotkError):
     """Model building or evaluation failed: bad builder arguments, etc."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from hotk.errors import SubstitutionError
 from hotk.kernel.indices import TypeIndex
 
 
@@ -322,16 +321,10 @@ def _rename(t: Term, images: dict) -> Term:
     return t
 
 
-def substitute(f: Formula, var: Var, repl: Term, strict_type: bool = True) -> Formula:
-    """Capture-avoiding substitution of repl for free occurrences of var.
-
-    strict_type=True insists the replacement has the variable's type; the
-    quantifier rules of the cumulative regimes pass strict_type=False and
-    enforce their own discipline.
-    """
-    if strict_type and term_index(repl) != var.index:
-        raise SubstitutionError(
-            f"cannot substitute term of type {term_index(repl)} for {var.name}^{var.index}")
+def substitute(f: Formula, var: Var, repl: Term) -> Formula:
+    """Capture-avoiding substitution of repl for free occurrences of var,
+    whatever repl's type: each regime's instantiation rule is stated once,
+    in proofkit.checker._types_ok."""
     key = (var.name, var.index)
     images = {key: repl}
     repl_names = {base_atom(repl).name}
@@ -345,7 +338,7 @@ def substitute(f: Formula, var: Var, repl: Term, strict_type: bool = True) -> Fo
             (body,) = bodies
             if binder.name in repl_names and var.name in free_names(body):
                 renamed = FreshNames(body, repl_names).var(binder.index, "r")
-                bodies = (substitute(body, binder, renamed, strict_type=False),)
+                bodies = (substitute(body, binder, renamed),)
                 binder = renamed
         return rebuild(g, terms, binder, [go(b) for b in bodies])
 
@@ -428,13 +421,11 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
             if not _same_term(s, t, bound_f, bound_g):
                 return False
         if binder_f is not None:
-            if binder_g is None or binder_f.index != binder_g.index:
+            if binder_f.index != binder_g.index:
                 return False
             count += 1
             bound_f = {**bound_f, (binder_f.name, binder_f.index): count}
             bound_g = {**bound_g, (binder_g.name, binder_g.index): count}
-        elif binder_g is not None:
-            return False
         for pair in zip(reversed(bodies_f), reversed(bodies_g)):
             stack.append((*pair, bound_f, bound_g))
     return True

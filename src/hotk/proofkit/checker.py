@@ -132,6 +132,9 @@ def loads_proof(text: str) -> ProofObject:
 
 
 def _types_ok(theory: rg.Regime, beta: TypeIndex, alpha: TypeIndex) -> bool:
+    """The one statement of the instantiation rule for the types (beta,
+    alpha) of forall_e, exists_i, forall_i and exists_e: both admitted, and
+    equal, or alpha <= beta under ctt, ctt-liberal and pctt."""
     if not (theory.admits_index(alpha) and theory.admits_index(beta)):
         return False
     if theory.is_ctt:
@@ -381,7 +384,7 @@ def _check_quantifier(theory: rg.Regime, s: ProofStep, cited: _Cited,
     if term_index(term) != t_type:
         role = "eigenvariable" if eigen else "witness"
         return MISMATCH, f"{role} is not of type {t_type}"
-    if not alpha_equal(inst, substitute(q.body, q.var, term, strict_type=False)):
+    if not alpha_equal(inst, substitute(q.body, q.var, term)):
         return MISMATCH, not_instance
     if not eigen:
         return rests[0]

@@ -13,6 +13,7 @@ the slice construction and Mostowski collapse.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -169,13 +170,19 @@ def _separation_checks(g: MembershipGraph, budget: int):
     set is.  A node whose realized subsets are as many as exist costs one
     comparison; only a shortfall, whose subsets first_unrealized walks, is
     charged 2^|members|, and it is SKIPPED when that is more than the
-    budget, so a later node can still FAIL the row."""
-    member_sets = {g.members(a) for a in g.nodes}
+    budget, so a later node can still FAIL the row.  A node's realized
+    subsets are the member sets that hold one of its members and lie inside
+    its own, plus the empty set if some node has no members."""
+    holding = defaultdict(set)      # x -> the member sets that hold x
+    for s in map(g.members, g.nodes):
+        for x in s:
+            holding[x].add(s)
+    empty = {(s,) for s in map(g.members, g.nodes) if not s}
     for a in g.nodes:
         ms = g.members(a)
         try:
-            sub = first_unrealized([sorted(ms, key=canonical_key)],
-                                   {(s,) for s in member_sets if s <= ms}, budget)
+            sub = first_unrealized([sorted(ms, key=canonical_key)], empty | {
+                (s,) for x in ms for s in holding[x] if s <= ms}, budget)
             if sub is not None:
                 yield FAIL, f"{a}: subset {brace_name(sub[0])} unrealized"
         except BudgetExceeded:

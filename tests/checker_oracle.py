@@ -324,7 +324,7 @@ def _check_quantifier(p, s, by_n, asm, exp, same, reject):
         if term_index(s.witness) != alpha:
             return reject(s, "rule-mismatch",
                           f"witness is not of type {alpha}")
-        want = substitute(src.body, src.var, s.witness, strict_type=False)
+        want = substitute(src.body, src.var, s.witness)
         if not same(conc, want):
             return reject(s, "rule-mismatch",
                           "conclusion is not the premise instantiated")
@@ -340,7 +340,7 @@ def _check_quantifier(p, s, by_n, asm, exp, same, reject):
                           f"conclusion is not a universal at type {alpha}")
         if term_index(s.eigen) != beta:
             return reject(s, "rule-mismatch", f"eigenvariable is not of type {beta}")
-        want = substitute(conc.body, conc.var, s.eigen, strict_type=False)
+        want = substitute(conc.body, conc.var, s.eigen)
         if not same(exp(prems[0].formula), want):
             return reject(s, "rule-mismatch",
                           "premise is not the conclusion's matrix at the eigenvariable")
@@ -360,7 +360,7 @@ def _check_quantifier(p, s, by_n, asm, exp, same, reject):
                           f"conclusion is not an existential at type {beta}")
         if term_index(s.witness) != alpha:
             return reject(s, "rule-mismatch", f"witness is not of type {alpha}")
-        want = substitute(conc.body, conc.var, s.witness, strict_type=False)
+        want = substitute(conc.body, conc.var, s.witness)
         if not same(exp(prems[0].formula), want):
             return reject(s, "rule-mismatch",
                           "premise is not the conclusion's matrix at the witness")
@@ -380,7 +380,7 @@ def _check_quantifier(p, s, by_n, asm, exp, same, reject):
                           f"first premise is not an existential at type {alpha}")
         if term_index(s.eigen) != beta:
             return reject(s, "rule-mismatch", f"eigenvariable is not of type {beta}")
-        want = substitute(src.body, src.var, s.eigen, strict_type=False)
+        want = substitute(src.body, src.var, s.eigen)
         if not same(exp(by_n[j].formula), want):
             return reject(s, "rule-mismatch",
                           "discharged assumption is not the witnessing instance")

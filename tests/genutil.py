@@ -261,6 +261,6 @@ def universal_closure(proof):
         if isinstance(atom, Const):
             f = replace_const(f, atom, v)
         else:
-            f = substitute(f, atom, v, strict_type=False)
+            f = substitute(f, atom, v)
         f = Forall(v, f)
     return f

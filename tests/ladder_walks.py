@@ -8,7 +8,7 @@ error class and message.  `top_type` is kept as it stood before the type
 walk stopped building a set per binder and a set of indices.
 """
 
-from hotk.errors import FormationError, SubstitutionError
+from hotk.errors import FormationError
 from hotk.kernel import regimes as rg
 from hotk.kernel.expand import define
 from hotk.kernel.formation import (WELL_FORMED, _apply_gap_ok, _bad,
@@ -136,10 +136,7 @@ def _subst_term(t, var, repl):
     return t
 
 
-def substitute(f, var, repl, strict_type=True):
-    if strict_type and term_index(repl) != var.index:
-        raise SubstitutionError(
-            f"cannot substitute term of type {term_index(repl)} for {var.name}^{var.index}")
+def substitute(f, var, repl):
     repl_names = {base_atom(repl).name}
 
     def go(g):
@@ -160,7 +157,7 @@ def substitute(f, var, repl, strict_type=True):
                 return g
             if g.var.name in repl_names and var.name in free_names(g.body):
                 renamed = Var(fresh_name("r", all_names(g.body) | repl_names), g.var.index)
-                body = substitute(g.body, g.var, renamed, strict_type=False)
+                body = substitute(g.body, g.var, renamed)
                 return type(g)(renamed, go(body))
             return type(g)(g.var, go(g.body))
         if isinstance(g, Sugar):
@@ -171,7 +168,7 @@ def substitute(f, var, repl, strict_type=True):
                     return Sugar("bounded", (quant, bvar, rel, bnd2, body))
                 if bvar.name in repl_names and var.name in free_names(body):
                     renamed = Var(fresh_name("r", all_names(body) | repl_names), bvar.index)
-                    body = substitute(body, bvar, renamed, strict_type=False)
+                    body = substitute(body, bvar, renamed)
                     bvar = renamed
                 return Sugar("bounded", (quant, bvar, rel, bnd2, go(body)))
             new_args = []

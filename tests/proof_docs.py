@@ -146,6 +146,16 @@ REJECTIONS = {
     "plain, matrix": ("stt", [
         _step(1, "some z^1. all x^0. p^1(x^0) <-> z^1(x^0)", "comprehension")],
         (1, "scheme-shape", "not a comprehension instance")),
+    "forall_e, unadmitted types (stt)": ("stt", [
+        _step(1, "all x^1. p^2(x^1)", "assume"),
+        _step(2, "p^2(c^1)", "forall_e(w,w)", [1], witness="c^1")],
+        (2, "type-side-condition",
+         "forall_e(w,w) violates the regime's instantiation discipline")),
+    "forall_e, unadmitted types (ctt)": ("ctt:3", [
+        _step(1, "all x^1. p^2(x^1)", "assume"),
+        _step(2, "p^2(c^1)", "forall_e(3,3)", [1], witness="c^1")],
+        (2, "type-side-condition",
+         "forall_e(3,3) violates the regime's instantiation discipline")),
     "plain, types": ("ctt:w", [
         _step(1, "some z^2. all x^0. z^2(x^0) <-> p^1(x^0)", "comprehension")],
         (1, "scheme-shape", "not a comprehension instance")),

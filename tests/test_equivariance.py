@@ -110,9 +110,9 @@ def test_substitution():
                 v = g.var
                 for repl in [Const("c", v.index), Raised(Var("r1", v.index))] + \
                         [h.var for h in binders]:
-                    want = outcome(substitute, g.body, v, repl, False)
+                    want = outcome(substitute, g.body, v, repl)
                     got = outcome(substitute, act(pi, g.body), rename(pi, v),
-                                  rename(pi, repl), False)
+                                  rename(pi, repl))
                     if isinstance(want, tuple):
                         assert got[0] == want[0]
                     else:

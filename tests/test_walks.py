@@ -128,10 +128,10 @@ def test_check_formation_full_verdict():
 
 
 def _substitutions(f):
-    """(formula, variable, replacement, strict) cases drawn from f: each
-    binder's variable inside its own body, replaced by a constant, by another
-    binder's variable (capture), by a raised term, and by a term of the
-    wrong type."""
+    """(formula, variable, replacement) cases drawn from f: each binder's
+    variable inside its own body, replaced by a constant, by another binder's
+    variable (capture), by a raised term, and by a term of another type
+    (substitute is type-blind)."""
     binders = [g.var for g in subformulas(f) if isinstance(g, (Forall, Exists))]
     binders += [g.args[1] for g in subformulas(f)
                 if isinstance(g, Sugar) and g.kind == "bounded"]
@@ -143,13 +143,13 @@ def _substitutions(f):
             v, body = g.args[1], g.args[4]
         else:
             continue
-        cases.append((f, v, Const("c", v.index), True))
-        cases.append((body, v, Const("c", v.index), True))
+        cases.append((f, v, Const("c", v.index)))
+        cases.append((body, v, Const("c", v.index)))
         for w in binders:
-            cases.append((body, v, w, False))
-            cases.append((body, v, Var(w.name, v.index), True))
-        cases.append((body, v, Raised(Const("r1", v.index)), False))
-        cases.append((body, v, Raised(Const("c", v.index)), True))
+            cases.append((body, v, w))
+            cases.append((body, v, Var(w.name, v.index)))
+        cases.append((body, v, Raised(Const("r1", v.index))))
+        cases.append((body, v, Raised(Const("c", v.index))))
     return cases
 
 
