@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
@@ -273,8 +272,7 @@ FORMATS = ("text", "json")
 
 
 class UsageError(Exception):
-    """A command line argparse rejects, with the usage text it would print
-    (empty for an unusable environment variable)."""
+    """A command line argparse rejects, with the usage text it would print."""
 
     def __init__(self, message: str, prog: str, usage: str):
         super().__init__(message)
@@ -296,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Workbench for standard, cumulative, raised and "
                     "projection-typed theories at desk scale.")
     ap.add_argument("--format", choices=FORMATS, default="text")
-    ap.add_argument("--budget", type=int,
-                    help=f"enumeration cap (default: $HOTK_BUDGET or {DEFAULT_BUDGET})")
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help=f"enumeration cap (default: {DEFAULT_BUDGET})")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("check", help="formation checking")
@@ -386,19 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _env_budget() -> int:
-    """The budget when --budget is absent: HOTK_BUDGET, or DEFAULT_BUDGET."""
-    text = os.environ.get("HOTK_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        value = int(text)
-    except ValueError:
-        raise UsageError(f"HOTK_BUDGET must be an integer, got {text!r}",
-                         "hotk", "") from None
-    if value < 0:
-        raise UsageError(f"HOTK_BUDGET must not be negative, got {value}", "hotk", "")
-    return value
-
-
 def _report_error(output_format: str, error: Exception, text: str) -> None:
     """Print an error on stderr: as text, or under --format json as an
     object naming the error class."""
@@ -423,9 +408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.budget is None:
-            args.budget = _env_budget()
-        elif args.budget < 0:
+        if args.budget < 0:
             ap.error(f"argument --budget: must not be negative, got {args.budget}")
     except SystemExit as e:         # --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK

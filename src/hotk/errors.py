@@ -28,6 +28,17 @@ class BudgetExceeded(HotkError):
     """An enumeration would exceed the configured entity/subset budget."""
 
 
+def above_budget(size: int, unit: str, budget: int) -> str:
+    """The one wording of a budget stop, `N <unit>, above budget B`, which
+    its site may prefix with what it was about to do.  An N too long to
+    print in decimal is given as `at least 2^k`."""
+    try:
+        n = str(size)
+    except ValueError:
+        n = f"at least 2^{size.bit_length() - 1}"
+    return f"{n} {unit}, above budget {budget}"
+
+
 # The budget when none is given (the CLI's default too).
 DEFAULT_BUDGET = 10**6
 

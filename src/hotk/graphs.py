@@ -15,7 +15,8 @@ from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from hotk.errors import BudgetExceeded, GraphError, check_json, load_json
+from hotk.errors import (BudgetExceeded, GraphError, above_budget, check_json,
+                         load_json)
 
 _GRAPH_SHAPE = {"nodes": [str], "edges": [(str, str)], "ranks": {str: int}}
 
@@ -45,7 +46,7 @@ def first_unrealized(doms, realized, budget: int):
     total = 2 ** sum(map(len, doms))
     if len(realized) < total:
         if total > budget:
-            raise BudgetExceeded(f"{total} tuples of subsets, above budget {budget}")
+            raise BudgetExceeded(above_budget(total, "tuples of subsets", budget))
         for combo in product(*map(powerset, doms)):
             if tuple(map(frozenset, combo)) not in realized:
                 return combo

@@ -82,8 +82,8 @@ def stt_down() -> Regime:
     return Regime(STT_DOWN)
 
 
-def ctt(bound: TypeIndex = OMEGA, liberal: bool = False, overlay: str = "none") -> Regime:
-    return Regime(CTT_LIBERAL if liberal else CTT_STRINGENT, bound, overlay)
+def ctt(liberal: bool = False) -> Regime:
+    return Regime(CTT_LIBERAL if liberal else CTT_STRINGENT, OMEGA)
 
 
 def fjt() -> Regime:

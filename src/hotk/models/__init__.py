@@ -1,10 +1,11 @@
 """Finite typed structures: builders, evaluation, axiom suites, decision."""
 
+from hotk.errors import DEFAULT_BUDGET
 from hotk.models.axioms import check_axiom_suite
-from hotk.models.builders import (DEFAULT_BUDGET, build_class_model,
-                                  build_fjt_canonical, build_graph_model,
-                                  build_pure_model, build_sttd_companion,
-                                  build_sttu_companion, fjt_counts)
+from hotk.models.builders import (build_class_model, build_fjt_canonical,
+                                  build_graph_model, build_pure_model,
+                                  build_sttd_companion, build_sttu_companion,
+                                  fjt_counts)
 from hotk.models.core import (Assignment, Entity, Model, akey,
                               counterexamples, eval_formula)
 from hotk.models.decide import decide_fjt

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from hotk.errors import BudgetExceeded, EvalError
+from hotk.errors import DEFAULT_BUDGET, BudgetExceeded, EvalError
 from hotk.graphs import first_unrealized
 from hotk.kernel import axioms as ax
 from hotk.kernel import regimes as rg
 from hotk.kernel.indices import fin
 from hotk.kernel.syntax import Forall
-from hotk.models.builders import DEFAULT_BUDGET
 from hotk.models.core import Model, counterexamples, eval_formula
 from hotk.models.decide import top_type
 from hotk.report import FAIL, PASS, SKIPPED, SuiteReport
@@ -131,13 +130,12 @@ def _comprehension(m: Model, types, entities, budget: int):
     """Whether every tuple of subsets of the domains of `types` is the tuple
     of extensions at those types of one of the entities: (PASS, None),
     (FAIL, the first missing tuple in powerset and product order), or
-    (SKIPPED, the number of tuples) if finding it is over budget."""
-    doms = [m.domains[i] for i in types]
+    (SKIPPED, the budget's message) if finding it is over budget."""
     try:
-        combo = first_unrealized(doms, {tuple(m.extension(z, i) for i in types)
-                                        for z in entities}, budget)
-    except BudgetExceeded:
-        return SKIPPED, 2 ** sum(map(len, doms))
+        combo = first_unrealized([m.domains[i] for i in types], {
+            tuple(m.extension(z, i) for i in types) for z in entities}, budget)
+    except BudgetExceeded as e:
+        return SKIPPED, str(e)
     return (PASS, None) if combo is None else (FAIL, combo)
 
 
@@ -146,8 +144,7 @@ def plain_comprehension_checks(m: Model, levels, budget: int):
     entity, for each n in levels."""
     for n in levels:
         status, got = _comprehension(m, [n], m.domains[n + 1], budget)
-        yield status, (f"2^{len(m.domains[n])} subsets at type {n}"
-                       if status == SKIPPED else got and
+        yield status, (f"type {n}: {got}" if status == SKIPPED else got and
                        f"type {n}: extension {{{','.join(got[0])}}} unrealized")
 
 
@@ -157,10 +154,10 @@ def _augmented_checks(m: Model, max_type: int, budget: int):
     rel = m.down_rel or set()
     for n in range(1, max_type):
         for y in m.domains[n]:
-            status, _ = _comprehension(m, [n], (
+            status, got = _comprehension(m, [n], (
                 z for z in m.domains[n + 1] if (n + 1, z, y) in rel), budget)
-            yield status, (f"2^{len(m.domains[n])} subsets at type {n}"
-                           if status == SKIPPED else f"type {n}, anchor {y}")
+            yield status, (f"type {n}: {got}" if status == SKIPPED
+                           else f"type {n}, anchor {y}")
 
 
 def _finitary_checks(m: Model, max_type: int, budget: int):
@@ -168,8 +165,8 @@ def _finitary_checks(m: Model, max_type: int, budget: int):
     extensions of a type-n entity, for each n up to max_type."""
     for n in range(1, max_type + 1):
         status, got = _comprehension(m, range(n), m.domains[n], budget)
-        yield status, (f"{got} extension tuples at type {n}" if status == SKIPPED
-                       else f"type {n}: extension tuple unrealized")
+        yield status, f"type {n}: " + (
+            got if status == SKIPPED else "extension tuple unrealized")
 
 
 def _surrogate_checks(m: Model, max_type: int):

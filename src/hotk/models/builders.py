@@ -7,9 +7,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, FrozenSet, Optional
 
-from hotk.errors import BudgetExceeded, EvalError, GraphError
+from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, GraphError,
+                         above_budget)
 from hotk.graphs import MembershipGraph, brace_name, canonical_key, powerset
-from hotk.models.core import DEFAULT_BUDGET, Model
+from hotk.models.core import Model
 
 
 def hierarchy_levels(urelements: int, height: int, budget: int):
@@ -22,10 +23,11 @@ def hierarchy_levels(urelements: int, height: int, budget: int):
     members[empty] = frozenset()
     level = sorted(urs + [empty], key=canonical_key)
     levels = [level]
-    for _ in range(height - 1):
-        if 2 ** len(level) + urelements > budget:
-            raise BudgetExceeded(
-                f"powerset of {len(level)} entities exceeds budget {budget}")
+    for k in range(2, height + 1):
+        size = 2 ** len(level) + urelements
+        if size > budget:
+            raise BudgetExceeded(f"level {k} needs "
+                                 + above_budget(size, "entities", budget))
         nxt = set(urs)
         for subset in powerset(level):
             nm = brace_name(subset)
@@ -89,7 +91,8 @@ def build_fjt_canonical(height: int, budget: int = DEFAULT_BUDGET) -> Model:
     for n in range(height):
         expected = fjt_counts(n + 1)
         if expected > budget:
-            raise BudgetExceeded(f"type {n + 1} needs {expected} entities")
+            raise BudgetExceeded(f"type {n + 1} needs "
+                                 + above_budget(expected, "entities", budget))
         tuples = [()]
         for lower in domains:
             tuples = [t + (frozenset(s),) for t in tuples for s in powerset(lower)]

@@ -33,7 +33,7 @@ from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
                     Union)
 
 from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, HotkError,
-                         check_json, load_json)
+                         above_budget, check_json, load_json)
 from hotk.graphs import MembershipGraph, canonical_key
 from hotk.kernel.expand import define
 from hotk.kernel.indices import TypeIndex, fin
@@ -419,8 +419,8 @@ class _Compiler:
             return None, _fail(EvalError, str(e))
         if len(dom) > self.budget:
             return None, _fail(BudgetExceeded,
-                               f"quantifier over {self.sort_name(index)} ranges "
-                               f"over {len(dom)} entities, above budget {self.budget}")
+                               f"quantifier over {self.sort_name(index)} ranges over "
+                               + above_budget(len(dom), "entities", self.budget))
         return dom, None
 
     def identity(self, s: Term, t: Term, gamma, scope: dict):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from hotk.errors import EvalError, FormationError
+from hotk.errors import DEFAULT_BUDGET, EvalError, FormationError
 from hotk.kernel.expand import define
 from hotk.kernel.formation import check_formation
 from hotk.kernel.regimes import fjt
@@ -17,7 +17,7 @@ from hotk.kernel.syntax import (Formula, FreshNames, Sugar, Var, base_atom,
                                 free_atoms, parts, term_index)
 from hotk.models.builders import (FJT_HEIGHTS, build_fjt_canonical,
                                   check_fjt_height)
-from hotk.models.core import DEFAULT_BUDGET, Model, eval_formula
+from hotk.models.core import Model, eval_formula
 
 _OPEN = "decision procedure needs a closed sentence"
 _FJT = fjt()

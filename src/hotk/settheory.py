@@ -17,7 +17,8 @@ from collections import defaultdict
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from hotk.errors import BudgetExceeded, EvalError, GraphError, RankUndefined
+from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, GraphError,
+                         RankUndefined, above_budget)
 from hotk.graphs import (MembershipGraph, brace_name, canonical_key,
                          first_unrealized, ord_of_ranks)
 from hotk.kernel.indices import fin
@@ -27,8 +28,7 @@ from hotk.kernel.syntax import (And, Const, Exists, Forall, Formula,
                                 free_names, parts, rebuild)
 from hotk.models.axioms import plain_comprehension_checks
 from hotk.models.builders import build_graph_model, hierarchy_levels
-from hotk.models.core import (DEFAULT_BUDGET, Model, counterexamples,
-                              eval_formula)
+from hotk.models.core import Model, counterexamples, eval_formula
 from hotk.report import FAIL, SKIPPED, SuiteReport
 from hotk.translate import kappa_translate
 
@@ -145,7 +145,9 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
     if which not in ("lt", "zr"):
         raise ValueError("which must be 'lt' or 'zr'")
     report = SuiteReport(subject=f"{which} on {len(g.nodes)}-node graph")
-    over_budget = [(SKIPPED, "budget")] if len(g.nodes) ** 3 > budget else None
+    steps = len(g.nodes) ** 3
+    over_budget = None if steps <= budget else [(SKIPPED, above_budget(
+        steps, "assignments of three nested quantifiers", budget))]
 
     wit = g.extensional_witness
     report.row("extensionality",
@@ -185,8 +187,8 @@ def _separation_checks(g: MembershipGraph, budget: int):
                 (s,) for x in ms for s in holding[x] if s <= ms}, budget)
             if sub is not None:
                 yield FAIL, f"{a}: subset {brace_name(sub[0])} unrealized"
-        except BudgetExceeded:
-            yield SKIPPED, "budget"
+        except BudgetExceeded as e:
+            yield SKIPPED, f"{a}: {e}"
 
 
 def _sentence_checks(s, sentences: Iterable[Formula], budget: int,
@@ -303,11 +305,9 @@ def is_standard(g: MembershipGraph, budget: int = DEFAULT_BUDGET) -> bool:
 def is_standard_typed(m: Model, budget: int = DEFAULT_BUDGET) -> bool:
     """Typed-model standardness: for each type below the greatest, some
     next-type property applies exactly to any given entities of that type."""
-    checks = plain_comprehension_checks(m, range(m.max_type), budget)
-    for alpha, (status, _) in enumerate(checks):
+    for status, detail in plain_comprehension_checks(m, range(m.max_type), budget):
         if status == SKIPPED:
-            raise BudgetExceeded(
-                f"domain of {len(m.domains[alpha])} entities at type {alpha}")
+            raise BudgetExceeded(detail)
         if status == FAIL:
             return False
     return True

@@ -2,11 +2,12 @@
 
 All translators expand defined symbols first and return primitive formulas;
 the maps themselves only ever touch atoms, so the logical skeleton is
-preserved.  Each public map is its private body (which takes a formula
-already expanded) applied to the expansion of its input; a round trip
-expands its formula once and runs both bodies on that expansion.  A body
-defines each eq or coext_k atom it brings in (kernel.expand.define) from
-its own FreshNames supply, so its output is never expanded again.
+preserved.  Each public map is the `apply` of its TranslationMap: its
+private body (which takes a formula already expanded) applied to the
+expansion of its input; a round trip expands its formula once and runs
+both bodies on that expansion.  A body defines each eq or coext_k atom it
+brings in (kernel.expand.define) from its own FreshNames supply, so its
+output is never expanded again.
 """
 
 from __future__ import annotations
@@ -86,13 +87,9 @@ def kappa_translate(f: Formula, kappa: TypeIndex) -> Formula:
 # ---------------------------------------------------------------------------
 # Cumulative theory over finite types  <->  raised-type theory.
 
-def ctt_to_sttu(f: Formula) -> Formula:
+def _ctt_to_sttu(f: Formula) -> Formula:
     """Wrap every application gap in raising: y^n(x^m) becomes y^n applied
     to x^m raised n-1-m times.  Finite types only."""
-    return _ctt_to_sttu(expand_abbreviations(f, None))
-
-
-def _ctt_to_sttu(f: Formula) -> Formula:
     def atom(g: Formula) -> Formula:
         if isinstance(g, Apply):
             n, m = term_index(g.head), term_index(g.arg)
@@ -110,13 +107,9 @@ def _ctt_to_sttu(f: Formula) -> Formula:
     return _map_formula(f, atom)
 
 
-def sttu_to_ctt(f: Formula) -> Formula:
+def _sttu_to_ctt(f: Formula) -> Formula:
     """Raised terms denote the unique defined-identity copy one type up;
     the description is eliminated Russell-style inside its atom."""
-    return _sttu_to_ctt(expand_abbreviations(f, None))
-
-
-def _sttu_to_ctt(f: Formula) -> Formula:
     fresh = FreshNames(f)
 
     def strip_one(t: Term):
@@ -157,12 +150,8 @@ def _sttu_to_ctt(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Finitary cumulative-formation theory  <->  projection theory.
 
-def fjt_to_sttd(f: Formula) -> Formula:
-    """Applications with a gap become universally guarded projection chains."""
-    return _fjt_to_sttd(expand_abbreviations(f, None))
-
-
 def _fjt_to_sttd(f: Formula) -> Formula:
+    """Applications with a gap become universally guarded projection chains."""
     fresh = FreshNames(f)
 
     def atom(g: Formula) -> Formula:
@@ -189,12 +178,8 @@ def _fjt_to_sttd(f: Formula) -> Formula:
     return _map_formula(f, atom)
 
 
-def sttd_to_fjt(f: Formula) -> Formula:
-    """Projection atoms become bounded coextensiveness one level down."""
-    return _sttd_to_fjt(expand_abbreviations(f, None))
-
-
 def _sttd_to_fjt(f: Formula) -> Formula:
+    """Projection atoms become bounded coextensiveness one level down."""
     fresh = FreshNames(f)
 
     def atom(g: Formula) -> Formula:
@@ -238,6 +223,13 @@ class TranslationMap:
         if self.name == KAPPA:
             return kappa_translate(f, self.kappa)
         return _MAPS[self.name][2](expand_abbreviations(f, None))
+
+
+# The four maps under names of their own.
+ctt_to_sttu = TranslationMap("i-ctt-sttu").apply
+sttu_to_ctt = TranslationMap("j-sttu-ctt").apply
+fjt_to_sttd = TranslationMap("i-fjt-sttd").apply
+sttd_to_fjt = TranslationMap("j-sttd-fjt").apply
 
 
 def parse_map(text: str) -> TranslationMap:

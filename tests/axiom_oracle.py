@@ -65,7 +65,8 @@ def _full_comprehension(m: Model, level: int, budget: int):
     type-(level+1) entity; returns (status, witness)."""
     dom = m.domains[level]
     if 2 ** len(dom) > budget:
-        return SKIPPED, f"2^{len(dom)} subsets at type {level}"
+        return SKIPPED, (f"type {level}: {2 ** len(dom)} tuples of subsets, "
+                         f"above budget {budget}")
     exts = {m.extension(z, level) for z in m.domains[level + 1]}
     for sub in powerset(dom):
         if frozenset(sub) not in exts:
@@ -286,7 +287,8 @@ def _check_sttd_comprehension(m, max_type, budget, report):
         dom = m.domains[n]
         if 2 ** len(dom) > budget:
             report.add("comprehension-augmented", SKIPPED,
-                       note=f"2^{len(dom)} subsets at type {n}")
+                       note=f"type {n}: {2 ** len(dom)} tuples of subsets, "
+                            f"above budget {budget}")
             return
         for y in dom:
             exts = {m.extension(z, n)
@@ -306,7 +308,8 @@ def _check_fjt_comprehension(m, max_type, budget, report):
             expected *= 2 ** len(m.domains[i])
         if expected > budget:
             report.add("comprehension-finitary", SKIPPED,
-                       note=f"{expected} extension tuples at type {n}")
+                       note=f"type {n}: {expected} tuples of subsets, "
+                            f"above budget {budget}")
             return
         realized = {tuple(m.extension(z, i) for i in range(n))
                     for z in m.domains[n]}

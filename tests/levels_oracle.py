@@ -68,9 +68,10 @@ def build_V(n: int, budget: int = DEFAULT_BUDGET) -> MembershipGraph:
     if n < 0:
         raise ValueError("n must be a natural")
     level: set = set()
-    for _ in range(n):
+    for i in range(n):
         if 2 ** len(level) > budget:
-            raise BudgetExceeded(f"powerset of {len(level)} sets exceeds budget")
+            raise BudgetExceeded(f"level {i + 1} needs {2 ** len(level)} entities, "
+                                 f"above budget {budget}")
         level = {frozenset(s) for s in powerset(level)}
     collected = set()
     stack = list(level)
@@ -150,13 +151,15 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
     if sep_fail:
         report.add("separation-full", FAIL, witness=sep_fail)
     elif skipped:
-        report.add("separation-full", SKIPPED, note="budget")
+        report.add("separation-full", SKIPPED,
+                   note=f"{a}: {2 ** len(ms)} tuples of subsets, above budget {budget}")
     else:
         report.add("separation-full", PASS)
 
     corpus = list(separation_corpus)
     if corpus and not brute_ok:
-        report.add("separation-corpus", SKIPPED, note="budget")
+        report.add("separation-corpus", SKIPPED, note=f"{n ** 3} assignments of "
+                   f"three nested quantifiers, above budget {budget}")
     elif corpus:
         bad = None
         for i, phi in enumerate(corpus):
@@ -168,7 +171,8 @@ def check_set_axioms(g: MembershipGraph, which: str = "lt",
 
     def brute(name, formula):
         if not brute_ok:
-            report.add(name, SKIPPED, note="budget")
+            report.add(name, SKIPPED, note=f"{n ** 3} assignments of three "
+                       f"nested quantifiers, above budget {budget}")
         else:
             report.add(name, PASS if eval_formula(g, formula) else FAIL)
 
@@ -194,7 +198,8 @@ def is_standard(g: MembershipGraph, budget: int = DEFAULT_BUDGET) -> bool:
         stratum = sorted((n for n in g.nodes if ranks[n] <= alpha),
                          key=canonical_key)
         if 2 ** len(stratum) > budget:
-            raise BudgetExceeded(f"stratum of {len(stratum)} nodes at rank {alpha}")
+            raise BudgetExceeded(f"rank {alpha}: {2 ** len(stratum)} tuples of "
+                                 f"subsets, above budget {budget}")
         for sub in powerset(stratum):
             if frozenset(sub) not in member_sets:
                 return False
@@ -207,7 +212,8 @@ def is_standard_typed(m: Model, budget: int = DEFAULT_BUDGET) -> bool:
     for alpha in range(m.max_type):
         dom = m.domains[alpha]
         if 2 ** len(dom) > budget:
-            raise BudgetExceeded(f"domain of {len(dom)} entities at type {alpha}")
+            raise BudgetExceeded(f"type {alpha}: {2 ** len(dom)} tuples of "
+                                 f"subsets, above budget {budget}")
         exts = {m.extension(z, alpha) for z in m.domains[alpha + 1]}
         for sub in powerset(dom):
             if frozenset(sub) not in exts:

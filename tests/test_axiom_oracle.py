@@ -123,17 +123,17 @@ def _oracle(m, theory, max_type, budget):
                         parse_regime(theory), max_type, budget).to_json()
 
 
-def _unskipped(m, v, full):
+def _unskipped(m, v, full, budget):
     """A comprehension row the oracle SKIPs for the budget, as the suite
     gives it: the row at the default budget, `full`, when that PASSes, else
     SKIPPED at the first type with a missing subset, which its FAIL names."""
     if full["status"] == "PASS":
         return full
     n = int(re.match(r"type (\d+)", full["witness"]).group(1))
-    size = (f"{2 ** sum(len(d) for d in m.domains[:n])} extension tuples"
-            if v["name"] == "comprehension-finitary"
-            else f"2^{len(m.domains[n])} subsets")
-    return {"name": v["name"], "status": "SKIPPED", "note": f"{size} at type {n}"}
+    size = 2 ** sum(len(d) for d in (m.domains[:n] if v["name"] ==
+                                     "comprehension-finitary" else [m.domains[n]]))
+    return {"name": v["name"], "status": "SKIPPED",
+            "note": f"type {n}: {size} tuples of subsets, above budget {budget}"}
 
 
 def _expected(m, theory, max_type, budget):
@@ -147,7 +147,7 @@ def _expected(m, theory, max_type, budget):
         if v["status"] == "SKIPPED" and v["name"].startswith("comprehension"):
             full = full or _oracle(m, theory, max_type, 10 ** 6)["verdicts"]
             v = doc["verdicts"][i] = _unskipped(
-                m, v, next(w for w in full if w["name"] == v["name"]))
+                m, v, next(w for w in full if w["name"] == v["name"]), budget)
         if theory == "fjt" and v["name"] == "type-purity" and v["status"] == "FAIL":
             v["witness"] = f"{len(m.domains[0])} type-0 entities"
     doc["all_pass"] = all(v["status"] == "PASS" for v in doc["verdicts"])

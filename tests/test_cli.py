@@ -411,7 +411,8 @@ def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
                     str(short), "--theory", "pctt:w", "--max-type", "3")
     statuses = [line.split()[0] for line in out.splitlines()]
     assert (code, statuses.count("SKIPPED"), statuses.count("PASS")) == (3, 5, 1)
-    assert out.startswith("SKIPPED comprehension [2^4 subsets at type 2]\n")
+    assert out.startswith("SKIPPED comprehension [type 2: 16 tuples of "
+                          "subsets, above budget 10]\n")
     code, out = run(capsys, "--budget", "10", "model", "check", "--model",
                     str(pure4), "--theory", "pctt:w", "--max-type", "3")
     statuses = [line.split()[0] for line in out.splitlines()]
@@ -767,28 +768,11 @@ def test_let_entities_must_be_in_the_model(tmp_path, capsys, fjt2):
     assert code == 2 and repr(inside) in err and "type 2" in err
 
 
-def test_non_integer_budget_variable_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("HOTK_BUDGET", "abc")
-    assert main(["check", "--theory", "stt", "x^0 = x^0"]) == 2
-    assert capsys.readouterr().err == (
-        "hotk: error: HOTK_BUDGET must be an integer, got 'abc'\n")
-    code, doc = run_json("check", "--theory", "stt", "x^0 = x^0")
-    assert code == 2 and doc["error"] == "UsageError"
-    code, _ = run(capsys, "--budget", "5", "check", "--theory", "stt",
-                  "x^0 = x^0")
-    assert code == 0        # an explicit --budget does not read the variable
-    monkeypatch.setenv("HOTK_BUDGET", "10")
-    code, _ = run(capsys, "model", "build", "--kind", "pure", "--height", "4")
-    assert code == 3
-
-
-def test_negative_budget_variable_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("HOTK_BUDGET", "-1")
-    assert main(["check", "--theory", "stt", "x^0 = x^0"]) == 2
-    assert capsys.readouterr().err == (
-        "hotk: error: HOTK_BUDGET must not be negative, got -1\n")
-    monkeypatch.setenv("HOTK_BUDGET", "0")
-    code, _ = run(capsys, "check", "--theory", "stt", "x^0 = x^0")
+def test_a_negative_budget_is_a_usage_error(capsys):
+    assert main(["--budget", "-5", "check", "--theory", "stt", "x^0 = x^0"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "hotk: error: argument --budget: must not be negative, got -5\n")
+    code, _ = run(capsys, "--budget", "0", "check", "--theory", "stt", "x^0 = x^0")
     assert code == 0        # a zero budget is allowed
 
 
@@ -852,7 +836,6 @@ def cli_files(tmp_path_factory):
 @pytest.mark.parametrize("argv,code,packages", LAYERS)
 def test_each_command_loads_only_its_layers(argv, code, packages, cli_files):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hotk.__file__)))
-    env.pop("HOTK_BUDGET", None)
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cli_files,
                           env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, timeout=120)
@@ -870,7 +853,6 @@ DOCUMENTS = [["model", "build"], ["sets", "build-v"], ["sets", "slice"],
 def test_each_command_prints_one_json_document(argv, code, cli_files, monkeypatch,
                                                capsys):
     monkeypatch.chdir(cli_files)
-    monkeypatch.delenv("HOTK_BUDGET", raising=False)
     got, doc = run_json(*argv)
     assert got == code
     if argv[:2] in DOCUMENTS:
@@ -921,7 +903,6 @@ INTEGER_ARGUMENTS = [
 @pytest.mark.parametrize("argv", INTEGER_ARGUMENTS)
 def test_every_integer_argument_keeps_the_exit_codes(argv, cli_files, monkeypatch):
     monkeypatch.chdir(cli_files)
-    monkeypatch.delenv("HOTK_BUDGET", raising=False)
     for value in range(-2, 5):
         for output_format in FORMATS:
             code = main(["--format", output_format,

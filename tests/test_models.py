@@ -163,7 +163,8 @@ class TestAxiomSuites:
         short = replace(m, domains=m.domains[:4] + (m.domains[4][:-1],))
         rep = check_axiom_suite(short, parse_regime("stt"), 4, budget=10 ** 4)
         assert rep.status("comprehension") == "SKIPPED"
-        assert rep.verdicts[0].note == "2^16 subsets at type 3"
+        assert rep.verdicts[0].note == ("type 3: 65536 tuples of subsets, "
+                                        "above budget 10000")
         assert rep.verdicts[0].witness is None
         rep = check_axiom_suite(m, parse_regime("stt"), 4, budget=10 ** 4)
         assert rep.status("comprehension") == "PASS"

@@ -50,10 +50,8 @@ def test_every_job_of_a_gated_workload_gives_its_outcome(gated):
 def test_every_command_of_a_gated_workload_gives_its_outcome(
         gated, monkeypatch, tmp_path, capsys):
     """Each command the benchmark runs as a subprocess, run once through
-    hotk.cli.main with HOTK_BUDGET unset, as the benchmark runs it: the
-    exit code it expects, and output its check accepts."""
+    hotk.cli.main: the exit code it expects, and output its check accepts."""
     api, wl, refs = gated
-    monkeypatch.delenv("HOTK_BUDGET", raising=False)
     monkeypatch.chdir(tmp_path)
     commands = wl.commands(api, refs, 1, str(tmp_path))
     assert commands
