@@ -131,9 +131,9 @@ def cmd_expand(args) -> tuple:
 def cmd_translate(args) -> tuple:
     from hotk.kernel.parser import parse_hol_lines
     from hotk.kernel.printer import print_formula
-    from hotk.translate import parse_map
+    from hotk.translate import KAPPA, parse_map
     tmap = parse_map(args.map)
-    mode = "set" if tmap.name == "kappa" else "typed"
+    mode = "set" if tmap.name == KAPPA else "typed"
     outputs = [print_formula(tmap.apply(f))
                for f in parse_hol_lines(_read(args.input), mode)]
     return {"map": args.map, "formulas": outputs}, outputs, EXIT_OK

@@ -85,12 +85,12 @@ def down_max(n: int) -> Formula:
 
 
 # Each axiom a proof may cite: name -> (builder, the scheme-record
-# parameters it takes, in order, and the kinds or overlay that assume it).
+# parameters it takes, in order, and the kinds that assume it).
 AXIOMS = {
     "type-founded": (type_founded, ("alpha", "beta"), rg.CTT_KINDS),
     "type-base": (type_base, ("alpha",), rg.CTT_KINDS),
-    "type-ext": (type_ext, ("alpha", "beta"), ("pctt",)),
-    "type-purity": (type_purity, (), ("pctt",)),
+    "type-ext": (type_ext, ("alpha", "beta"), (rg.PCTT,)),
+    "type-purity": (type_purity, (), (rg.PCTT,)),
     "up-inject": (up_inject, ("n",), (rg.STT_UP,)),
     "up-possess": (up_possess, ("n",), (rg.STT_UP,)),
     "up-founded": (up_founded, ("n",), (rg.STT_UP,)),
@@ -103,5 +103,4 @@ AXIOMS = {
 
 def axioms_of(theory: rg.Regime) -> list:
     """The names of the axioms theory assumes, in table order."""
-    return [name for name, (_, _, by) in AXIOMS.items()
-            if theory.kind in by or theory.overlay in by]
+    return [name for name, (_, _, by) in AXIOMS.items() if theory.kind in by]

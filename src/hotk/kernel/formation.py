@@ -1,4 +1,4 @@
-"""Formation checking for all six regimes.
+"""Formation checking for every regime.
 
 Application gaps are the heart of it: standard regimes demand head type =
 argument type + 1, the cumulative formation rules demand head > argument
@@ -15,8 +15,9 @@ from typing import Optional, Union
 from hotk.kernel import regimes as rg
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.printer import print_formula, print_term
-from hotk.kernel.syntax import (Apply, DownRel, Formula, InSet, Raised,
-                                StrictEq, Sugar, Term, parts, term_index)
+from hotk.kernel.syntax import (SET_SUGAR, Apply, DownRel, Formula, InSet,
+                                Raised, StrictEq, Sugar, Term, parts,
+                                term_index)
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,6 @@ WELL_FORMED = FormationVerdict(True)
 _bad = partial(FormationVerdict, False)     # (reason, node) -> ill-formed
 
 _ZERO = fin(0)
-
-# The kinds whose application heads must lie above their arguments.
-_HEAD_ABOVE = frozenset({rg.CTT_STRINGENT, rg.FJT})
 
 
 def _is_succ(a: TypeIndex, b: TypeIndex) -> bool:
@@ -77,7 +75,7 @@ def _apply_gap_ok(head: TypeIndex, arg: TypeIndex, regime: rg.Regime) -> Optiona
                 else str(head.finite_value - arg.finite_value)
             return f"application gap {gap} != 1 (head {head} over argument {arg})"
         return None
-    if kind in _HEAD_ABOVE:
+    if kind in rg.HEAD_ABOVE_KINDS:
         if not head > arg:
             return f"head type {head} not above argument type {arg}"
         return None
@@ -143,7 +141,7 @@ def sugar_violation(f: Sugar, regime: rg.Regime) -> Optional[str]:
                 return "dn-bounded quantifier needs the projection theory"
             return _projection_violation(term_index(var), term_index(bound))
         return sugar_violation(Sugar(rel, (var, bound)), regime)
-    if k in ("subset", "level", "history", "rank"):
+    if k in SET_SUGAR:
         idxs = [term_index(a) for a in f.args]
         if any(i is None for i in idxs):
             return None   # untyped set language: always fine

@@ -1,4 +1,4 @@
-"""The six formation regimes plus the pure-theory overlay."""
+"""The seven theories, each a kind of formation regime."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ STT_UP = "stt_up"
 STT_DOWN = "stt_down"
 CTT_STRINGENT = "ctt"
 CTT_LIBERAL = "ctt_liberal"
+PCTT = "pctt"
 FJT = "fjt"
 
 # Each kind's printed name, then the other spellings parse_regime accepts.
@@ -23,34 +24,35 @@ _NAMES = {
     STT_DOWN: ("stt-down", "sttd", "stt_down"),
     CTT_STRINGENT: ("ctt",),
     CTT_LIBERAL: ("ctt-liberal", "ctt_liberal"),
+    PCTT: ("pctt",),
     FJT: ("fjt",),
 }
 _KIND_OF = {name: kind for kind, names in _NAMES.items() for name in names}
 
 # The kinds by formation rule: the standard theories need head type =
-# argument type + 1, the cumulative ones let a head take any lower type
-# (the liberal CTT any type at all); all but the CTT kinds have finite
-# types only; every kind but stt-down and fjt has plain comprehension.
+# argument type + 1, the head-above ones head type > argument type, and
+# the liberal CTT takes any pair; the cumulative kinds are the non-standard
+# ones; all but the CTT kinds have finite types only; every kind but
+# stt-down and fjt has plain comprehension.  pctt is ctt with the pure
+# theory's axioms (kernel/axioms.AXIOMS).
 STANDARD_KINDS = frozenset({STT, STT_UP, STT_DOWN})
-CUMULATIVE_KINDS = frozenset({FJT, CTT_STRINGENT, CTT_LIBERAL})
-CTT_KINDS = frozenset({CTT_STRINGENT, CTT_LIBERAL})
+CUMULATIVE_KINDS = frozenset({FJT, CTT_STRINGENT, CTT_LIBERAL, PCTT})
+HEAD_ABOVE_KINDS = frozenset({FJT, CTT_STRINGENT, PCTT})
+CTT_KINDS = frozenset({CTT_STRINGENT, CTT_LIBERAL, PCTT})
 FINITE_KINDS = frozenset({STT, STT_UP, STT_DOWN, FJT})
-PLAIN_COMPREHENSION_KINDS = frozenset({STT, STT_UP, CTT_STRINGENT, CTT_LIBERAL})
+PLAIN_COMPREHENSION_KINDS = frozenset({STT, STT_UP, CTT_STRINGENT, CTT_LIBERAL, PCTT})
 
 
 @dataclass(frozen=True)
 class Regime:
     kind: str
     bound: Optional[TypeIndex] = None   # CTT kinds only: all indices < bound
-    overlay: str = "none"               # "none" or "pctt"
 
     def __post_init__(self):
         if self.kind not in _NAMES:
             raise ValueError(f"unknown regime kind {self.kind!r}")
-        if self.is_ctt and self.bound is None:
-            raise ValueError("CTT regimes need a type bound")
-        if self.overlay not in ("none", "pctt"):
-            raise ValueError(f"unknown overlay {self.overlay!r}")
+        if self.is_ctt != (self.bound is not None):
+            raise ValueError("CTT regimes need a type bound, and only they take one")
 
     @property
     def is_ctt(self) -> bool:
@@ -62,12 +64,8 @@ class Regime:
         return idx < self.bound
 
     def __str__(self) -> str:
-        s = _NAMES[self.kind][0]
-        if self.is_ctt:
-            s += f":{self.bound}"
-        if self.overlay == "pctt":
-            s = f"pctt:{self.bound}" if self.kind == CTT_STRINGENT else s + "+pctt"
-        return s
+        name = _NAMES[self.kind][0]
+        return f"{name}:{self.bound}" if self.is_ctt else name
 
 
 def stt() -> Regime:
@@ -82,8 +80,8 @@ def stt_down() -> Regime:
     return Regime(STT_DOWN)
 
 
-def ctt(liberal: bool = False) -> Regime:
-    return Regime(CTT_LIBERAL if liberal else CTT_STRINGENT, OMEGA)
+def ctt() -> Regime:
+    return Regime(CTT_STRINGENT, OMEGA)
 
 
 def fjt() -> Regime:
@@ -91,9 +89,9 @@ def fjt() -> Regime:
 
 
 def parse_regime(text: str) -> Regime:
-    """Parse CLI regime strings: a spelling in _NAMES, or pctt; the CTT kinds take a :<idx> bound."""
+    """Parse CLI regime strings: a spelling in _NAMES; the CTT kinds take a :<idx> bound."""
     name, _, idx = text.strip().lower().partition(":")
-    kind = _KIND_OF.get(name, CTT_STRINGENT if name == "pctt" else None)
+    kind = _KIND_OF.get(name)
     if kind in FINITE_KINDS:
         if idx:
             raise ParseError(f"{name} has no type bound, got {text!r}")
@@ -101,4 +99,4 @@ def parse_regime(text: str) -> Regime:
     bound = parse_index(idx) if idx else OMEGA
     if kind is None:
         raise ParseError(f"unknown theory {text!r}")
-    return Regime(kind, bound, "pctt" if name == "pctt" else "none")
+    return Regime(kind, bound)

@@ -162,6 +162,9 @@ INFIX = {"=": StrictEq, "dn": DownRel, "in": "in", "eq": "eq",
 # NAME(term, ...): the level-theory sugar kind of each name.
 PREFIX = {"Lev": "level", "Hist": "history", "Rank": "rank"}
 
+# The sugar kinds the set language may use beside membership and identity.
+SET_SUGAR = ("subset", "level", "history", "rank")
+
 
 # ---------------------------------------------------------------------------
 # Node layout.  parts/rebuild are the one place that knows where each node

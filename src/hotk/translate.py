@@ -22,10 +22,10 @@ from hotk.kernel.expand import define, expand_abbreviations
 from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.parser import parse_index
 from hotk.kernel.printer import print_formula
-from hotk.kernel.syntax import (ATOMS, And, Apply, DownRel, Exists, Forall,
-                                Formula, FreshNames, Iff, Implies, InSet,
-                                Raised, StrictEq, Sugar, Term, Var,
-                                alpha_equal, conj, free_atoms, parts,
+from hotk.kernel.syntax import (ATOMS, SET_SUGAR, And, Apply, DownRel,
+                                Exists, Forall, Formula, FreshNames, Iff,
+                                Implies, InSet, Raised, StrictEq, Sugar, Term,
+                                Var, alpha_equal, conj, free_atoms, parts,
                                 raise_term, rebuild, term_index)
 
 if TYPE_CHECKING:
@@ -51,9 +51,6 @@ def _map_formula(f: Formula, atom_fn) -> Formula:
 # theory: every variable gets the chosen type, membership becomes defined
 # membership, identity becomes defined identity.
 
-_SET_SUGAR = ("subset", "level", "history", "rank")
-
-
 def kappa_translate(f: Formula, kappa: TypeIndex) -> Formula:
     def term(t: Term) -> Term:
         if isinstance(t, Raised):
@@ -69,7 +66,7 @@ def kappa_translate(f: Formula, kappa: TypeIndex) -> Formula:
         if kind is Sugar:
             if g.kind == "bounded" and g.args[2] != "in":
                 raise FormationError(f"{g.args[2]!r}-bounded quantifier in set language")
-            if g.kind != "bounded" and g.kind not in _SET_SUGAR:
+            if g.kind != "bounded" and g.kind not in SET_SUGAR:
                 raise FormationError(f"sugar {g.kind!r} has no place in the set language")
         terms, binder, bodies = parts(g)
         terms = tuple([term(t) for t in terms])
@@ -210,8 +207,10 @@ _MAPS = {
 }
 
 # source kind -> (there, back): the bodies of a map and of its inverse.
+# pctt forms its formulas as ctt does, so it takes ctt's trip.
 _ROUNDTRIPS = {src: (there, back) for src, dst, there in _MAPS.values()
                for src2, dst2, back in _MAPS.values() if (src2, dst2) == (dst, src)}
+_ROUNDTRIPS[rg.PCTT] = _ROUNDTRIPS[rg.CTT_STRINGENT]
 
 
 @dataclass(frozen=True)

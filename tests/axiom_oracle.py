@@ -87,7 +87,7 @@ def check_axiom_suite(m: Model, theory: rg.Regime, max_type: int,
     report = SuiteReport(subject=f"{theory} on {m.kind} model")
     kind = theory.kind
 
-    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.CTT_LIBERAL):
+    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.PCTT, rg.CTT_LIBERAL):
         worst = (PASS, None)
         for level in range(max_type):
             status, wit = _full_comprehension(m, level, budget)
@@ -99,11 +99,11 @@ def check_axiom_suite(m: Model, theory: rg.Regime, max_type: int,
         report.add("comprehension", worst[0], witness=worst[1],
                    note="FULL-COMPREHENSION")
 
-    if kind in (rg.CTT_STRINGENT, rg.CTT_LIBERAL):
+    if kind in (rg.CTT_STRINGENT, rg.PCTT, rg.CTT_LIBERAL):
         _check_type_raising(m, t, max_type, report)
         _check_type_founded(m, t, max_type, report)
         _check_type_base(m, t, max_type, report)
-        if theory.overlay == "pctt":
+        if kind == rg.PCTT:
             _check_type_ext(m, t, max_type, report)
             report.add("type-purity", PASS if len(m.domains[0]) == 1 else FAIL,
                        witness=None if len(m.domains[0]) == 1

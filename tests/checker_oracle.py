@@ -272,8 +272,7 @@ def _check_step(p, s, by_n, asm, exp, same, hyp_norms, reject):
         avail = AXIOM_AVAILABILITY.get(name)
         if avail is None:
             return reject(s, "scheme-shape", f"unknown axiom {name!r}")
-        key = "pctt" if theory.overlay == "pctt" else theory.kind
-        if key not in avail and theory.kind not in avail:
+        if theory.kind not in avail:
             return reject(s, "axiom-unavailable",
                           f"{name} is not an axiom of {theory}")
         try:
@@ -414,7 +413,7 @@ def _match_comprehension(f: Formula, theory: rg.Regime):
             return None
         return z, x, matrix.right
 
-    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.CTT_LIBERAL):
+    if kind in (rg.STT, rg.STT_UP, rg.CTT_STRINGENT, rg.PCTT, rg.CTT_LIBERAL):
         got = plain(f)
         if not got:
             return ("scheme-shape", "not a comprehension instance")

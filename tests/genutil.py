@@ -73,7 +73,7 @@ class FormulaGen:
         r = self.rng.random()
         if self.max_type == 0:      # no type to apply a term of
             return StrictEq(self._term(scope, 0), self._term(scope, 0))
-        if kind in (rg.CTT_STRINGENT, rg.FJT):
+        if kind in (rg.CTT_STRINGENT, rg.PCTT, rg.FJT):
             if r < 0.75:
                 n = self.rng.randint(1, self.max_type)
                 m = self.rng.randint(0, n - 1)

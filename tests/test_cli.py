@@ -394,6 +394,34 @@ def test_model_build_writes_its_output_file(tmp_path, capsys):
     assert path.read_text() == printed
 
 
+@pytest.mark.parametrize("argv, graph, error, message", [
+    (["--kind", "graph"], None, "ParseError", "--graph is required for graph models"),
+    (["--kind", "class", "--height", "0"], None, "EvalError", "height must be at least 1"),
+    (None, {"nodes": ["a", "a"], "edges": []}, "GraphError", "duplicate node names"),
+    (None, {"nodes": ["e", "s"], "edges": [["e", "s"]], "ranks": {"e": 0}},
+     "GraphError", "rank labels missing for ['s']"),
+    (None, {"nodes": [], "edges": []}, "GraphError", "empty graph model"),
+])
+def test_model_build_input_errors_exit_2(argv, graph, error, message, tmp_path, capsys):
+    if graph is not None:
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        argv = ["--kind", "graph", "--graph", str(path)]
+    assert main(["model", "build", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run_json("model", "build", *argv) == (2, {"error": error, "message": message})
+
+
+def test_a_graph_without_ranks_is_built_on_its_structural_ranks(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"nodes": ["e", "s"], "edges": [["e", "s"]]}))
+    argv = ["model", "build", "--kind", "graph", "--graph", str(path), "--height", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["domains"] == [["e"], ["e", "s"]]
+    assert run_json(*argv) == (0, json.loads(out))
+
+
 def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):
     """A suite with no FAIL and a budget SKIP exits 3, not the 1 of a
     negative verdict; with a FAIL it exits 1 whatever else it skipped.

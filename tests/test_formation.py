@@ -26,12 +26,12 @@ def test_cumulative_gap_rules():
     assert wf("c^2(a^0)", ctt())
     assert not wf("b^0(a^2)", ctt())
     # the liberal variant answers every pair
-    assert wf("b^0(a^2)", ctt(liberal=True))
-    assert wf("b^0(a^0)", ctt(liberal=True))
+    assert wf("b^0(a^2)", parse_regime("ctt-liberal"))
+    assert wf("b^0(a^0)", parse_regime("ctt-liberal"))
 
 
 def test_strict_identity_needs_equal_types():
-    for regime in (stt(), stt_up(), stt_down(), ctt(), ctt(liberal=True), fjt()):
+    for regime in (stt(), stt_up(), stt_down(), ctt(), parse_regime("ctt-liberal"), fjt()):
         assert wf("x^1 = y^1", regime)
         assert not wf("x^0 = y^1", regime)
 
@@ -39,7 +39,7 @@ def test_strict_identity_needs_equal_types():
 def test_projection_atom_formation():
     assert wf("e^4 dn d^3", stt_down())
     assert not wf("e^4 dn d^3", stt())
-    assert not wf("e^4 dn d^3", ctt(liberal=True))
+    assert not wf("e^4 dn d^3", parse_regime("ctt-liberal"))
     # no projection constant reaches type 0
     assert not wf("b^1 dn a^0", stt_down())
     assert not wf("b^3 dn a^1", stt_down())
@@ -48,7 +48,7 @@ def test_projection_atom_formation():
 def test_raised_terms_only_in_raised_theory():
     assert wf("c^2(up(a^0))", stt_up())
     assert not wf("c^2(up(a^0))", stt())
-    assert not wf("c^2(up(a^0))", ctt(liberal=True))
+    assert not wf("c^2(up(a^0))", parse_regime("ctt-liberal"))
     assert not wf("b^1(up(a^0))", stt_up())   # raising bumps the argument type
 
 
@@ -84,7 +84,7 @@ def test_stringent_implies_liberal_monotonicity():
     for entry in doc["formulas"]:
         f = parse_formula(entry["formula"])
         if check_formation(f, ctt()).ok:
-            assert check_formation(f, ctt(liberal=True)).ok
+            assert check_formation(f, parse_regime("ctt-liberal")).ok
 
 
 def test_stt_implies_stringent_monotonicity():
@@ -118,7 +118,7 @@ def test_monotonicity_on_generated_formulas():
     for _ in range(60):
         f = gen.formula()
         assert check_formation(f, ctt()).ok
-        assert check_formation(f, ctt(liberal=True)).ok
+        assert check_formation(f, parse_regime("ctt-liberal")).ok
     gen_stt = FormulaGen(stt_down(), seed=4, max_type=3)
     for _ in range(60):
         f = gen_stt.formula()

@@ -5,7 +5,8 @@ A defaulted parameter of a function defined once in the package, which
 every call to it in the package sets to one and the same literal constant,
 other than the default, is a default nobody uses: the function should do
 what its callers ask of it, and the option go.  So should a defaulted
-parameter that no call in the package, its tests or its benchmark sets.
+parameter that no call in the package, its tests or its benchmark sets,
+and one that only the tests set: no caller of the program needs it.
 Calls are matched to the function by plain or attribute name; positional
 arguments are mapped by position, skipping `self`.  A call that spreads
 `*args` or `**kwargs` never counts as fixing a parameter it may reach, and
@@ -122,6 +123,11 @@ def test_no_option_is_left_unset_by_every_caller():
     assert unset_options(package, callers) == set()
 
 
+def test_no_option_is_set_only_by_tests():
+    package = _trees(PACKAGE)
+    assert unset_options(package, package + _trees(REPO / "perfbench")) == set()
+
+
 def test_a_fixed_option_is_found():
     tree = ast.parse(
         "def subst(f, var, repl, strict=True, depth=0):\n"
@@ -152,3 +158,15 @@ def test_an_unset_option_is_found():
     # bound is set by position and liberal by name; loud may be set by the
     # spread, and idle is never called
     assert unset_options([package], [callers]) == {"ctt: overlay"}
+
+
+def test_an_option_only_tests_set_is_found():
+    package = ast.parse(
+        "def ctt(liberal=False, bound=None):\n"
+        "    return liberal\n"
+        "def theory(name):\n"
+        "    return ctt(bound=name)\n")
+    tests = ast.parse("ctt(liberal=True)\n")
+    # the tests set liberal, so the rule above passes it; the program does not
+    assert unset_options([package], [package, tests]) == set()
+    assert unset_options([package], [package]) == {"ctt: liberal"}

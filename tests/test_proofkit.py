@@ -178,10 +178,11 @@ def test_readme_theory_table_matches_the_axioms_table(fjt2):
         assert names(cited) == set(axioms_of(regime)), theory
         rows = {v.name for v in check_axiom_suite(fjt2, regime, 1).verdicts}
         assert rows == names(comprehension) | names(cited) | names(others), theory
-        theories.add((regime.kind, regime.overlay))
+        theories.add(regime.kind)
         cited_anywhere |= names(cited)
     assert cited_anywhere == set(AXIOMS)
-    kinds = (rg.STT, rg.STT_UP, rg.STT_DOWN, rg.FJT, rg.CTT_STRINGENT, rg.CTT_LIBERAL)
-    assert theories == {(k, "none") for k in kinds} | {(rg.CTT_STRINGENT, "pctt")}
+    kinds = {rg.STT, rg.STT_UP, rg.STT_DOWN, rg.FJT, rg.CTT_STRINGENT,
+             rg.CTT_LIBERAL, rg.PCTT}
+    assert theories == kinds
     assumers = {by for _, _, assumed_by in AXIOMS.values() for by in assumed_by}
-    assert assumers <= set(kinds) | {"pctt"}
+    assert assumers <= kinds

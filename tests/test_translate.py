@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from genutil import FormulaGen, all_env, oracle_eval
@@ -120,6 +122,15 @@ class TestRoundTrips:
     def test_fjt_gap_roundtrip(self, fjt3_down):
         r = roundtrip_check(parse_formula("y^3(x^0)"), fjt(), fjt3_down)
         assert r.semantic_equivalent
+
+    def test_pctt_takes_ctts_trip(self, pure4_up):
+        for text in ("y^1(x^0)", "y^3(x^0) | x^1 eq z^2"):
+            f = parse_formula(text)
+            for model in (None, pure4_up):
+                r = roundtrip_check(f, parse_regime("pctt:w"), model)
+                assert r.regime_kind == "pctt"
+                assert r == dataclasses.replace(
+                    roundtrip_check(f, ctt(), model), regime_kind="pctt")
 
     def test_atoms_are_swept_in_ordinal_order(self, pure4_up):
         """The sweep orders the atoms by type index as ordinals, not as
