@@ -168,8 +168,13 @@ def cmd_model_build(args) -> tuple:
                                       build_graph_model, build_pure_model,
                                       build_sttd_companion,
                                       build_sttu_companion)
+    if args.urelements is not None and args.kind != "class":
+        raise ParseError("--urelements applies only to --kind class")
+    if args.graph is not None and args.kind != "graph":
+        raise ParseError("--graph applies only to --kind graph")
     if args.kind == "class":
-        m = build_class_model(args.urelements, args.height, budget=args.budget)
+        m = build_class_model(args.urelements or 0, args.height,
+                              budget=args.budget)
     elif args.kind == "pure":
         m = build_pure_model(args.height, budget=args.budget)
     elif args.kind == "fjt":
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = msub.add_parser("build")
     b.add_argument("--kind", required=True, choices=("class", "pure", "fjt", "graph"))
     b.add_argument("--height", type=int, default=3)
-    b.add_argument("--urelements", type=int, default=0)
+    b.add_argument("--urelements", type=int)
     b.add_argument("--graph")
     b.add_argument("--companion", choices=("up", "down"))
     b.add_argument("-o", "--output")

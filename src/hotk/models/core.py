@@ -480,14 +480,7 @@ class _Compiler:
 
     def cacheable(self, slots: FrozenSet[int], scope: dict) -> bool:
         """Whether the slots a loop reads are a strict subset of the slots
-        in scope and the free atoms'.  They always lie among those, and the
-        scope's slots are distinct, so the count decides unless it falls
-        between the scope's size and the sum of both sizes."""
-        n = len(slots)
-        if n < len(scope):
-            return True
-        if n >= len(scope) + len(self.free):
-            return False
+        in scope and the free atoms'."""
         return slots < {*scope.values(), *self.free.values()}
 
 
@@ -577,13 +570,13 @@ def counterexamples(m: Structure, atoms: Sequence[Term], f: Formula,
 def eval_formula(m: Structure, f: Formula, assignment: Optional[Assignment] = None,
                  budget: int = DEFAULT_BUDGET) -> bool:
     """Classical truth value of f in m (a Model or a MembershipGraph) under
-    the assignment.  A graph's assignment may key a variable by its name or
-    by (name, None).  Errors (an unassigned term, a missing domain, a domain
-    of more than `budget` entities) are raised only when the offending node
-    is reached; an ill-formed sugar raises when f is compiled."""
+    the assignment, which keys each term by (name, index); a graph's
+    variable has the index None.  Errors (an unassigned term, a missing
+    domain, a domain of more than `budget` entities) are raised only when
+    the offending node is reached; an ill-formed sugar raises when f is
+    compiled."""
     assignment = assignment or {}
-    keys = ((k, None) if isinstance(k, str) else k for k in assignment)
-    root, env, slots = _Compiler(m, budget).compile(f, keys)
+    root, env, slots = _Compiler(m, budget).compile(f, assignment)
     for slot, v in zip(slots, assignment.values()):
         env[slot] = v
     return root(env)

@@ -3,7 +3,8 @@
 The bundled fixtures as JSON documents, a small corpus of hand-written
 proofs for the propositional rules the fixtures never use, one document
 per rule rejection nothing else reaches, single scheme steps and the
-rejections of their matchers, seeded mutations, and hostile
+rejections of their matchers, seeded mutations, extensions of proofs by
+forall_i and exists_e and renamings of their constants, and hostile
 documents whose fields have the wrong JSON type.
 """
 
@@ -12,6 +13,13 @@ import json
 import random
 from importlib import resources
 
+from genutil import replace_const
+
+from hotk.errors import HotkError
+from hotk.kernel.parser import parse_formula, parse_term
+from hotk.kernel.printer import print_formula, print_term
+from hotk.kernel.syntax import (Const, Exists, Forall, FreshNames, Implies,
+                                Raised, free_atoms)
 from hotk.proofkit.fixtures import fixture_manifest
 
 REGIMES = ["stt", "stt-up", "stt-down", "ctt:w", "ctt-liberal:w", "pctt:w",
@@ -296,4 +304,132 @@ def mutations(docs, seed, count):
         got = _mutate(docs[name], rng)
         if got is not None:
             out.append((name, got))
+    return out
+
+
+# Extensions keep a proof valid where the eigenvariable conditions allow.
+# A prefix of a document, up to some step k, is extended by forall_i over
+# a constant free in step k, or by exists_e that trades an assumption of k
+# for the existential over one of its constants; then each assumption the
+# last step still rests on is discharged by implies_i.  Where the
+# eigenvariable is free in an assumption the step rests on, the checker
+# must reject the document, since its closure may be false; elsewhere it
+# accepts it, unless the eigenvariable is free in the conclusion.
+
+
+def _rests(steps):
+    """{step number: the assumption steps it rests on}: its own number for
+    assume and hyp, else its premises' minus its discharges.  This is the
+    checker's count for every rule but or_e and exists_e, where it may
+    leave out an assumption, and then a document built on it is rejected
+    as undischarged."""
+    out = {}
+    for s in steps:
+        if s["rule"] in ("assume", "hyp"):
+            out[s["n"]] = frozenset([s["n"]])
+        else:
+            out[s["n"]] = frozenset().union(
+                *(out.get(k, ()) for k in s.get("premises", []))) - set(
+                s.get("discharge", []))
+    return out
+
+
+def _constants(f):
+    """f's free constants of finite type, in a fixed order."""
+    return sorted((a for a in free_atoms(f) if a.index is not None
+                   and a.index.is_finite), key=lambda a: (a.name, a.index))
+
+
+def _closed(doc, steps):
+    """doc's theory and hypotheses with steps, then an implies_i for each
+    assumption the last step rests on, the latest first."""
+    steps = list(steps)
+    by_n = _by_n(steps)
+    last = steps[-1]
+    f = parse_formula(last["formula"])
+    for a in sorted(_rests(steps)[last["n"]], reverse=True):
+        if by_n[a]["rule"] == "assume":
+            f = Implies(parse_formula(by_n[a]["formula"]), f)
+            last = _step(last["n"] + 1, print_formula(f), "implies_i",
+                         [last["n"]], [a])
+            steps.append(last)
+    return {"theory": doc["theory"], "hypotheses": doc.get("hypotheses", []),
+            "steps": steps}
+
+
+def _by_n(steps):
+    return {s["n"]: s for s in steps}
+
+
+def _generalized(doc, steps, c):
+    """forall_i over the constant c of the last of steps, then closed."""
+    last = steps[-1]
+    f = parse_formula(last["formula"])
+    v = FreshNames(f).var(c.index, "g")
+    return _closed(doc, [*steps, _step(
+        last["n"] + 1, print_formula(Forall(v, replace_const(f, c, v))),
+        f"forall_i({c.index},{c.index})", [last["n"]], eigen=print_term(c))])
+
+
+def _cased(doc, steps, a, c):
+    """exists_e that discharges the assumption a of the last of steps, over
+    its constant c, from a new assumption of the existential; then
+    closed."""
+    last = steps[-1]
+    f = parse_formula(_by_n(steps)[a]["formula"])
+    v = FreshNames(f).var(c.index, "g")
+    n = last["n"]
+    case = _step(n + 1, print_formula(Exists(v, replace_const(f, c, v))),
+                 "assume")
+    return _closed(doc, [*steps, case, _step(
+        n + 2, last["formula"], f"exists_e({c.index},{c.index})",
+        [n + 1, n], [a], eigen=print_term(c))])
+
+
+def _renamed(doc, c, d):
+    """doc with the constant c replaced by d everywhere, its goal dropped."""
+    def formula(text):
+        return print_formula(replace_const(parse_formula(text), c, d))
+
+    def term(t):
+        return Raised(term(t.inner)) if isinstance(t, Raised) else (
+            d if t == c else t)
+
+    steps = []
+    for s in doc["steps"]:
+        s = {**s, "formula": formula(s["formula"])}
+        for key in ("eigen", "witness"):
+            if key in s:
+                s[key] = print_term(term(parse_term(s[key])))
+        steps.append(s)
+    return {"theory": doc["theory"], "steps": steps,
+            "hypotheses": [formula(h) for h in doc.get("hypotheses", [])]}
+
+
+def extensions(docs):
+    """Every extension of every prefix of the documents in docs, and every
+    renaming of one of their constants to another of its type or to a new
+    one; in a fixed order."""
+    out = []
+    for name in sorted(docs):
+        doc = docs[name]
+        try:
+            forms = [parse_formula(s["formula"]) for s in doc["steps"]]
+        except HotkError:
+            continue
+        steps = doc["steps"]
+        for k, f in enumerate(forms):
+            prefix = steps[:k + 1]
+            out += [_generalized(doc, prefix, c) for c in _constants(f)]
+            for a in sorted(_rests(prefix)[steps[k]["n"]]):
+                case = _by_n(prefix)[a]
+                if case["rule"] == "assume":
+                    out += [_cased(doc, prefix, a, c)
+                            for c in _constants(parse_formula(case["formula"]))]
+        consts = sorted({c for f in forms for c in _constants(f)},
+                        key=lambda a: (a.name, a.index))
+        for c in consts:
+            out += [_renamed(doc, c, d) for d in consts
+                    if d != c and d.index == c.index]
+            out.append(_renamed(doc, c, Const(f"{c.name}_", c.index)))
     return out

@@ -12,7 +12,7 @@ import pytest
 
 import checker_oracle as oracle
 from proof_docs import (HAND_PROOFS, HOSTILE_PROOFS, REGIMES, REJECTION_PROOFS,
-                        REJECTIONS, SCHEME_PROOFS, SCHEME_STEPS,
+                        REJECTIONS, SCHEME_PROOFS, SCHEME_STEPS, extensions,
                         fixture_documents, mutations)
 
 from hotk.proofkit import check_proof, load_proof
@@ -69,6 +69,17 @@ def test_seeded_mutations(seed):
         kinds.add(got[2] if len(got) == 4 else got[0])
     # the mutations reach rejections of several kinds, not just one
     assert len(kinds) >= 5
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_extensions_under_every_regime(regime):
+    tags = set()
+    for doc in extensions(DOCUMENTS):
+        got = assert_agree({**doc, "theory": regime})
+        tags.add(got[2] if len(got) == 4 else got[0])
+    # both eigenvariable conditions are reached, and some proofs pass
+    assert {None, "eigenvariable-assumption",
+            "eigenvariable-conclusion"} <= tags
 
 
 def test_hostile_documents():

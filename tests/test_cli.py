@@ -18,7 +18,7 @@ import hotk
 import hotk.errors
 from hotk.cli import FORMATS, main
 from hotk.kernel import fin, parse_formula
-from hotk.models import Model, check_axiom_suite, eval_formula
+from hotk.models import Model, build_class_model, check_axiom_suite, eval_formula
 from hotk.kernel.regimes import parse_regime
 
 
@@ -401,15 +401,36 @@ def test_model_build_writes_its_output_file(tmp_path, capsys):
     (None, {"nodes": ["e", "s"], "edges": [["e", "s"]], "ranks": {"e": 0}},
      "GraphError", "rank labels missing for ['s']"),
     (None, {"nodes": [], "edges": []}, "GraphError", "empty graph model"),
+    # refused before any file is read: the duplicate node names above
+    # are not reported when the kind does not read the graph
+    (["--kind", "pure", "--height", "2", "--urelements", "3"], None,
+     "ParseError", "--urelements applies only to --kind class"),
+    (["--kind", "graph", "--urelements", "2"], None,
+     "ParseError", "--urelements applies only to --kind class"),
+    (["--kind", "fjt", "--height", "1", "--graph"], {"nodes": ["a", "a"], "edges": []},
+     "ParseError", "--graph applies only to --kind graph"),
 ])
 def test_model_build_input_errors_exit_2(argv, graph, error, message, tmp_path, capsys):
     if graph is not None:
         path = tmp_path / "graph.json"
         path.write_text(json.dumps(graph))
-        argv = ["--kind", "graph", "--graph", str(path)]
+        argv = [*(argv or ["--kind", "graph", "--graph"]), str(path)]
     assert main(["model", "build", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert run_json("model", "build", *argv) == (2, {"error": error, "message": message})
+
+
+def test_class_models_read_urelements_and_none_as_zero(capsys):
+    code, out = run(capsys, "model", "build", "--kind", "class", "--height", "2",
+                    "--urelements", "2")
+    assert code == 0 and out == build_class_model(2, 2).dumps() + "\n"
+    assert json.loads(out)["domains"][0] == ["u0", "u1", "{}"]
+    assert run_json("model", "build", "--kind", "class", "--height", "2",
+                    "--urelements", "2") == (0, json.loads(out))
+    _, plain = run(capsys, "model", "build", "--kind", "class", "--height", "2")
+    _, zero = run(capsys, "model", "build", "--kind", "class", "--height", "2",
+                  "--urelements", "0")
+    assert plain == zero
 
 
 def test_a_graph_without_ranks_is_built_on_its_structural_ranks(tmp_path, capsys):
@@ -794,6 +815,40 @@ def test_let_entities_must_be_in_the_model(tmp_path, capsys, fjt2):
                  "some x^2. x^2 = d^2"])
     err = capsys.readouterr().err
     assert code == 2 and repr(inside) in err and "type 2" in err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: hotk [-h]"),
+    (["check", "--help"], "usage: hotk check [-h]"),
+])
+def test_help_prints_the_usage_and_exits_0(argv, usage, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith(usage) and out.err == ""
+
+
+def test_an_unreadable_format_reports_its_usage_error_as_text(capsys):
+    assert main(["--format", "xml", "check", "--theory", "stt", "a^1(b^0)"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: hotk ")
+    assert out.err.endswith("hotk: error: argument --format: invalid choice: "
+                            "'xml' (choose from 'text', 'json')\n")
+
+
+def test_eval_errors_met_while_compiling(tmp_path, capsys, fjt3_down):
+    """A raised --let term and a projection at a transfinite type."""
+    pure3, down = tmp_path / "pure3.json", tmp_path / "fjt3_down.json"
+    _, out = run(capsys, "model", "build", "--kind", "pure", "--height", "3")
+    pure3.write_text(out)
+    down.write_text(fjt3_down.dumps())
+    for argv, message in [
+            (["--model", str(pure3), "--let", "up(x^0)={}", "x^0 = x^0"],
+             "raised terms are not assignment keys"),
+            (["--model", str(down), "a^w dn b^3"], "bad projection type w")]:
+        assert main(["eval", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert run_json("eval", *argv) == (2, {"error": "EvalError",
+                                               "message": message})
 
 
 def test_a_negative_budget_is_a_usage_error(capsys):

@@ -137,21 +137,22 @@ def check_set_language(g):
     nodes = g.nodes[:3]
     for phi in phis:
         names = sorted({a.name for a in free_atoms(phi)})
-        assignments = [{}] + [{k: v for k in names} for v in nodes]
+        assignments = [{}] + [{(k, None): v for k in names} for v in nodes]
         assignments += [{(k, None): v for k in names[1:]} for v in nodes]
         agree_set(g, phi, assignments)
 
 
 def test_set_language_errors_and_short_circuits():
     g = build_V(3)
-    x = {"x": "{}"}
+    x = {("x", None): "{}"}
     for text in ["x = x | y in z", "~x = x & y in z", "y in z",
                  "all a. (a in x | a = y)", "some a. (a = x & a in y)",
                  "x sub y", "x = x | x sub y"]:
         f = parse_formula(text, mode="set")
-        agree_set(g, f, [{}, x, {("x", None): "{{}}", "y": "{}", "z": "{{}}"}])
+        agree_set(g, f, [{}, x, {("x", None): "{{}}", ("y", None): "{}",
+                                 ("z", None): "{{}}"}])
     b, a = Const("b", fin(1)), Const("a", fin(0))
-    agree_set(g, Apply(b, a), [{}, {"a": "{}", "b": "{}"}])
+    agree_set(g, Apply(b, a), [{}, {("a", None): "{}", ("b", None): "{}"}])
 
 
 def test_budget_is_checked_where_the_quantifier_is_reached(fjt3):
@@ -167,9 +168,9 @@ def test_raised_term_in_a_graph_is_an_eval_error():
     f = InSet(Const("x", None), Const("x", None))
     raised = InSet(Raised(Const("x", None)), Const("x", None))
     g = build_V(2)
-    assert eval_formula(g, f, {"x": "{}"}) is False
+    assert eval_formula(g, f, {("x", None): "{}"}) is False
     with pytest.raises(EvalError, match="raised term"):
-        eval_formula(g, raised, {"x": "{}"})
+        eval_formula(g, raised, {("x", None): "{}"})
 
 
 def test_counterexamples_walk_the_product_in_order():
@@ -234,7 +235,8 @@ def test_counterexamples_sweep_a_graph_in_product_order(name):
         f = parse_formula(text, mode="set")
         got = list(counterexamples(g, [x, y], expand_abbreviations(f)))
         assert got == [(i, c) for i, c in enumerate(combos, 1)
-                       if not tree_eval_set_formula(g, f, {"x": c[0], "y": c[1]})] \
+                       if not tree_eval_set_formula(
+                           g, f, {("x", None): c[0], ("y", None): c[1]})] \
             + [(len(combos), None)], text
 
 

@@ -3,8 +3,9 @@
 hand-written loops of levels_oracle.
 
 Results must agree exactly, on the pure hierarchies V0-V4, the bundled
-graph fixtures, seeded ill-founded graphs and seeded transitive graphs,
-under several budgets.  The allowed differences:
+graph fixtures, seeded ill-founded graphs, seeded transitive graphs and
+one graph that fails only the accumulation clause of the well-ordering
+check, under several budgets.  The allowed differences:
 - The oracle stops a subset search for the budget before it counts the
   realized subsets; the suite is charged only for a walk over a shortfall.
   Where the oracle's is_standard or is_standard_typed raises for the
@@ -65,9 +66,17 @@ def _transitive(rng):
     return oracle.graph_from_sets(sets)
 
 
+# The smallest graph whose levels are connected and acyclic but fail the
+# accumulation clause: its one level, n0, has the members n1 and n2, while
+# no level is in n0, so the accumulation of the levels in n0 is empty.
+ACCUMULATION_ONLY = MembershipGraph(("n0", "n1", "n2"), frozenset(
+    [("n1", "n0"), ("n1", "n2"), ("n2", "n0"), ("n2", "n1")]))
+
+
 def _corpus():
     graphs_ = {f"V{n}": build_V(n) for n in range(5)}
     graphs_.update((name, graph_fixture(name)) for name in FIXTURES)
+    graphs_["accumulation-only"] = ACCUMULATION_ONLY
     rng = random.Random(8)
     for i in range(300):
         graphs_[f"ill-founded-{i}"] = _ill_founded(rng)
@@ -128,7 +137,7 @@ def test_histories_and_levels_agree_with_the_oracle(names):
         g = CORPUS[name]
         assert levels_of(g) == oracle.levels_of(g), name
         for s in g.nodes:
-            env = {"s": s}
+            env = {("s", None): s}
             assert eval_formula(g, hist, env) == oracle.is_history(g, s), (name, s)
             assert eval_formula(g, lev, env) == oracle.is_level(g, s), (name, s)
 
@@ -195,6 +204,13 @@ def test_wellordering_of_levels_agrees_with_the_oracle():
     for name, g in CORPUS.items():
         assert (check_wellordering_of_levels(g)
                 == oracle.check_wellordering_of_levels(g)), name
+
+
+def test_wellordering_fails_on_the_accumulation_clause_alone():
+    g = ACCUMULATION_ONLY
+    assert levels_of(g) == ["n0"] == oracle.levels_of(g)
+    assert not check_wellordering_of_levels(g)
+    assert not oracle.check_wellordering_of_levels(g)
 
 
 _TRUTHS = {}

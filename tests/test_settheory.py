@@ -43,8 +43,9 @@ class TestLevelsAndRank:
 
     def test_empty_history_vacuous(self):
         g = build_V(3)
-        assert eval_formula(g, parse_formula("Hist(s)", "set"), {"s": "{}"})
-        assert eval_formula(g, parse_formula("Lev(s)", "set"), {"s": "{}"})
+        s = {("s", None): "{}"}
+        assert eval_formula(g, parse_formula("Hist(s)", "set"), s)
+        assert eval_formula(g, parse_formula("Lev(s)", "set"), s)
 
     def test_rank_by_definition_matches_construction_rank(self):
         g = build_V(4)
@@ -66,7 +67,8 @@ class TestLevelsAndRank:
         assert levels_of(g) == ["a"]
         assert rank(g, "a") == 1
         f = Sugar("rank", (Var("a", None), Var("s", None)))
-        assert not any(eval_formula(g, f, {"a": "a", "s": s}) for s in g.nodes)
+        assert not any(eval_formula(g, f, {("a", None): "a", ("s", None): s})
+                       for s in g.nodes)
 
     def test_rank_undefined_signaled(self):
         g = graph_fixture("quine.json")

@@ -3,10 +3,14 @@
 tests/test_checker.py compares the checker with an oracle that is the
 checker as it once stood, so an unsoundness the two share passes it.  This
 test checks the verdicts against the semantics instead: each document of
-proof_docs (the bundled fixtures, the hand-written and scheme proofs, and
-ten seeds of mutations) is checked under each of the seven regimes, and for
-each accepted one the universal closure of hypotheses -> conclusion must be
-true in every model that PASSes its regime's axiom suite up to type 2.
+proof_docs (the bundled fixtures, the hand-written and scheme proofs, ten
+seeds of mutations, and their extensions by forall_i and exists_e and
+renamings of their constants) is checked under each of the seven regimes,
+and for each accepted one the universal closure of hypotheses -> conclusion
+must be true in every model that PASSes its regime's axiom suite up to
+type 2.  The extensions reach the eigenvariable conditions: an
+eigenvariable free in an open assumption that is discharged later makes a
+closure that is false in some model.
 
 The models are the pure hierarchies of heights 1 to 4 with their raising
 companions, the canonical tuple models of heights 0 to 3 with their
@@ -17,8 +21,8 @@ skipped rather than evaluated, and so is one the evaluator refuses.
 """
 
 from genutil import universal_closure
-from proof_docs import (HAND_PROOFS, REGIMES, SCHEME_PROOFS, fixture_documents,
-                        mutations)
+from proof_docs import (HAND_PROOFS, REGIMES, SCHEME_PROOFS, extensions,
+                        fixture_documents, mutations)
 
 from hotk.corpus import graph_fixture, transitive_fixture_names
 from hotk.errors import EvalError, HotkError
@@ -56,7 +60,7 @@ def _models_of(regime, models):
 
 def _documents():
     docs = {**fixture_documents(), **HAND_PROOFS, **SCHEME_PROOFS}
-    out = list(docs.values())
+    out = list(docs.values()) + extensions(docs)
     for seed in SEEDS:
         out += [doc for _, doc in mutations(docs, seed, 100)]
     return out
