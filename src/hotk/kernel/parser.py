@@ -18,26 +18,26 @@ from hotk.kernel.syntax import (CONNECTIVES, INFIX, PREFIX, Apply, Const,
                                 Exists, Forall, InSet, Not, Raised, Sugar,
                                 Term, Var)
 
-# One token after any whitespace.  Every character but whitespace starts
-# some alternative (the last one catches any other character), so the
-# matches of finditer follow each other without gaps, and only trailing
-# whitespace is left unmatched.
-_TOKEN_RE = re.compile(r"""\s*(?:
-    (?P<comment>\#.*)
-  | (?P<iff><->)
-  | (?P<imp>->)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<nat>\d+)
-  | (?P<sym>[()^.,=~&|*+])
-  | (?P<bad>\S))
-""", re.VERBOSE)
+# One token after any whitespace, in the one group: a comment, a connective,
+# an identifier, a natural or a symbol.  Any other character but whitespace
+# matches outside the group, so findall gives "" for it.  The matches follow
+# each other without gaps, and only trailing whitespace is left unmatched.
+# A natural is ASCII digits, like every identifier.
+_TOKEN_RE = re.compile(r"""\s*(?:(
+    \#.*
+  | <->
+  | ->
+  | [A-Za-z_][A-Za-z0-9_]*
+  | [0-9]+
+  | [()^.,=~&|*+]
+  ) | \S)""", re.VERBOSE)
 
 _KEYWORDS = {"all", "some", "up", *INFIX, *PREFIX}
 
 # The infix tokens of the set language; "in" there is primitive membership.
 _SET_INFIX = ("=", "in", "sub")
 
-_COEXT_K_RE = re.compile(r"^coext_(\d+)$")
+_COEXT_K_RE = re.compile(r"^coext_([0-9]+)$")
 
 # Each binary connective's token with its precedence (the place in
 # CONNECTIVES, loosest first) and node.
@@ -51,24 +51,33 @@ _BINARY = {token: (prec, node) for prec, (token, node) in enumerate(CONNECTIVES)
 MAX_DEPTH = 100
 
 
+def _column(text: str, j: int) -> int:
+    """Where token j of text starts, or len(text) for the end of input.
+    The tokenizer keeps no columns: an error finds its own again.  A match
+    stripped of its leading whitespace is a token or a bad character."""
+    starts = [m.end() - len(tok) for m in _TOKEN_RE.finditer(text)
+              if (tok := m[0].lstrip())[0] != "#"]
+    return starts[j] if j < len(starts) else len(text)
+
+
 class _Parser:
-    """One pass over the text splits it into tokens, each (kind, text,
-    start), and a last ("end", None, len(text)) stands for the end of
-    input; i is the next token's place."""
+    """One findall splits the text into its tokens' texts, and a last None
+    stands for the end of input; i is the next token's place.  A token's
+    kind is read from its text where it matters: a natural is all digits,
+    a name an identifier."""
 
     def __init__(self, text: str, mode: str):
         if mode not in ("typed", "set"):
             raise ValueError(f"bad parse mode {mode!r}")
-        self.toks: List[Tuple[str, Optional[str], int]] = []
-        append = self.toks.append
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "comment":
-                continue
-            if kind == "bad":
-                raise ParseError(f"bad character {m[kind]!r}", m.start(kind))
-            append((kind, m[kind], m.start(kind)))
-        append(("end", None, len(text)))
+        toks: List[Optional[str]] = _TOKEN_RE.findall(text)
+        if "#" in text:
+            toks = [t for t in toks if not t.startswith("#")]
+        if "" in toks:
+            at = _column(text, toks.index(""))
+            raise ParseError(f"bad character {text[at]!r}", at)
+        toks.append(None)
+        self.text = text
+        self.toks = toks
         self.i = 0
         self.level = 0
         self.mode = mode
@@ -76,21 +85,25 @@ class _Parser:
 
     # -- tokens -------------------------------------------------------------
 
-    def at(self, value: str) -> bool:
-        return self.toks[self.i][1] == value
+    def error(self, message: str, back: int = 0) -> ParseError:
+        """A ParseError at the token `back` places before the next one."""
+        return ParseError(message, _column(self.text, self.i - back))
 
-    def next(self) -> Tuple[str, str, int]:
+    def at(self, value: str) -> bool:
+        return self.toks[self.i] == value
+
+    def next(self) -> str:
         t = self.toks[self.i]
-        if t[1] is None:
-            raise ParseError("unexpected end of input", t[2])
+        if t is None:
+            raise self.error("unexpected end of input")
         self.i += 1
         return t
 
     def expect(self, value: str) -> None:
         t = self.toks[self.i]
-        if t[1] != value:
-            got = "end of input" if t[1] is None else repr(t[1])
-            raise ParseError(f"expected {value!r}, got {got}", t[2])
+        if t != value:
+            got = "end of input" if t is None else repr(t)
+            raise self.error(f"expected {value!r}, got {got}")
         self.i += 1
 
     def descend(self) -> None:
@@ -100,42 +113,41 @@ class _Parser:
         whole parse, so it needs no unwinding)."""
         self.level += 1
         if self.level > MAX_DEPTH:
-            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
-                             self.toks[self.i][2])
+            raise self.error(f"formula nested deeper than {MAX_DEPTH} levels")
 
     # -- terms --------------------------------------------------------------
 
     def _index(self) -> TypeIndex:
         t = self.toks[self.i]
-        if t[1] is None:
-            raise ParseError("expected type index", t[2])
-        if t[1] == "(":
+        if t is None:
+            raise self.error("expected type index")
+        if t == "(":
             self.i += 1
             self.descend()
             idx = self._index()
             self.level -= 1
             self.expect(")")
             return idx
-        if t[0] == "nat":
+        if t.isdigit():
             self.i += 1
-            return fin(int(t[1]))
-        if t[1] == "w":
+            return fin(int(t))
+        if t == "w":
             self.i += 1
             q, r = 1, 0
             if self.at("*"):
                 self.i += 1
                 qt = self.next()
-                if qt[0] != "nat":
-                    raise ParseError("expected natural after 'w*'", qt[2])
-                q = int(qt[1])
+                if not qt.isdigit():
+                    raise self.error("expected natural after 'w*'", 1)
+                q = int(qt)
             if self.at("+"):
                 self.i += 1
                 rt = self.next()
-                if rt[0] != "nat":
-                    raise ParseError("expected natural after '+'", rt[2])
-                r = int(rt[1])
+                if not rt.isdigit():
+                    raise self.error("expected natural after '+'", 1)
+                r = int(rt)
             return ordinal(q, r)
-        raise ParseError(f"bad type index start {t[1]!r} (w*w and above unsupported)", t[2])
+        raise self.error(f"bad type index start {t!r} (w*w and above unsupported)")
 
     def _typed_name(self, t, role: str) -> Tuple[str, Optional[TypeIndex]]:
         """The name token t of a term or binder (role) with the ^index after
@@ -143,18 +155,18 @@ class _Parser:
         self.i += 1
         if not self.at("^"):
             if self.mode == "typed":
-                raise ParseError(f"{role} {t[1]!r} is missing its ^index", t[2])
-            return t[1], None
+                raise self.error(f"{role} {t!r} is missing its ^index", 1)
+            return t, None
         if self.mode == "set":
-            raise ParseError(f"typed {role} in set-language formula", t[2])
+            raise self.error(f"typed {role} in set-language formula", 1)
         self.i += 1
-        return t[1], self._index()
+        return t, self._index()
 
     def parse_term(self) -> Term:
         t = self.toks[self.i]
-        if t[1] is None:
-            raise ParseError("expected term", t[2])
-        if t[1] == "up":
+        if t is None:
+            raise self.error("expected term")
+        if t == "up":
             self.i += 1
             self.expect("(")
             self.descend()
@@ -162,8 +174,8 @@ class _Parser:
             self.level -= 1
             self.expect(")")
             return Raised(inner)
-        if t[0] != "ident" or t[1] in _KEYWORDS:
-            raise ParseError(f"expected term, got {t[1]!r}", t[2])
+        if not t.isidentifier() or t in _KEYWORDS:
+            raise self.error(f"expected term, got {t!r}")
         key = self._typed_name(t, "term")
         return (Var if key in self.bound else Const)(*key)
 
@@ -176,7 +188,7 @@ class _Parser:
         the right."""
         left = self._neg()
         while True:
-            op = _BINARY.get(self.toks[self.i][1])
+            op = _BINARY.get(self.toks[self.i])
             if op is None or op[0] < min_prec:
                 return left
             self.i += 1
@@ -195,11 +207,11 @@ class _Parser:
 
     def _unit(self):
         t = self.toks[self.i]
-        if t[1] is None:
-            raise ParseError("expected formula", t[2])
-        if t[1] == "all" or t[1] == "some":
+        if t is None:
+            raise self.error("expected formula")
+        if t == "all" or t == "some":
             return self._quantifier()
-        if t[1] == "(":
+        if t == "(":
             self.i += 1
             self.descend()
             f = self.parse_formula()
@@ -209,20 +221,20 @@ class _Parser:
         return self._atom()
 
     def _quantifier(self):
-        word = self.next()[1]
+        word = self.next()
         vt = self.toks[self.i]
-        if vt[0] != "ident" or vt[1] in _KEYWORDS:
-            raise ParseError("expected bound variable", vt[2])
+        if vt is None or not vt.isidentifier() or vt in _KEYWORDS:
+            raise self.error("expected bound variable")
         key = self._typed_name(vt, "binder")
         var = Var(*key)
 
         rel = None
         bound_term = None
         nxt = self.toks[self.i]
-        if nxt[1] == "eq" or nxt[1] == "in" or nxt[1] == "dn":
-            rel = nxt[1]
+        if nxt == "eq" or nxt == "in" or nxt == "dn":
+            rel = nxt
             if self.mode == "set" and rel != "in":
-                raise ParseError(f"bounded quantifier {rel!r} not in set language", nxt[2])
+                raise self.error(f"bounded quantifier {rel!r} not in set language")
             self.i += 1
             bound_term = self.parse_term()
         self.expect(".")
@@ -238,7 +250,7 @@ class _Parser:
         return Sugar("bounded", (word, var, rel, bound_term, body))
 
     def _atom(self):
-        kind = PREFIX.get(self.toks[self.i][1])
+        kind = PREFIX.get(self.toks[self.i])
         if kind is not None:
             self.i += 1
             self.expect("(")
@@ -250,22 +262,21 @@ class _Parser:
             return Sugar(kind, tuple(args))
 
         left = self.parse_term()
-        nxt = self.toks[self.i]
-        tok = nxt[1]
+        tok = self.toks[self.i]
         if tok is None:
-            raise ParseError("dangling term", nxt[2])
+            raise self.error("dangling term")
         if tok == "(":
             self.i += 1
             arg = self.parse_term()
             self.expect(")")
             return Apply(left, arg)
         if self.mode == "set" and tok not in _SET_INFIX:
-            raise ParseError(f"unexpected {tok!r} after set term", nxt[2])
+            raise self.error(f"unexpected {tok!r} after set term")
         node = INFIX.get(tok)
         if node is None:
             m = _COEXT_K_RE.match(tok)
             if not m:
-                raise ParseError(f"unexpected {tok!r} after term", nxt[2])
+                raise self.error(f"unexpected {tok!r} after term")
             self.i += 1
             return Sugar("coext_k", (int(m.group(1)), left, self.parse_term()))
         self.i += 1
@@ -282,8 +293,8 @@ def _whole(text: str, mode: str, rule):
     p = _Parser(text, mode)
     out = rule(p)
     t = p.toks[p.i]
-    if t[1] is not None:
-        raise ParseError(f"trailing input {t[1]!r}", t[2])
+    if t is not None:
+        raise p.error(f"trailing input {t!r}")
     return out
 
 

@@ -2,39 +2,61 @@
 
 Terms carry an optional TypeIndex; None marks terms of the untyped
 set-theoretic language.  Sugar nodes hold every defined symbol; they are
-eliminable via hotk.kernel.expand.  All nodes are immutable.
+eliminable via hotk.kernel.expand.
+
+All nodes are immutable: frozen dataclasses whose ==, hash and repr are
+those of their fields.  Node kinds with the same fields share one slotted
+layout (Var and Const are _Atoms, the seven binary kinds _Pairs, Forall
+and Exists _Binders) as subclasses with no slots of their own, so type(f)
+still names the kind.  Every node is built through a layout's __init__,
+which sets each slot through the slot's member descriptor: a frozen
+dataclass's own __init__ pays an object.__setattr__ per field, and parsing,
+formation, expansion and the translation maps all build nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from hotk.kernel.indices import TypeIndex
+
+# A node layout: frozen, slotted, and with the state methods that pickle and
+# copy need to rebuild a frozen slotted instance.
+_layout = dataclass(frozen=True, slots=True, init=False)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
-class Var:
+@_layout
+class _Atom:
     name: str
     index: Optional[TypeIndex]
 
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-    index: Optional[TypeIndex]
+    def __init__(self, name, index):
+        _atom_name(self, name)
+        _atom_index(self, index)
 
 
-@dataclass(frozen=True)
+class Var(_Atom):
+    __slots__ = ()
+
+
+class Const(_Atom):
+    __slots__ = ()
+
+
+@_layout
 class Raised:
     """The up(...) term former of the raised-type theory; type = succ(inner)."""
-    inner: "Term"
+    inner: Term
+
+    def __init__(self, inner):
+        _raised_inner(self, inner)
 
 
-Term = Union[Var, Const, Raised]
+Term = Var | Const | Raised
 
 
 def term_index(t: Term) -> Optional[TypeIndex]:
@@ -44,7 +66,7 @@ def term_index(t: Term) -> Optional[TypeIndex]:
     return t.index
 
 
-def base_atom(t: Term) -> Union[Var, Const]:
+def base_atom(t: Term) -> Var | Const:
     """Strip Raised wrappers down to the underlying variable/constant."""
     while isinstance(t, Raised):
         t = t.inner
@@ -60,71 +82,82 @@ def raise_term(t: Term, times: int) -> Term:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
+@_layout
 class Apply:
     head: Term
     arg: Term
 
-
-@dataclass(frozen=True)
-class StrictEq:
-    left: Term
-    right: Term
+    def __init__(self, head, arg):
+        _apply_head(self, head)
+        _apply_arg(self, arg)
 
 
-@dataclass(frozen=True)
-class DownRel:
+@_layout
+class _Pair:
+    """Two terms (StrictEq, DownRel, InSet) or two formulas (the binary
+    connectives)."""
+    left: Term | Formula
+    right: Term | Formula
+
+    def __init__(self, left, right):
+        _pair_left(self, left)
+        _pair_right(self, right)
+
+
+class StrictEq(_Pair):
+    __slots__ = ()
+
+
+class DownRel(_Pair):
     """left dn right: left projects down to right (types n+1 over n, n >= 1)."""
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InSet:
+class InSet(_Pair):
     """Primitive membership of the untyped set-theoretic language."""
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class And(_Pair):
+    __slots__ = ()
+
+
+class Or(_Pair):
+    __slots__ = ()
+
+
+class Implies(_Pair):
+    __slots__ = ()
+
+
+class Iff(_Pair):
+    __slots__ = ()
+
+
+@_layout
 class Not:
-    body: "Formula"
+    body: Formula
+
+    def __init__(self, body):
+        _not_body(self, body)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Forall:
+@_layout
+class _Binder:
     var: Var
-    body: "Formula"
+    body: Formula
+
+    def __init__(self, var, body):
+        _binder_var(self, var)
+        _binder_body(self, body)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: Var
-    body: "Formula"
+class Forall(_Binder):
+    __slots__ = ()
+
+
+class Exists(_Binder):
+    __slots__ = ()
 
 
 # Sugar kinds: eq, in, coext, coext_k, downeq, bounded, subset, level,
@@ -134,14 +167,28 @@ class Exists:
 #   bounded:  (quant, var, rel, bound, body)   quant in {all, some}, rel in {eq, in, dn}
 #   level/history: (term,)
 #   rank:     (term, level)   "level is the in-least level including term"
-@dataclass(frozen=True)
+@_layout
 class Sugar:
     kind: str
     args: Tuple
 
+    def __init__(self, kind, args):
+        _sugar_kind(self, kind)
+        _sugar_args(self, args)
 
-Formula = Union[Apply, StrictEq, DownRel, InSet, Not, And, Or, Implies, Iff,
-                Forall, Exists, Sugar]
+
+# The setters the layouts' __init__ methods call: each slot's member
+# descriptor, the cheapest write a frozen class allows.
+_atom_name, _atom_index = _Atom.name.__set__, _Atom.index.__set__
+_raised_inner = Raised.inner.__set__
+_apply_head, _apply_arg = Apply.head.__set__, Apply.arg.__set__
+_pair_left, _pair_right = _Pair.left.__set__, _Pair.right.__set__
+_not_body = Not.body.__set__
+_binder_var, _binder_body = _Binder.var.__set__, _Binder.body.__set__
+_sugar_kind, _sugar_args = Sugar.kind.__set__, Sugar.args.__set__
+
+Formula = (Apply | StrictEq | DownRel | InSet | Not | And | Or | Implies | Iff
+           | Forall | Exists | Sugar)
 
 ATOMS = frozenset({Apply, StrictEq, DownRel, InSet})
 
@@ -267,7 +314,7 @@ def free_names(f: Formula) -> frozenset:
     return frozenset(a.name for a in free_atoms(f))
 
 
-def occurs_free(t: Union[Var, Const], f: Formula) -> bool:
+def occurs_free(t: Var | Const, f: Formula) -> bool:
     """Whether the variable or constant t occurs free in f.  Atoms match by
     name and type alone: the parser reads a free identifier as a Const and
     a bound one as a Var."""

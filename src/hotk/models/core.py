@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from operator import attrgetter, itemgetter
-from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from hotk.errors import (DEFAULT_BUDGET, BudgetExceeded, EvalError, HotkError,
                          above_budget, check_json, load_json)
@@ -45,7 +44,7 @@ from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall, Formula,
 
 Entity = str
 _EMPTY: FrozenSet[Entity] = frozenset()
-Assignment = Dict[Tuple[str, Optional[TypeIndex]], Entity]
+Assignment = dict[tuple[str, TypeIndex | None], Entity]
 
 _MODEL_SHAPE = {"kind": str, "height": int, "domains": [[str]],
                 "apply": {str: [str]}, "meta": dict,
@@ -189,7 +188,7 @@ def akey(t: Term) -> Tuple[str, Optional[TypeIndex]]:
     return (t.name, t.index)
 
 
-Structure = Union[Model, MembershipGraph]
+Structure = Model | MembershipGraph
 
 _UNSET = object()       # value of a slot not yet filled
 _NO_SLOTS: FrozenSet[int] = frozenset()
@@ -355,7 +354,7 @@ class _Compiler:
         join, same = _CONNECTIVES[type(g)]
         return (same(l) if l is r else join(l, r)), ls | rs
 
-    def membership(self, g: Union[Apply, InSet], scope: dict):
+    def membership(self, g: Apply | InSet, scope: dict):
         """x is a member of a: Apply(a, x) in a model, InSet(x, a) in a
         graph.  Terms not read directly are read in the node's own order."""
         members = self.members

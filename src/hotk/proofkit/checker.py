@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from hotk.errors import HotkError, ProofError, check_json, load_json
 from hotk.kernel import regimes as rg
@@ -42,8 +42,8 @@ _SCHEME_SHAPE = {"name": str}
 MISMATCH = "rule-mismatch"
 SCHEME = "scheme-shape"
 
-Rejection = Tuple[str, str]               # (tag, message)
-Result = Union[FrozenSet[int], Rejection]
+Rejection = tuple[str, str]               # (tag, message)
+Result = frozenset[int] | Rejection
 
 
 @dataclass

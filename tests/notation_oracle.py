@@ -5,7 +5,7 @@ hotk.kernel.syntax, the parser's atom rule and keyword set and the
 printer's rendering each listed every infix token and level-theory name
 themselves, a regular expression read the type indices of command-line
 options and proof rules, and terms and binders each read their own
-`name^index`.  Before the parser tokenized in one `finditer` pass and read
+`name^index`.  Before the parser tokenized in one pass and read
 the binary connectives by precedence climbing, a tokenizer matched one
 token at a time and the connectives were read by one recursive rule per
 level of CONNECTIVES.  This module keeps those readers and that printer.
@@ -30,7 +30,7 @@ from hotk.kernel.syntax import (CONNECTIVES, And, Apply, DownRel, Exists,
 _KEYWORDS = {"all", "some", "eq", "in", "dn", "coext", "downeq", "sub",
              "up", "Lev", "Hist", "Rank"}
 
-_COEXT_K_RE = re.compile(r"^coext_(\d+)$")
+_COEXT_K_RE = re.compile(r"^coext_([0-9]+)$")
 
 
 _TOKEN_RE = re.compile(r"""
@@ -39,7 +39,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<iff><->)
   | (?P<imp>->)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<nat>\d+)
+  | (?P<nat>[0-9]+)
   | (?P<sym>[()^.,=~&|*+])
 """, re.VERBOSE)
 
@@ -329,7 +329,7 @@ def parse_term(text: str, mode: str = "typed") -> Term:
 # ---------------------------------------------------------------------------
 # The regular-expression index reader
 
-_INDEX_RE = re.compile(r"^(?:(?P<nat>\d+)|w(?:\*(?P<q>\d+))?(?:\+(?P<r>\d+))?)$")
+_INDEX_RE = re.compile(r"^(?:(?P<nat>[0-9]+)|w(?:\*(?P<q>[0-9]+))?(?:\+(?P<r>[0-9]+))?)$")
 
 
 def parse_index(text: str) -> TypeIndex:

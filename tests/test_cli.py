@@ -41,6 +41,16 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
+def test_a_type_index_is_ascii_digits(capsys):
+    """A type index, like every identifier, is ASCII: no other decimal
+    digit reads as one, in a formula or in a --theory bound."""
+    assert main(["check", "--theory", "stt", "a^٣(b^٢)"]) == 2
+    assert capsys.readouterr().err == "error: bad character '٣' (at column 2)\n"
+    assert main(["check", "--theory", "ctt:٣", "a^1(b^0)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad type index '٣' (indices up to w*q+r only)\n")
+
+
 def test_budget_exit_code(tmp_path, capsys):
     code, _ = run(capsys, "--budget", "10", "model", "build", "--kind", "pure",
                   "--height", "4")

@@ -1,10 +1,15 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hotk.kernel import (Apply, Const, Exists, Forall, Iff, Var, alpha_equal,
                          alpha_normalize, fin, free_atoms, parse_formula,
                          print_formula, substitute)
-from hotk.kernel.syntax import free_names, occurs_free
+from hotk.kernel.syntax import (And, DownRel, Implies, InSet, Not, Or, Raised,
+                                StrictEq, Sugar, free_names, occurs_free)
 
 
 def test_substitute_leaves_bound_variables_alone():
@@ -199,3 +204,81 @@ def test_formula_past_the_nesting_cap_is_a_parse_error():
             continue            # two levels per step: MAX_DEPTH + 1 is odd
         with pytest.raises(ParseError, match="nested deeper"):
             parse_formula(text)
+
+
+# -- the node contract: frozen dataclasses, compared and hashed by fields ----
+
+FIELDS = {Var: ("name", "index"), Const: ("name", "index"), Raised: ("inner",),
+          Apply: ("head", "arg"),
+          **dict.fromkeys((StrictEq, DownRel, InSet, And, Or, Implies, Iff),
+                          ("left", "right")),
+          Not: ("body",), Forall: ("var", "body"), Exists: ("var", "body"),
+          Sugar: ("kind", "args")}
+
+
+def _node_samples():
+    x, c = Var("x", fin(1)), Const("c", fin(0))
+    a = Apply(x, c)
+    return [x, c, Raised(c), a, StrictEq(c, c), DownRel(x, c), InSet(x, c),
+            Not(a), And(a, a), Or(a, a), Implies(a, a), Iff(a, a),
+            Forall(x, a), Exists(x, a), Sugar("eq", (x, x))]
+
+
+NODES = _node_samples()
+
+
+def test_every_node_kind_has_a_sample():
+    assert len(FIELDS) == len(NODES) == 15
+    assert {type(n) for n in NODES} == set(FIELDS)
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_a_node_is_frozen_and_has_no_instance_dict(node):
+    for name in FIELDS[type(node)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert not hasattr(node, "__dict__")
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_a_node_is_a_dataclass_of_its_fields(node):
+    names = FIELDS[type(node)]
+    values = tuple(getattr(node, name) for name in names)
+    assert tuple(f.name for f in dataclasses.fields(node)) == names
+    assert hash(node) == hash(values)
+    assert repr(node) == "{}({})".format(type(node).__name__, ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)))
+    same = dataclasses.replace(node)
+    assert type(same) is type(node) and same == node
+    first = names[0]
+    other = dataclasses.replace(node, **{first: Const("d", fin(2))})
+    assert type(other) is type(node) and other != node
+    assert getattr(other, first) == Const("d", fin(2))
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_a_node_survives_pickle_and_copy(node):
+    for twin in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node),
+                 copy.copy(node)):
+        assert type(twin) is type(node) and twin == node
+
+
+def test_a_node_repr_is_the_dataclass_repr():
+    x, c = Var("x", fin(1)), Const("c", fin(0))
+    assert repr(And(x, c)) == ("And(left=Var(name='x', index=TypeIndex(1)), "
+                               "right=Const(name='c', index=TypeIndex(0)))")
+    assert repr(Sugar("level", (c,))) == (
+        "Sugar(kind='level', args=(Const(name='c', index=TypeIndex(0)),))")
+
+
+def test_kinds_of_one_layout_are_unequal():
+    x = Var("x", fin(1))
+    a = Apply(x, Const("c", fin(0)))
+    for kinds, args in [((Var, Const), ("x", fin(1))),
+                        ((StrictEq, DownRel, InSet, And, Or, Implies, Iff), (a, a)),
+                        ((Forall, Exists), (x, a))]:
+        nodes = [kind(*args) for kind in kinds]
+        assert all(m != n for m in nodes for n in nodes if m is not n)
+        assert len(set(nodes)) == len(kinds)

@@ -96,13 +96,16 @@ def _generated():
 GENERATED = _generated()
 
 # Tokens for random strings: every keyword and symbol, names, indices, and
-# whole atoms and binders so that some strings parse.
+# whole atoms and binders so that some strings parse.  Characters outside
+# the grammar (a non-ASCII digit among them) and a comment that a newline
+# ends put the columns of bad characters and of later tokens to the test.
 VOCAB = ["all", "some", "up", *INFIX, *PREFIX, "coext_2", "coext_0", "coext_x",
          "(", ")", "^", ".", ",", "~", "&", "|", "->", "<->", "*", "+", "#",
          "a", "x", "b1", "w", "0", "2", "^1", "^0", "^(w)", "^(w+1)", "^w*2",
          "a^1", "b^2", "x^0", "a", "b", "x in a", "a sub b", "x^1(a^0)",
          "all x^1.", "some y^2 eq b^2.", "all x in a.", "all x.", "x^2 dn y^1",
-         "a^1 downeq b^1", "Lev(s^2)", "Rank(a, s)", "Hist(h)", "a = b"]
+         "a^1 downeq b^1", "Lev(s^2)", "Rank(a, s)", "Hist(h)", "a = b",
+         "-", "<", ">", "@", "ä", "٣", "\t", "# c\n"]
 
 
 def _random_strings(seed, count):
@@ -243,7 +246,8 @@ INDICES = (["0", "17", "w", "w+3", "w*2", "w*2+5", "(w+1)", " w ", "( w*3 )",
            + PROOF_INDICES)
 BAD_INDICES = ["w*w", "w^2", "e0", "-1", "", " ", "()", "(w", "w)", "(w)(w)",
                "w x", "w+1x", "1 2", "w+", "w*", "w*+1", "w+w", "1+1", "W",
-               "w1", "omega", "w#", "1 # c", "(w)+1", "x^1", "w,1", "w.1"]
+               "w1", "omega", "w#", "1 # c", "(w)+1", "x^1", "w,1", "w.1",
+               "٣", "1٣", "w*٢", "w+٣"]
 # Read by the parser's index rule, which skips whitespace and allows nested
 # parentheses, and refused by the regular expression.
 NEWLY_READ = ["w + 1", "w * 2 + 3", "((w))", "( (w * 2) )", "(((3)))", "w\t+1"]
