@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / positive verdict, 1 negative verdict (ill-formed,
 axiom FAIL, proof Rejected, false sentence), 2 usage or parse error,
-3 budget exceeded (also a suite whose only non-PASS rows are budget SKIPs).
+3 budget exceeded (also a suite that has not failed but SKIPs a row).
 Text output is human-oriented; --format json is the stable surface.
 
 Each cmd_* function returns (payload, lines, exit code), and main prints
@@ -39,13 +39,13 @@ def _answer(value, payload: dict, lines: List[str]) -> tuple:
     return payload, lines, EXIT_OK if value else EXIT_NEGATIVE
 
 
-def _suite(report, ok: Optional[bool] = None) -> tuple:
-    """A suite report: exit 1 unless ok (by default, unless a row FAILs),
-    else 3 if a row is SKIPPED for the budget, else 0."""
-    statuses = {v.status for v in report.verdicts}
-    ok = "FAIL" not in statuses if ok is None else ok
+def _suite(report) -> tuple:
+    """A suite report, by one rule for every suite: exit 1 if the report
+    failed (report.SuiteReport.failed), else 3 if a row is SKIPPED for the
+    budget, else 0."""
+    skipped = any(v.status == "SKIPPED" for v in report.verdicts)
     return report.to_json(), report.lines(), (
-        EXIT_NEGATIVE if not ok else EXIT_BUDGET if "SKIPPED" in statuses else EXIT_OK)
+        EXIT_NEGATIVE if report.failed else EXIT_BUDGET if skipped else EXIT_OK)
 
 
 def _read(path: str) -> str:
@@ -172,13 +172,13 @@ def cmd_model_build(args) -> tuple:
         raise ParseError("--urelements applies only to --kind class")
     if args.graph is not None and args.kind != "graph":
         raise ParseError("--graph applies only to --kind graph")
+    height = 3 if args.height is None else args.height
     if args.kind == "class":
-        m = build_class_model(args.urelements or 0, args.height,
-                              budget=args.budget)
+        m = build_class_model(args.urelements or 0, height, budget=args.budget)
     elif args.kind == "pure":
-        m = build_pure_model(args.height, budget=args.budget)
+        m = build_pure_model(height, budget=args.budget)
     elif args.kind == "fjt":
-        m = build_fjt_canonical(args.height, budget=args.budget)
+        m = build_fjt_canonical(height, budget=args.budget)
     else:
         if not args.graph:
             raise ParseError("--graph is required for graph models")
@@ -245,11 +245,8 @@ def cmd_sets(args) -> tuple:
     if args.sets_cmd == "t-model":
         return None, [settheory.T_construction(g).dumps()], EXIT_OK
     if args.sets_cmd == "kappa-check":
-        report = settheory.check_kappa_axioms_in_T(
-            g, args.kappa, _separation_corpus(args.corpus), budget=args.budget)
-        core = ("extensionality", "separation", "stratification")
-        return _suite(report, ok=not any(v.status == "FAIL" for v in report.verdicts
-                                         if v.name.split("^")[0] in core))
+        return _suite(settheory.check_kappa_axioms_in_T(
+            g, args.kappa, _separation_corpus(args.corpus), budget=args.budget))
     value = settheory.is_standard(g, budget=args.budget)     # standard
     return _answer(value, {"standard": value},
                    ["standard" if value else "non-standard"])
@@ -337,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="model_cmd", required=True)
     b = msub.add_parser("build")
     b.add_argument("--kind", required=True, choices=("class", "pure", "fjt", "graph"))
-    b.add_argument("--height", type=int, default=3)
+    b.add_argument("--height", type=int, help="default 3; a graph's top rank label")
     b.add_argument("--urelements", type=int)
     b.add_argument("--graph")
     b.add_argument("--companion", choices=("up", "down"))

@@ -1,7 +1,7 @@
 """The theory axioms, one builder per axiom, each written in the notation.
 
 These are the only statement of each axiom: a proof's axiom step names one
-(hotk.proofkit.schemes) and the model suites evaluate them
+(hotk.proofkit.checker) and the model suites evaluate them
 (hotk.models.axioms).  They live in the kernel so that the model layer can
 build them without loading the proof checker.  Each builder fills its type
 indices into the notation and parses it (x^w+1 reads as x at index w+1).

@@ -2,10 +2,10 @@
 identity instances are recognised as written, theory axioms are named."""
 
 from hotk.proofkit.checker import (ProofObject, ProofStep, ProofVerdict,
-                                   check_proof, load_proof, loads_proof)
+                                   axiom_instance, check_proof, load_proof,
+                                   loads_proof)
 from hotk.proofkit.fixtures import (FixtureReport, FixtureResult, load_fixture,
                                     verify_fixture_suite)
-from hotk.proofkit.schemes import axiom_instance
 
 __all__ = [
     "ProofObject", "ProofStep", "ProofVerdict", "check_proof", "load_proof",

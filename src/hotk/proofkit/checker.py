@@ -4,7 +4,8 @@ Proofs are JSON step lists (Fitch-style, explicit discharge indices).  The
 checker enforces formation of every step, the typed quantifier rules with
 their regime's type side-condition, eigenvariable conditions, the shape of
 comprehension and identity instances as written (the only statement of those
-schemes), and axiom availability per theory.
+schemes), and each axiom step: its axiom's availability per theory and the
+instance its scheme record names.
 
 Every rule returns one of two things: the frozenset of assumption steps its
 step rests on, or a (tag, message) rejection.  check_proof records the
@@ -13,22 +14,24 @@ first and turns the second into the verdict.
 
 from __future__ import annotations
 
+import json
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from hotk.errors import HotkError, ProofError, check_json, load_json
+from hotk.errors import (HotkError, ParseError, ProofError, check_json,
+                         load_json)
 from hotk.kernel import regimes as rg
 from hotk.kernel.axioms import AXIOMS, axioms_of
 from hotk.kernel.expand import expand_abbreviations
 from hotk.kernel.formation import check_formation
-from hotk.kernel.indices import TypeIndex
+from hotk.kernel.indices import TypeIndex, fin
 from hotk.kernel.parser import parse_formula, parse_index, parse_term
 from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, Not, Or, Raised,
                                 StrictEq, Term, Var, alpha_equal,
                                 occurs_free, substitute, term_index)
-from hotk.proofkit.schemes import axiom_instance
 
 _RULE_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
 
@@ -414,6 +417,32 @@ def _check_axiom(theory: rg.Regime, scheme: Optional[dict], conc: Formula) -> Re
     if not alpha_equal(conc, expand_abbreviations(want)):
         return SCHEME, f"formula is not the declared {name} instance"
     return frozenset()
+
+
+def _scheme_arg(param: str, value):
+    """A scheme record's parameter, checked before any formula is built: a
+    natural for n; for an index, a natural or its notation."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if value < 0:
+            raise ProofError(f"scheme parameter {param!r} must be a natural, got {value}")
+        return value if param == "n" else fin(value)
+    if isinstance(value, str) and param != "n":
+        with suppress(ParseError):
+            return parse_index(value)
+    wanted = "a natural" if param == "n" else "a type index"
+    raise ProofError(f"scheme parameter {param!r} must be {wanted},"
+                     f" got {json.dumps(value, default=repr)}")
+
+
+def axiom_instance(name: str, params: Dict) -> Formula:
+    """The instance of the theory axiom `name`, a key of kernel.axioms.AXIOMS,
+    at the parameters of a scheme record, such as {"alpha": 1} for type-base."""
+    fn, argnames, _ = AXIOMS[name]
+    try:
+        args = [_scheme_arg(a, params[a]) for a in argnames]
+    except KeyError as e:
+        raise ProofError(f"axiom {name} needs parameter {e.args[0]!r}") from e
+    return fn(*args)
 
 
 def _clause(g: Formula, z: Term) -> Optional[Tuple[Var, Formula]]:

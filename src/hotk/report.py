@@ -1,7 +1,8 @@
 """Shared report types for axiom-suite style checks.
 
 Every row of `model check`, `sets check` and `sets kappa-check` is made by
-`SuiteReport.row` from the (status, detail) checks of its axiom."""
+`SuiteReport.row` from the (status, detail) checks of its axiom, and every
+such report is judged by `SuiteReport.failed`."""
 
 from __future__ import annotations
 
@@ -11,6 +12,10 @@ from typing import List, Optional
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+
+# The note of a row reported only for information: its FAIL is expected at
+# finite scale and decides no verdict.
+EXPECTED_FAIL = "expected FAIL at finite scale"
 
 
 @dataclass
@@ -59,6 +64,12 @@ class SuiteReport:
             if v.name == name:
                 return v.status
         raise KeyError(name)
+
+    @property
+    def failed(self) -> bool:
+        """The suite's verdict: some row FAILs that is not EXPECTED_FAIL."""
+        return any(v.status == FAIL and v.note != EXPECTED_FAIL
+                   for v in self.verdicts)
 
     @property
     def all_pass(self) -> bool:

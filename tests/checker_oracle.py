@@ -21,8 +21,8 @@ from hotk.kernel.syntax import (And, Apply, DownRel, Exists, Forall,
                                 Formula, Iff, Implies, Not, Or, StrictEq,
                                 Var, alpha_normalize, free_atoms,
                                 substitute, term_index)
+from hotk.proofkit import axiom_instance
 from hotk.proofkit.checker import ProofObject, ProofStep, ProofVerdict
-from hotk.proofkit.schemes import axiom_instance
 
 AXIOM_AVAILABILITY = {name: by for name, (_, _, by) in AXIOMS.items()}
 

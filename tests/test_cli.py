@@ -358,6 +358,30 @@ def test_kappa_check_honours_the_budget(tmp_path, capsys):
     assert code == 0
 
 
+def test_kappa_check_exits_1_on_a_surrogate_lemma(tmp_path, capsys):
+    """chain4 at kappa 2 FAILs stratification^k, one of the surrogate lemmas,
+    so kappa-check exits 1, in text and JSON; the endless^k and infinity^k
+    FAILs beside it are expected at finite scale and decide nothing."""
+    from hotk.corpus import graph_fixture
+    path = tmp_path / "chain4.json"
+    path.write_text(graph_fixture("chain4.json").dumps())
+    argv = ["sets", "kappa-check", "--kappa", "2", str(path)]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS    extensionality^k",
+        "PASS    separation^k [40 instances]",
+        "FAIL    stratification^k",
+        "FAIL    endless^k [expected FAIL at finite scale]",
+        "FAIL    infinity^k [expected FAIL at finite scale]"]
+    code, doc = run_json(*argv)
+    assert code == 1
+    assert [(v["name"], v["status"]) for v in doc["verdicts"]
+            if v.get("note") != "expected FAIL at finite scale"] == [
+        ("extensionality^k", "PASS"), ("separation^k", "PASS"),
+        ("stratification^k", "FAIL")]
+
+
 def test_levels_and_slice_honour_the_budget(tmp_path, capsys):
     """An ordinal chain o0 in o1 in ... with o_j in o_i for every j < i,
     under short names: its levels take seconds at the default budget, and
@@ -451,6 +475,28 @@ def test_a_graph_without_ranks_is_built_on_its_structural_ranks(tmp_path, capsys
     assert code == 0
     assert json.loads(out)["domains"] == [["e"], ["e", "s"]]
     assert run_json(*argv) == (0, json.loads(out))
+
+
+def test_a_graph_model_defaults_to_the_graphs_top_rank(tmp_path, capsys):
+    """Without --height, model build --kind graph builds what
+    build_graph_model does, up to the top rank label: astruct has three
+    domains, and a five-node chain of ranks 0-4 builds at height 4; a
+    --height below the top rank is refused."""
+    from hotk.corpus import graph_fixture
+    from hotk.graphs import MembershipGraph
+    from hotk.models import build_graph_model
+    chain5 = {"nodes": [f"c{i}" for i in range(5)],
+              "edges": [[f"c{i}", f"c{i + 1}"] for i in range(4)]}
+    for name, g in [("astruct.json", graph_fixture("astruct.json")),
+                    ("chain5.json", MembershipGraph.loads(json.dumps(chain5)))]:
+        path = tmp_path / name
+        path.write_text(g.dumps())
+        code, out = run(capsys, "model", "build", "--kind", "graph", "--graph", str(path))
+        assert code == 0 and out == build_graph_model(g).dumps() + "\n"
+    assert len(json.loads(out)["domains"]) == 5
+    assert main(["model", "build", "--kind", "graph", "--graph",
+                 str(tmp_path / "astruct.json"), "--height", "1"]) == 2
+    assert capsys.readouterr().err == "error: rank labels reach 2, above height 1\n"
 
 
 def test_a_report_with_only_budget_skips_exits_3(tmp_path, capsys):

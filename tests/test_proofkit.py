@@ -113,6 +113,18 @@ class TestAxiomInstances:
             axiom_instance("type-founded", {"alpha": 0})
 
 
+def test_a_proof_may_not_cite_the_lemma_type_raising():
+    """type-raising is a lemma of the CTT kinds, not an axiom: an axiom step
+    that names it is rejected at that step, although the formula is the
+    lemma's instance and holds in the reference models."""
+    doc = {"theory": "ctt:w", "steps": [
+        {"n": 1, "formula": "all x^0. some y^1. x^0 eq y^1", "rule": "axiom",
+         "scheme": {"name": "type-raising", "alpha": 0, "beta": 1}}]}
+    verdict = check_proof(load_proof(doc))
+    assert not verdict.accepted and verdict.tag == "scheme-shape"
+    assert verdict.step == 1 and verdict.message == "unknown axiom 'type-raising'"
+
+
 @pytest.mark.parametrize("theory,scheme,formula", [
     ("stt-up", {"name": "up-inject", "n": -1},
      "all x^0. all y^0. up(x^0) = up(y^0) -> x^0 = y^0"),
